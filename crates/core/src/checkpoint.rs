@@ -32,6 +32,7 @@ use cgmio_model::cost::RoundCost;
 use cgmio_pdm::{DiskArray, IoStats};
 
 use crate::report::{EmRunReport, IoBreakdown};
+use crate::EmError;
 
 /// File-format version tag (first line of every manifest). `v2`
 /// switched the per-worker length tables to compact encodings —
@@ -332,6 +333,17 @@ pub enum RunOutcome<S> {
 }
 
 impl<S> RunOutcome<S> {
+    /// The completed run, or [`EmError::Interrupted`] for a halt — what
+    /// the runners' `run` returns.
+    pub(crate) fn completed(self) -> Result<(Vec<S>, EmRunReport), EmError> {
+        match self {
+            RunOutcome::Complete { finals, report } => Ok((finals, report)),
+            RunOutcome::Interrupted(c) => {
+                Err(EmError::Interrupted { superstep: c.manifest.superstep })
+            }
+        }
+    }
+
     /// Unwrap a completed run (panics on `Interrupted`) — convenience
     /// for tests and examples.
     pub fn expect_complete(self) -> (Vec<S>, EmRunReport) {

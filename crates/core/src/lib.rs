@@ -17,6 +17,14 @@
 //!   `p` real processors each simulate `v/p` virtual processors against
 //!   their own local disk arrays, exchanging generated messages over the
 //!   real interconnect before writing them to the destination's disks.
+//!
+//!   Both are facades over one private superstep executor, just as
+//!   Algorithm 3 is Algorithm 2 with step (d) routed through the
+//!   interconnect: `p = 1` *is* the sequential loop (no thread, no
+//!   channel), so the two runners agree there to the I/O operation. At
+//!   `p ≥ 2` each real processor stages one round of arriving messages
+//!   in RAM before writing them in a deterministic order; that staging
+//!   is outside the `M` audit ([`EmRunReport::peak_mem_bytes`]).
 //! * [`measure_requirements`] dry-runs a program in memory to discover
 //!   the parameters the theorems are stated in: `λ`, `h`, `μ` and the
 //!   largest message — from which [`EmConfig`] slot sizes follow.
@@ -34,6 +42,7 @@
 pub mod checkpoint;
 pub mod config;
 pub mod context;
+mod exec;
 pub mod measure;
 pub mod msgmatrix;
 pub mod par;
@@ -103,6 +112,17 @@ pub enum EmError {
         /// Last completed superstep (the checkpoint's position).
         superstep: usize,
     },
+    /// Code of the simulated program (a `CgmProgram::round`, or a state
+    /// or message codec) panicked. The run fails; every real processor
+    /// is still joined.
+    WorkerPanicked {
+        /// Real processor whose worker caught the panic.
+        proc: usize,
+        /// Superstep it was executing.
+        superstep: usize,
+        /// The panic message.
+        message: String,
+    },
 }
 
 impl From<ModelError> for EmError {
@@ -136,6 +156,9 @@ impl std::fmt::Display for EmError {
             EmError::BadConfig(s) => write!(f, "bad config: {s}"),
             EmError::Interrupted { superstep } => {
                 write!(f, "run interrupted after superstep {superstep} (checkpoint taken)")
+            }
+            EmError::WorkerPanicked { proc, superstep, message } => {
+                write!(f, "real processor {proc} panicked in superstep {superstep}: {message}")
             }
         }
     }

@@ -1,14 +1,15 @@
-//! Shared plumbing for the software-pipelined compound superstep.
+//! The read window of the software-pipelined compound superstep.
 //!
-//! Both runners drive the same three-stage pipeline per virtual
+//! The executor (`exec.rs`) drives a three-stage pipeline per virtual
 //! processor: **load** (steps (a)+(b), submitted up to
 //! [`crate::EmConfig::pipeline_depth`] vps ahead of the one computing),
 //! **compute** (step (c)), and **store** (steps (d)+(e), drained by the
-//! backend's write-behind). This module holds the one piece both
-//! runners share: submitting a vp's reads with cost-model charging and
-//! span attribution identical to the serial demand path, so `IoStats`,
-//! the op breakdown, and checkpoint manifests stay bit-identical at
-//! every pipeline depth.
+//! backend's write-behind). This module holds the charging half of the
+//! load stage: submitting a vp's reads charges the cost model and
+//! attributes spans at submit time, whatever the distance to the
+//! matching finish — depth 0 is a submit and a finish with no gap — so
+//! `IoStats`, the op breakdown, and checkpoint manifests are
+//! bit-identical at every pipeline depth.
 //!
 //! Why pre-issuing inside a superstep is safe: vp `k`'s context slot is
 //! only rewritten by vp `k`'s own step (e), which runs strictly after
@@ -20,7 +21,7 @@
 
 use std::collections::VecDeque;
 
-use cgmio_obs::{Obs, Phase};
+use cgmio_obs::{Phase, SpanScope};
 use cgmio_pdm::{DiskArray, Item};
 
 use crate::context::{ContextStore, CtxReadTicket};
@@ -35,18 +36,14 @@ pub(crate) type InflightReads = VecDeque<(CtxReadTicket, InboxTicket)>;
 /// Submit one vp's step (a) context read and step (b) inbox read.
 ///
 /// `ctx_slot` is the vp's local context slot, `dst` its global pid (the
-/// two coincide on the sequential runner; parallel workers address the
-/// context store locally and the message matrix globally).
+/// two coincide at `p = 1`; workers address the context store locally
+/// and the message matrix globally). `span` opens a phase span of the
+/// calling worker's current superstep.
 ///
-/// Charges the cost model *now* — with exactly the increments, phase
-/// spans, and breakdown buckets the serial demand path uses — and
-/// returns the completion tickets to redeem when that vp is next to
-/// compute. Redemption charges nothing.
-#[allow(clippy::too_many_arguments)]
+/// Charges the cost model *now* and returns the completion tickets to
+/// redeem when that vp is next to compute. Redemption charges nothing.
 pub(crate) fn submit_vp_reads<M: Item>(
-    obs: Option<&Obs>,
-    proc: u64,
-    round: usize,
+    span: impl Fn(Phase) -> Option<SpanScope>,
     disks: &mut DiskArray,
     ctx_store: &ContextStore,
     mat_cur: &MessageMatrix<M>,
@@ -54,13 +51,13 @@ pub(crate) fn submit_vp_reads<M: Item>(
     ctx_slot: usize,
     dst: usize,
 ) -> Result<(CtxReadTicket, InboxTicket), EmError> {
-    let g = obs.map(|o| o.span(proc, round as u64, Phase::CtxLoad));
+    let g = span(Phase::CtxLoad);
     let ops0 = disks.stats().total_ops();
     let ctx_t = ctx_store.read_submit(disks, ctx_slot)?;
     breakdown.ctx_ops += disks.stats().total_ops() - ops0;
     drop(g);
 
-    let g = obs.map(|o| o.span(proc, round as u64, Phase::MatrixRead));
+    let g = span(Phase::MatrixRead);
     let ops0 = disks.stats().total_ops();
     let inbox_t = mat_cur.read_for_dst_submit(disks, dst)?;
     breakdown.msg_ops += disks.stats().total_ops() - ops0;

@@ -77,6 +77,26 @@ pub struct EmRunReport {
 }
 
 impl EmRunReport {
+    /// Fold another real processor's share of the run into this one:
+    /// I/O, op breakdown and recovery totals add, the memory peak and
+    /// the loop wall-clock take the maximum, trace events concatenate.
+    pub(crate) fn absorb(&mut self, other: EmRunReport) {
+        self.faults = match (self.faults, other.faults) {
+            (Some(a), Some(b)) => Some(a.merged(b)),
+            (a, b) => a.or(b),
+        };
+        self.io.merge(&other.io);
+        self.breakdown.setup_ops += other.breakdown.setup_ops;
+        self.breakdown.ctx_ops += other.breakdown.ctx_ops;
+        self.breakdown.msg_ops += other.breakdown.msg_ops;
+        self.breakdown.readout_ops += other.breakdown.readout_ops;
+        self.peak_mem_bytes = self.peak_mem_bytes.max(other.peak_mem_bytes);
+        self.wall = self.wall.max(other.wall);
+        self.io_trace.extend(other.io_trace);
+        self.retries += other.retries;
+        self.deferred_write_errors_dropped += other.deferred_write_errors_dropped;
+    }
+
     /// Per-real-processor parallel I/O count — the paper's I/O
     /// complexity measure (`t_io / G`). Operations are aggregated over
     /// real processors and divided by `p`, since the `p` arrays operate

@@ -6,8 +6,9 @@
 use cgmio_algos::geometry::{CgmConvexHull, CgmDominance, CgmIntervalStab, CgmUnionArea};
 use cgmio_algos::graphs::{CgmConnectivity, CgmEulerTour, CgmListRank};
 use cgmio_algos::{CgmPermute, CgmSort, CgmTranspose};
-use cgmio_core::{measure_requirements, EmConfig, ParEmRunner, SeqEmRunner};
+use cgmio_core::{measure_requirements, EmConfig, ParEmRunner, RunOutcome, SeqEmRunner};
 use cgmio_data as data;
+use cgmio_model::demo::AllToOne;
 use cgmio_model::{CgmProgram, DirectRunner, ThreadedRunner};
 
 /// Run `prog` on all four runners and demand identical final states.
@@ -191,5 +192,75 @@ fn connectivity_agrees_everywhere() {
                 .collect()
         },
         "connectivity",
+    );
+}
+
+/// Initial states of a sort with irregular traffic: 5 000 uniform keys
+/// over 8 virtual processors, whose sampled splitters give messages of
+/// very different sizes.
+fn irregular_sort_input() -> Vec<(Vec<u64>, Vec<u64>)> {
+    data::block_split(data::uniform_u64(5000, 1), 8).into_iter().map(|b| (b, Vec::new())).collect()
+}
+
+/// The EM runners' per-round h-relation ledger must be the reference
+/// runner's, for every `p`: `max_received` of a round is what was sent
+/// *in* that round (including the last one), not what was read in it.
+#[test]
+fn round_costs_match_direct_runner_for_every_p() {
+    fn check<P: CgmProgram>(prog: &P, mk: impl Fn() -> Vec<P::State>, label: &str) {
+        let v = mk().len();
+        let (_, want) = DirectRunner::default().run(prog, mk()).unwrap();
+        let (_, _, req) = measure_requirements(prog, mk()).unwrap();
+        for p in [1usize, 2, 3] {
+            let cfg = EmConfig::from_requirements(v, p, 2, 64, &req);
+            let (_, rep) = ParEmRunner::new(cfg).run(prog, mk()).unwrap();
+            assert_eq!(rep.costs.rounds, want.rounds, "{label}: p={p}");
+            assert_eq!(rep.costs.max_h(), want.max_h(), "{label}: p={p}");
+        }
+        let cfg = EmConfig::from_requirements(v, 1, 2, 64, &req);
+        let (_, rep) = SeqEmRunner::new(cfg).run(prog, mk()).unwrap();
+        assert_eq!(rep.costs.rounds, want.rounds, "{label}: seq");
+    }
+    check(&AllToOne { items_per_proc: 7 }, || (0..6).map(|_| Vec::new()).collect(), "all-to-one");
+    check(&CgmSort::<u64>::block_distributed(), irregular_sort_input, "sort");
+}
+
+/// `ParEmRunner` at `p = 1` *is* `SeqEmRunner`: every count, every
+/// round cost and the checkpoint manifest agree on irregular traffic,
+/// and a run halted under either facade resumes under the other.
+#[test]
+fn p1_is_the_sequential_runner_exactly() {
+    let (prog, mk) = (CgmSort::<u64>::block_distributed(), irregular_sort_input);
+    let (_, _, req) = measure_requirements(&prog, mk()).unwrap();
+    let cfg = EmConfig::from_requirements(8, 1, 4, 64, &req);
+    let (seq_finals, seq) = SeqEmRunner::new(cfg.clone()).run(&prog, mk()).unwrap();
+    let (par_finals, par) = ParEmRunner::new(cfg.clone()).run(&prog, mk()).unwrap();
+    assert_eq!(par_finals, seq_finals);
+    assert_eq!(par.io, seq.io);
+    assert_eq!(par.breakdown, seq.breakdown);
+    assert_eq!(par.costs, seq.costs);
+    assert_eq!((par.p, par.cross_thread_items), (1, 0));
+    assert_eq!(par.peak_mem_bytes, seq.peak_mem_bytes);
+
+    let mut halting = cfg.clone();
+    halting.halt_after_superstep = Some(1);
+    let halt = |outcome| match outcome {
+        RunOutcome::Interrupted(c) => c,
+        RunOutcome::Complete { .. } => panic!("expected a halt after superstep 1"),
+    };
+    let seq_ckpt = halt(SeqEmRunner::new(halting.clone()).run_until(&prog, mk()).unwrap());
+    let par_ckpt = halt(ParEmRunner::new(halting).run_until(&prog, mk()).unwrap());
+    assert_eq!(par_ckpt.manifest.to_text(), seq_ckpt.manifest.to_text());
+
+    let (finals, rep) =
+        ParEmRunner::new(cfg.clone()).resume(&prog, seq_ckpt).unwrap().expect_complete();
+    assert_eq!(
+        (finals, rep.io, rep.breakdown, rep.costs),
+        (par_finals, par.io, par.breakdown, par.costs)
+    );
+    let (finals, rep) = SeqEmRunner::new(cfg).resume(&prog, par_ckpt).unwrap().expect_complete();
+    assert_eq!(
+        (finals, rep.io, rep.breakdown, rep.costs),
+        (seq_finals, seq.io, seq.breakdown, seq.costs)
     );
 }
