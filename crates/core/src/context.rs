@@ -28,7 +28,6 @@
 //! series (see `docs/OPERATIONS.md`).
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
 
 use cgmio_obs::{Counter, Gauge, Obs};
 use cgmio_pdm::{
@@ -36,6 +35,7 @@ use cgmio_pdm::{
     TrackAddr, TrackStorage,
 };
 
+use crate::pipeline::FreeList;
 use crate::EmError;
 
 /// Residency policy for a [`ContextStore`]'s per-slot length table.
@@ -77,18 +77,41 @@ struct PagedLens {
     resident: Gauge,
 }
 
+/// One resident page of the table.
+struct Page {
+    data: Box<[u64]>,
+    /// Modified since it was last spilled.
+    dirty: bool,
+    /// Clock reading of the latest access: the resident page with the
+    /// smallest stamp is the least recently used.
+    stamp: u64,
+}
+
 struct PagedInner {
-    /// Hot pages: page index → decoded lengths.
-    hot: HashMap<usize, Box<[u64]>>,
-    /// LRU order of hot pages, least-recent first.
-    lru: VecDeque<usize>,
-    /// Hot pages modified since their last spill.
-    dirty: HashSet<usize>,
+    /// The page directory, one slot per page (`count / page_entries`
+    /// in all): `Some` while the page is resident.
+    dir: Vec<Option<Page>>,
+    /// The resident pages, at most `resident_pages`, in no order: an
+    /// eviction scans this window for the oldest stamp, not the
+    /// directory.
+    hot: Vec<usize>,
+    /// Access clock behind [`Page::stamp`].
+    clock: u64,
+    /// The page accessed last (`usize::MAX`: none yet). It is resident
+    /// and already the youngest, so the scan-order common case — the
+    /// same page again — touches neither clock nor directory.
+    last: usize,
     /// Spill target: one "drive", one track per page. Unwritten tracks
     /// read as zeros — exactly the table's initial state.
     side: MemStorage,
     /// Staging buffer pool for page encodes.
     pool: BlockPool,
+}
+
+fn decode_page(bytes: &[u8], page: &mut [u64]) {
+    for (l, chunk) in page.iter_mut().zip(bytes.chunks_exact(8)) {
+        *l = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
+    }
 }
 
 impl PagedLens {
@@ -102,9 +125,10 @@ impl PagedLens {
             page_entries,
             resident_pages,
             inner: RefCell::new(PagedInner {
-                hot: HashMap::new(),
-                lru: VecDeque::new(),
-                dirty: HashSet::new(),
+                dir: (0..count.div_ceil(page_entries)).map(|_| None).collect(),
+                hot: Vec::with_capacity(resident_pages.min(count.div_ceil(page_entries))),
+                clock: 0,
+                last: usize::MAX,
                 side: MemStorage::new(DiskGeometry::new(1, page_entries * 8)),
                 pool: BlockPool::with_max_free(2),
             }),
@@ -114,59 +138,70 @@ impl PagedLens {
         }
     }
 
-    fn decode_page(&self, bytes: &[u8]) -> Box<[u64]> {
-        let mut page = vec![0u64; self.page_entries].into_boxed_slice();
-        for (i, chunk) in bytes.chunks_exact(8).take(self.page_entries).enumerate() {
-            page[i] = u64::from_le_bytes(chunk.try_into().unwrap());
-        }
-        page
+    /// Make `page` resident, evicting (and, if dirty, spilling) the
+    /// least recently used page when the budget is full. The victim's
+    /// buffer becomes the new page's.
+    fn fault(&self, inner: &mut PagedInner, page: usize) {
+        let mut data = if inner.hot.len() >= self.resident_pages {
+            let dir = &inner.dir;
+            let stamp_of = |p: usize| dir[p].as_ref().expect("hot pages are resident").stamp;
+            let (k, victim) = (inner.hot.iter().copied().enumerate())
+                .min_by_key(|&(_, p)| stamp_of(p))
+                .expect("resident_pages >= 1");
+            inner.hot.swap_remove(k);
+            let old = inner.dir[victim].take().expect("hot pages are resident");
+            if old.dirty {
+                let mut buf = inner.pool.checkout(self.page_entries * 8);
+                for (bytes, l) in buf.chunks_exact_mut(8).zip(old.data.iter()) {
+                    bytes.copy_from_slice(&l.to_le_bytes());
+                }
+                inner
+                    .side
+                    .write_track(0, victim as u64, &buf)
+                    .expect("private side store never faults");
+                self.spills.inc();
+            }
+            old.data
+        } else {
+            vec![0u64; self.page_entries].into_boxed_slice()
+        };
+        inner
+            .side
+            .read_scatter_with(&[TrackAddr::new(0, page as u64)], &mut |_, b| {
+                decode_page(b, &mut data)
+            })
+            .expect("private side store never faults");
+        inner.dir[page] = Some(Page { data, dirty: false, stamp: inner.clock });
+        inner.hot.push(page);
+        self.loads.inc();
+        self.resident.set(inner.hot.len() as i64);
     }
 
-    /// Fault `page` in (evicting the LRU page if over budget) and run
-    /// `f` against its entries.
-    fn with_page<R>(&self, page: usize, f: impl FnOnce(&mut Box<[u64]>) -> R) -> R {
+    /// Run `f` against `page`, faulting it in first if need be.
+    fn with_page<R>(&self, page: usize, f: impl FnOnce(&mut Page) -> R) -> R {
         let inner = &mut *self.inner.borrow_mut();
-        if inner.hot.contains_key(&page) {
-            if inner.lru.back() != Some(&page) {
-                inner.lru.retain(|&p| p != page);
-                inner.lru.push_back(page);
+        if inner.last != page {
+            inner.clock += 1;
+            match &mut inner.dir[page] {
+                Some(p) => p.stamp = inner.clock,
+                None => self.fault(inner, page),
             }
-        } else {
-            if inner.lru.len() >= self.resident_pages {
-                let victim = inner.lru.pop_front().expect("resident_pages >= 1");
-                let data = inner.hot.remove(&victim).expect("lru tracks hot");
-                if inner.dirty.remove(&victim) {
-                    let mut buf = inner.pool.checkout(self.page_entries * 8);
-                    for (i, &l) in data.iter().enumerate() {
-                        buf[i * 8..i * 8 + 8].copy_from_slice(&l.to_le_bytes());
-                    }
-                    inner
-                        .side
-                        .write_track(0, victim as u64, &buf)
-                        .expect("private side store never faults");
-                    self.spills.inc();
-                }
-            }
-            let bytes =
-                inner.side.read_track(0, page as u64).expect("private side store never faults");
-            let data = self.decode_page(&bytes);
-            inner.hot.insert(page, data);
-            inner.lru.push_back(page);
-            self.loads.inc();
-            self.resident.set(inner.lru.len() as i64);
+            inner.last = page;
         }
-        f(inner.hot.get_mut(&page).expect("just faulted in"))
+        f(inner.dir[page].as_mut().expect("resident: hit or just faulted in"))
     }
 
     fn get(&self, slot: usize) -> usize {
         let (page, k) = (slot / self.page_entries, slot % self.page_entries);
-        self.with_page(page, |p| p[k] as usize)
+        self.with_page(page, |p| p.data[k] as usize)
     }
 
     fn set(&self, slot: usize, len: usize) {
         let (page, k) = (slot / self.page_entries, slot % self.page_entries);
-        self.with_page(page, |p| p[k] = len as u64);
-        self.inner.borrow_mut().dirty.insert(page);
+        self.with_page(page, |p| {
+            p.data[k] = len as u64;
+            p.dirty = true;
+        });
     }
 
     /// Visit every slot in order *without* disturbing the LRU — cold
@@ -174,17 +209,17 @@ impl PagedLens {
     /// checkpoint/RLE paths, which scan all `v` slots once.
     fn for_each(&self, mut f: impl FnMut(usize, usize)) {
         let inner = self.inner.borrow();
-        let n_pages = self.count.div_ceil(self.page_entries);
-        for page in 0..n_pages {
-            let cold;
-            let data: &[u64] = match inner.hot.get(&page) {
-                Some(hot) => hot,
+        let mut cold = vec![0u64; self.page_entries];
+        for (page, slot) in inner.dir.iter().enumerate() {
+            let data: &[u64] = match slot {
+                Some(hot) => &hot.data,
                 None => {
-                    let bytes = inner
+                    inner
                         .side
-                        .read_track(0, page as u64)
+                        .read_scatter_with(&[TrackAddr::new(0, page as u64)], &mut |_, b| {
+                            decode_page(b, &mut cold)
+                        })
                         .expect("private side store never faults");
-                    cold = self.decode_page(&bytes);
                     &cold
                 }
             };
@@ -208,6 +243,8 @@ pub struct ContextStore {
     cap_bytes: usize,
     count: usize,
     lens: CtxLens,
+    /// Address lists of read tickets, recycled at finish.
+    addr_lists: FreeList<TrackAddr>,
 }
 
 impl ContextStore {
@@ -251,6 +288,7 @@ impl ContextStore {
             cap_bytes,
             count,
             lens,
+            addr_lists: FreeList::new(),
         }
     }
 
@@ -375,15 +413,11 @@ impl ContextStore {
                 cap: self.cap_bytes,
             });
         }
-        let base = slot as u64 * self.slot_blocks;
+        let (layout, base) = (self.layout, slot as u64 * self.slot_blocks);
         // Gather write straight from the caller's encoded buffer — the
         // chunks borrow `bytes`, so no per-block staging copies.
-        let writes: Vec<(TrackAddr, &[u8])> = bytes
-            .chunks(self.block_bytes)
-            .enumerate()
-            .map(|(q, chunk)| (self.layout.addr(base + q as u64), chunk))
-            .collect();
-        disks.write_gather(&writes)?;
+        let chunks = bytes.chunks(self.block_bytes).enumerate();
+        disks.write_gather_iter(chunks.map(|(q, chunk)| (layout.addr(base + q as u64), chunk)))?;
         self.set_len(slot, bytes.len());
         Ok(())
     }
@@ -456,7 +490,8 @@ impl ContextStore {
         let len = self.len(slot);
         let nblocks = (len as u64).div_ceil(self.block_bytes as u64);
         let base = slot as u64 * self.slot_blocks;
-        let addrs: Vec<TrackAddr> = (0..nblocks).map(|q| self.layout.addr(base + q)).collect();
+        let mut addrs = self.addr_lists.take();
+        addrs.extend((0..nblocks).map(|q| self.layout.addr(base + q)));
         let ticket = disks.read_gather_submit(&addrs)?;
         Ok(CtxReadTicket { len, addrs, ticket })
     }
@@ -474,6 +509,7 @@ impl ContextStore {
         out.reserve(t.addrs.len() * self.block_bytes);
         disks.read_gather_finish(t.ticket, &t.addrs, &mut |_, b| out.extend_from_slice(b))?;
         out.truncate(t.len);
+        self.addr_lists.give(t.addrs);
         Ok(())
     }
 }
@@ -552,26 +588,71 @@ mod tests {
         assert_eq!(store.read(&mut disks, 2).unwrap(), vec![3; 12]);
     }
 
+    /// The table's paging policy as it was first written — an LRU queue
+    /// of hot pages and a dirty set — reduced to what it counts.
+    #[derive(Default)]
+    struct LruModel {
+        lru: std::collections::VecDeque<usize>,
+        dirty: std::collections::HashSet<usize>,
+        spills: u64,
+        loads: u64,
+    }
+
+    impl LruModel {
+        fn touch(&mut self, page: usize, resident_pages: usize, write: bool) {
+            if self.lru.contains(&page) {
+                self.lru.retain(|&p| p != page);
+            } else {
+                if self.lru.len() >= resident_pages {
+                    let victim = self.lru.pop_front().unwrap();
+                    self.spills += u64::from(self.dirty.remove(&victim));
+                }
+                self.loads += 1;
+            }
+            self.lru.push_back(page);
+            if write {
+                self.dirty.insert(page);
+            }
+        }
+    }
+
     #[test]
     fn paged_table_matches_resident_exactly() {
         let n = 23;
-        let paging = CtxPaging::Paged { page_entries: 4, resident_pages: 2 };
+        let (page_entries, resident_pages) = (4, 2);
+        let paging = CtxPaging::Paged { page_entries, resident_pages };
+        // Paging-hostile read orders through the 2-page window: a
+        // reverse scan, then a strided one that hops pages every read.
+        let scans: Vec<usize> = (0..n).rev().chain((0..n).map(|i| i * 5 % n)).collect();
         let run = |p: &CtxPaging| {
             let mut disks = DiskArray::new(DiskGeometry::new(3, 16));
             let mut store = ContextStore::new_with(3, 16, 0, n, 64, p);
             for slot in 0..n {
                 store.write(&mut disks, slot, &vec![slot as u8; (7 * slot) % 64]).unwrap();
             }
-            // Touch slots in a paging-hostile order.
             let reads: Vec<Vec<u8>> =
-                (0..n).rev().map(|slot| store.read(&mut disks, slot).unwrap()).collect();
-            (reads, store.lens_rle(), disks.stats().clone())
+                scans.iter().map(|&slot| store.read(&mut disks, slot).unwrap()).collect();
+            // Rewrite on the strided order too: dirties pages mid-scan.
+            for &slot in &scans[n..] {
+                store.write(&mut disks, slot, &vec![1; slot % 9]).unwrap();
+            }
+            (reads, store.lens_rle(), disks.stats().clone(), store.paging_stats())
         };
-        let (res_reads, res_rle, res_io) = run(&CtxPaging::Resident);
-        let (pag_reads, pag_rle, pag_io) = run(&paging);
+        let (res_reads, res_rle, res_io, _) = run(&CtxPaging::Resident);
+        let (pag_reads, pag_rle, pag_io, pag_stats) = run(&paging);
         assert_eq!(res_reads, pag_reads);
         assert_eq!(res_rle, pag_rle);
         assert_eq!(res_io, pag_io, "side-store spills must not leak into IoStats");
+
+        // Same evictions, in the same order, as the LRU queue it
+        // replaced: a write touches its slot's page once (the length),
+        // a read once (the length, at submit).
+        let mut model = LruModel::default();
+        (0..n).for_each(|slot| model.touch(slot / page_entries, resident_pages, true));
+        scans.iter().for_each(|&slot| model.touch(slot / page_entries, resident_pages, false));
+        scans[n..].iter().for_each(|&slot| model.touch(slot / page_entries, resident_pages, true));
+        assert!(model.spills > 6 && model.loads > 12, "the scans must really page");
+        assert_eq!(pag_stats, Some((model.spills, model.loads)));
     }
 
     #[test]

@@ -377,11 +377,11 @@ impl<M: Item> Wire<M> {
     /// Ship vp `src`'s messages to their owners at once — a packet per
     /// peer — to overlap the remaining vps' compute, and stage what has
     /// landed here. Returns the items that left worker `t`.
-    fn ship(&mut self, t: usize, src: usize, sent: Vec<(usize, Vec<M>)>) -> u64 {
+    fn ship(&mut self, t: usize, src: usize, sent: &mut Vec<(usize, Vec<M>)>) -> u64 {
         let p = self.data_tx.len();
         let mut per_owner: Vec<Packet<M>> = (0..p).map(|_| Vec::new()).collect();
         let mut cross = 0u64;
-        for (dst, msg) in sent {
+        for (dst, msg) in sent.drain(..) {
             let owner = owner_of(self.v, p, dst);
             if owner != t {
                 cross += msg.len() as u64;
@@ -470,6 +470,10 @@ struct Worker<'a, P: CgmProgram> {
     /// Context scratch (read into, then encoded into): once grown to
     /// the largest context, the swap path stops allocating.
     buf: Vec<u8>,
+    /// The `(src, items)` list of the last inbox and the `(dst, items)`
+    /// list of the last outbox, emptied: the next vp's are built in them.
+    inbox: Vec<(usize, Vec<P::Msg>)>,
+    sent: Vec<(usize, Vec<P::Msg>)>,
     /// Step (a)+(b) reads run this many vps ahead. Only the tuner moves
     /// it, between rounds, where the window has drained.
     depth: usize,
@@ -583,6 +587,8 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             breakdown,
             peak_mem,
             buf: Vec::new(),
+            inbox: Vec::new(),
+            sent: Vec::new(),
             depth,
             inflight: InflightReads::new(),
             tuner,
@@ -609,7 +615,8 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
         link: &mut Link<'_, '_, P::Msg>,
     ) -> Result<RoundCtl, EmError> {
         let Self { cfg, t, range, h, ctx_store, mats, breakdown, inflight, .. } = self;
-        let (cfg, t, depth, disks) = (*cfg, *t, self.depth, &mut h.disks);
+        let (cfg, t, depth, hinted) = (*cfg, *t, self.depth, h.prefetch_cap.is_some());
+        let disks = &mut h.disks;
         let (v, first, n_local) = (cfg.v, range.start, range.len());
         // Spans publish (superstep, phase) to the io layer; free without obs.
         let span = |ph: Phase| cfg.obs.as_ref().map(|o| o.span(t as u64, round as u64, ph));
@@ -646,28 +653,32 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
                 P::State::try_from_bytes(&self.buf).map_err(|e| ctx_store.corrupt_error(k, e))?;
             drop(g);
             let g = span(Phase::MatrixRead);
-            let per_src = mat_cur.read_for_dst_finish(disks, inbox_t)?;
+            let mut per_src = std::mem::take(&mut self.inbox);
+            mat_cur.read_for_dst_finish_into(disks, inbox_t, &mut per_src)?;
             drop(g);
 
-            // (c) compute, behind read-ahead hints (no-ops on
-            // synchronous backends, never counted as I/O).
+            // (c) compute, behind read-ahead hints (never counted as I/O).
             let g = span(Phase::Rounds);
-            if depth == 0 && k + 1 < n_local {
-                // (The pipelined path pre-issues real reads instead.)
-                let mut hints = ctx_store.read_addrs(k + 1);
-                hints.extend(mat_cur.read_addrs_for_dst(pid + 1));
-                disks.prefetch(&hints);
-            } else if k + 1 == n_local {
+            if k + 1 == n_local {
                 // Boundary: the first local vp's next context is on disk
                 // already; its inbox is hinted once it is, below.
                 disks.prefetch(&ctx_store.read_addrs(0));
+            } else if depth == 0 && hinted {
+                // (The pipelined path pre-issues real reads instead, and
+                // only a backend with a prefetch cache keeps a hint: the
+                // others would have the two lists built to drop them.)
+                let mut hints = ctx_store.read_addrs(k + 1);
+                hints.extend(mat_cur.read_addrs_for_dst(pid + 1));
+                disks.prefetch(&hints);
             }
-            let mut outbox = Outbox::new(v);
+            let mut outbox = Outbox::reusing(v, std::mem::take(&mut self.sent));
             let incoming = Incoming::from_sparse(v, per_src);
             let mut rctx = RoundCtx { pid, v, round, incoming, outbox: &mut outbox };
             if self.prog.round(&mut rctx, &mut state) == Status::Done {
                 ctl.n_done += 1;
             }
+            self.inbox = rctx.incoming.into_sparse();
+            self.inbox.clear();
             let out_items = outbox.total();
             drop(g);
 
@@ -682,7 +693,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             // (sorted, merged): O(fanout) per vp, not O(v).
             ctl.cost.max_sent = ctl.cost.max_sent.max(out_items);
             ctl.cost.total_items += out_items;
-            let sent = outbox.into_sparse();
+            let mut sent = outbox.into_sparse();
             for (_, msg) in &sent {
                 ctl.cost.max_message = ctl.cost.max_message.max(msg.len());
                 ctl.cost.min_message = ctl.cost.min_message.min(msg.len());
@@ -691,18 +702,19 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
                 // Algorithm 2: straight into the next matrix (Figure 2).
                 Link::Inline(_) => {
                     let _g = span(Phase::MatrixWrite);
-                    let entries: Vec<(usize, usize, &[P::Msg])> =
-                        sent.iter().map(|(dst, msg)| (pid, *dst, msg.as_slice())).collect();
+                    let entries = sent.iter().map(|(dst, msg)| (pid, *dst, msg.as_slice()));
                     let ops0 = disks.stats().total_ops();
-                    mat_next.write_batch(disks, &entries)?;
+                    mat_next.write_entries(disks, entries)?;
                     breakdown.msg_ops += disks.stats().total_ops() - ops0;
                     if k + 1 == n_local {
                         disks.prefetch(&mat_next.read_addrs_for_dst(first));
                     }
                 }
                 // Algorithm 3: to the owner, who writes it at the round end.
-                Link::Wire(w) => ctl.cross_items += w.ship(t, pid, sent),
+                Link::Wire(w) => ctl.cross_items += w.ship(t, pid, &mut sent),
             }
+            sent.clear();
+            self.sent = sent;
 
             // (e) context out
             let _g = span(Phase::CtxLoad);
@@ -721,10 +733,9 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             w.arrivals.sort_unstable_by_key(|&(src, dst, _)| (dst, src));
             drop(g);
             let _g = span(Phase::MatrixWrite);
-            let entries: Vec<(usize, usize, &[P::Msg])> =
-                w.arrivals.iter().map(|(src, dst, msg)| (*src, *dst, msg.as_slice())).collect();
+            let entries = w.arrivals.iter().map(|(src, dst, msg)| (*src, *dst, msg.as_slice()));
             let ops0 = disks.stats().total_ops();
-            mat_next.write_batch(disks, &entries)?;
+            mat_next.write_entries(disks, entries)?;
             breakdown.msg_ops += disks.stats().total_ops() - ops0;
             disks.prefetch(&mat_next.read_addrs_for_dst(first));
         }

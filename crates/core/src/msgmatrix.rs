@@ -30,10 +30,13 @@
 //! purely a memory/time trade governed by
 //! [`crate::ScaleTuning`].
 
+use std::cell::RefCell;
+
 use cgmio_pdm::{
     DiskArray, IoError, IoErrorKind, Item, MessageMatrixLayout, SpanDecoder, TrackAddr,
 };
 
+use crate::pipeline::FreeList;
 use crate::EmError;
 
 /// Per-slot message lengths: which `(src, dst_local)` slots are occupied
@@ -91,14 +94,27 @@ impl LenTable {
 
     /// Non-empty `(src, len)` entries of one row, in source order — the
     /// one iteration shape both representations share.
-    fn row_nonzero<'a>(&'a self, dst_local: usize) -> Box<dyn Iterator<Item = (usize, u32)> + 'a> {
+    fn row_nonzero(&self, dst_local: usize) -> RowNonzero<'_> {
         match self {
-            LenTable::Dense(rows) => Box::new(
-                rows[dst_local].iter().enumerate().filter(|&(_, &l)| l > 0).map(|(s, &l)| (s, l)),
-            ),
-            LenTable::Sparse(rows) => {
-                Box::new(rows[dst_local].iter().map(|&(s, l)| (s as usize, l)))
-            }
+            LenTable::Dense(rows) => RowNonzero::Dense(rows[dst_local].iter().enumerate()),
+            LenTable::Sparse(rows) => RowNonzero::Sparse(rows[dst_local].iter()),
+        }
+    }
+}
+
+/// Iterator of [`LenTable::row_nonzero`].
+enum RowNonzero<'a> {
+    Dense(std::iter::Enumerate<std::slice::Iter<'a, u32>>),
+    Sparse(std::slice::Iter<'a, (u64, u32)>),
+}
+
+impl Iterator for RowNonzero<'_> {
+    type Item = (usize, u32);
+
+    fn next(&mut self) -> Option<(usize, u32)> {
+        match self {
+            RowNonzero::Dense(row) => row.find(|&(_, &l)| l > 0).map(|(s, &l)| (s, l)),
+            RowNonzero::Sparse(row) => row.next().map(|&(s, l)| (s as usize, l)),
         }
     }
 }
@@ -115,7 +131,12 @@ pub struct MessageMatrix<M: Item> {
     /// engine; the block start of the owning real processor otherwise).
     dst_base: usize,
     lens: LenTable,
-    _marker: std::marker::PhantomData<M>,
+    /// Address and span lists of inbox tickets, recycled at finish.
+    addr_lists: FreeList<TrackAddr>,
+    span_lists: FreeList<(usize, usize, usize)>,
+    /// The per-source decoders of the inbox read being finished; empty
+    /// between calls, kept for its allocation.
+    decoders: RefCell<Vec<SpanDecoder<M>>>,
 }
 
 impl<M: Item> MessageMatrix<M> {
@@ -174,7 +195,9 @@ impl<M: Item> MessageMatrix<M> {
             v,
             dst_base,
             lens: LenTable::new(dst_count, v, sparse),
-            _marker: std::marker::PhantomData,
+            addr_lists: FreeList::new(),
+            span_lists: FreeList::new(),
+            decoders: RefCell::new(Vec::new()),
         }
     }
 
@@ -250,16 +273,9 @@ impl<M: Item> MessageMatrix<M> {
 
     /// Largest inbox (total items) over all local destinations — the
     /// `max_received` of a round cost, computed straight off the length
-    /// table (`O(dst_count + nnz)`, no per-row iterator allocation).
+    /// table (`O(dst_count + nnz)`).
     pub fn max_received_items(&self) -> usize {
-        match &self.lens {
-            LenTable::Dense(rows) => {
-                rows.iter().map(|r| r.iter().map(|&l| l as usize).sum()).max().unwrap_or(0)
-            }
-            LenTable::Sparse(rows) => {
-                rows.iter().map(|r| r.iter().map(|&(_, l)| l as usize).sum()).max().unwrap_or(0)
-            }
-        }
+        (0..self.lens.rows()).map(|d| self.received_items(d)).max().unwrap_or(0)
     }
 
     /// Write a batch of messages in the given order, packed greedily into
@@ -275,10 +291,23 @@ impl<M: Item> MessageMatrix<M> {
         disks: &mut DiskArray,
         entries: &[(usize, usize, &[M])],
     ) -> Result<(), EmError> {
+        self.write_entries(disks, entries.iter().copied())
+    }
+
+    /// [`Self::write_batch`] of the `(src, dst, items)` entries an
+    /// iterator yields (it is walked three times: validate, encode,
+    /// address), so a caller holding its messages in another shape need
+    /// not build the entry list.
+    pub fn write_entries<'m>(
+        &mut self,
+        disks: &mut DiskArray,
+        entries: impl Iterator<Item = (usize, usize, &'m [M])> + Clone,
+    ) -> Result<(), EmError> {
+        let bb = self.block_bytes;
         // Validate the whole batch before touching disk or the length
         // table, then size the staging buffer in one pass.
         let mut total_blocks = 0usize;
-        for &(src, dst, items) in entries {
+        for (src, dst, items) in entries.clone() {
             if items.len() > self.slot_items {
                 return Err(EmError::MsgSlotOverflow {
                     src,
@@ -287,31 +316,26 @@ impl<M: Item> MessageMatrix<M> {
                     slot: self.slot_items,
                 });
             }
-            total_blocks += (items.len() * M::SIZE).div_ceil(self.block_bytes);
+            total_blocks += (items.len() * M::SIZE).div_ceil(bb);
         }
-        let mut staging = disks.pool().checkout(total_blocks * self.block_bytes);
-        // (stage offset, encoded bytes, src, dst_local) per non-empty entry
-        let mut placed: Vec<(usize, usize, usize, usize)> = Vec::with_capacity(entries.len());
+        let mut staging = disks.pool().checkout(total_blocks * bb);
         let mut off = 0usize;
-        for &(src, dst, items) in entries {
-            if items.is_empty() {
-                continue;
-            }
-            let dst_local = dst - self.dst_base;
+        for (src, dst, items) in entries.clone().filter(|(_, _, items)| !items.is_empty()) {
             let bytes = items.len() * M::SIZE;
             M::encode_into(items, &mut staging[off..off + bytes])
                 .expect("staging sized to the batch");
-            placed.push((off, bytes, src, dst_local));
-            off += bytes.div_ceil(self.block_bytes) * self.block_bytes;
-            self.lens.set(dst_local, src, items.len() as u32);
+            off += bytes.div_ceil(bb) * bb;
+            self.lens.set(dst - self.dst_base, src, items.len() as u32);
         }
-        let mut writes: Vec<(TrackAddr, &[u8])> = Vec::with_capacity(total_blocks);
-        for &(off, bytes, src, dst_local) in &placed {
-            for (q, chunk) in staging[off..off + bytes].chunks(self.block_bytes).enumerate() {
-                writes.push((self.layout.addr(src, dst_local, q as u64), chunk));
-            }
-        }
-        disks.write_gather(&writes)?;
+        let (layout, dst_base, staging) = (self.layout, self.dst_base, &staging[..]);
+        let mut off = 0usize;
+        disks.write_gather_iter(entries.flat_map(|(src, dst, items)| {
+            let bytes = items.len() * M::SIZE;
+            let encoded = &staging[off..off + bytes];
+            off += bytes.div_ceil(bb) * bb;
+            let blocks = encoded.chunks(bb).enumerate();
+            blocks.map(move |(q, chunk)| (layout.addr(src, dst - dst_base, q as u64), chunk))
+        }))?;
         Ok(())
     }
 
@@ -362,9 +386,9 @@ impl<M: Item> MessageMatrix<M> {
         dst: usize,
     ) -> Result<InboxTicket, EmError> {
         let dst_local = dst - self.dst_base;
-        let mut addrs = Vec::new();
+        let mut addrs = self.addr_lists.take();
         // (src, items, nblocks) per non-empty source, in source order.
-        let mut spans: Vec<(usize, usize, usize)> = Vec::new();
+        let mut spans = self.span_lists.take();
         for (src, len) in self.lens.row_nonzero(dst_local) {
             let n_items = len as usize;
             let bytes = n_items * M::SIZE;
@@ -388,20 +412,36 @@ impl<M: Item> MessageMatrix<M> {
         disks: &mut DiskArray,
         t: InboxTicket,
     ) -> Result<Vec<(usize, Vec<M>)>, EmError> {
+        let mut out = Vec::with_capacity(t.spans.len());
+        self.read_for_dst_finish_into(disks, t, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Self::read_for_dst_finish`] into a reused list (cleared
+    /// first): a caller that hands the same list back every time reads
+    /// inboxes without allocating more than the items themselves.
+    pub fn read_for_dst_finish_into(
+        &self,
+        disks: &mut DiskArray,
+        t: InboxTicket,
+        out: &mut Vec<(usize, Vec<M>)>,
+    ) -> Result<(), EmError> {
         let InboxTicket { dst, addrs, spans, ticket } = t;
-        let mut owner: Vec<usize> = Vec::with_capacity(addrs.len());
-        for (si, &(_, _, nblocks)) in spans.iter().enumerate() {
-            owner.extend(std::iter::repeat_n(si, nblocks));
-        }
-        let mut decoders: Vec<SpanDecoder<M>> =
-            spans.iter().map(|&(_, n_items, _)| SpanDecoder::new(n_items)).collect();
+        out.clear();
+        let mut decoders = self.decoders.take();
+        decoders.extend(spans.iter().map(|&(_, n_items, _)| SpanDecoder::new(n_items)));
+        // Blocks arrive in request order, so the span a block belongs
+        // to only ever moves forward.
+        let (mut si, mut span_end) = (0usize, spans.first().map_or(0, |s| s.2));
         disks.read_gather_finish(ticket, &addrs, &mut |i, block| {
-            decoders[owner[i]].feed(block);
+            while i >= span_end {
+                si += 1;
+                span_end += spans[si].2;
+            }
+            decoders[si].feed(block);
         })?;
-        let mut out = Vec::with_capacity(spans.len());
         let mut bi = 0usize;
-        for (si, dec) in decoders.into_iter().enumerate() {
-            let (src, _, nblocks) = spans[si];
+        for (dec, &(src, _, nblocks)) in decoders.drain(..).zip(&spans) {
             let first = addrs.get(bi).copied().unwrap_or(TrackAddr::new(0, 0));
             bi += nblocks;
             match dec.finish() {
@@ -416,7 +456,10 @@ impl<M: Item> MessageMatrix<M> {
                 }
             }
         }
-        Ok(out)
+        self.decoders.replace(decoders);
+        self.addr_lists.give(addrs);
+        self.span_lists.give(spans);
+        Ok(())
     }
 }
 

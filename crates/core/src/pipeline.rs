@@ -19,6 +19,7 @@
 //! pair. Per-drive FIFO submission in the concurrent backend then gives
 //! read-after-write coherence for everything older.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use cgmio_obs::{Phase, SpanScope};
@@ -32,6 +33,33 @@ use crate::EmError;
 /// In-flight step (a)+(b) tickets; the front entry belongs to the next
 /// vp to compute. Holds at most `pipeline_depth` entries.
 pub(crate) type InflightReads = VecDeque<(CtxReadTicket, InboxTicket)>;
+
+/// Emptied vectors waiting for the next read ticket of the store that
+/// owns the list. A ticket carries its address list from submit to
+/// finish, up to `pipeline_depth + 1` of them in flight; drawing the
+/// vectors here and handing them back at finish means a warm window
+/// submits without allocating. A vector is only made when the list is
+/// empty, so the list never holds more than were once in flight
+/// together. (`RefCell`: submit and finish take `&self`; a store
+/// belongs to one worker thread.)
+pub(crate) struct FreeList<T>(RefCell<Vec<Vec<T>>>);
+
+impl<T> FreeList<T> {
+    pub(crate) fn new() -> Self {
+        Self(RefCell::new(Vec::new()))
+    }
+
+    /// An empty vector, recycled if one is waiting.
+    pub(crate) fn take(&self) -> Vec<T> {
+        self.0.borrow_mut().pop().unwrap_or_default()
+    }
+
+    /// Hand a vector back (its contents are dropped).
+    pub(crate) fn give(&self, mut v: Vec<T>) {
+        v.clear();
+        self.0.borrow_mut().push(v);
+    }
+}
 
 /// Submit one vp's step (a) context read and step (b) inbox read.
 ///

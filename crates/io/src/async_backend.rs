@@ -653,14 +653,38 @@ struct ReactorObs {
     /// drain, decremented per issued run, 0 between batches — so a
     /// barrier reply (flush) observes an idle gauge.
     inflight: Gauge,
+    /// Service time, queue wait (submit of the oldest block → service
+    /// start) and payload bytes, one observation per *physical* op — a
+    /// coalesced run or a flush, not a block — indexed by [`RunKind`].
+    /// Same series and `proc`/`drive`/`kind` labels as the concurrent
+    /// engine's, so dashboards and the tuner read either backend.
+    service_us: [Histogram; 3],
+    queue_wait_us: [Histogram; 3],
+    bytes: [Counter; 3],
+}
+
+/// Index into [`ReactorObs`]'s per-kind series.
+#[derive(Clone, Copy)]
+enum RunKind {
+    Read,
+    Write,
+    Flush,
 }
 
 impl ReactorObs {
     fn new(obs: &Obs, proc: usize, drive: usize) -> Self {
+        let m = obs.metrics();
         let labels = [("proc", proc.to_string()), ("drive", drive.to_string())];
+        let kinds = ["read", "write", "flush"];
+        let kind_labels = |kind: &str| {
+            [("proc", proc.to_string()), ("drive", drive.to_string()), ("kind", kind.to_string())]
+        };
         Self {
-            batch_blocks: obs.metrics().histogram("cgmio_io_submit_batch_blocks", &labels),
-            inflight: obs.metrics().gauge("cgmio_io_inflight_depth", &labels),
+            batch_blocks: m.histogram("cgmio_io_submit_batch_blocks", &labels),
+            inflight: m.gauge("cgmio_io_inflight_depth", &labels),
+            service_us: kinds.map(|k| m.histogram("cgmio_io_service_us", &kind_labels(k))),
+            queue_wait_us: kinds.map(|k| m.histogram("cgmio_io_queue_wait_us", &kind_labels(k))),
+            bytes: kinds.map(|k| m.counter("cgmio_io_bytes_total", &kind_labels(k))),
         }
     }
 }
@@ -792,6 +816,7 @@ impl Reactor {
                     let start_us = self.now_us();
                     let res = if sync { self.sync_drive() } else { Ok(()) };
                     self.trace_event(OpKind::Flush, 0, 0, stamp, start_us, 0);
+                    self.observe(RunKind::Flush, stamp.submit_us, start_us, 0);
                     if let Some(m) = &self.metrics {
                         m.inflight.add(-1);
                     }
@@ -819,12 +844,17 @@ impl Reactor {
     /// Issue one coalesced run as a single physical op (raw path) or a
     /// per-track loop (layered path), tracing each block either way.
     fn issue(&self, run: Run, read_replies: &mut [ReadReplySlot], sums: &mut HashMap<u64, u64>) {
+        let start_us = self.now_us();
+        // Blocks join a run in FIFO order: its first is its oldest.
         match run {
             Run::Read { start, stamps, dest } => {
                 if let Some(m) = &self.metrics {
                     m.inflight.add(-(stamps.len() as i64));
                 }
+                let submit_us = stamps[0].submit_us;
                 let results = self.issue_read(start, stamps, sums);
+                let bytes = results.iter().map(|r| r.as_ref().map_or(0, Vec::len)).sum();
+                self.observe(RunKind::Read, submit_us, start_us, bytes);
                 for ((out_idx, pos), res) in dest.into_iter().zip(results) {
                     read_replies[out_idx].1[pos] = Some(res);
                 }
@@ -833,8 +863,21 @@ impl Reactor {
                 if let Some(m) = &self.metrics {
                     m.inflight.add(-(blocks.len() as i64));
                 }
+                let submit_us = blocks[0].stamp.submit_us;
+                let bytes = blocks.iter().map(|b| b.data.len()).sum();
                 self.issue_write(start, blocks, sums);
+                self.observe(RunKind::Write, submit_us, start_us, bytes);
             }
+        }
+    }
+
+    /// Record one physical op that began service at `start_us`.
+    fn observe(&self, kind: RunKind, submit_us: u64, start_us: u64, bytes: usize) {
+        if let Some(m) = &self.metrics {
+            let i = kind as usize;
+            m.service_us[i].observe(self.now_us().saturating_sub(start_us));
+            m.queue_wait_us[i].observe(start_us.saturating_sub(submit_us));
+            m.bytes[i].add(bytes as u64);
         }
     }
 

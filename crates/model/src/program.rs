@@ -101,6 +101,13 @@ impl<M> Incoming<M> {
         self.entries.iter().map(|(_, items)| items.len()).sum()
     }
 
+    /// Consume, returning the sparse `(src, items)` entries — the shape
+    /// [`Self::from_sparse`] took. A runner clears the list and fills
+    /// it again for the next inbox instead of allocating a new one.
+    pub fn into_sparse(self) -> Vec<(usize, Vec<M>)> {
+        self.entries
+    }
+
     /// Consume, returning dense per-source vectors (length `v`).
     pub fn into_per_src(self) -> Vec<Vec<M>> {
         let mut per_src: Vec<Vec<M>> = (0..self.v).map(|_| Vec::new()).collect();
@@ -127,7 +134,14 @@ pub struct Outbox<M> {
 impl<M: Item> Outbox<M> {
     /// New empty outbox for `v` destinations.
     pub fn new(v: usize) -> Self {
-        Self { v, entries: Vec::new() }
+        Self::reusing(v, Vec::new())
+    }
+
+    /// [`Self::new`] on the allocation of an entry list a previous
+    /// outbox returned from [`Self::into_sparse`] (emptied here).
+    pub fn reusing(v: usize, mut entries: Vec<(usize, Vec<M>)>) -> Self {
+        entries.clear();
+        Self { v, entries }
     }
 
     /// Number of destinations (`v`).
@@ -187,19 +201,18 @@ impl<M: Item> Outbox<M> {
     /// input. Repeated touches of one destination are merged in send
     /// order, exactly as the dense form would concatenate them.
     pub fn into_sparse(mut self) -> Vec<(usize, Vec<M>)> {
-        // First-touch order may interleave destinations; merge dupes.
+        // First-touch order may interleave destinations: sort (stably),
+        // then merge repeats into their first entry, all in place.
         self.entries.sort_by_key(|(d, _)| *d);
-        let mut out: Vec<(usize, Vec<M>)> = Vec::with_capacity(self.entries.len());
-        for (d, items) in self.entries {
-            if items.is_empty() {
-                continue;
+        self.entries.dedup_by(|later, first| {
+            let repeat = later.0 == first.0;
+            if repeat {
+                first.1.append(&mut later.1);
             }
-            match out.last_mut() {
-                Some((last, acc)) if *last == d => acc.extend(items),
-                _ => out.push((d, items)),
-            }
-        }
-        out
+            repeat
+        });
+        self.entries.retain(|(_, items)| !items.is_empty());
+        self.entries
     }
 }
 

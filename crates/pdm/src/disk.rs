@@ -134,6 +134,35 @@ pub struct DiskArray {
     storage: Box<dyn TrackStorage>,
     stats: IoStats,
     pool: BlockPool,
+    /// Drive `d` is used by the parallel operation being formed iff
+    /// `cycle_of[d] == cycle`: opening the next operation is one
+    /// increment, whatever `D` is.
+    cycle_of: Vec<u64>,
+    cycle: u64,
+    /// The scatter list of [`Self::write_gather_iter`], kept (empty)
+    /// between calls for its allocation.
+    write_list: Vec<(TrackAddr, &'static [u8])>,
+}
+
+/// What one address list costs when packed FIFO into parallel
+/// operations; committed to [`IoStats`] once the transfer succeeded.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Charge {
+    ops: u64,
+    full_ops: u64,
+    blocks: u64,
+}
+
+/// Empty `v` and hand its allocation on as a vector of `U`.
+///
+/// `U` is `T` at another lifetime here: a scratch list of borrowed
+/// slices has to be re-typed to each caller's borrow. Collecting an
+/// emptied vector of the same layout reuses its buffer (and is still
+/// correct, one allocation dearer, if a toolchain ever stops doing so —
+/// `tests/alloc_budget.rs` would say).
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("the vector was just cleared")).collect()
 }
 
 impl DiskArray {
@@ -153,7 +182,15 @@ impl DiskArray {
     /// (e.g. `cgmio_io::ConcurrentStorage`). The accounting and legality
     /// layer is identical for every backend.
     pub fn with_storage(geom: DiskGeometry, storage: Box<dyn TrackStorage>) -> Self {
-        Self { storage, stats: IoStats::new(geom.num_disks), geom, pool: BlockPool::default() }
+        Self {
+            storage,
+            stats: IoStats::new(geom.num_disks),
+            geom,
+            pool: BlockPool::default(),
+            cycle_of: vec![0; geom.num_disks],
+            cycle: 0,
+            write_list: Vec::new(),
+        }
     }
 
     /// The array's buffer pool. Layers staging bytes for a gather write
@@ -197,17 +234,17 @@ impl DiskArray {
         self.storage.flush(sync).map_err(IoError::from)
     }
 
-    fn check_op(&self, addrs: impl Iterator<Item = TrackAddr>) -> Result<usize, IoError> {
-        let mut seen = vec![false; self.geom.num_disks];
+    fn check_op(&mut self, addrs: impl Iterator<Item = TrackAddr>) -> Result<usize, IoError> {
+        self.cycle += 1;
         let mut n = 0;
         for a in addrs {
             if a.disk >= self.geom.num_disks {
                 return Err(IoError::NoSuchDisk { disk: a.disk, num_disks: self.geom.num_disks });
             }
-            if seen[a.disk] {
+            if self.cycle_of[a.disk] == self.cycle {
                 return Err(IoError::DiskConflict { disk: a.disk });
             }
-            seen[a.disk] = true;
+            self.cycle_of[a.disk] = self.cycle;
             n += 1;
         }
         Ok(n)
@@ -253,34 +290,54 @@ impl DiskArray {
 
     /// FIFO packing arithmetic shared by the gather paths: walk the
     /// addresses in order, close the current parallel operation as soon
-    /// as a disk repeats (or all `D` disks are used), and return the size
-    /// of each operation. This is exactly the paper's `DiskWrite`
-    /// scheduling rule, computed *as counters* — the actual bytes move in
-    /// one scatter submission, but the [`IoStats`] cost model charges the
-    /// same operations it always did.
-    fn fifo_cycle_sizes<'a>(
-        &self,
-        addrs: impl Iterator<Item = &'a TrackAddr>,
-    ) -> Result<Vec<usize>, IoError> {
-        let mut sizes = Vec::new();
-        let mut used = vec![false; self.geom.num_disks];
+    /// as a disk repeats (or all `D` disks are used), and total what the
+    /// operations cost. This is exactly the paper's `DiskWrite`
+    /// scheduling rule, computed *as counters* in one streaming pass —
+    /// the actual bytes move in one scatter submission, but the
+    /// [`IoStats`] cost model charges the same operations it always did.
+    ///
+    /// Validates every address and touches no counter: a list that fails
+    /// here, or in the backend afterwards, charges nothing.
+    fn fifo_charge(&mut self, addrs: impl Iterator<Item = TrackAddr>) -> Result<Charge, IoError> {
+        let d = self.geom.num_disks;
+        let mut charge = Charge::default();
         let mut cur = 0usize;
+        self.cycle += 1;
         for a in addrs {
-            if a.disk >= self.geom.num_disks {
-                return Err(IoError::NoSuchDisk { disk: a.disk, num_disks: self.geom.num_disks });
+            if a.disk >= d {
+                return Err(IoError::NoSuchDisk { disk: a.disk, num_disks: d });
             }
-            if used[a.disk] || cur == self.geom.num_disks {
-                sizes.push(cur);
+            if self.cycle_of[a.disk] == self.cycle || cur == d {
+                charge.ops += 1;
+                charge.full_ops += u64::from(cur == d);
                 cur = 0;
-                used.iter_mut().for_each(|u| *u = false);
+                self.cycle += 1;
             }
-            used[a.disk] = true;
+            self.cycle_of[a.disk] = self.cycle;
             cur += 1;
+            charge.blocks += 1;
         }
         if cur > 0 {
-            sizes.push(cur);
+            charge.ops += 1;
+            charge.full_ops += u64::from(cur == d);
         }
-        Ok(sizes)
+        Ok(charge)
+    }
+
+    /// Commit a successful transfer: per-disk block counts plus the
+    /// operations [`Self::fifo_charge`] packed it into.
+    fn commit(&mut self, addrs: impl Iterator<Item = TrackAddr>, charge: Charge, write: bool) {
+        for a in addrs {
+            self.stats.per_disk_blocks[a.disk] += 1;
+        }
+        let (ops, blocks) = if write {
+            (&mut self.stats.write_ops, &mut self.stats.blocks_written)
+        } else {
+            (&mut self.stats.read_ops, &mut self.stats.blocks_read)
+        };
+        *ops += charge.ops;
+        *blocks += charge.blocks;
+        self.stats.full_ops += charge.full_ops;
     }
 
     /// Write an arbitrary list of blocks — any number per disk — as
@@ -290,7 +347,7 @@ impl DiskArray {
     ///
     /// Returns the number of parallel operations charged.
     pub fn write_gather(&mut self, writes: &[(TrackAddr, &[u8])]) -> Result<usize, IoError> {
-        let sizes = self.fifo_cycle_sizes(writes.iter().map(|(a, _)| a))?;
+        let charge = self.fifo_charge(writes.iter().map(|(a, _)| *a))?;
         let bb = self.geom.block_bytes;
         for (_, data) in writes {
             if data.len() > bb {
@@ -301,13 +358,23 @@ impl DiskArray {
             return Ok(0);
         }
         self.storage.write_scatter(writes).map_err(IoError::from)?;
-        for (a, _) in writes {
-            self.stats.per_disk_blocks[a.disk] += 1;
-        }
-        for n in &sizes {
-            self.stats.record_write(*n, self.geom.num_disks);
-        }
-        Ok(sizes.len())
+        self.commit(writes.iter().map(|(a, _)| *a), charge, true);
+        Ok(charge.ops as usize)
+    }
+
+    /// [`Self::write_gather`] of the blocks an iterator yields, for
+    /// callers that cut their scatter list out of a staging buffer on
+    /// the fly: the list is built in scratch the array keeps between
+    /// calls, so a steady stream of gather writes allocates nothing.
+    pub fn write_gather_iter<'d>(
+        &mut self,
+        writes: impl Iterator<Item = (TrackAddr, &'d [u8])>,
+    ) -> Result<usize, IoError> {
+        let mut list: Vec<(TrackAddr, &'d [u8])> = recycle(std::mem::take(&mut self.write_list));
+        list.extend(writes);
+        let charged = self.write_gather(&list);
+        self.write_list = recycle(list);
+        charged
     }
 
     /// Read an arbitrary list of blocks — any number per disk — in one
@@ -322,18 +389,13 @@ impl DiskArray {
         addrs: &[TrackAddr],
         f: &mut dyn FnMut(usize, &[u8]),
     ) -> Result<usize, IoError> {
-        let sizes = self.fifo_cycle_sizes(addrs.iter())?;
+        let charge = self.fifo_charge(addrs.iter().copied())?;
         if addrs.is_empty() {
             return Ok(0);
         }
         self.storage.read_scatter_with(addrs, f).map_err(IoError::from)?;
-        for a in addrs {
-            self.stats.per_disk_blocks[a.disk] += 1;
-        }
-        for n in &sizes {
-            self.stats.record_read(*n, self.geom.num_disks);
-        }
-        Ok(sizes.len())
+        self.commit(addrs.iter().copied(), charge, false);
+        Ok(charge.ops as usize)
     }
 
     /// Begin an asynchronous gather read of `addrs`, charging the cost
@@ -347,17 +409,12 @@ impl DiskArray {
     /// in the program: the pipeline changes *when* bytes move on the
     /// wall clock, never what the cost model counts.
     pub fn read_gather_submit(&mut self, addrs: &[TrackAddr]) -> Result<u64, IoError> {
-        let sizes = self.fifo_cycle_sizes(addrs.iter())?;
+        let charge = self.fifo_charge(addrs.iter().copied())?;
         if addrs.is_empty() {
             return Ok(0);
         }
         let ticket = self.storage.read_scatter_submit(addrs).map_err(IoError::from)?;
-        for a in addrs {
-            self.stats.per_disk_blocks[a.disk] += 1;
-        }
-        for n in &sizes {
-            self.stats.record_read(*n, self.geom.num_disks);
-        }
+        self.commit(addrs.iter().copied(), charge, false);
         Ok(ticket)
     }
 
@@ -418,6 +475,138 @@ mod tests {
 
     fn arr(d: usize, b: usize) -> DiskArray {
         DiskArray::new(DiskGeometry::new(d, b))
+    }
+
+    /// The FIFO packing rule as it was first written — one vector of
+    /// operation sizes, one of used flags — kept as the reference the
+    /// streaming [`DiskArray::fifo_charge`] is tested against.
+    fn fifo_cycle_sizes(d: usize, addrs: &[TrackAddr]) -> Result<Vec<usize>, IoError> {
+        let mut sizes = Vec::new();
+        let mut used = vec![false; d];
+        let mut cur = 0usize;
+        for a in addrs {
+            if a.disk >= d {
+                return Err(IoError::NoSuchDisk { disk: a.disk, num_disks: d });
+            }
+            if used[a.disk] || cur == d {
+                sizes.push(cur);
+                cur = 0;
+                used.iter_mut().for_each(|u| *u = false);
+            }
+            used[a.disk] = true;
+            cur += 1;
+        }
+        if cur > 0 {
+            sizes.push(cur);
+        }
+        Ok(sizes)
+    }
+
+    /// What the reference rule charges for `addrs` on top of `before`.
+    fn reference_stats(before: &IoStats, d: usize, addrs: &[TrackAddr], write: bool) -> IoStats {
+        let mut want = before.clone();
+        for a in addrs {
+            want.per_disk_blocks[a.disk] += 1;
+        }
+        for n in fifo_cycle_sizes(d, addrs).expect("addresses in range") {
+            if write {
+                want.record_write(n, d);
+            } else {
+                want.record_read(n, d);
+            }
+        }
+        want
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn streaming_charge_equals_the_reference_rule(
+            d_pick in 0usize..6,
+            regime in 0usize..3,
+            picks in proptest::collection::vec(proptest::any::<u32>(), 0..300),
+            bad_at in 0usize..600,
+        ) {
+            let d = [1usize, 2, 3, 64, 65, 200][d_pick];
+            // Three regimes: pure round-robin (every operation full, the
+            // `cur == D` edge), round-robin with repeats and skips, and
+            // drives drawn at random from half the array.
+            let mut disk = 0usize;
+            let addrs: Vec<TrackAddr> = picks
+                .iter()
+                .enumerate()
+                .map(|(i, &r)| {
+                    disk = match regime {
+                        0 => (disk + 1) % d,
+                        1 => (disk + [1, 1, 1, 0, 2][r as usize % 5]) % d,
+                        _ => r as usize % d.div_ceil(2),
+                    };
+                    TrackAddr::new(disk, i as u64)
+                })
+                .collect();
+            let block = [7u8; 4];
+            let writes: Vec<(TrackAddr, &[u8])> = addrs.iter().map(|&a| (a, &block[..])).collect();
+            let mut a = arr(d, 4);
+
+            // One array takes all four paths in turn, so stale drive
+            // stamps of earlier calls are part of what is tested.
+            let want = reference_stats(a.stats(), d, &addrs, true);
+            let sizes = fifo_cycle_sizes(d, &addrs).unwrap();
+            proptest::prop_assert_eq!(a.write_gather(&writes).unwrap(), sizes.len());
+            proptest::prop_assert_eq!(a.stats(), &want);
+
+            let want = reference_stats(a.stats(), d, &addrs, true);
+            proptest::prop_assert_eq!(a.write_gather_iter(writes.iter().copied()).unwrap(), sizes.len());
+            proptest::prop_assert_eq!(a.stats(), &want);
+
+            let want = reference_stats(a.stats(), d, &addrs, false);
+            proptest::prop_assert_eq!(a.read_gather_with(&addrs, &mut |_, _| {}).unwrap(), sizes.len());
+            proptest::prop_assert_eq!(a.stats(), &want);
+
+            let want = reference_stats(a.stats(), d, &addrs, false);
+            let ticket = a.read_gather_submit(&addrs).unwrap();
+            proptest::prop_assert_eq!(a.stats(), &want, "submit charges");
+            let mut seen = 0;
+            a.read_gather_finish(ticket, &addrs, &mut |i, _| {
+                assert_eq!(i, seen);
+                seen += 1;
+            })
+            .unwrap();
+            proptest::prop_assert_eq!(seen, addrs.len());
+            proptest::prop_assert_eq!(a.stats(), &want, "finish charges nothing");
+
+            // An out-of-range drive in the middle: the reference's
+            // error, and not one counter moved.
+            if !addrs.is_empty() {
+                let mut bad = addrs.clone();
+                bad[bad_at % addrs.len()].disk = d + bad_at % 3;
+                let bad_writes: Vec<(TrackAddr, &[u8])> =
+                    bad.iter().map(|&a| (a, &block[..])).collect();
+                let err = fifo_cycle_sizes(d, &bad).unwrap_err();
+                proptest::prop_assert_eq!(a.write_gather(&bad_writes).unwrap_err(), err.clone());
+                proptest::prop_assert_eq!(
+                    a.write_gather_iter(bad_writes.iter().copied()).unwrap_err(),
+                    err.clone()
+                );
+                proptest::prop_assert_eq!(
+                    a.read_gather_with(&bad, &mut |_, _| {}).unwrap_err(),
+                    err.clone()
+                );
+                proptest::prop_assert_eq!(a.read_gather_submit(&bad).unwrap_err(), err);
+                proptest::prop_assert_eq!(a.stats(), &want, "failed lists charge nothing");
+            }
+
+            // The legality check shares the stamp table.
+            let legal: Vec<TrackAddr> = (0..d).map(|k| TrackAddr::new(k, 0)).collect();
+            proptest::prop_assert_eq!(a.parallel_read(&legal).unwrap().len(), d);
+            if let Some(&first) = legal.first() {
+                let mut twice = legal.clone();
+                twice.push(first);
+                proptest::prop_assert_eq!(
+                    a.parallel_read(&twice).unwrap_err(),
+                    IoError::DiskConflict { disk: first.disk }
+                );
+            }
+        }
     }
 
     #[test]

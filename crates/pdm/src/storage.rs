@@ -18,9 +18,10 @@
 //! worker threads; backends provide their own interior mutability.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::disk::TrackAddr;
 use crate::DiskGeometry;
@@ -393,6 +394,33 @@ impl<S: TrackStorage> TrackStorage for TrackRange<S> {
     }
 }
 
+/// Multiplicative hash for track numbers. Tracks are consecutive small
+/// integers the layouts compute (never outside input), so one multiply
+/// spreads them as well as SipHash does, at a fraction of the cost of
+/// the map's default hasher on the per-block path. The high half is
+/// folded down because the table indexes buckets with the low bits and
+/// tags them with the top seven.
+#[derive(Default)]
+struct TrackHasher(u64);
+
+impl Hasher for TrackHasher {
+    fn write_u64(&mut self, track: u64) {
+        let h = track.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u64` keys are hashed here; stay correct for anything.
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// One drive's tracks, allocated on demand (absent tracks read as
 /// zeros). Keyed by the full u64 track address — the map is as sparse
 /// as the data, so a run that touches a handful of tracks at a huge
@@ -401,38 +429,97 @@ impl<S: TrackStorage> TrackStorage for TrackRange<S> {
 /// highest address. The dense `Vec<Option<...>>` this replaces made
 /// `MemStorage` the scale blocker: addressing track `t` allocated `t`
 /// slots.
-type DriveTracks = HashMap<u64, Box<[u8]>>;
+type DriveTracks = HashMap<u64, Box<[u8]>, BuildHasherDefault<TrackHasher>>;
 
 /// In-memory [`TrackStorage`]: tracks allocated on demand, absent
 /// tracks read as zeros. Per-disk locks keep it `Sync` without
-/// serialising disks against each other.
+/// serialising disks against each other. A write longer than a block is
+/// refused with [`io::ErrorKind::InvalidInput`] (callers that bypass
+/// `DiskArray`'s own check — track windows, private side stores — get
+/// a typed error, not a panic).
 pub struct MemStorage {
     disks: Vec<Mutex<DriveTracks>>,
     block_bytes: usize,
+    /// What a never-written track reads as.
+    zeros: Box<[u8]>,
 }
 
 impl MemStorage {
     /// Empty storage for `geom.num_disks` drives.
     pub fn new(geom: DiskGeometry) -> Self {
         Self {
-            disks: (0..geom.num_disks).map(|_| Mutex::new(HashMap::new())).collect(),
+            disks: (0..geom.num_disks).map(|_| Mutex::new(DriveTracks::default())).collect(),
             block_bytes: geom.block_bytes,
+            zeros: vec![0u8; geom.block_bytes].into_boxed_slice(),
         }
+    }
+
+    fn drive(&self, disk: usize) -> MutexGuard<'_, DriveTracks> {
+        // Every update leaves the map valid, so a panic elsewhere while
+        // the lock was held does not make the tracks unusable.
+        self.disks[disk].lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Run `f` over `items` with the lock of each item's drive held,
+    /// re-locking only where consecutive items change drive: a run of
+    /// blocks on one drive shares one lock, and a one-block list — the
+    /// per-operation path at small `B` — takes exactly one.
+    fn for_each_locked<T>(
+        &self,
+        items: &[T],
+        disk_of: impl Fn(&T) -> usize,
+        mut f: impl FnMut(usize, &T, &mut DriveTracks) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let mut held: Option<(usize, MutexGuard<'_, DriveTracks>)> = None;
+        for (i, item) in items.iter().enumerate() {
+            let disk = disk_of(item);
+            if held.as_ref().is_none_or(|(d, _)| *d != disk) {
+                // Release before acquiring: never two drive locks at once.
+                drop(held.take());
+                held = Some((disk, self.drive(disk)));
+            }
+            let (_, tracks) = held.as_mut().expect("locked above");
+            f(i, item, tracks)?;
+        }
+        Ok(())
+    }
+
+    /// Store `data` (zero-padded) as `track`, overwriting an existing
+    /// track in place — only a track's first write allocates.
+    fn store(
+        &self,
+        tracks: &mut DriveTracks,
+        disk: usize,
+        track: u64,
+        data: &[u8],
+    ) -> io::Result<()> {
+        if data.len() > self.block_bytes {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "write of {} bytes to drive {disk} track {track} exceeds the block size {}",
+                    data.len(),
+                    self.block_bytes
+                ),
+            ));
+        }
+        // First write: zeroed by the allocator, so the tail of a short
+        // block in a large one is not even made resident.
+        let block =
+            (tracks.entry(track)).or_insert_with(|| vec![0u8; self.block_bytes].into_boxed_slice());
+        block[..data.len()].copy_from_slice(data);
+        block[data.len()..].fill(0);
+        Ok(())
     }
 }
 
 impl TrackStorage for MemStorage {
     fn read_track(&self, disk: usize, track: u64) -> io::Result<Vec<u8>> {
-        let tracks = self.disks[disk].lock().unwrap();
-        Ok(tracks.get(&track).map(|t| t.to_vec()).unwrap_or_else(|| vec![0u8; self.block_bytes]))
+        Ok(self.drive(disk).get(&track).unwrap_or(&self.zeros).to_vec())
     }
 
     fn write_track(&self, disk: usize, track: u64, data: &[u8]) -> io::Result<()> {
-        let mut tracks = self.disks[disk].lock().unwrap();
-        let mut block = vec![0u8; self.block_bytes].into_boxed_slice();
-        block[..data.len()].copy_from_slice(data);
-        tracks.insert(track, block);
-        Ok(())
+        self.store(&mut self.drive(disk), disk, track, data)
     }
 
     /// Zero-copy override: hands `f` a borrowed view of each stored
@@ -442,32 +529,33 @@ impl TrackStorage for MemStorage {
         addrs: &[TrackAddr],
         f: &mut dyn FnMut(usize, &[u8]),
     ) -> io::Result<()> {
-        let mut zeros: Vec<u8> = Vec::new();
-        for (i, a) in addrs.iter().enumerate() {
-            let tracks = self.disks[a.disk].lock().unwrap();
-            match tracks.get(&a.track) {
-                Some(t) => f(i, t),
-                None => {
-                    if zeros.is_empty() {
-                        zeros.resize(self.block_bytes, 0);
-                    }
-                    f(i, &zeros);
-                }
-            }
-        }
-        Ok(())
+        self.for_each_locked(
+            addrs,
+            |a| a.disk,
+            |i, a, tracks| {
+                f(i, tracks.get(&a.track).unwrap_or(&self.zeros));
+                Ok(())
+            },
+        )
+    }
+
+    fn write_scatter(&self, writes: &[(TrackAddr, &[u8])]) -> io::Result<()> {
+        self.for_each_locked(
+            writes,
+            |(a, _)| a.disk,
+            |_, (a, data), tracks| self.store(tracks, a.disk, a.track, data),
+        )
     }
 
     fn discard(&self, disk: usize, tracks: Range<u64>) -> io::Result<bool> {
-        let mut map = self.disks[disk].lock().unwrap();
-        map.retain(|t, _| !tracks.contains(t));
+        self.drive(disk).retain(|t, _| !tracks.contains(t));
         Ok(true)
     }
 
     fn tracks_used(&self) -> Vec<u64> {
         // High-water mark: one past the highest *live* track, so a full
         // discard of the tail really lowers the mark.
-        self.disks.iter().map(|d| d.lock().unwrap().keys().max().map_or(0, |&t| t + 1)).collect()
+        (0..self.disks.len()).map(|d| self.drive(d).keys().max().map_or(0, |&t| t + 1)).collect()
     }
 }
 
@@ -482,6 +570,38 @@ mod tests {
         assert_eq!(s.read_track(1, 3).unwrap(), vec![7, 8, 0, 0]);
         assert_eq!(s.read_track(0, 0).unwrap(), vec![0; 4]);
         assert_eq!(s.tracks_used(), vec![0, 4]);
+    }
+
+    #[test]
+    fn oversized_write_is_a_typed_error_not_a_panic() {
+        // `DiskArray` guards the block size, but `TrackRange` windows
+        // and private side stores call the storage directly.
+        let s = Arc::new(MemStorage::new(DiskGeometry::new(2, 4)));
+        s.write_track(1, 7, &[1, 2, 3, 4]).unwrap();
+        for e in [
+            s.write_track(1, 7, &[9; 5]).unwrap_err(),
+            s.write_scatter(&[(TrackAddr::new(1, 7), &[9u8; 5][..])]).unwrap_err(),
+            TrackRange::new(Arc::clone(&s), 0, 8).write_track(1, 7, &[9; 5]).unwrap_err(),
+        ] {
+            assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+            let msg = e.to_string();
+            assert!(msg.contains("drive 1") && msg.contains("track 7") && msg.contains("5 bytes"));
+        }
+        assert_eq!(
+            s.read_track(1, 7).unwrap(),
+            vec![1, 2, 3, 4],
+            "a refused write changes nothing"
+        );
+    }
+
+    #[test]
+    fn overwrite_in_place_zeroes_the_tail() {
+        let s = MemStorage::new(DiskGeometry::new(1, 4));
+        s.write_track(0, 0, &[1, 2, 3, 4]).unwrap();
+        s.write_scatter(&[(TrackAddr::new(0, 0), &[9u8][..])]).unwrap();
+        assert_eq!(s.read_track(0, 0).unwrap(), vec![9, 0, 0, 0]);
+        s.write_track(0, 0, &[]).unwrap();
+        assert_eq!(s.read_track(0, 0).unwrap(), vec![0; 4]);
     }
 
     #[test]

@@ -1,0 +1,105 @@
+//! Heap-allocation budget of the per-operation path.
+//!
+//! One virtual-processor superstep should allocate what the *program*
+//! owns — its decoded state, its inbox items, its outbox items — and
+//! next to nothing else: address lists, span tables, staging lists and
+//! entry vectors are scratch that each layer recycles. This test counts
+//! allocations with [`cgmio_bench::alloc::CountingAlloc`] and fails when
+//! a per-call vector creeps back into the data path.
+//!
+//! One `#[test]` only: the counters are process-global, and a second
+//! test running on another thread would be counted too.
+
+use cgmio_algos::CgmSort;
+use cgmio_bench::alloc::{self, CountingAlloc};
+use cgmio_core::{measure_requirements, EmConfig, ScaleTuning, SeqEmRunner};
+use cgmio_data as data;
+use cgmio_model::demo::TokenRing;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocations one ring vp-superstep may perform: three the program
+/// owns (state `Vec`, inbox `Vec<u64>`, outbox `Vec<u64>`) plus slack
+/// for scratch that is not recycled yet.
+const RING_BUDGET: f64 = 6.0;
+
+/// Allocations a whole ring run (set-up, `rounds + 1` supersteps,
+/// readout) may perform per virtual processor at two rotations: the
+/// 4.5 M of a `v` = 200 000 run (3.0 M measured, 17.0 M before the
+/// scratch was recycled).
+const RING_RUN_BUDGET: f64 = 22.5;
+
+/// Allocations of the sort run below at the commit before the scratch
+/// was recycled (PR 12). The large-block path must not get worse.
+const SORT_PARENT_ALLOCS: u64 = 7_763;
+
+/// Allocations performed by `runner.run()` on a `v`-processor token
+/// ring of `rounds` rotations: `Mem`, D = 2, B = 64, sparse and paged
+/// tables forced (small pages, so the directory really faults).
+fn ring_allocs(v: usize, rounds: usize, depth: usize) -> u64 {
+    let prog = TokenRing { rounds };
+    // Slot sizes of a ring do not depend on v; the dry run's dense
+    // v × v matrix does, so measure on 16 processors.
+    let small = (0..16u64).map(|i| vec![i]).collect();
+    let (_, _, req) = measure_requirements(&prog, small).unwrap();
+    let mut cfg = EmConfig::from_requirements(v, 1, 2, 64, &req);
+    cfg.pipeline_depth = depth;
+    cfg.scale = ScaleTuning {
+        sparse_msg_lens: Some(true),
+        paged_ctx_lens: Some(true),
+        ctx_page_entries: 256,
+        ctx_resident_pages: 2,
+    };
+    let states: Vec<Vec<u64>> = (0..v as u64).map(|i| vec![i]).collect();
+    let runner = SeqEmRunner::new(cfg);
+    let before = alloc::snapshot();
+    let (finals, _) = runner.run(&prog, states).unwrap();
+    let allocs = alloc::snapshot().since(before).allocs;
+    assert_eq!(finals[0], vec![((v - rounds % v) % v) as u64], "ring rotated {rounds} places");
+    allocs
+}
+
+#[test]
+fn per_operation_path_stays_within_its_allocation_budget() {
+    assert!(ring_allocs(16, 1, 0) > 0 && alloc::counting_installed());
+
+    let v = 2_000;
+    for depth in [0usize, 2] {
+        // Set-up, readout and first-touch track allocations are the
+        // same in both runs; the difference is four steady supersteps.
+        let short = ring_allocs(v, 2, depth);
+        let per_vp_superstep = (ring_allocs(v, 6, depth) - short) as f64 / (4 * v) as f64;
+        let per_vp = short as f64 / v as f64;
+        println!(
+            "ring depth {depth}: {per_vp_superstep:.2} allocations per vp-superstep, \
+             {per_vp:.2} per vp over a whole two-rotation run"
+        );
+        assert!(
+            per_vp_superstep <= RING_BUDGET,
+            "depth {depth}: {per_vp_superstep:.2} allocations per vp-superstep, budget {RING_BUDGET}"
+        );
+        assert!(
+            per_vp <= RING_RUN_BUDGET,
+            "depth {depth}: {per_vp:.2} allocations per vp and run, budget {RING_RUN_BUDGET}"
+        );
+    }
+
+    // The large-block path: a sort whose messages span many blocks.
+    let (v, keys) = (16, data::uniform_u64(20_000, 14));
+    let prog = CgmSort::<u64>::by_pivots();
+    let states =
+        || data::block_split(keys.clone(), v).into_iter().map(|b| (b, Vec::new())).collect();
+    let (_, _, req) = measure_requirements(&prog, states()).unwrap();
+    let runner = SeqEmRunner::new(EmConfig::from_requirements(v, 1, 2, 256, &req));
+    let init = states();
+    let before = alloc::snapshot();
+    let (_, rep) = runner.run(&prog, init).unwrap();
+    let allocs = alloc::snapshot().since(before).allocs;
+    let supersteps = rep.costs.rounds.len() + 1;
+    println!(
+        "sort v {v}: {allocs} allocations, {:.2} per vp-superstep",
+        allocs as f64 / (v * supersteps) as f64
+    );
+    assert!(allocs <= SORT_PARENT_ALLOCS, "sort: {allocs} allocations > {SORT_PARENT_ALLOCS}");
+}

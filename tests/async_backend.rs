@@ -14,6 +14,7 @@ use cgmio_core::{
 use cgmio_data as data;
 use cgmio_io::IoEngineOpts;
 use cgmio_model::demo::TokenRing;
+use cgmio_obs::{Obs, SampleValue};
 use cgmio_pdm::testutil::TempDir;
 
 type SortState = (Vec<u64>, Vec<u64>);
@@ -85,6 +86,52 @@ fn async_file_bit_identical_across_backends_and_runners() {
         assert_eq!(rep.io, pwant_rep.io, "par p={p}: IoStats differ");
         assert_eq!(rep.breakdown, pwant_rep.breakdown, "par p={p}: breakdown differs");
     }
+}
+
+/// An observed async run accounts for its drive time in the same
+/// `cgmio_io_service_us` / `cgmio_io_queue_wait_us` / `cgmio_io_bytes_total`
+/// series as the concurrent engine — one observation per physical
+/// (coalesced) op, not per block — and observing changes nothing.
+#[test]
+fn async_file_exports_drive_time_and_bytes_per_physical_op() {
+    let keys = data::uniform_u64(4000, 17);
+    let v = 6;
+    let prog = CgmSort::<u64>::by_pivots();
+    let base = sort_config(&keys, v, 4, 64);
+    let dir = TempDir::new("cgmio-async-obs");
+    let run = |sub: &str, obs: Option<Obs>| {
+        let mut cfg = base.clone();
+        cfg.backend = async_backend(dir.path().join(sub));
+        cfg.obs = obs;
+        SeqEmRunner::new(cfg).run(&prog, sort_states(&keys, v)).unwrap()
+    };
+    let (want, want_rep) = run("plain", None);
+    let obs = Obs::new();
+    let (got, rep) = run("observed", Some(obs.clone()));
+    assert_eq!(got, want, "finals differ under observation");
+    assert_eq!(rep.io, want_rep.io, "IoStats differ under observation");
+    assert_eq!(rep.breakdown, want_rep.breakdown, "breakdown differs under observation");
+
+    let snap = obs.snapshot();
+    let service = snap.histogram_sum("cgmio_io_service_us", &[]);
+    let wait = snap.histogram_sum("cgmio_io_queue_wait_us", &[]);
+    assert!(service.sum > 0, "no service time recorded");
+    assert!(wait.sum > 0, "no queue wait recorded");
+    assert_eq!(service.count, wait.count, "one wait per serviced op");
+    let transfers: u64 = ["read", "write"]
+        .iter()
+        .map(|k| snap.histogram_sum("cgmio_io_service_us", &[("kind", k)]).count)
+        .sum();
+    let blocks = rep.io.total_blocks();
+    assert!(transfers > 0 && transfers < blocks, "{transfers} observations for {blocks} blocks");
+    let bytes: u64 = (snap.samples.iter())
+        .filter(|s| s.name == "cgmio_io_bytes_total")
+        .map(|s| match s.value {
+            SampleValue::Counter(c) => c,
+            _ => 0,
+        })
+        .sum();
+    assert!(bytes > 0 && bytes <= blocks * 64, "{bytes} bytes for {blocks} 64-byte blocks");
 }
 
 /// Crash recovery on the async backend: halt at a barrier, reload the
