@@ -82,7 +82,7 @@ fn menu() -> Vec<(&'static str, &'static str, Exp)> {
         ),
         (
             "disk",
-            "real multi-file layouts, D={4,8,16}: threads vs async reactors (BENCH_disk.json)",
+            "real multi-file layouts, D={4,8,16}: layered vs file-owning engine (BENCH_disk.json)",
             Box::new(ex::disk),
         ),
     ]

@@ -1757,41 +1757,69 @@ pub fn scale(out_dir: &std::path::Path) -> Table {
     t
 }
 
-/// One measured point of the `disk` experiment.
-struct DiskPoint {
+/// One cell of the `disk` experiment: every timed run of one backend at
+/// one D.
+struct DiskCell {
     d: usize,
     backend: &'static str,
-    wall_ms: f64,
+    walls_ms: Vec<f64>,
     io_ops: u64,
     io_blocks: u64,
-    /// Mean submission-batch size (blocks per reactor drain), async
-    /// backend only — the direct measure of coalescing opportunity.
-    mean_batch_blocks: Option<f64>,
+    /// Mean submission-batch size (blocks per queue drain) from an
+    /// untimed instrumented run.
+    mean_batch_blocks: f64,
 }
 
-/// `disk`: the thread-per-drive engine vs the async submission backend
-/// on *real multi-file layouts*, D ∈ {4, 8, 16} — buffered and, as a
-/// third variant, with `O_DIRECT` (page cache bypassed; silently
-/// buffered again where the filesystem rejects the flag). The Fig 3
-/// sort runs on each backend with one `disk{d}.dat` file per drive in
-/// a fresh directory; finals and `IoStats` are asserted bit-identical
-/// in every cell (logical accounting must not see the physical
-/// backend), wall clock is the best of `reps` runs, and an extra
-/// instrumented async run per D records the mean submission-batch size
-/// the reactors actually coalesced. Writes `BENCH_disk.json` into the output
-/// directory. Set `CGMIO_PERF_SMOKE=1` for a small size (CI
+impl DiskCell {
+    /// Nearest-rank quantile of the timed runs, in milliseconds.
+    fn q(&self, p: f64) -> f64 {
+        let us: Vec<u64> = self.walls_ms.iter().map(|ms| (ms * 1e3) as u64).collect();
+        percentile_us(&us, p) as f64 / 1e3
+    }
+}
+
+/// `disk`: the engine's two file-backed configurations on *real
+/// multi-file layouts*, D ∈ {4, 8, 16} — `threads` layers it over a
+/// `FileStorage` track by track with the prefetch cache
+/// (`BackendSpec::Concurrent`), `async` lets the workers own the drive
+/// files and issue coalesced runs (`BackendSpec::AsyncFile`). The Fig 3
+/// sort runs on each with one `disk{d}.dat` file per drive in a fresh
+/// directory; finals and `IoStats` are asserted bit-identical in every
+/// run (logical accounting must not see the physical backend). Timing
+/// is `reps` pairs per D, alternating which backend runs first, reported
+/// as median and quartiles; a difference counts only when one side wins
+/// at least nine tenths of the pairs *and* the medians differ by more
+/// than the interquartile spread of the `threads` runs — otherwise the
+/// cell says "within noise". An extra instrumented run per cell records
+/// the mean submission-batch size. Writes `BENCH_disk.json` into the
+/// output directory. Set `CGMIO_PERF_SMOKE=1` for a small size (CI
 /// disk-smoke).
 pub fn disk(out_dir: &std::path::Path) -> Table {
     use cgmio_core::BackendSpec;
     use cgmio_io::IoEngineOpts;
-    use cgmio_obs::{Obs, SampleValue};
+    use cgmio_obs::Obs;
 
+    const BACKENDS: [&str; 2] = ["threads", "async"];
     let mut t = Table::new(
         "disk_backends",
-        &["d", "backend", "wall_ms", "io_ops", "io_blocks", "mean_batch_blocks", "vs_threads_pct"],
+        &[
+            "d",
+            "backend",
+            "wall_ms_median",
+            "wall_ms_q1",
+            "wall_ms_q3",
+            "runs",
+            "io_ops",
+            "io_blocks",
+            "mean_batch_blocks",
+            "vs_threads_pct",
+            "pairs_won",
+            "verdict",
+        ],
     );
     let smoke = std::env::var_os("CGMIO_PERF_SMOKE").is_some();
-    let (n, bb, reps) = if smoke { (1usize << 15, 4096usize, 2usize) } else { (1 << 19, 16384, 4) };
+    let (n, bb, reps) =
+        if smoke { (1usize << 15, 4096usize, 3usize) } else { (1 << 19, 16384, 10) };
     let v = 16usize;
     let ds = [4usize, 8, 16];
 
@@ -1800,154 +1828,122 @@ pub fn disk(out_dir: &std::path::Path) -> Table {
         data::block_split(keys.clone(), v).into_iter().map(|b| (b, Vec::new())).collect::<Vec<_>>()
     };
     let prog = CgmSort::<u64>::by_pivots();
+    let spec = |backend: &str, dir: std::path::PathBuf| match backend {
+        "threads" => BackendSpec::Concurrent { dir: Some(dir), opts: IoEngineOpts::default() },
+        _ => BackendSpec::AsyncFile { dir, opts: IoEngineOpts::default() },
+    };
 
-    let mut points: Vec<DiskPoint> = Vec::new();
+    let mut cells: Vec<DiskCell> = Vec::new();
     for d in ds {
         let base_cfg = crate::config_for(&prog, mk(), v, 1, d, bb);
         // Reference: the memory backend pins the expected finals and
         // IoStats for this geometry.
         let (want_fin, want_rep) =
             SeqEmRunner::new(base_cfg.clone()).run(&prog, mk()).expect("disk bench reference");
-
-        for backend in ["threads", "async", "async-direct"] {
-            let mut best: Option<(f64, cgmio_core::EmRunReport)> = None;
-            for _ in 0..reps {
-                let tmp = cgmio_pdm::testutil::TempDir::new("cgmio-disk-bench");
-                let mut cfg = base_cfg.clone();
-                cfg.backend = match backend {
-                    "threads" => BackendSpec::Concurrent {
-                        dir: Some(tmp.path().join("drives")),
-                        opts: IoEngineOpts::default(),
-                    },
-                    "async" => BackendSpec::AsyncFile {
-                        dir: tmp.path().join("drives"),
-                        opts: IoEngineOpts::default(),
-                    },
-                    // Page cache bypassed: every transfer is a real
-                    // device round trip (silently buffered again on
-                    // filesystems that reject O_DIRECT, e.g. tmpfs).
-                    _ => BackendSpec::AsyncFile {
-                        dir: tmp.path().join("drives"),
-                        opts: IoEngineOpts { direct_io: true, ..Default::default() },
-                    },
-                };
-                let (fin, rep) = SeqEmRunner::new(cfg).run(&prog, mk()).expect("disk bench run");
-                assert_eq!(fin, want_fin, "D={d} {backend}: finals differ from memory backend");
-                assert_eq!(rep.io, want_rep.io, "D={d} {backend}: IoStats differ");
-                let wall = rep.wall.as_secs_f64() * 1e3;
-                if best.as_ref().is_none_or(|(bw, _)| wall < *bw) {
-                    best = Some((wall, rep));
-                }
+        let run = |backend: &str, obs: Option<Obs>| {
+            let tmp = cgmio_pdm::testutil::TempDir::new("cgmio-disk-bench");
+            let mut cfg = base_cfg.clone();
+            cfg.obs = obs;
+            cfg.backend = spec(backend, tmp.path().join("drives"));
+            let (fin, rep) = SeqEmRunner::new(cfg).run(&prog, mk()).expect("disk bench run");
+            assert_eq!(fin, want_fin, "D={d} {backend}: finals differ from memory backend");
+            assert_eq!(rep.io, want_rep.io, "D={d} {backend}: IoStats differ");
+            rep.wall.as_secs_f64() * 1e3
+        };
+        let mut walls = [Vec::new(), Vec::new()];
+        for rep in 0..reps {
+            // Alternate which side of the pair runs first, so drift of
+            // the machine during the sweep lands on both equally.
+            for side in [rep % 2, 1 - rep % 2] {
+                walls[side].push(run(BACKENDS[side], None));
             }
-            let (wall_ms, rep) = best.expect("reps >= 1");
-
-            // Untimed instrumented pass: how much did the reactors
-            // actually coalesce per queue drain?
-            let mean_batch_blocks = (backend == "async").then(|| {
-                let tmp = cgmio_pdm::testutil::TempDir::new("cgmio-disk-bench-obs");
-                let obs = Obs::new();
-                let mut cfg = base_cfg.clone();
-                cfg.obs = Some(obs.clone());
-                cfg.backend = BackendSpec::AsyncFile {
-                    dir: tmp.path().join("drives"),
-                    opts: IoEngineOpts::default(),
-                };
-                SeqEmRunner::new(cfg).run(&prog, mk()).expect("disk bench obs run");
-                let snap = obs.snapshot();
-                let (mut total, mut count) = (0.0f64, 0u64);
-                for drive in 0..d {
-                    if let Some(SampleValue::Histogram(h)) = snap.get(
-                        "cgmio_io_submit_batch_blocks",
-                        &[("drive", &drive.to_string()), ("proc", "0")],
-                    ) {
-                        total += h.mean() * h.count as f64;
-                        count += h.count;
-                    }
-                }
-                if count == 0 {
-                    0.0
-                } else {
-                    total / count as f64
-                }
-            });
-
-            points.push(DiskPoint {
+        }
+        for (backend, walls_ms) in BACKENDS.into_iter().zip(walls) {
+            let obs = Obs::new();
+            run(backend, Some(obs.clone()));
+            let batches = obs.snapshot().histogram_sum("cgmio_io_submit_batch_blocks", &[]);
+            cells.push(DiskCell {
                 d,
                 backend,
-                wall_ms,
-                io_ops: rep.io.total_ops(),
-                io_blocks: rep.io.total_blocks(),
-                mean_batch_blocks,
+                walls_ms,
+                io_ops: want_rep.io.total_ops(),
+                io_blocks: want_rep.io.total_blocks(),
+                mean_batch_blocks: batches.mean(),
             });
         }
     }
 
-    let pct = |d: usize, backend: &str| -> Option<f64> {
-        let threads = points.iter().find(|p| p.d == d && p.backend == "threads")?;
-        let asy = points.iter().find(|p| p.d == d && p.backend == backend)?;
-        Some(100.0 * (1.0 - asy.wall_ms / threads.wall_ms.max(1e-9)))
+    // (async vs threads %, pairs async won, verdict) at one D.
+    let compare = |d: usize| -> (f64, usize, &'static str) {
+        let cell = |b: &str| cells.iter().find(|c| c.d == d && c.backend == b).expect("cell");
+        let (th, asy) = (cell("threads"), cell("async"));
+        let pct = 100.0 * (1.0 - asy.q(50.0) / th.q(50.0).max(1e-9));
+        let won = asy.walls_ms.iter().zip(&th.walls_ms).filter(|(a, t)| a < t).count();
+        let lost = asy.walls_ms.iter().zip(&th.walls_ms).filter(|(a, t)| a > t).count();
+        let resolved = (asy.q(50.0) - th.q(50.0)).abs() > th.q(75.0) - th.q(25.0);
+        let verdict = match () {
+            _ if resolved && won * 10 >= reps * 9 => "async faster",
+            _ if resolved && lost * 10 >= reps * 9 => "threads faster",
+            _ => "within noise",
+        };
+        (pct, won, verdict)
     };
 
     let mut report = BenchReport::new(
         "em_cgm_sort_disk_backends",
         format!(
-            "CgmSort<u64> by_pivots, n={n}, v={v}, B={bb} bytes, D in {{4,8,16}}; \
-             real per-drive files (disk{{d}}.dat layout): thread-per-drive engine \
-             vs async submission reactors (buffered and O_DIRECT), best of {reps} runs each"
+            "CgmSort<u64> by_pivots, n={n}, v={v}, B={bb} bytes, D in {{4,8,16}}; real per-drive \
+             files (disk{{d}}.dat layout): the queued drive engine layered over FileStorage \
+             (threads) vs owning the files and coalescing (async); {reps} alternating pairs per D, \
+             median and quartiles"
         ),
         smoke,
     )
     .extra("reps", Value::num(reps));
-    for p in &points {
+    let ms = |x: f64| format!("{x:.2}");
+    for c in &cells {
+        let (pct, won, verdict) = compare(c.d);
+        let vs = (c.backend == "async").then_some((pct, won, verdict));
         report.point(obj(vec![
-            ("d", Value::num(p.d)),
-            ("backend", Value::str(p.backend)),
-            ("wall_ms", Value::num(format!("{:.2}", p.wall_ms))),
-            ("io_ops", Value::num(p.io_ops)),
-            ("io_blocks", Value::num(p.io_blocks)),
-            (
-                "mean_batch_blocks",
-                p.mean_batch_blocks.map_or(Value::Null, |m| Value::num(format!("{m:.2}"))),
-            ),
-            (
-                "vs_threads_pct",
-                if p.backend.starts_with("async") {
-                    pct(p.d, p.backend).map_or(Value::Null, |x| Value::num(format!("{x:.1}")))
-                } else {
-                    Value::Null
-                },
-            ),
+            ("d", Value::num(c.d)),
+            ("backend", Value::str(c.backend)),
+            ("wall_ms_median", Value::num(ms(c.q(50.0)))),
+            ("wall_ms_q1", Value::num(ms(c.q(25.0)))),
+            ("wall_ms_q3", Value::num(ms(c.q(75.0)))),
+            ("runs", Value::num(c.walls_ms.len())),
+            ("io_ops", Value::num(c.io_ops)),
+            ("io_blocks", Value::num(c.io_blocks)),
+            ("mean_batch_blocks", Value::num(ms(c.mean_batch_blocks))),
+            ("vs_threads_pct", vs.map_or(Value::Null, |x| Value::num(format!("{:.1}", x.0)))),
+            ("pairs_won", vs.map_or(Value::Null, |x| Value::num(x.1))),
+            ("verdict", vs.map_or(Value::Null, |x| Value::str(x.2))),
         ]));
-    }
-    // Headline: the D where the buffered async reactors help (or hurt)
-    // the most relative to thread-per-drive, by absolute delta.
-    if let Some(h) = ds
-        .iter()
-        .filter_map(|&d| pct(d, "async").map(|x| (d, x)))
-        .max_by(|a, b| a.1.abs().total_cmp(&b.1.abs()))
-    {
-        report.set_headline(obj(vec![
-            ("d", Value::num(h.0)),
-            ("async_vs_threads_pct", Value::num(format!("{:.1}", h.1))),
-        ]));
-    }
-    report.save(out_dir, "BENCH_disk.json");
-
-    for p in &points {
         t.row(vec![
-            p.d.to_string(),
-            p.backend.to_string(),
-            format!("{:.2}", p.wall_ms),
-            p.io_ops.to_string(),
-            p.io_blocks.to_string(),
-            p.mean_batch_blocks.map_or("-".into(), |m| format!("{m:.2}")),
-            if p.backend.starts_with("async") {
-                pct(p.d, p.backend).map_or("-".into(), |x| format!("{x:.1}"))
-            } else {
-                "-".into()
-            },
+            c.d.to_string(),
+            c.backend.to_string(),
+            ms(c.q(50.0)),
+            ms(c.q(25.0)),
+            ms(c.q(75.0)),
+            c.walls_ms.len().to_string(),
+            c.io_ops.to_string(),
+            c.io_blocks.to_string(),
+            ms(c.mean_batch_blocks),
+            vs.map_or("-".into(), |x| format!("{:.1}", x.0)),
+            vs.map_or("-".into(), |x| x.1.to_string()),
+            vs.map_or("-".into(), |x| x.2.to_string()),
         ]);
     }
+    // Headline: the D where the medians differ the most, with whether
+    // that difference is resolved.
+    let (d, (pct, _, verdict)) = (ds.iter().map(|&d| (d, compare(d))))
+        .max_by(|a, b| a.1 .0.abs().total_cmp(&b.1 .0.abs()))
+        .expect("three geometries");
+    report.set_headline(obj(vec![
+        ("d", Value::num(d)),
+        ("async_vs_threads_pct", Value::num(format!("{pct:.1}"))),
+        ("verdict", Value::str(verdict)),
+    ]));
+    report.save(out_dir, "BENCH_disk.json");
     t
 }
 

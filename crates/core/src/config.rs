@@ -110,20 +110,19 @@ pub enum BackendSpec {
         /// tracing). `opts.proc` is overwritten with the worker index.
         opts: IoEngineOpts,
     },
-    /// The `cgmio-io` async submission backend
-    /// ([`cgmio_io::AsyncFileStorage`]): one reactor per drive that
-    /// drains its submission queue in batches and coalesces
-    /// adjacent-track ops into single vectored transfers against real
-    /// drive files under `dir` (O_DIRECT where the filesystem allows
-    /// it). Same `disk{d}.dat` layout as [`BackendSpec::SyncFile`].
+    /// The `cgmio-io` engine owning the drive files
+    /// ([`cgmio_io::AsyncFileStorage`]): each drive's worker drains its
+    /// submission queue in batches and coalesces adjacent-track ops
+    /// into single positioned transfers against real drive files under
+    /// `dir`. Same `disk{d}.dat` layout as [`BackendSpec::SyncFile`].
     AsyncFile {
         /// Directory for the drive files (per-processor subdirectory
         /// `p{t}` for the parallel runner).
         dir: PathBuf,
         /// Engine tuning (queue depth, durability, tracing).
         /// `opts.proc` is overwritten with the worker index. Prefetch
-        /// hints are no-ops on this backend (there is no cache), so
-        /// `opts.prefetch_cap`/`ignore_hints` have no effect.
+        /// hints are ignored on this backend (the cache stays empty),
+        /// so `opts.prefetch_cache_blocks`/`ignore_hints` have no effect.
         opts: IoEngineOpts,
     },
     /// A caller-owned storage — typically one `Arc`'d
@@ -491,11 +490,11 @@ impl EmConfig {
                 opts.proc = worker_idx;
                 opts.obs = self.obs.clone();
                 let worker_dir = dir.join(format!("p{worker_idx}"));
-                // Faults go beneath the reactors, which then service
-                // ops per-track in queue order (the layered path): the
+                // Faults go beneath the engine, which then services
+                // ops per track in queue order (the layered device): the
                 // injector sees the same per-drive demand sequence as
                 // under the other backends, keeping fault/retry totals
-                // deterministic. Without a plan the reactors own the
+                // deterministic. Without a plan the workers own the
                 // drive files directly and coalesce for real.
                 let storage = match &plan {
                     Some(p) => {
@@ -520,8 +519,8 @@ impl EmConfig {
                     retries,
                     faults,
                     deferred_drops,
-                    // No prefetch cache on the async reactors; hint
-                    // tuning is inert here.
+                    // Hints are ignored on this backend; hint tuning
+                    // is inert here.
                     prefetch_cap: None,
                 })
             }

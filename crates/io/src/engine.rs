@@ -1,32 +1,64 @@
-//! The concurrent I/O engine: one worker thread + bounded submission
-//! queue per simulated drive.
+//! The queued drive engine: one worker thread + bounded FIFO submission
+//! queue per simulated drive, behind [`TrackStorage`].
 //!
 //! A PDM parallel operation touches at most one track per disk, so the
 //! `D` block transfers of one legal operation land on `D` different
 //! workers and proceed concurrently — the simulation finally *behaves*
 //! like the model it counts: one parallel op ≈ one physical op time.
 //!
-//! On top of the per-drive queues the engine layers:
+//! **Front half** (the submitter's side, [`ConcurrentStorage`]): every
+//! scatter list becomes one *vectored* queue entry per participating
+//! drive, so a compound-superstep transfer of hundreds of blocks can
+//! never deadlock against the bounded queue. Writes are write-behind
+//! (the call returns once queued; failures are held in a bounded sticky
+//! list until the next write or flush surfaces them), reads are
+//! split-phase (submit now, redeem the ticket later), prefetch hints
+//! are dropped — counted and traced — rather than block on a full queue.
 //!
-//! * **write-behind** — `write_batch` returns once the blocks are
-//!   queued; the bounded queue (`IoEngineOpts::queue_depth`) provides
-//!   backpressure, and write errors are held sticky until the next
-//!   write or flush surfaces them,
-//! * **prefetch** — `prefetch` enqueues background reads into a small
-//!   per-drive cache; a later demand read of the same track is a cache
-//!   hit. Hints are dropped (never block) when a queue is full,
-//! * **coherence for free** — each drive's queue is FIFO, so a demand
-//!   read submitted after a write-behind of the same track always sees
-//!   the new data, with no extra locking,
-//! * **durability modes** — [`Durability::SyncPerSuperstep`] makes every
-//!   flush fsync the drive files (in parallel, one fsync per worker);
-//!   [`Durability::None`] leaves persistence to the OS page cache,
-//! * **graceful shutdown** — dropping the engine closes the queues;
-//!   workers drain every already-submitted op before exiting, and the
-//!   drop joins them.
+//! **Worker** (one per drive): each wakeup drains *everything* queued
+//! and walks the batch in FIFO order, growing maximal runs of
+//! adjacent-track same-kind blocks across entry boundaries. A run is
+//! handed to the drive's device as one transfer; anything that is not
+//! the next track of the same kind cuts the run first — a block of the
+//! other kind, a non-adjacent track, a prefetch-cache hit, a `Prefetch`,
+//! a `Flush`, a `Discard`. Blocks are therefore serviced strictly in
+//! queue order, which gives per-drive FIFO coherence (a read submitted
+//! after a write of the same track sees the new bytes) with no locking,
+//! and lets read results stream to the oldest open read entry: **an
+//! entry's reply is sent the moment its last block is serviced**, never
+//! held to the end of the batch, so a read queued ahead of a long
+//! write-behind unblocks its submitter before the writes are applied.
+//! One op at a time is the batch-of-one case and track by track is the
+//! run-of-one case of the same loop.
+//!
+//! **Devices**: a `Raw` drive file issues a run as one positioned
+//! transfer of `run_len * block_bytes` bytes (a context sweep over
+//! tracks `t, t+1, …` collapses from `n` syscalls into one); a `Layered`
+//! inner [`TrackStorage`] is driven track by track in queue order, so
+//! deterministic wrappers beneath (fault injection) see the same
+//! per-drive op sequence whatever the batching. A true io_uring device
+//! needs raw syscall access the workspace's no-new-dependencies rule
+//! does not admit; it would be a third device behind this same seam —
+//! the drained batch is exactly what a submission queue wants.
+//!
+//! Four public constructors pick the device and whether hints are
+//! honoured — [`ConcurrentStorage::new`] / [`ConcurrentStorage::open_dir`]
+//! (layered, hints per `opts`) and [`crate::AsyncFileStorage::open_dir`]
+//! / [`crate::AsyncFileStorage::over`] (raw / layered, hints ignored);
+//! `docs/ARCHITECTURE.md`, *Queued drive engine*, tabulates who uses
+//! which.
+//!
+//! Durability: [`Durability::SyncPerSuperstep`] makes every flush fsync
+//! the drives (in parallel, one per worker); [`Durability::None`] leaves
+//! persistence to the OS page cache. Dropping the engine closes the
+//! queues; the workers drain every already-submitted op and are joined.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
+use std::fs::{File, OpenOptions};
 use std::io;
+use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -34,9 +66,9 @@ use std::thread::JoinHandle;
 
 use cgmio_obs::{Counter, Gauge, Histogram, Obs, Phase, PhaseCell};
 use cgmio_pdm::{
-    classify, BlockPool, DiskGeometry, FileStorage, PooledBlock, TrackAddr, TrackStorage,
+    classify, BlockPool, DiskGeometry, FaultError, FileStorage, IoErrorKind, PooledBlock,
+    TrackAddr, TrackStorage,
 };
-use cgmio_pdm::{FaultError, IoErrorKind};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 
 use crate::retry::{track_checksum, RetryPolicy};
@@ -92,17 +124,8 @@ pub struct IoEngineOpts {
     /// how many hints fire varies with pipeline depth and cache
     /// pressure. Binding faults to demand accesses only keeps injected
     /// fault and retry totals bit-identical at every pipeline depth.
+    /// The [`crate::AsyncFileStorage`] constructors always set it.
     pub ignore_hints: bool,
-    /// Open backing files with `O_DIRECT` where the platform and
-    /// filesystem allow it, bypassing the page cache (real device
-    /// transfers with sector-aligned pooled buffers). Only honoured by
-    /// the async submission backend's raw file path
-    /// ([`crate::AsyncFileStorage::open_dir`]) and only when the track
-    /// size is a multiple of 512 bytes; everything else — including a
-    /// filesystem that rejects the flag, e.g. tmpfs — silently falls
-    /// back to buffered I/O. Off by default: buffered I/O is the right
-    /// choice whenever the page cache is allowed to help.
-    pub direct_io: bool,
 }
 
 impl Default for IoEngineOpts {
@@ -117,7 +140,6 @@ impl Default for IoEngineOpts {
             verify_checksums: false,
             obs: None,
             ignore_hints: false,
-            direct_io: false,
         }
     }
 }
@@ -135,6 +157,30 @@ struct Stamp {
     phase: Phase,
 }
 
+impl Stamp {
+    /// A zero-byte, zero-duration trace record at `now_us` under this
+    /// stamp — a dropped hint or discarded error as is, the base of a
+    /// serviced block's record otherwise.
+    fn event(self, proc: usize, drive: usize, kind: OpKind, track: u64, now_us: u64) -> TraceEvent {
+        TraceEvent {
+            seq: self.seq,
+            proc,
+            drive,
+            kind,
+            track,
+            bytes: 0,
+            queue_depth: 0,
+            submit_us: self.submit_us,
+            start_us: now_us,
+            end_us: now_us,
+            cache_hit: false,
+            retries: 0,
+            superstep: self.superstep,
+            phase: self.phase,
+        }
+    }
+}
+
 /// One block of a vectored write: payload in a pooled buffer (returned
 /// to the pool when the worker drops it after the physical write), with
 /// its own trace stamp so per-block events are preserved.
@@ -147,87 +193,50 @@ struct WriteBlock {
 /// One result per submitted track, in submission order.
 type ReadManyReply = Vec<io::Result<Vec<u8>>>;
 
-/// One queued drive operation. `submit_us`/`seq` are 0 unless tracing.
-///
-/// Reads and writes travel as *vectored* per-drive submissions: a whole
-/// scatter-gather list occupies **one** queue slot per drive, so a
-/// compound-superstep transfer of hundreds of blocks can never deadlock
-/// against the bounded queue, and the channel send/recv cost is paid per
-/// drive instead of per block. Workers still service (and trace) each
-/// block individually.
+/// One queued drive operation; reads and writes are vectored (a whole
+/// per-drive scatter list is one queue slot), workers service and trace
+/// each block individually. `Discard` reclaims a track range — cached
+/// blocks and checksums, then the device's tracks — behind every write
+/// submitted before it (FIFO), so it needs no flush barrier.
 enum DriveOp {
-    /// The reply carries one result per track, in submission order.
-    ReadMany {
-        tracks: Vec<(u64, Stamp)>,
-        reply: Sender<ReadManyReply>,
-    },
-    WriteMany {
-        blocks: Vec<WriteBlock>,
-        /// Completion signal for [`ConcurrentStorage::submit_write_gather`]
-        /// callers; plain write-behind passes `None`.
-        done: Option<Sender<()>>,
-    },
-    Prefetch {
-        track: u64,
-        stamp: Stamp,
-    },
-    Flush {
-        sync: bool,
-        reply: Sender<io::Result<()>>,
-        stamp: Stamp,
-    },
-    /// Reclaim a track range: drop cached blocks and checksums for the
-    /// range, then forward to the inner backend. Travels through the
-    /// FIFO queue, so every write submitted before the discard is
-    /// applied first — no flush barrier needed.
-    Discard {
-        tracks: std::ops::Range<u64>,
-        reply: Sender<io::Result<bool>>,
-    },
+    ReadMany { tracks: Vec<(u64, Stamp)>, reply: Sender<ReadManyReply> },
+    WriteMany { blocks: Vec<WriteBlock> },
+    Prefetch { track: u64, stamp: Stamp },
+    Flush { sync: bool, reply: Sender<io::Result<()>>, stamp: Stamp },
+    Discard { tracks: Range<u64>, reply: Sender<io::Result<bool>> },
 }
 
-/// Completion handle for an in-flight gather read started with
-/// [`ConcurrentStorage::submit_read_gather`]. The transfers run on the
-/// drive workers while the submitter computes; [`ConcurrentStorage::wait`]
-/// blocks until every block has arrived and returns them in request
-/// order. Dropping the ticket abandons the read (the workers still
-/// service it; the replies go nowhere).
-pub struct ReadTicket {
+impl DriveOp {
+    /// Blocks this entry contributes to a submission batch.
+    fn blocks(&self) -> usize {
+        match self {
+            DriveOp::ReadMany { tracks, .. } => tracks.len(),
+            DriveOp::WriteMany { blocks } => blocks.len(),
+            DriveOp::Prefetch { .. } | DriveOp::Flush { .. } | DriveOp::Discard { .. } => 1,
+        }
+    }
+}
+
+/// An in-flight gather read: the request order plus one reply channel
+/// per participating drive. Dropping it abandons the read (the workers
+/// still service it; the replies go nowhere).
+struct ReadTicket {
     addrs: Vec<TrackAddr>,
-    replies: Vec<Option<Receiver<ReadManyReply>>>,
+    replies: Vec<(usize, Receiver<ReadManyReply>)>,
 }
 
-/// Completion handle for a gather write started with
-/// [`ConcurrentStorage::submit_write_gather`]. The payload was copied
-/// into pooled buffers at submit, so the caller's staging buffer is free
-/// immediately; [`ConcurrentStorage::wait_write`] blocks until every
-/// participating drive has applied its blocks and surfaces any deferred
-/// write error.
-pub struct WriteTicket {
-    replies: Vec<Receiver<()>>,
-}
-
-/// A write-behind failure held until the next write or flush surfaces
-/// it, with enough context to cross-reference the event trace. `kind`
-/// preserves the fault taxonomy of the original error so `classify()`
-/// downstream still distinguishes Transient/Corrupt/Permanent.
-struct DeferredWriteError {
-    drive: usize,
-    track: u64,
-    superstep: u64,
-    kind: IoErrorKind,
-    detail: String,
-}
-
-/// Deferred write-behind failures retained at most
-/// [`MAX_DEFERRED_WRITE_ERRORS`] deep. A sick drive can fail every
-/// queued write; keeping the list bounded caps memory while the
-/// `dropped` count (and the engine-wide counter behind
+/// Write-behind failures held until the next write or flush surfaces
+/// them: `(submit-time superstep, error)`, the [`FaultError`] keeping
+/// drive, track and the original taxonomy class so `classify()`
+/// downstream still distinguishes Transient/Corrupt/Permanent. Retained
+/// at most [`MAX_DEFERRED_WRITE_ERRORS`] deep — a sick drive can fail
+/// every queued write; the bound caps memory while the `dropped` count
+/// (and the engine-wide counter behind
 /// [`ConcurrentStorage::deferred_drop_counter`]) preserves how many
-/// failures the bound discarded — nothing is silently lost anymore.
+/// failures it discarded.
 #[derive(Default)]
 struct DeferredErrors {
-    errors: Vec<DeferredWriteError>,
+    errors: Vec<(u64, FaultError)>,
     /// Failures discarded because `errors` was already full, since the
     /// last [`ConcurrentStorage::take_write_err`].
     dropped: u64,
@@ -236,14 +245,120 @@ struct DeferredErrors {
 /// Bound on retained deferred write errors (per engine, across drives).
 pub const MAX_DEFERRED_WRITE_ERRORS: usize = 16;
 
-/// [`TrackStorage`] that services each drive from its own worker thread.
+/// What the drive workers transfer against.
+enum Device {
+    /// One backing file per drive; an adjacent-track run is a single
+    /// positioned multi-block transfer.
+    Raw(Vec<RawFile>),
+    /// Any inner storage, driven track by track in queue order — the
+    /// fault-injection, in-memory and shared-pool path.
+    Layered(Arc<dyn TrackStorage>),
+}
+
+impl Device {
+    fn read_track(&self, drive: usize, track: u64) -> io::Result<Vec<u8>> {
+        match self {
+            Device::Layered(inner) => inner.read_track(drive, track),
+            Device::Raw(files) => {
+                let mut block = vec![0u8; files[drive].block_bytes];
+                files[drive].read_run(track, &mut block)?;
+                Ok(block)
+            }
+        }
+    }
+
+    fn write_track(&self, drive: usize, track: u64, data: &[u8]) -> io::Result<()> {
+        match self {
+            Device::Layered(inner) => inner.write_track(drive, track, data),
+            Device::Raw(files) => {
+                let mut block = vec![0u8; files[drive].block_bytes];
+                block[..data.len()].copy_from_slice(data);
+                files[drive].write_run(track, &block)
+            }
+        }
+    }
+
+    fn sync(&self, drive: usize) -> io::Result<()> {
+        match self {
+            Device::Layered(inner) => inner.sync_disk(drive),
+            Device::Raw(files) => files[drive].file.sync_all(),
+        }
+    }
+
+    fn discard(&self, drive: usize, tracks: Range<u64>) -> io::Result<bool> {
+        match self {
+            Device::Layered(inner) => inner.discard(drive, tracks),
+            // Raw files keep the bytes but the contract needs zeros:
+            // rewrite the range as zero blocks (bounded by the file's
+            // current length, so huge sparse ranges stay cheap).
+            Device::Raw(files) => {
+                let raw = &files[drive];
+                let zeros = vec![0u8; raw.block_bytes];
+                for track in tracks.start..tracks.end.min(raw.tracks_used()) {
+                    raw.write_run(track, &zeros)?;
+                }
+                Ok(true)
+            }
+        }
+    }
+
+    fn tracks_used(&self) -> Vec<u64> {
+        match self {
+            Device::Layered(inner) => inner.tracks_used(),
+            Device::Raw(files) => files.iter().map(RawFile::tracks_used).collect(),
+        }
+    }
+}
+
+/// One drive's backing file, `dir/disk{d}.dat` — the layout of
+/// [`FileStorage`], so the two interoperate on the same directory.
+struct RawFile {
+    file: File,
+    block_bytes: usize,
+}
+
+impl RawFile {
+    fn open(dir: &Path, drive: usize, block_bytes: usize) -> io::Result<Self> {
+        let path = dir.join(format!("disk{drive}.dat"));
+        let file =
+            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
+        Ok(Self { file, block_bytes })
+    }
+
+    /// Read the consecutive tracks starting at `track` that fill `buf`
+    /// (a multiple of `block_bytes` long), zero-filling past EOF.
+    fn read_run(&self, track: u64, buf: &mut [u8]) -> io::Result<()> {
+        let off = track * self.block_bytes as u64;
+        let mut read = 0;
+        while read < buf.len() {
+            match self.file.read_at(&mut buf[read..], off + read as u64)? {
+                0 => {
+                    buf[read..].fill(0);
+                    break;
+                }
+                n => read += n,
+            }
+        }
+        Ok(())
+    }
+
+    /// Write a run of consecutive full tracks starting at `track`.
+    fn write_run(&self, track: u64, buf: &[u8]) -> io::Result<()> {
+        self.file.write_all_at(buf, track * self.block_bytes as u64)
+    }
+
+    fn tracks_used(&self) -> u64 {
+        self.file.metadata().map(|m| m.len() / self.block_bytes as u64).unwrap_or(0)
+    }
+}
+
+/// [`TrackStorage`] that services each drive from its own worker thread
+/// (see the module docs for the queue protocol).
 ///
-/// Layers over any inner `TrackStorage` (normally a [`FileStorage`]; the
-/// tests also wrap instrumented and in-memory backends). Drop-in behind
-/// `DiskArray::with_storage` — logical I/O accounting is unchanged
-/// because the accounting layer sits above the storage trait.
+/// Drop-in behind `DiskArray::with_storage` — logical I/O accounting is
+/// unchanged because the accounting layer sits above the storage trait.
 pub struct ConcurrentStorage {
-    inner: Arc<dyn TrackStorage>,
+    device: Arc<Device>,
     queues: Vec<Sender<DriveOp>>,
     workers: Vec<JoinHandle<()>>,
     write_err: Arc<Mutex<DeferredErrors>>,
@@ -255,8 +370,6 @@ pub struct ConcurrentStorage {
     /// workers (which return the buffer on drop after the physical
     /// write) — the submit-side copy is the only one on the write path.
     pool: BlockPool,
-    /// Per-drive count of prefetch hints dropped on a full queue.
-    prefetch_drops: Arc<Vec<AtomicU64>>,
     obs: Option<Obs>,
     /// This proc's phase cell, resolved once so the submit path reads
     /// the runner-published `(superstep, phase)` with one atomic load.
@@ -268,17 +381,19 @@ pub struct ConcurrentStorage {
     /// `cgmio_io_retries_total{proc}` when `obs` is set, detached (but
     /// still counting, for run reports) otherwise.
     retries: Counter,
-    /// Per-drive `cgmio_io_prefetch_dropped_total` handles (detached
-    /// when `obs` is unset).
-    prefetch_drop_metrics: Vec<Counter>,
+    /// Per-drive `cgmio_io_prefetch_dropped_total`: hints dropped on a
+    /// full queue (detached, still counting, when `obs` is unset).
+    prefetch_drops: Vec<Counter>,
     /// Deferred write errors discarded by the bounded retained list,
     /// across all drive workers for the engine's lifetime. Registered
     /// as `cgmio_io_deferred_write_errors_dropped_total{proc}` when
     /// `obs` is set, detached (still counting) otherwise.
     deferred_drops: Counter,
-    /// In-flight reads submitted through the type-erased
-    /// [`TrackStorage::read_scatter_submit`] entry point, keyed by the
-    /// opaque ticket ids it hands out.
+    /// `cgmio_pipeline_stall_us{proc}`: time submitters spent blocked
+    /// redeeming read tickets (set iff `obs` is).
+    stall: Option<Histogram>,
+    /// In-flight reads parked by [`TrackStorage::read_scatter_submit`],
+    /// keyed by the opaque ticket ids it hands out.
     pending_reads: Mutex<HashMap<u64, ReadTicket>>,
     /// Ticket-id source for `pending_reads` (ids start at 1; 0 is the
     /// synchronous backends' "no ticket" value).
@@ -286,50 +401,69 @@ pub struct ConcurrentStorage {
     /// Discard prefetch hints (see [`IoEngineOpts::ignore_hints`]).
     ignore_hints: bool,
     /// Live prefetch-cache capacity in blocks, shared with every drive
-    /// worker. Runtime-adjustable (see
-    /// [`ConcurrentStorage::set_prefetch_cache_blocks`]) so a tuner can
-    /// resize the window between supersteps without rebuilding the
-    /// engine. Capacity only affects the hint cache, never logical I/O
-    /// accounting.
+    /// worker so a tuner can resize the window between supersteps
+    /// without rebuilding the engine. Capacity only affects the hint
+    /// cache, never logical I/O accounting.
     prefetch_cap: Arc<AtomicUsize>,
 }
 
 impl ConcurrentStorage {
-    /// Spin up one worker per drive over an existing backend.
+    /// Spin up one worker per drive over an existing backend (normally
+    /// a [`FileStorage`]; also memory, fault-injecting and shared-pool
+    /// backends), servicing it track by track.
     pub fn new(inner: Arc<dyn TrackStorage>, num_disks: usize, opts: IoEngineOpts) -> Self {
+        Self::start(Device::Layered(inner), num_disks, opts)
+    }
+
+    /// Open (or create) file-backed drives in `dir` and run them through
+    /// the engine, layered over a [`FileStorage`].
+    pub fn open_dir(dir: &Path, geom: DiskGeometry, opts: IoEngineOpts) -> io::Result<Self> {
+        let fs = FileStorage::open(dir, geom)?;
+        Ok(Self::new(Arc::new(fs), geom.num_disks, opts))
+    }
+
+    /// Open (or create) one backing file per drive in `dir` and let the
+    /// workers own them directly: adjacent-track runs become single
+    /// positioned transfers (see [`crate::AsyncFileStorage::open_dir`]).
+    pub(crate) fn open_raw(dir: &Path, geom: DiskGeometry, opts: IoEngineOpts) -> io::Result<Self> {
+        std::fs::create_dir_all(dir)?;
+        let files = (0..geom.num_disks)
+            .map(|d| RawFile::open(dir, d, geom.block_bytes))
+            .collect::<io::Result<_>>()?;
+        Ok(Self::start(Device::Raw(files), geom.num_disks, opts))
+    }
+
+    fn start(device: Device, num_disks: usize, opts: IoEngineOpts) -> Self {
+        let device = Arc::new(device);
         let write_err = Arc::new(Mutex::new(DeferredErrors::default()));
         let trace = opts.trace.then(TraceHandle::new);
-        let retries = match &opts.obs {
-            Some(o) => {
-                o.metrics().counter("cgmio_io_retries_total", &[("proc", opts.proc.to_string())])
-            }
+        let proc_label = [("proc", opts.proc.to_string())];
+        let counter = |name: &str, labels: &[(&str, String)]| match &opts.obs {
+            Some(o) => o.metrics().counter(name, labels),
             None => Counter::detached(),
         };
-        let deferred_drops = match &opts.obs {
-            Some(o) => o.metrics().counter(
-                "cgmio_io_deferred_write_errors_dropped_total",
-                &[("proc", opts.proc.to_string())],
-            ),
-            None => Counter::detached(),
-        };
-        let prefetch_drop_metrics: Vec<Counter> = (0..num_disks)
-            .map(|drive| match &opts.obs {
-                Some(o) => o.metrics().counter(
+        let retries = counter("cgmio_io_retries_total", &proc_label);
+        let deferred_drops = counter("cgmio_io_deferred_write_errors_dropped_total", &proc_label);
+        let prefetch_drops = (0..num_disks)
+            .map(|drive| {
+                counter(
                     "cgmio_io_prefetch_dropped_total",
                     &[("proc", opts.proc.to_string()), ("drive", drive.to_string())],
-                ),
-                None => Counter::detached(),
+                )
             })
             .collect();
+        let stall = (opts.obs.as_ref())
+            .map(|o| o.metrics().histogram("cgmio_pipeline_stall_us", &proc_label));
         let prefetch_cap = Arc::new(AtomicUsize::new(opts.prefetch_cache_blocks));
+        let pool = BlockPool::default();
         let mut queues = Vec::with_capacity(num_disks);
         let mut workers = Vec::with_capacity(num_disks);
         for drive in 0..num_disks {
             let (tx, rx) = bounded(opts.queue_depth);
-            let ctx = WorkerCtx {
+            let worker = Worker {
                 drive,
                 proc: opts.proc,
-                inner: inner.clone(),
+                device: device.clone(),
                 write_err: write_err.clone(),
                 trace: trace.clone(),
                 cache_cap: prefetch_cap.clone(),
@@ -339,43 +473,38 @@ impl ConcurrentStorage {
                 metrics: opts.obs.as_ref().map(|o| DriveObs::new(o, opts.proc, drive)),
                 retries: retries.clone(),
                 deferred_drops: deferred_drops.clone(),
+                pool: pool.clone(),
+                depth: Cell::new(0),
             };
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("cgmio-io-d{drive}"))
-                    .spawn(move || ctx.run(rx))
+                    .spawn(move || worker.run(rx))
                     .expect("spawn drive worker"),
             );
             queues.push(tx);
         }
         Self {
-            inner,
+            device,
             queues,
             workers,
             write_err,
             durability: opts.durability,
             trace,
             proc: opts.proc,
-            pool: BlockPool::default(),
-            prefetch_drops: Arc::new((0..num_disks).map(|_| AtomicU64::new(0)).collect()),
+            pool,
             phase: opts.obs.as_ref().map(|o| o.phase_cell(opts.proc as u64)),
             obs: opts.obs,
             superstep: AtomicU64::new(0),
             retries,
-            prefetch_drop_metrics,
+            prefetch_drops,
             deferred_drops,
+            stall,
             pending_reads: Mutex::new(HashMap::new()),
             next_ticket: AtomicU64::new(1),
             ignore_hints: opts.ignore_hints,
             prefetch_cap,
         }
-    }
-
-    /// Open (or create) file-backed drives in `dir` and run them through
-    /// the concurrent engine.
-    pub fn open_dir(dir: &Path, geom: DiskGeometry, opts: IoEngineOpts) -> io::Result<Self> {
-        let fs = FileStorage::open(dir, geom)?;
-        Ok(Self::new(Arc::new(fs), geom.num_disks, opts))
     }
 
     /// Handle onto the event trace, if `opts.trace` was set. Clone it
@@ -399,26 +528,19 @@ impl ConcurrentStorage {
         self.deferred_drops.clone()
     }
 
-    /// Current prefetch-cache capacity, in blocks per drive worker.
-    pub fn prefetch_cache_blocks(&self) -> usize {
-        self.prefetch_cap.load(Ordering::Relaxed)
-    }
-
-    /// Resize the per-drive prefetch cache at runtime. Takes effect on
-    /// the next hint each worker services: growing admits more blocks,
-    /// shrinking evicts FIFO down to the new bound (0 disables caching
-    /// of new hints). Never touches logical I/O accounting — only the
-    /// hint cache's hit rate changes.
-    pub fn set_prefetch_cache_blocks(&self, blocks: usize) {
-        self.prefetch_cap.store(blocks, Ordering::Relaxed);
-    }
-
-    /// Shared handle onto the live prefetch-cache capacity. Clone it
-    /// before moving the storage into a `DiskArray` so a runtime tuner
-    /// can keep adjusting the window (same pattern as
-    /// [`ConcurrentStorage::trace_handle`]).
+    /// Shared handle onto the live prefetch-cache capacity, in blocks
+    /// per drive worker. Clone it before moving the storage into a
+    /// `DiskArray` so a runtime tuner can keep adjusting the window; a
+    /// store takes effect on the next hint each worker services —
+    /// growing admits more blocks, shrinking evicts FIFO down to the new
+    /// bound, 0 disables caching of new hints.
     pub fn prefetch_cap_handle(&self) -> Arc<AtomicUsize> {
         self.prefetch_cap.clone()
+    }
+
+    /// Prefetch hints dropped per drive so far (full submission queue).
+    pub fn prefetch_drop_counts(&self) -> Vec<u64> {
+        self.prefetch_drops.iter().map(Counter::get).collect()
     }
 
     fn stamp(&self) -> Stamp {
@@ -435,15 +557,13 @@ impl ConcurrentStorage {
         Stamp { seq, submit_us, superstep, phase }
     }
 
-    /// Surface (and clear) deferred write-behind errors as a typed
-    /// [`FaultError`] so `classify()` sees the original taxonomy class; a
-    /// permanent fault surfaced here stays permanent downstream. The
-    /// first failure carries the typed payload; any further retained or
-    /// bound-dropped failures are summarised in the detail so multiple
-    /// failures in one superstep are no longer silently collapsed.
+    /// Surface (and clear) deferred write-behind errors. The first
+    /// failure carries the typed payload (a permanent fault stays
+    /// permanent downstream); further retained or bound-dropped failures
+    /// are summarised in the detail, not silently collapsed.
     fn take_write_err(&self) -> io::Result<()> {
         let (mut errors, dropped) = {
-            let mut g = self.write_err.lock().unwrap();
+            let mut g = self.write_err.lock().expect("workers never panic holding the error list");
             (std::mem::take(&mut g.errors), std::mem::take(&mut g.dropped))
         };
         if errors.is_empty() {
@@ -452,171 +572,128 @@ impl ConcurrentStorage {
         let more = errors.len() as u64 - 1 + dropped;
         let suffix =
             if more > 0 { format!(" (+{more} more deferred write errors)") } else { String::new() };
-        let d = errors.remove(0);
-        Err(FaultError {
-            kind: d.kind,
-            disk: d.drive,
-            track: d.track,
-            detail: format!(
-                "deferred write failed in superstep {}: {}{suffix}",
-                d.superstep, d.detail
-            ),
-        }
-        .into_io_error())
+        let (superstep, first) = errors.remove(0);
+        let detail =
+            format!("deferred write failed in superstep {superstep}: {}{suffix}", first.detail);
+        Err(FaultError { detail, ..first }.into_io_error())
     }
 
+    /// Enqueue on `drive`, blocking while its queue is full. Fails only
+    /// when the drive's worker is gone (it panicked).
     fn submit(&self, drive: usize, op: DriveOp) -> io::Result<()> {
         self.queues[drive]
             .send(op)
             .map_err(|_| io::Error::other(format!("drive {drive} worker is gone")))
     }
 
-    /// Prefetch hints dropped per drive so far (full submission queue).
-    pub fn prefetch_drop_counts(&self) -> Vec<u64> {
-        self.prefetch_drops.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+    /// Await a worker's answer. The reply channel closing without one
+    /// means the worker died with the op queued or in hand.
+    fn reply<T>(drive: usize, rx: &Receiver<T>, what: &str) -> io::Result<T> {
+        rx.recv().map_err(|_| io::Error::other(format!("drive {drive} worker died mid-{what}")))
     }
 
-    /// Start a gather read without waiting for it: group the scatter
-    /// list per drive, submit one vectored read per drive, and return a
-    /// [`ReadTicket`] immediately. The drive workers fetch the blocks
-    /// while the caller computes; redeem the ticket with
-    /// [`ConcurrentStorage::wait`]. This is the pipelined runners' demand
-    /// pre-read — unlike [`TrackStorage::prefetch`] the read runs to
-    /// completion, is never dropped, and its result is delivered directly
-    /// instead of through the bounded prefetch cache.
-    pub fn submit_read_gather(&self, addrs: &[TrackAddr]) -> io::Result<ReadTicket> {
-        let nd = self.queues.len();
-        let mut groups: Vec<Vec<(u64, Stamp)>> = vec![Vec::new(); nd];
+    /// Start a gather read without waiting for it: one vectored read
+    /// per participating drive, transfers running on the workers while
+    /// the caller computes. This is the pipelined runners' demand
+    /// pre-read — unlike [`TrackStorage::prefetch`] it runs to
+    /// completion, is never dropped, and its result is delivered
+    /// directly instead of through the bounded prefetch cache.
+    fn submit_gather(&self, addrs: &[TrackAddr]) -> io::Result<ReadTicket> {
+        let mut groups: Vec<Vec<(u64, Stamp)>> = vec![Vec::new(); self.queues.len()];
         for a in addrs {
             groups[a.disk].push((a.track, self.stamp()));
         }
-        let mut replies: Vec<Option<Receiver<ReadManyReply>>> = (0..nd).map(|_| None).collect();
+        let mut replies = Vec::new();
         for (drive, tracks) in groups.into_iter().enumerate() {
-            if tracks.is_empty() {
-                continue;
+            if !tracks.is_empty() {
+                let (tx, rx) = bounded(1);
+                self.submit(drive, DriveOp::ReadMany { tracks, reply: tx })?;
+                replies.push((drive, rx));
             }
-            let (tx, rx) = bounded(1);
-            self.submit(drive, DriveOp::ReadMany { tracks, reply: tx })?;
-            replies[drive] = Some(rx);
         }
         Ok(ReadTicket { addrs: addrs.to_vec(), replies })
     }
 
     /// Block until every transfer of `ticket` has completed and return
-    /// the blocks in the submission's request order. Time spent blocked
-    /// here (the submitter out-ran the drives) is recorded into the
-    /// `cgmio_pipeline_stall_us` histogram when observability is on.
-    pub fn wait(&self, ticket: ReadTicket) -> io::Result<Vec<Vec<u8>>> {
-        let stall_from = self.obs.as_ref().map(|o| o.now_us());
-        let nd = self.queues.len();
-        let mut per_drive: Vec<VecDeque<io::Result<Vec<u8>>>> =
-            (0..nd).map(|_| VecDeque::new()).collect();
-        for (drive, rx) in ticket.replies.into_iter().enumerate() {
-            if let Some(rx) = rx {
-                per_drive[drive] =
-                    rx.recv().map_err(|_| io::Error::other("drive worker died mid-read"))?.into();
-            }
+    /// the blocks in request order. Time spent blocked here (the
+    /// submitter out-ran the drives) is the pipeline stall.
+    fn wait(&self, ticket: ReadTicket) -> io::Result<Vec<Vec<u8>>> {
+        let stall = self.obs.as_ref().zip(self.stall.as_ref()).map(|(o, h)| (o, h, o.now_us()));
+        let mut per_drive: Vec<std::vec::IntoIter<io::Result<Vec<u8>>>> =
+            self.queues.iter().map(|_| Vec::new().into_iter()).collect();
+        for (drive, rx) in &ticket.replies {
+            per_drive[*drive] = Self::reply(*drive, rx, "read")?.into_iter();
         }
-        if let (Some(obs), Some(t0)) = (&self.obs, stall_from) {
-            obs.metrics()
-                .histogram("cgmio_pipeline_stall_us", &[("proc", self.proc.to_string())])
-                .observe(obs.now_us().saturating_sub(t0));
+        if let Some((obs, hist, from)) = stall {
+            hist.observe(obs.now_us().saturating_sub(from));
         }
         ticket
             .addrs
             .iter()
-            .map(|a| per_drive[a.disk].pop_front().expect("one result per submitted track"))
+            .map(|a| per_drive[a.disk].next().expect("one result per submitted track"))
             .collect()
     }
 
-    /// Start a gather write without waiting for it: the payloads are
-    /// copied into pooled buffers and queued (exactly like the
-    /// write-behind path), and the returned [`WriteTicket`] additionally
-    /// carries per-drive completion signals. Redeem it with
-    /// [`ConcurrentStorage::wait_write`] — or drop it and let the
-    /// superstep flush be the barrier, as the runners do.
-    pub fn submit_write_gather(&self, writes: &[(TrackAddr, &[u8])]) -> io::Result<WriteTicket> {
-        self.take_write_err()?;
-        let nd = self.queues.len();
-        let mut groups: Vec<Vec<WriteBlock>> = (0..nd).map(|_| Vec::new()).collect();
-        for (a, data) in writes {
-            let stamp = self.stamp();
-            let mut block = self.pool.checkout(data.len());
-            block.copy_from_slice(data);
-            groups[a.disk].push(WriteBlock { track: a.track, data: block, stamp });
-        }
-        let mut replies = Vec::new();
-        for (drive, blocks) in groups.into_iter().enumerate() {
-            if !blocks.is_empty() {
-                let (tx, rx) = bounded(1);
-                self.submit(drive, DriveOp::WriteMany { blocks, done: Some(tx) })?;
-                replies.push(rx);
-            }
-        }
-        Ok(WriteTicket { replies })
+    fn submit_flush(&self, drive: usize, sync: bool) -> io::Result<Receiver<io::Result<()>>> {
+        let (tx, rx) = bounded(1);
+        self.submit(drive, DriveOp::Flush { sync, reply: tx, stamp: self.stamp() })?;
+        Ok(rx)
     }
 
-    /// Block until every block of `ticket` has been applied by its drive
-    /// worker, then surface any deferred write error.
-    pub fn wait_write(&self, ticket: WriteTicket) -> io::Result<()> {
-        for rx in ticket.replies {
-            rx.recv().map_err(|_| io::Error::other("drive worker died mid-write"))?;
+    /// Queue a flush on every drive and wait for all of them: every op
+    /// submitted before this call has been applied when it returns.
+    /// `barrier` counts it as a superstep boundary — ops submitted
+    /// afterwards are stamped with the next superstep.
+    fn drain(&self, fsync: bool, barrier: bool) -> io::Result<()> {
+        let replies = (0..self.queues.len())
+            .map(|drive| self.submit_flush(drive, fsync))
+            .collect::<io::Result<Vec<_>>>()?;
+        if barrier {
+            self.superstep.fetch_add(1, Ordering::Relaxed);
         }
-        self.take_write_err()
-    }
-
-    /// Blocking gather read: submit, then immediately wait. The order of
-    /// per-drive submissions and physical transfers is identical to the
-    /// split-phase path, so pipelined and serial executions see the same
-    /// per-track operation sequences.
-    fn read_scatter_owned(&self, addrs: &[TrackAddr]) -> io::Result<Vec<Vec<u8>>> {
-        self.wait(self.submit_read_gather(addrs)?)
+        for (drive, rx) in replies.iter().enumerate() {
+            Self::reply(drive, rx, "flush")??;
+        }
+        Ok(())
     }
 }
 
 impl TrackStorage for ConcurrentStorage {
     fn read_track(&self, disk: usize, track: u64) -> io::Result<Vec<u8>> {
-        self.read_batch(&[TrackAddr::new(disk, track)]).map(|mut v| v.pop().unwrap())
+        let mut blocks = self.wait(self.submit_gather(&[TrackAddr::new(disk, track)])?)?;
+        Ok(blocks.pop().expect("one block per address"))
     }
 
     fn write_track(&self, disk: usize, track: u64, data: &[u8]) -> io::Result<()> {
-        self.write_batch(&[(TrackAddr::new(disk, track), data)])
-    }
-
-    /// Submit every read of the (legal) operation before awaiting any
-    /// reply: the transfers overlap across drives.
-    fn read_batch(&self, addrs: &[TrackAddr]) -> io::Result<Vec<Vec<u8>>> {
-        self.read_scatter_owned(addrs)
+        self.write_scatter(&[(TrackAddr::new(disk, track), data)])
     }
 
     /// Vectored scatter read: one submission per participating drive,
-    /// any number of tracks per drive, blocks handed to `f` in request
-    /// order.
+    /// any number of tracks per drive, every read submitted before any
+    /// reply is awaited (the transfers overlap across drives), blocks
+    /// handed to `f` in request order. Submit-then-wait issues the same
+    /// per-drive sequences as the split-phase path, so pipelined and
+    /// serial executions see identical per-track operation orders.
     fn read_scatter_with(
         &self,
         addrs: &[TrackAddr],
         f: &mut dyn FnMut(usize, &[u8]),
     ) -> io::Result<()> {
-        for (i, block) in self.read_scatter_owned(addrs)?.into_iter().enumerate() {
+        for (i, block) in self.wait(self.submit_gather(addrs)?)?.into_iter().enumerate() {
             f(i, &block);
         }
         Ok(())
     }
 
-    /// Write-behind: returns once all blocks are queued. Errors from
-    /// earlier deferred writes surface here (or at flush).
-    fn write_batch(&self, writes: &[(TrackAddr, &[u8])]) -> io::Result<()> {
-        self.write_scatter(writes)
-    }
-
     /// Vectored write-behind: the whole scatter list becomes one
-    /// submission per participating drive. Payloads are copied once into
-    /// pooled buffers the workers recycle; this is the only copy between
-    /// the caller's staging buffer and the inner storage.
+    /// submission per participating drive and the call returns once all
+    /// are queued. Payloads are copied once into pooled buffers the
+    /// workers recycle; this is the only copy between the caller's
+    /// staging buffer and the device. Errors from earlier deferred
+    /// writes surface here (or at flush).
     fn write_scatter(&self, writes: &[(TrackAddr, &[u8])]) -> io::Result<()> {
         self.take_write_err()?;
-        let nd = self.queues.len();
-        let mut groups: Vec<Vec<WriteBlock>> = (0..nd).map(|_| Vec::new()).collect();
+        let mut groups: Vec<Vec<WriteBlock>> = self.queues.iter().map(|_| Vec::new()).collect();
         for (a, data) in writes {
             let stamp = self.stamp();
             let mut block = self.pool.checkout(data.len());
@@ -625,21 +702,22 @@ impl TrackStorage for ConcurrentStorage {
         }
         for (drive, blocks) in groups.into_iter().enumerate() {
             if !blocks.is_empty() {
-                self.submit(drive, DriveOp::WriteMany { blocks, done: None })?;
+                self.submit(drive, DriveOp::WriteMany { blocks })?;
             }
         }
         Ok(())
     }
 
     /// Split-phase gather read behind the type-erased storage trait:
-    /// parks a [`ReadTicket`] in the engine's pending map and hands back
-    /// its id, so `DiskArray` can charge the cost model at submit time
-    /// and redeem the ticket later via
-    /// [`TrackStorage::read_scatter_wait`].
+    /// parks the in-flight read in the engine's pending map and hands
+    /// back its id, so `DiskArray` can charge the cost model at submit
+    /// time and redeem the ticket later via
+    /// [`TrackStorage::read_scatter_wait`]. A ticket that is never
+    /// redeemed is dropped when its tracks are discarded.
     fn read_scatter_submit(&self, addrs: &[TrackAddr]) -> io::Result<u64> {
-        let ticket = self.submit_read_gather(addrs)?;
+        let ticket = self.submit_gather(addrs)?;
         let id = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        self.pending_reads.lock().unwrap().insert(id, ticket);
+        self.pending_reads.lock().expect("ticket map stays valid").insert(id, ticket);
         Ok(id)
     }
 
@@ -649,10 +727,7 @@ impl TrackStorage for ConcurrentStorage {
         _addrs: &[TrackAddr],
         f: &mut dyn FnMut(usize, &[u8]),
     ) -> io::Result<()> {
-        let pending = self
-            .pending_reads
-            .lock()
-            .unwrap()
+        let pending = (self.pending_reads.lock().expect("ticket map stays valid"))
             .remove(&ticket)
             .ok_or_else(|| io::Error::other("unknown or already-redeemed read ticket"))?;
         for (i, block) in self.wait(pending)?.into_iter().enumerate() {
@@ -674,25 +749,12 @@ impl TrackStorage for ConcurrentStorage {
             match self.queues[a.disk].try_send(DriveOp::Prefetch { track: a.track, stamp }) {
                 Ok(()) | Err(TrySendError::Disconnected(_)) => {}
                 Err(TrySendError::Full(_)) => {
-                    self.prefetch_drops[a.disk].fetch_add(1, Ordering::Relaxed);
-                    self.prefetch_drop_metrics[a.disk].inc();
+                    self.prefetch_drops[a.disk].inc();
                     if let Some(t) = &self.trace {
-                        let now = t.now_us();
+                        let kind = OpKind::PrefetchDropped;
                         t.record(TraceEvent {
-                            seq: stamp.seq,
-                            proc: self.proc,
-                            drive: a.disk,
-                            kind: OpKind::PrefetchDropped,
-                            track: a.track,
-                            bytes: 0,
                             queue_depth: self.queues[a.disk].len(),
-                            submit_us: stamp.submit_us,
-                            start_us: now,
-                            end_us: now,
-                            cache_hit: false,
-                            retries: 0,
-                            superstep: stamp.superstep,
-                            phase: stamp.phase,
+                            ..stamp.event(self.proc, a.disk, kind, a.track, t.now_us())
                         });
                     }
                 }
@@ -702,47 +764,41 @@ impl TrackStorage for ConcurrentStorage {
 
     /// Drain every drive's queue (in parallel), fsync when the
     /// durability mode demands it, and surface deferred write errors.
+    /// The flush ops belong to the superstep they close.
     fn flush(&self, sync: bool) -> io::Result<()> {
-        let fsync = sync || self.durability == Durability::SyncPerSuperstep;
-        let mut replies = Vec::with_capacity(self.queues.len());
-        for drive in 0..self.queues.len() {
-            let (tx, rx) = bounded(1);
-            let stamp = self.stamp();
-            self.submit(drive, DriveOp::Flush { sync: fsync, reply: tx, stamp })?;
-            replies.push(rx);
-        }
-        // The flush ops above belong to the superstep they close; ops
-        // submitted after this barrier are stamped with the next one.
-        self.superstep.fetch_add(1, Ordering::Relaxed);
-        for rx in replies {
-            rx.recv().map_err(|_| io::Error::other("drive worker died mid-flush"))??;
-        }
+        self.drain(sync || self.durability == Durability::SyncPerSuperstep, true)?;
         self.take_write_err()
     }
 
     fn sync_disk(&self, disk: usize) -> io::Result<()> {
-        let (tx, rx) = bounded(1);
-        let stamp = self.stamp();
-        self.submit(disk, DriveOp::Flush { sync: true, reply: tx, stamp })?;
-        rx.recv().map_err(|_| io::Error::other("drive worker died mid-sync"))?
+        Self::reply(disk, &self.submit_flush(disk, true)?, "sync")?
     }
 
     /// Reclamation runs on the drive worker behind every already-queued
     /// write (FIFO coherence, like reads), and the worker drops its
     /// prefetch-cache and checksum entries for the range before
-    /// forwarding to the inner backend — so a later tenant of the same
-    /// tracks can never be served a stale cached block.
-    fn discard(&self, disk: usize, tracks: std::ops::Range<u64>) -> io::Result<bool> {
+    /// reclaiming on the device — so a later tenant of the same tracks
+    /// can never be served a stale cached block. Parked read tickets
+    /// touching the range are dropped too: whoever discards a window
+    /// will not redeem reads of it (a failed superstep abandons its
+    /// pre-issued reads), and on a long-lived shared engine they would
+    /// otherwise hold their block payloads for ever.
+    fn discard(&self, disk: usize, tracks: Range<u64>) -> io::Result<bool> {
+        (self.pending_reads.lock().expect("ticket map stays valid")).retain(|_, ticket| {
+            !ticket.addrs.iter().any(|a| a.disk == disk && tracks.contains(&a.track))
+        });
         let (tx, rx) = bounded(1);
         self.submit(disk, DriveOp::Discard { tracks, reply: tx })?;
-        rx.recv().map_err(|_| io::Error::other("drive worker died mid-discard"))?
+        Self::reply(disk, &rx, "discard")?
     }
 
     fn tracks_used(&self) -> Vec<u64> {
-        // Drain pending writes so file lengths are current; a deferred
-        // error stays sticky for the next write/flush to report.
-        let _ = self.flush(false);
-        self.inner.tracks_used()
+        // Drain pending writes so file lengths are current — without
+        // counting a barrier (a diagnostic call must not shift the
+        // superstep later ops are stamped with); a deferred error stays
+        // sticky for the next write/flush to report.
+        let _ = self.drain(false, false);
+        self.device.tracks_used()
     }
 }
 
@@ -760,14 +816,23 @@ impl Drop for ConcurrentStorage {
 /// Per-drive metric handles, resolved once at worker spawn so the hot
 /// path never touches the registry map.
 struct DriveObs {
-    /// Service-time histograms indexed by [`DriveObs::kind_idx`].
+    /// Blocks per queue drain (`cgmio_io_submit_batch_blocks`). Values
+    /// near 1 mean the submitter is serial; large values mean the
+    /// worker is amortising wakeups and, on a raw device, coalescing.
+    batch_blocks: Histogram,
+    /// Blocks of the current batch not yet issued
+    /// (`cgmio_io_inflight_depth`): the batch size on drain, down by
+    /// each issued run or op, 0 between batches — so a barrier reply
+    /// (flush) observes an idle gauge.
+    inflight: Gauge,
+    /// Service time, queue wait (submit of the oldest block → service
+    /// start) and payload bytes, one observation per *device transfer* —
+    /// a raw run, or one track of a layered device — indexed by
+    /// [`DriveObs::kind_idx`]. Service time says how slow the medium
+    /// is; queue wait says how far behind the drive is — the
+    /// pipeline-depth tuning signal.
     service_us: [Histogram; 4],
-    /// Queue-wait histograms (submit → service start), same indexing.
-    /// Service time says how slow the medium is; queue wait says how far
-    /// behind the drive is — the pipeline-depth tuning signal.
     queue_wait_us: [Histogram; 4],
-    /// Payload bytes moved, same indexing (flush always moves 0 bytes
-    /// and shares the reads slot harmlessly).
     bytes: [Counter; 4],
     queue_depth: Gauge,
     cache_hits: Counter,
@@ -776,22 +841,19 @@ struct DriveObs {
 impl DriveObs {
     fn new(obs: &Obs, proc: usize, drive: usize) -> Self {
         let m = obs.metrics();
+        let drive_labels = [("proc", proc.to_string()), ("drive", drive.to_string())];
         let kinds = ["read", "write", "prefetch", "flush"];
         let labels = |kind: &str| {
             [("proc", proc.to_string()), ("drive", drive.to_string()), ("kind", kind.to_string())]
         };
         Self {
+            batch_blocks: m.histogram("cgmio_io_submit_batch_blocks", &drive_labels),
+            inflight: m.gauge("cgmio_io_inflight_depth", &drive_labels),
             service_us: kinds.map(|k| m.histogram("cgmio_io_service_us", &labels(k))),
             queue_wait_us: kinds.map(|k| m.histogram("cgmio_io_queue_wait_us", &labels(k))),
             bytes: kinds.map(|k| m.counter("cgmio_io_bytes_total", &labels(k))),
-            queue_depth: m.gauge(
-                "cgmio_io_queue_depth",
-                &[("proc", proc.to_string()), ("drive", drive.to_string())],
-            ),
-            cache_hits: m.counter(
-                "cgmio_io_cache_hits_total",
-                &[("proc", proc.to_string()), ("drive", drive.to_string())],
-            ),
+            queue_depth: m.gauge("cgmio_io_queue_depth", &drive_labels),
+            cache_hits: m.counter("cgmio_io_cache_hits_total", &drive_labels),
         }
     }
 
@@ -805,15 +867,61 @@ impl DriveObs {
     }
 }
 
-/// Per-drive worker state.
-struct WorkerCtx {
+/// A `ReadMany` entry whose blocks are still being serviced.
+struct OpenRead {
+    reply: Sender<ReadManyReply>,
+    want: usize,
+    out: ReadManyReply,
+}
+
+/// One worker's mutable state: caches plus the run being grown.
+#[derive(Default)]
+struct DriveState {
+    /// Prefetch cache: worker-local, so no locks. FIFO eviction.
+    cache: HashMap<u64, Vec<u8>>,
+    order: VecDeque<u64>,
+    /// Expected FNV checksum per track this engine has written
+    /// (worker-local: this worker services every op for its drive).
+    sums: HashMap<u64, u64>,
+    /// Read entries awaiting blocks, oldest first. Blocks are serviced
+    /// in queue order, so every result belongs to the front entry.
+    open: VecDeque<OpenRead>,
+    /// The current run: consecutive tracks from `run_start`, either
+    /// reads or writes — at most one of the two lists is non-empty.
+    run_start: u64,
+    run_reads: Vec<Stamp>,
+    run_writes: Vec<WriteBlock>,
+}
+
+impl DriveState {
+    /// Hand the next serviced read block to its entry; an entry whose
+    /// last block this is replies at once.
+    fn deliver(&mut self, res: io::Result<Vec<u8>>) {
+        let entry = self.open.front_mut().expect("a read block belongs to an open entry");
+        entry.out.push(res);
+        if entry.out.len() == entry.want {
+            let done = self.open.pop_front().expect("front exists");
+            // The submitter may have abandoned the ticket; a closed
+            // reply channel is not an error.
+            let _ = done.reply.send(done.out);
+        }
+    }
+
+    /// Does the recorded checksum (if any) of `track` match `data`?
+    /// Tracks this engine never wrote have no expectation and pass.
+    fn checksum_ok(&self, track: u64, data: &[u8]) -> bool {
+        self.sums.get(&track).is_none_or(|&want| track_checksum(data) == want)
+    }
+}
+
+/// Per-drive worker context.
+struct Worker {
     drive: usize,
     proc: usize,
-    inner: Arc<dyn TrackStorage>,
+    device: Arc<Device>,
     write_err: Arc<Mutex<DeferredErrors>>,
     trace: Option<TraceHandle>,
-    /// Live prefetch-cache capacity, shared with the owning engine so a
-    /// tuner can resize the window between supersteps.
+    /// Live prefetch-cache capacity, shared with the owning engine.
     cache_cap: Arc<AtomicUsize>,
     retry: RetryPolicy,
     verify: bool,
@@ -821,174 +929,234 @@ struct WorkerCtx {
     metrics: Option<DriveObs>,
     retries: Counter,
     deferred_drops: Counter,
+    /// Staging for raw multi-block transfers.
+    pool: BlockPool,
+    /// Entries of the drained batch still behind the one in service.
+    depth: Cell<usize>,
 }
 
-impl WorkerCtx {
+impl Worker {
     fn run(self, rx: Receiver<DriveOp>) {
-        // Prefetch cache: worker-local, so no locks. FIFO eviction.
-        let mut cache: HashMap<u64, Vec<u8>> = HashMap::new();
-        let mut order: VecDeque<u64> = VecDeque::new();
-        // Expected FNV checksum per track this engine has written
-        // (worker-local: this worker services every op for its drive).
-        let mut sums: HashMap<u64, u64> = HashMap::new();
-        // recv() drains already-queued ops even after the engine dropped
-        // its senders, then errors out — that's the graceful shutdown.
+        let mut st = DriveState::default();
+        let mut batch = Vec::new();
+        // recv() keeps returning already-queued ops after the engine
+        // dropped its senders, then errors out — the graceful shutdown.
         while let Ok(op) = rx.recv() {
-            let depth = rx.len();
-            match op {
-                DriveOp::ReadMany { tracks, reply } => {
-                    let mut out = Vec::with_capacity(tracks.len());
-                    for (track, stamp) in tracks {
-                        let start_us = self.now_us();
-                        let (res, hit, retries) = match cache.get(&track) {
-                            Some(data) => (Ok(data.clone()), true, 0),
-                            None => {
-                                let (res, retries) = self.read_verified(track, &sums);
-                                (res, false, retries)
-                            }
-                        };
-                        let bytes = res.as_ref().map(|d| d.len()).unwrap_or(0);
-                        // Record before replying so a caller that
-                        // observed the result also observes the event.
-                        self.record(
-                            OpKind::Read,
-                            track,
-                            bytes,
-                            depth,
-                            stamp,
-                            start_us,
-                            hit,
-                            retries,
-                        );
-                        out.push(res);
-                    }
-                    // The engine may already have given up on this read;
-                    // a closed reply channel is not an error.
-                    let _ = reply.send(out);
-                }
-                DriveOp::WriteMany { blocks, done } => {
-                    for WriteBlock { track, data, stamp } in blocks {
-                        let start_us = self.now_us();
-                        // FIFO order makes later reads see this write;
-                        // the cache entry is stale either way — drop it.
-                        if cache.remove(&track).is_some() {
-                            order.retain(|&t| t != track);
-                        }
-                        let bytes = data.len();
-                        let (res, retries) =
-                            self.retry.run(|| self.inner.write_track(self.drive, track, &data));
-                        match res {
-                            Ok(()) => {
-                                if self.verify {
-                                    sums.insert(track, track_checksum(&data));
-                                }
-                            }
-                            Err(e) => {
-                                let mut derr = self.write_err.lock().unwrap();
-                                if derr.errors.len() < MAX_DEFERRED_WRITE_ERRORS {
-                                    derr.errors.push(DeferredWriteError {
-                                        drive: self.drive,
-                                        track,
-                                        superstep: stamp.superstep,
-                                        kind: classify(&e),
-                                        detail: e.to_string(),
-                                    });
-                                } else {
-                                    derr.dropped += 1;
-                                    drop(derr);
-                                    self.deferred_drops.inc();
-                                    if let Some(t) = &self.trace {
-                                        let now = t.now_us();
-                                        t.record(TraceEvent {
-                                            seq: stamp.seq,
-                                            proc: self.proc,
-                                            drive: self.drive,
-                                            kind: OpKind::WriteErrorDropped,
-                                            track,
-                                            bytes: 0,
-                                            queue_depth: depth,
-                                            submit_us: stamp.submit_us,
-                                            start_us: now,
-                                            end_us: now,
-                                            cache_hit: false,
-                                            retries: 0,
-                                            superstep: stamp.superstep,
-                                            phase: stamp.phase,
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                        self.record(
-                            OpKind::Write,
-                            track,
-                            bytes,
-                            depth,
-                            stamp,
-                            start_us,
-                            false,
-                            retries,
-                        );
-                        // `data` (a PooledBlock) drops here, returning
-                        // the buffer to the engine's pool.
-                    }
-                    // Completion signal for submit_write_gather callers;
-                    // an abandoned ticket is not an error.
-                    if let Some(tx) = done {
-                        let _ = tx.send(());
-                    }
-                }
-                DriveOp::Prefetch { track, stamp } => {
-                    let start_us = self.now_us();
-                    let hit = cache.contains_key(&track);
-                    let mut bytes = 0;
-                    let cap = self.cache_cap.load(Ordering::Relaxed);
-                    if !hit && cap > 0 {
-                        // Failed prefetches are dropped (no retry): the
-                        // demand read retries and reports any real error.
-                        if let Ok(data) = self.inner.read_track(self.drive, track) {
-                            if !self.verify || self.checksum_ok(track, &data, &sums) {
-                                bytes = data.len();
-                                // `while`, not `if`: after a runtime
-                                // shrink the cache may be over the new
-                                // bound by more than one block.
-                                while order.len() >= cap {
-                                    if let Some(old) = order.pop_front() {
-                                        cache.remove(&old);
-                                    } else {
-                                        break;
-                                    }
-                                }
-                                cache.insert(track, data);
-                                order.push_back(track);
-                            }
-                        }
-                    }
-                    self.record(OpKind::Prefetch, track, bytes, depth, stamp, start_us, hit, 0);
-                }
-                DriveOp::Flush { sync, reply, stamp } => {
-                    let start_us = self.now_us();
-                    let res = if sync { self.inner.sync_disk(self.drive) } else { Ok(()) };
-                    self.record(OpKind::Flush, 0, 0, depth, stamp, start_us, false, 0);
-                    let _ = reply.send(res);
-                }
-                DriveOp::Discard { tracks, reply } => {
-                    cache.retain(|t, _| !tracks.contains(t));
-                    order.retain(|t| !tracks.contains(t));
-                    sums.retain(|t, _| !tracks.contains(t));
-                    let _ = reply.send(self.inner.discard(self.drive, tracks));
-                }
+            batch.push(op);
+            while let Ok(op) = rx.try_recv() {
+                batch.push(op);
             }
+            if let Some(m) = &self.metrics {
+                let blocks: usize = batch.iter().map(DriveOp::blocks).sum();
+                m.batch_blocks.observe(blocks as u64);
+                m.inflight.set(blocks as i64);
+            }
+            self.service(&mut st, &mut batch);
         }
     }
 
-    /// Demand read with transient-fault retries and (optional) checksum
+    /// Service one drained batch in FIFO order (see the module docs for
+    /// the run-cutting and reply rules).
+    fn service(&self, st: &mut DriveState, batch: &mut Vec<DriveOp>) {
+        let entries = batch.len();
+        for (i, op) in batch.drain(..).enumerate() {
+            self.depth.set(entries - 1 - i);
+            match op {
+                DriveOp::ReadMany { tracks, reply } => {
+                    let want = tracks.len();
+                    st.open.push_back(OpenRead { reply, want, out: Vec::with_capacity(want) });
+                    for (track, stamp) in tracks {
+                        if let Some(data) = st.cache.get(&track).cloned() {
+                            self.issue(st);
+                            let start_us = self.now_us();
+                            self.observe(OpKind::Read, stamp.submit_us, start_us, data.len());
+                            self.trace(OpKind::Read, track, data.len(), stamp, start_us, true, 0);
+                            self.issued(1);
+                            st.deliver(Ok(data));
+                            continue;
+                        }
+                        if st.run_reads.is_empty()
+                            || st.run_start + st.run_reads.len() as u64 != track
+                        {
+                            self.issue(st);
+                            st.run_start = track;
+                        }
+                        st.run_reads.push(stamp);
+                    }
+                }
+                DriveOp::WriteMany { blocks } => {
+                    for block in blocks {
+                        // FIFO order makes later reads see this write;
+                        // the cache entry is stale either way — drop it.
+                        if st.cache.remove(&block.track).is_some() {
+                            st.order.retain(|&t| t != block.track);
+                        }
+                        if st.run_writes.is_empty()
+                            || st.run_start + st.run_writes.len() as u64 != block.track
+                        {
+                            self.issue(st);
+                            st.run_start = block.track;
+                        }
+                        st.run_writes.push(block);
+                    }
+                }
+                DriveOp::Prefetch { track, stamp } => {
+                    self.issue(st);
+                    self.prefetch(st, track, stamp);
+                    self.issued(1);
+                }
+                DriveOp::Flush { sync, reply, stamp } => {
+                    self.issue(st);
+                    let start_us = self.now_us();
+                    let res = if sync { self.device.sync(self.drive) } else { Ok(()) };
+                    self.observe(OpKind::Flush, stamp.submit_us, start_us, 0);
+                    self.trace(OpKind::Flush, 0, 0, stamp, start_us, false, 0);
+                    self.issued(1);
+                    let _ = reply.send(res);
+                }
+                DriveOp::Discard { tracks, reply } => {
+                    self.issue(st);
+                    st.cache.retain(|t, _| !tracks.contains(t));
+                    st.order.retain(|t| !tracks.contains(t));
+                    st.sums.retain(|t, _| !tracks.contains(t));
+                    self.issued(1);
+                    let _ = reply.send(self.device.discard(self.drive, tracks));
+                }
+            }
+        }
+        self.issue(st);
+    }
+
+    /// Hand the current run (if any) to the device.
+    fn issue(&self, st: &mut DriveState) {
+        if !st.run_reads.is_empty() {
+            let mut stamps = std::mem::take(&mut st.run_reads);
+            self.issued(stamps.len());
+            self.read_run(st, &stamps);
+            stamps.clear();
+            st.run_reads = stamps;
+        } else if !st.run_writes.is_empty() {
+            let mut blocks = std::mem::take(&mut st.run_writes);
+            self.issued(blocks.len());
+            self.write_run(st, &mut blocks);
+            st.run_writes = blocks;
+        }
+    }
+
+    /// Read the run of `stamps.len()` tracks from `st.run_start`: one
+    /// positioned transfer on a raw device, split into blocks after; per
+    /// track — with retries, so error attribution stays per track — on a
+    /// layered device or when the run transfer fails or fails to verify.
+    fn read_run(&self, st: &mut DriveState, stamps: &[Stamp]) {
+        let start = st.run_start;
+        if let Device::Raw(files) = &*self.device {
+            let bb = files[self.drive].block_bytes;
+            let start_us = self.now_us();
+            let mut buf = self.pool.checkout(stamps.len() * bb);
+            // Verify the whole run before tracing anything, so a
+            // mismatch falls back without leaving duplicate events.
+            if files[self.drive].read_run(start, &mut buf).is_ok()
+                && buf.chunks(bb).zip(start..).all(|(block, track)| st.checksum_ok(track, block))
+            {
+                self.observe(OpKind::Read, stamps[0].submit_us, start_us, buf.len());
+                for ((block, stamp), track) in buf.chunks(bb).zip(stamps).zip(start..) {
+                    self.trace(OpKind::Read, track, bb, *stamp, start_us, false, 0);
+                    st.deliver(Ok(block.to_vec()));
+                }
+                return;
+            }
+        }
+        for (stamp, track) in stamps.iter().zip(start..) {
+            let start_us = self.now_us();
+            let (res, retries) = self.read_verified(st, track);
+            let bytes = res.as_ref().map_or(0, Vec::len);
+            // Record before replying so a caller that observed the
+            // result also observes the event.
+            self.observe(OpKind::Read, stamp.submit_us, start_us, bytes);
+            self.trace(OpKind::Read, track, bytes, *stamp, start_us, false, retries);
+            st.deliver(res);
+        }
+    }
+
+    /// Write the run of `blocks` from `st.run_start`: assembled into one
+    /// zero-padded buffer and written with a single positioned call on a
+    /// raw device; per track (retries, per-track deferred errors) on a
+    /// layered one or when the run transfer fails. Each payload buffer
+    /// returns to the engine's pool as its block is dropped.
+    fn write_run(&self, st: &mut DriveState, blocks: &mut Vec<WriteBlock>) {
+        if let Device::Raw(files) = &*self.device {
+            let bb = files[self.drive].block_bytes;
+            let start_us = self.now_us();
+            let mut buf = self.pool.checkout(blocks.len() * bb);
+            for (slot, b) in buf.chunks_mut(bb).zip(blocks.iter()) {
+                slot[..b.data.len()].copy_from_slice(&b.data);
+                slot[b.data.len()..].fill(0);
+            }
+            if files[self.drive].write_run(st.run_start, &buf).is_ok() {
+                let bytes = blocks.iter().map(|b| b.data.len()).sum();
+                self.observe(OpKind::Write, blocks[0].stamp.submit_us, start_us, bytes);
+                for b in blocks.drain(..) {
+                    if self.verify {
+                        st.sums.insert(b.track, track_checksum(&b.data));
+                    }
+                    self.trace(OpKind::Write, b.track, b.data.len(), b.stamp, start_us, false, 0);
+                }
+                return;
+            }
+        }
+        for WriteBlock { track, data, stamp } in blocks.drain(..) {
+            let start_us = self.now_us();
+            let (res, retries) =
+                self.retry.run(|| self.device.write_track(self.drive, track, &data));
+            match res {
+                Ok(()) => {
+                    if self.verify {
+                        st.sums.insert(track, track_checksum(&data));
+                    }
+                }
+                Err(e) => self.defer_error(track, stamp, e),
+            }
+            self.observe(OpKind::Write, stamp.submit_us, start_us, data.len());
+            self.trace(OpKind::Write, track, data.len(), stamp, start_us, false, retries);
+        }
+    }
+
+    /// Service a hint: fetch `track` into the cache unless it is there
+    /// already or caching is off. Failed prefetches are dropped (no
+    /// retry): the demand read retries and reports any real error.
+    fn prefetch(&self, st: &mut DriveState, track: u64, stamp: Stamp) {
+        let start_us = self.now_us();
+        let hit = st.cache.contains_key(&track);
+        let cap = self.cache_cap.load(Ordering::Relaxed);
+        let mut bytes = 0;
+        if !hit && cap > 0 {
+            if let Ok(data) = self.device.read_track(self.drive, track) {
+                if st.checksum_ok(track, &data) {
+                    bytes = data.len();
+                    // `while`, not `if`: after a runtime shrink the
+                    // cache may be over the new bound by several blocks.
+                    while st.order.len() >= cap {
+                        match st.order.pop_front() {
+                            Some(old) => st.cache.remove(&old),
+                            None => break,
+                        };
+                    }
+                    st.cache.insert(track, data);
+                    st.order.push_back(track);
+                }
+            }
+        }
+        self.observe(OpKind::Prefetch, stamp.submit_us, start_us, bytes);
+        self.trace(OpKind::Prefetch, track, bytes, stamp, start_us, hit, 0);
+    }
+
+    /// Demand read with transient-fault retries and checksum
     /// verification. A mismatch is a [`IoErrorKind::Corrupt`] fault and
     /// is *not* retried — a re-read returns the same bytes.
-    fn read_verified(&self, track: u64, sums: &HashMap<u64, u64>) -> (io::Result<Vec<u8>>, u32) {
+    fn read_verified(&self, st: &DriveState, track: u64) -> (io::Result<Vec<u8>>, u32) {
         self.retry.run(|| {
-            let data = self.inner.read_track(self.drive, track)?;
-            if self.verify && !self.checksum_ok(track, &data, sums) {
+            let data = self.device.read_track(self.drive, track)?;
+            if !st.checksum_ok(track, &data) {
                 return Err(FaultError {
                     kind: IoErrorKind::Corrupt,
                     disk: self.drive,
@@ -1001,10 +1169,25 @@ impl WorkerCtx {
         })
     }
 
-    /// Does `data` match the checksum recorded for `track`? Tracks this
-    /// engine never wrote have no expectation and always pass.
-    fn checksum_ok(&self, track: u64, data: &[u8], sums: &HashMap<u64, u64>) -> bool {
-        sums.get(&track).is_none_or(|&want| track_checksum(data) == want)
+    /// Retain a failed write-behind for the next write or flush to
+    /// surface; past the bound, count and trace the discarded failure.
+    fn defer_error(&self, track: u64, stamp: Stamp, e: io::Error) {
+        let mut derr = self.write_err.lock().expect("error list stays valid");
+        if derr.errors.len() < MAX_DEFERRED_WRITE_ERRORS {
+            let (kind, disk, detail) = (classify(&e), self.drive, e.to_string());
+            derr.errors.push((stamp.superstep, FaultError { kind, disk, track, detail }));
+        } else {
+            derr.dropped += 1;
+            drop(derr);
+            self.deferred_drops.inc();
+            if let Some(t) = &self.trace {
+                let kind = OpKind::WriteErrorDropped;
+                t.record(TraceEvent {
+                    queue_depth: self.depth.get(),
+                    ..stamp.event(self.proc, self.drive, kind, track, t.now_us())
+                });
+            }
+        }
     }
 
     /// Worker timebase: the trace epoch when tracing, else the obs
@@ -1017,49 +1200,51 @@ impl WorkerCtx {
         }
     }
 
+    /// `n` blocks of the current batch have left the queue stage.
+    fn issued(&self, n: usize) {
+        if let Some(m) = &self.metrics {
+            m.inflight.add(-(n as i64));
+        }
+    }
+
+    /// Trace one serviced block; count its retries and cache hit.
     #[allow(clippy::too_many_arguments)]
-    fn record(
+    fn trace(
         &self,
         kind: OpKind,
         track: u64,
         bytes: usize,
-        queue_depth: usize,
         stamp: Stamp,
         start_us: u64,
         cache_hit: bool,
         retries: u32,
     ) {
-        let end_us = self.now_us();
         if retries > 0 {
             self.retries.add(retries as u64);
         }
-        if let Some(m) = &self.metrics {
-            let i = DriveObs::kind_idx(kind);
-            m.service_us[i].observe(end_us.saturating_sub(start_us));
-            m.queue_wait_us[i].observe(start_us.saturating_sub(stamp.submit_us));
-            m.bytes[i].add(bytes as u64);
-            m.queue_depth.set(queue_depth as i64);
-            if cache_hit {
-                m.cache_hits.inc();
-            }
+        if let (true, Some(m)) = (cache_hit, &self.metrics) {
+            m.cache_hits.inc();
         }
         if let Some(t) = &self.trace {
             t.record(TraceEvent {
-                seq: stamp.seq,
-                proc: self.proc,
-                drive: self.drive,
-                kind,
-                track,
                 bytes,
-                queue_depth,
-                submit_us: stamp.submit_us,
+                queue_depth: self.depth.get(),
                 start_us,
-                end_us,
                 cache_hit,
                 retries,
-                superstep: stamp.superstep,
-                phase: stamp.phase,
+                ..stamp.event(self.proc, self.drive, kind, track, t.now_us())
             });
+        }
+    }
+
+    /// Record one device transfer that began service at `start_us`.
+    fn observe(&self, kind: OpKind, submit_us: u64, start_us: u64, bytes: usize) {
+        if let Some(m) = &self.metrics {
+            let i = DriveObs::kind_idx(kind);
+            m.service_us[i].observe(self.now_us().saturating_sub(start_us));
+            m.queue_wait_us[i].observe(start_us.saturating_sub(submit_us));
+            m.bytes[i].add(bytes as u64);
+            m.queue_depth.set(self.depth.get() as i64);
         }
     }
 }
@@ -1067,37 +1252,57 @@ impl WorkerCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgmio_pdm::{DiskArray, MemStorage};
+    use crate::contract::{contract_tests, Make, Over, Rig, Script};
+    use crate::trace::summarize;
+    use cgmio_pdm::MemStorage;
+    use std::sync::atomic::Ordering::SeqCst;
 
-    fn engine(d: usize, bb: usize, opts: IoEngineOpts) -> ConcurrentStorage {
-        let geom = DiskGeometry::new(d, bb);
-        ConcurrentStorage::new(Arc::new(MemStorage::new(geom)), d, opts)
+    const MEM: Make =
+        |_, g, opts| ConcurrentStorage::new(Arc::new(MemStorage::new(g)), g.num_disks, opts);
+    const DIR: Make = |dir, g, opts| ConcurrentStorage::open_dir(dir, g, opts).unwrap();
+    const OVER: Over = ConcurrentStorage::new;
+
+    contract_tests! {
+        roundtrip_through_workers: roundtrip(MEM), roundtrip(DIR);
+        read_after_write_behind_is_coherent: coherent(MEM), coherent(DIR);
+        interleaved_write_read_same_track_is_fifo: interleaved_fifo(MEM), interleaved_fifo(DIR);
+        scatter_paths_roundtrip_many_blocks_per_drive: scatter_many(MEM), scatter_many(DIR);
+        discard_zeroes_and_drops_cache_and_checksums: discard_zeroes(MEM), discard_zeroes(DIR);
+        trace_records_each_block_in_submission_order: trace_per_block(MEM), trace_per_block(DIR);
+        obs_records_metrics_and_stamps_trace_with_published_phase:
+            obs_series_and_stamps(MEM), obs_series_and_stamps(DIR);
+        works_behind_disk_array_with_identical_accounting:
+            behind_disk_array(MEM), behind_disk_array(DIR);
+        discard_drops_parked_read_tickets:
+            discard_drops_parked_tickets(MEM), discard_drops_parked_tickets(DIR);
+        flush_drains_write_behind: flush_drains(OVER);
+        durability_mode_fsyncs_on_flush: fsync_per_durability(OVER);
+        drop_drains_in_flight_writes: drop_drains(OVER);
+        deferred_write_error_is_sticky_until_surfaced: deferred_sticky(OVER);
+        deferred_error_names_drive_track_and_superstep: deferred_named(OVER);
+        deferred_errors_are_bounded_not_silently_dropped: deferred_bounded(OVER);
+        deferred_write_error_keeps_fault_taxonomy: deferred_taxonomy(OVER);
+        workers_retry_injected_transient_faults: retries_traced(OVER);
+        retry_counter_counts_without_obs_attached: retries_counted_without_obs(OVER);
+        torn_writes_heal_under_retry_and_pass_checksums: torn_writes_heal(OVER);
+        checksum_mismatch_surfaces_as_corrupt: checksum_corrupt(OVER);
+        read_reply_is_not_held_behind_queued_writes: early_read_reply(OVER);
+        worker_panic_is_a_typed_error_on_that_drive_only: worker_panic(OVER);
     }
 
-    #[test]
-    fn roundtrip_through_workers() {
-        let s = engine(2, 4, IoEngineOpts::default());
-        s.write_batch(&[(TrackAddr::new(0, 0), &[1u8, 2][..]), (TrackAddr::new(1, 7), &[3u8][..])])
-            .unwrap();
-        let r = s.read_batch(&[TrackAddr::new(0, 0), TrackAddr::new(1, 7)]).unwrap();
-        assert_eq!(r, vec![vec![1, 2, 0, 0], vec![3, 0, 0, 0]]);
+    // The prefetch cache exists on the hinted constructors only.
+
+    fn hinted(d: usize, bb: usize, opts: IoEngineOpts) -> ConcurrentStorage {
+        ConcurrentStorage::new(Arc::new(MemStorage::new(DiskGeometry::new(d, bb))), d, opts)
     }
 
-    #[test]
-    fn read_after_write_behind_is_coherent() {
-        let s = engine(1, 2, IoEngineOpts::default());
-        // Hammer the same track: the demand read must always see the
-        // write submitted just before it (per-drive FIFO ordering).
-        for i in 0..200u8 {
-            s.write_track(0, 0, &[i]).unwrap();
-            assert_eq!(s.read_track(0, 0).unwrap(), vec![i, 0]);
-        }
+    fn read_hits(t: &TraceHandle) -> Vec<bool> {
+        t.snapshot().iter().filter(|e| e.kind == OpKind::Read).map(|e| e.cache_hit).collect()
     }
 
     #[test]
     fn prefetch_hits_cache_and_write_invalidates() {
-        let opts = IoEngineOpts { trace: true, ..Default::default() };
-        let s = engine(1, 2, opts);
+        let s = hinted(1, 2, IoEngineOpts { trace: true, ..Default::default() });
         let t = s.trace_handle().unwrap();
         s.write_track(0, 3, &[9]).unwrap();
         s.prefetch(&[TrackAddr::new(0, 3)]);
@@ -1106,453 +1311,47 @@ mod tests {
         // write invalidates; next read must see fresh data, not cache
         s.write_track(0, 3, &[8]).unwrap();
         assert_eq!(s.read_track(0, 3).unwrap(), vec![8, 0]);
-        let evs = t.snapshot();
-        let hits: Vec<bool> =
-            evs.iter().filter(|e| e.kind == OpKind::Read).map(|e| e.cache_hit).collect();
-        assert_eq!(hits, vec![true, false], "first read hits prefetch, post-write read misses");
+        assert_eq!(read_hits(&t), vec![true, false], "prefetched read hits, post-write misses");
     }
 
     #[test]
     fn prefetch_cache_resizes_at_runtime() {
-        let opts = IoEngineOpts { trace: true, ..Default::default() };
-        let s = engine(1, 2, opts);
-        let t = s.trace_handle().unwrap();
+        let s = hinted(1, 2, IoEngineOpts { trace: true, ..Default::default() });
+        let (t, cap) = (s.trace_handle().unwrap(), s.prefetch_cap_handle());
         for track in 0..4 {
             s.write_track(0, track, &[track as u8]).unwrap();
         }
-        assert_eq!(s.prefetch_cache_blocks(), IoEngineOpts::default().prefetch_cache_blocks);
+        assert_eq!(cap.load(SeqCst), IoEngineOpts::default().prefetch_cache_blocks);
         // Capacity 0 disables caching of new hints: the demand read
         // that follows must miss.
-        s.set_prefetch_cache_blocks(0);
+        cap.store(0, SeqCst);
         s.prefetch(&[TrackAddr::new(0, 0)]);
         s.flush(false).unwrap();
         assert_eq!(s.read_track(0, 0).unwrap(), vec![0, 0]);
-        // Growing back re-enables it mid-flight, through the shared
-        // handle a tuner would hold.
-        let cap = s.prefetch_cap_handle();
-        cap.store(4, Ordering::Relaxed);
-        assert_eq!(s.prefetch_cache_blocks(), 4);
+        // Growing back re-enables it mid-flight.
+        cap.store(4, SeqCst);
         s.prefetch(&[TrackAddr::new(0, 1)]);
         s.flush(false).unwrap();
         assert_eq!(s.read_track(0, 1).unwrap(), vec![1, 0]);
-        let hits: Vec<bool> =
-            t.snapshot().iter().filter(|e| e.kind == OpKind::Read).map(|e| e.cache_hit).collect();
-        assert_eq!(hits, vec![false, true], "cap 0 read misses, post-resize read hits");
-    }
-
-    #[test]
-    fn flush_drains_write_behind() {
-        let geom = DiskGeometry::new(2, 4);
-        let inner: Arc<dyn TrackStorage> = Arc::new(MemStorage::new(geom));
-        let s = ConcurrentStorage::new(inner.clone(), 2, IoEngineOpts::default());
-        for t in 0..50 {
-            s.write_batch(&[
-                (TrackAddr::new(0, t), &[1u8][..]),
-                (TrackAddr::new(1, t), &[2u8][..]),
-            ])
-            .unwrap();
-        }
-        s.flush(false).unwrap();
-        // After flush every submitted write has reached the inner store.
-        assert_eq!(inner.tracks_used(), vec![50, 50]);
-    }
-
-    #[test]
-    fn drop_drains_in_flight_writes() {
-        let geom = DiskGeometry::new(1, 4);
-        let inner: Arc<dyn TrackStorage> = Arc::new(MemStorage::new(geom));
-        {
-            let s = ConcurrentStorage::new(inner.clone(), 1, IoEngineOpts::default());
-            for t in 0..30 {
-                s.write_track(0, t, &[7]).unwrap();
-            }
-            // no flush: Drop must drain
-        }
-        assert_eq!(inner.tracks_used(), vec![30]);
-        assert_eq!(inner.read_track(0, 29).unwrap(), vec![7, 0, 0, 0]);
-    }
-
-    #[test]
-    fn deferred_write_error_is_sticky_until_surfaced() {
-        struct FailingWrites;
-        impl TrackStorage for FailingWrites {
-            fn read_track(&self, _d: usize, _t: u64) -> io::Result<Vec<u8>> {
-                Ok(vec![0; 4])
-            }
-            fn write_track(&self, _d: usize, _t: u64, _data: &[u8]) -> io::Result<()> {
-                Err(io::Error::other("disk full"))
-            }
-            fn tracks_used(&self) -> Vec<u64> {
-                vec![0]
-            }
-        }
-        let s = ConcurrentStorage::new(Arc::new(FailingWrites), 1, IoEngineOpts::default());
-        // submission itself succeeds (write-behind)...
-        s.write_track(0, 0, &[1]).unwrap();
-        // ...the failure surfaces at the flush barrier
-        let e = s.flush(false).unwrap_err();
-        assert!(e.to_string().contains("disk full"), "{e}");
-        // and the engine recovers once reported
-        s.flush(false).unwrap();
-    }
-
-    #[test]
-    fn durability_mode_fsyncs_on_flush() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        struct CountSyncs(AtomicUsize);
-        impl TrackStorage for CountSyncs {
-            fn read_track(&self, _d: usize, _t: u64) -> io::Result<Vec<u8>> {
-                Ok(vec![0; 4])
-            }
-            fn write_track(&self, _d: usize, _t: u64, _data: &[u8]) -> io::Result<()> {
-                Ok(())
-            }
-            fn sync_disk(&self, _disk: usize) -> io::Result<()> {
-                self.0.fetch_add(1, Ordering::SeqCst);
-                Ok(())
-            }
-            fn tracks_used(&self) -> Vec<u64> {
-                vec![0, 0]
-            }
-        }
-        let counted = Arc::new(CountSyncs(AtomicUsize::new(0)));
-        let opts = IoEngineOpts { durability: Durability::SyncPerSuperstep, ..Default::default() };
-        let s = ConcurrentStorage::new(counted.clone() as Arc<dyn TrackStorage>, 2, opts);
-        s.flush(false).unwrap();
-        assert_eq!(counted.0.load(Ordering::SeqCst), 2, "one fsync per drive");
-
-        let lax = Arc::new(CountSyncs(AtomicUsize::new(0)));
-        let s2 = ConcurrentStorage::new(
-            lax.clone() as Arc<dyn TrackStorage>,
-            2,
-            IoEngineOpts::default(),
-        );
-        s2.flush(false).unwrap();
-        assert_eq!(lax.0.load(Ordering::SeqCst), 0, "Durability::None never fsyncs");
-    }
-
-    #[test]
-    fn deferred_error_names_drive_track_and_superstep() {
-        struct FailingWrites;
-        impl TrackStorage for FailingWrites {
-            fn read_track(&self, _d: usize, _t: u64) -> io::Result<Vec<u8>> {
-                Ok(vec![0; 4])
-            }
-            fn write_track(&self, _d: usize, _t: u64, _data: &[u8]) -> io::Result<()> {
-                Err(io::Error::other("disk full"))
-            }
-            fn tracks_used(&self) -> Vec<u64> {
-                vec![0]
-            }
-        }
-        let s = ConcurrentStorage::new(Arc::new(FailingWrites), 1, IoEngineOpts::default());
-        // Two clean barriers, then a write that fails in superstep 2.
-        s.flush(false).unwrap();
-        s.flush(false).unwrap();
-        s.write_track(0, 7, &[1]).unwrap();
-        let msg = s.flush(false).unwrap_err().to_string();
-        assert!(msg.contains("disk 0"), "{msg}");
-        assert!(msg.contains("track 7"), "{msg}");
-        assert!(msg.contains("superstep 2"), "{msg}");
-        assert!(msg.contains("disk full"), "{msg}");
-    }
-
-    #[test]
-    fn deferred_errors_are_bounded_not_silently_dropped() {
-        struct FailingWrites;
-        impl TrackStorage for FailingWrites {
-            fn read_track(&self, _d: usize, _t: u64) -> io::Result<Vec<u8>> {
-                Ok(vec![0; 4])
-            }
-            fn write_track(&self, _d: usize, _t: u64, _data: &[u8]) -> io::Result<()> {
-                Err(io::Error::other("disk full"))
-            }
-            fn tracks_used(&self) -> Vec<u64> {
-                vec![0]
-            }
-        }
-        let n_writes = MAX_DEFERRED_WRITE_ERRORS + 5;
-        let opts = IoEngineOpts { trace: true, ..Default::default() };
-        let s = ConcurrentStorage::new(Arc::new(FailingWrites), 1, opts);
-        let trace = s.trace_handle().unwrap();
-        let drops = s.deferred_drop_counter();
-        // One scatter submission: separate write calls could surface the
-        // first deferred error early (write paths are sticky-checked),
-        // which would reset the episode mid-test.
-        let writes: Vec<(TrackAddr, &[u8])> =
-            (0..n_writes as u64).map(|t| (TrackAddr::new(0, t), &[1u8][..])).collect();
-        s.write_scatter(&writes).unwrap();
-        let msg = s.flush(false).unwrap_err().to_string();
-        // The surfaced error enumerates how much failure it stands for:
-        // the retained-but-unreported errors plus the dropped overflow.
-        assert!(msg.contains(&format!("+{} more", n_writes - 1)), "{msg}");
-        assert_eq!(drops.get(), 5, "overflow beyond the retained list is counted");
-        let events = trace.drain();
-        let dropped: Vec<_> =
-            events.iter().filter(|e| e.kind == OpKind::WriteErrorDropped).collect();
-        assert_eq!(dropped.len(), 5, "one trace event per discarded error");
-        assert!(dropped.iter().all(|e| e.drive == 0 && e.bytes == 0));
-        // Reporting clears the list *and* the episode: a later clean
-        // barrier is not haunted by drop counts from the surfaced error.
-        s.flush(false).unwrap();
-        assert_eq!(drops.get(), 5);
-    }
-
-    #[test]
-    fn deferred_write_error_keeps_fault_taxonomy() {
-        use cgmio_pdm::classify;
-        struct PermanentWrites;
-        impl TrackStorage for PermanentWrites {
-            fn read_track(&self, _d: usize, _t: u64) -> io::Result<Vec<u8>> {
-                Ok(vec![0; 4])
-            }
-            fn write_track(&self, d: usize, t: u64, _data: &[u8]) -> io::Result<()> {
-                Err(FaultError {
-                    kind: IoErrorKind::Permanent,
-                    disk: d,
-                    track: t,
-                    detail: "bad sector".into(),
-                }
-                .into_io_error())
-            }
-            fn tracks_used(&self) -> Vec<u64> {
-                vec![0]
-            }
-        }
-        let s = ConcurrentStorage::new(Arc::new(PermanentWrites), 1, IoEngineOpts::default());
-        s.write_track(0, 3, &[1]).unwrap();
-        let e = s.flush(false).unwrap_err();
-        // the deferred path must NOT flatten the typed payload: a
-        // permanent fault stays permanent for retry decisions downstream
-        assert_eq!(classify(&e), IoErrorKind::Permanent);
-        assert!(e.to_string().contains("bad sector"), "{e}");
-        // untyped io::Errors classify as Permanent (do-not-retry) too
-        struct UntypedFail;
-        impl TrackStorage for UntypedFail {
-            fn read_track(&self, _d: usize, _t: u64) -> io::Result<Vec<u8>> {
-                Ok(vec![0; 4])
-            }
-            fn write_track(&self, _d: usize, _t: u64, _data: &[u8]) -> io::Result<()> {
-                Err(io::Error::other("disk full"))
-            }
-            fn tracks_used(&self) -> Vec<u64> {
-                vec![0]
-            }
-        }
-        let s = ConcurrentStorage::new(Arc::new(UntypedFail), 1, IoEngineOpts::default());
-        s.write_track(0, 0, &[1]).unwrap();
-        let e = s.flush(false).unwrap_err();
-        assert_eq!(classify(&e), classify(&io::Error::other("disk full")));
-    }
-
-    #[test]
-    fn scatter_paths_roundtrip_many_blocks_per_drive() {
-        let geom = DiskGeometry::new(2, 4);
-        let inner: Arc<dyn TrackStorage> = Arc::new(MemStorage::new(geom));
-        let s = ConcurrentStorage::new(inner.clone(), 2, IoEngineOpts::default());
-        // 100 blocks on 2 drives — far beyond the queue depth; the
-        // vectored submission must not deadlock.
-        let writes: Vec<(TrackAddr, Vec<u8>)> = (0..100u64)
-            .map(|i| (TrackAddr::new((i % 2) as usize, i / 2), vec![i as u8, 1, 2]))
-            .collect();
-        let borrowed: Vec<(TrackAddr, &[u8])> =
-            writes.iter().map(|(a, d)| (*a, d.as_slice())).collect();
-        s.write_scatter(&borrowed).unwrap();
-        let addrs: Vec<TrackAddr> = writes.iter().map(|(a, _)| *a).collect();
-        let mut got = Vec::new();
-        s.read_scatter_with(&addrs, &mut |i, b| {
-            assert_eq!(i, got.len());
-            got.push(b.to_vec());
-        })
-        .unwrap();
-        for (i, b) in got.iter().enumerate() {
-            assert_eq!(b, &vec![i as u8, 1, 2, 0]);
-        }
+        assert_eq!(read_hits(&t), vec![false, true], "cap 0 read misses, post-resize read hits");
     }
 
     #[test]
     fn dropped_prefetch_hints_are_counted_and_traced() {
-        use std::sync::atomic::AtomicBool;
-        // An inner storage whose reads block until released: the drive
-        // queue fills up behind the stuck op, so later hints must drop.
-        struct Stuck(Arc<AtomicBool>);
-        impl TrackStorage for Stuck {
-            fn read_track(&self, _d: usize, _t: u64) -> io::Result<Vec<u8>> {
-                while !self.0.load(Ordering::SeqCst) {
-                    std::thread::yield_now();
-                }
-                Ok(vec![0; 4])
-            }
-            fn write_track(&self, _d: usize, _t: u64, _data: &[u8]) -> io::Result<()> {
-                Ok(())
-            }
-            fn tracks_used(&self) -> Vec<u64> {
-                vec![0]
-            }
-        }
-        let release = Arc::new(AtomicBool::new(false));
+        // Reads block until released: the queue fills up behind the
+        // stuck op, so later hints must drop.
+        let inner = Rig::new(1, 4, Script::default());
+        inner.hold_reads.store(true, SeqCst);
         let opts = IoEngineOpts { queue_depth: 2, trace: true, ..Default::default() };
-        let s = ConcurrentStorage::new(Arc::new(Stuck(release.clone())), 1, opts);
+        let s = ConcurrentStorage::new(inner.clone(), 1, opts);
         let t = s.trace_handle().unwrap();
-        // occupy the worker, then fill the 2-slot queue with hints
-        s.prefetch(&[TrackAddr::new(0, 0)]);
-        for i in 1..=20u64 {
+        for i in 0..=20u64 {
             s.prefetch(&[TrackAddr::new(0, i)]);
         }
         let drops = s.prefetch_drop_counts()[0];
-        assert!(drops > 0, "a 2-deep queue cannot absorb 20 hints");
-        release.store(true, Ordering::SeqCst);
+        assert!(drops > 0, "a 2-deep queue cannot absorb 21 hints");
+        inner.hold_reads.store(false, SeqCst);
         s.flush(false).unwrap();
-        let sum = crate::trace::summarize(&t.snapshot());
-        assert_eq!(sum.prefetch_drops as u64, drops, "every drop is traced");
-    }
-
-    #[test]
-    fn workers_retry_injected_transient_faults() {
-        use cgmio_pdm::{FaultInjector, FaultPlan};
-        let geom = DiskGeometry::new(1, 4);
-        let inj = FaultInjector::new(MemStorage::new(geom), 1, FaultPlan::transient(5, 0.3));
-        let opts = IoEngineOpts {
-            trace: true,
-            verify_checksums: true,
-            retry: RetryPolicy { max_attempts: 12, base_backoff_us: 0 },
-            ..Default::default()
-        };
-        let s = ConcurrentStorage::new(Arc::new(inj), 1, opts);
-        let t = s.trace_handle().unwrap();
-        for i in 0..40u64 {
-            s.write_track(0, i, &[i as u8]).unwrap();
-        }
-        s.flush(false).unwrap();
-        for i in 0..40u64 {
-            assert_eq!(s.read_track(0, i).unwrap()[0], i as u8);
-        }
-        let sum = crate::trace::summarize(&t.snapshot());
-        assert!(sum.retries > 0, "expected traced retries at a 30% fault rate");
-    }
-
-    #[test]
-    fn torn_writes_heal_under_retry_and_pass_checksums() {
-        use cgmio_pdm::{FaultInjector, FaultPlan};
-        let geom = DiskGeometry::new(2, 8);
-        let plan = FaultPlan { seed: 9, torn_write: 0.4, ..FaultPlan::default() };
-        let inj = FaultInjector::new(MemStorage::new(geom), 2, plan);
-        let opts = IoEngineOpts {
-            verify_checksums: true,
-            retry: RetryPolicy { max_attempts: 16, base_backoff_us: 0 },
-            ..Default::default()
-        };
-        let s = ConcurrentStorage::new(Arc::new(inj), 2, opts);
-        for i in 0..60u64 {
-            s.write_track((i % 2) as usize, i, &[i as u8; 8]).unwrap();
-        }
-        s.flush(false).unwrap();
-        // Checksum verification proves every torn write was healed by a
-        // full rewrite before its data was read back.
-        for i in 0..60u64 {
-            assert_eq!(s.read_track((i % 2) as usize, i).unwrap(), vec![i as u8; 8]);
-        }
-    }
-
-    #[test]
-    fn checksum_mismatch_surfaces_as_corrupt() {
-        use cgmio_pdm::{classify, IoErrorKind};
-        struct BitRot(MemStorage);
-        impl TrackStorage for BitRot {
-            fn read_track(&self, d: usize, t: u64) -> io::Result<Vec<u8>> {
-                let mut data = self.0.read_track(d, t)?;
-                data[0] ^= 0xFF; // silent corruption
-                Ok(data)
-            }
-            fn write_track(&self, d: usize, t: u64, data: &[u8]) -> io::Result<()> {
-                self.0.write_track(d, t, data)
-            }
-            fn tracks_used(&self) -> Vec<u64> {
-                self.0.tracks_used()
-            }
-        }
-        let geom = DiskGeometry::new(1, 4);
-        let opts = IoEngineOpts { verify_checksums: true, ..Default::default() };
-        let s = ConcurrentStorage::new(Arc::new(BitRot(MemStorage::new(geom))), 1, opts);
-        s.write_track(0, 0, &[1, 2, 3, 4]).unwrap();
-        let e = s.read_track(0, 0).unwrap_err();
-        assert_eq!(classify(&e), IoErrorKind::Corrupt);
-        assert!(e.to_string().contains("checksum"), "{e}");
-    }
-
-    #[test]
-    fn obs_records_metrics_and_stamps_trace_with_published_phase() {
-        use cgmio_obs::SampleValue;
-        let obs = Obs::new();
-        let opts = IoEngineOpts { trace: true, obs: Some(obs.clone()), ..Default::default() };
-        let s = engine(2, 4, opts);
-        let t = s.trace_handle().unwrap();
-        // Ops issued inside a span carry its (superstep, phase)...
-        {
-            let _span = obs.span(0, 3, Phase::MatrixWrite);
-            s.write_batch(&[
-                (TrackAddr::new(0, 0), &[1u8][..]),
-                (TrackAddr::new(1, 0), &[2u8][..]),
-            ])
-            .unwrap();
-        }
-        // ...and ops outside any span fall back to the barrier count.
-        s.flush(false).unwrap();
-        s.read_track(0, 0).unwrap();
-        let evs = t.snapshot();
-        let w: Vec<_> = evs.iter().filter(|e| e.kind == OpKind::Write).collect();
-        assert_eq!(w.len(), 2);
-        assert!(w.iter().all(|e| e.superstep == 3 && e.phase == Phase::MatrixWrite));
-        let r = evs.iter().find(|e| e.kind == OpKind::Read).unwrap();
-        assert_eq!((r.superstep, r.phase), (1, Phase::None), "one barrier passed, no span");
-        // Metrics landed under the right labels.
-        let snap = obs.snapshot();
-        match snap.get("cgmio_io_service_us", &[("proc", "0"), ("drive", "0"), ("kind", "write")]) {
-            Some(SampleValue::Histogram(h)) => assert_eq!(h.count, 1),
-            other => panic!("missing write service histogram: {other:?}"),
-        }
-        match snap.get("cgmio_io_bytes_total", &[("proc", "0"), ("drive", "0"), ("kind", "read")]) {
-            Some(SampleValue::Counter(b)) => assert_eq!(*b, 4),
-            other => panic!("missing read byte counter: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn retry_counter_counts_without_obs_attached() {
-        use cgmio_pdm::{FaultInjector, FaultPlan};
-        let geom = DiskGeometry::new(1, 4);
-        let inj = FaultInjector::new(MemStorage::new(geom), 1, FaultPlan::transient(5, 0.3));
-        let opts = IoEngineOpts {
-            retry: RetryPolicy { max_attempts: 12, base_backoff_us: 0 },
-            ..Default::default()
-        };
-        let s = ConcurrentStorage::new(Arc::new(inj), 1, opts);
-        let retries = s.retry_counter();
-        for i in 0..40u64 {
-            s.write_track(0, i, &[i as u8]).unwrap();
-        }
-        s.flush(false).unwrap();
-        for i in 0..40u64 {
-            s.read_track(0, i).unwrap();
-        }
-        assert!(retries.get() > 0, "expected retries at a 30% transient rate");
-    }
-
-    #[test]
-    fn works_behind_disk_array_with_identical_accounting() {
-        let geom = DiskGeometry::new(2, 4);
-        let s = engine(2, 4, IoEngineOpts::default());
-        let mut arr = DiskArray::with_storage(geom, Box::new(s));
-        arr.parallel_write(&[
-            (TrackAddr::new(0, 0), &[1u8][..]),
-            (TrackAddr::new(1, 0), &[2u8][..]),
-        ])
-        .unwrap();
-        let r = arr.parallel_read(&[TrackAddr::new(0, 0), TrackAddr::new(1, 0)]).unwrap();
-        assert_eq!(r[0], vec![1, 0, 0, 0]);
-        assert_eq!(r[1], vec![2, 0, 0, 0]);
-        assert_eq!(arr.stats().total_ops(), 2);
-        assert_eq!(arr.stats().full_ops, 2);
-        assert_eq!(arr.stats().per_disk_blocks, vec![2, 2]);
+        assert_eq!(summarize(&t.snapshot()).prefetch_drops as u64, drops, "every drop is traced");
     }
 }

@@ -6,10 +6,13 @@
 //! trait, so a legal parallel operation's ≤ `D` block transfers really
 //! overlap in time:
 //!
-//! * [`ConcurrentStorage`] — one worker thread + bounded submission
-//!   queue per simulated drive, with write-behind, a per-drive prefetch
-//!   cache, configurable [`Durability`], and graceful shutdown that
-//!   drains in-flight writes,
+//! * [`ConcurrentStorage`] — the one queued drive engine ([`engine`]):
+//!   a worker thread + bounded FIFO submission queue per simulated
+//!   drive, each wakeup draining its queue into coalesced device
+//!   transfers, with write-behind, split-phase reads, a per-drive
+//!   prefetch cache, configurable [`Durability`], and graceful shutdown
+//!   that drains in-flight writes. [`AsyncFileStorage`] names its two
+//!   hint-free constructors, one of which owns the drive files directly,
 //! * [`trace`] — an opt-in I/O event trace (per-op latency, queue depth,
 //!   bytes, cache hits, retries, and the EM superstep/[`Phase`] active
 //!   at submission) exportable as JSONL or CSV,
@@ -39,6 +42,7 @@
 #![deny(missing_docs)]
 
 pub mod async_backend;
+mod contract;
 pub mod engine;
 pub mod retry;
 pub mod trace;
@@ -46,8 +50,6 @@ pub mod trace;
 pub use async_backend::AsyncFileStorage;
 pub use cgmio_obs::{Counter, Obs, Phase};
 pub use cgmio_pdm::{classify, FaultError, IoErrorKind};
-pub use engine::{
-    ConcurrentStorage, Durability, IoEngineOpts, ReadTicket, WriteTicket, MAX_DEFERRED_WRITE_ERRORS,
-};
+pub use engine::{ConcurrentStorage, Durability, IoEngineOpts, MAX_DEFERRED_WRITE_ERRORS};
 pub use retry::{track_checksum, RetryPolicy, RetryStorage};
 pub use trace::{summarize, write_csv, write_jsonl, OpKind, TraceEvent, TraceHandle, TraceSummary};

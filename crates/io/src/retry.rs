@@ -10,7 +10,7 @@
 //!   fail the superstep; a rewrite of the track heals it),
 //! * `Permanent` — never retried; surfaces immediately.
 //!
-//! The concurrent engine applies this policy inside its drive workers
+//! The queued drive engine applies this policy inside its drive workers
 //! (where retries also land in the event trace); [`RetryStorage`] applies
 //! the same policy to a synchronous backend (`MemStorage`/`FileStorage`)
 //! so the `Mem`/`SyncFile` backends survive injected faults too.
@@ -67,8 +67,8 @@ impl RetryPolicy {
 /// [`TrackStorage`] wrapper applying a [`RetryPolicy`] to every track
 /// read and write of a synchronous backend.
 ///
-/// Batch operations go through the per-track defaults, so each track of a
-/// batch is retried independently. Used by `cgmio-core` to make the
+/// Scatter operations go through the per-track defaults, so each track of
+/// a list is retried independently. Used by `cgmio-core` to make the
 /// `Mem`/`SyncFile` backends fault-tolerant; the concurrent engine has
 /// the equivalent logic inside its drive workers instead.
 pub struct RetryStorage<S> {

@@ -391,8 +391,9 @@ impl<S: TrackStorage> TrackStorage for FaultInjector<S> {
         self.inner.write_track(disk, track, data)
     }
 
-    // read_batch / write_batch use the trait defaults, which route every
-    // track through the faultable read_track / write_track above.
+    // The scatter and split-phase calls use the trait defaults, which
+    // route every track through the faultable read_track / write_track
+    // above.
 
     fn prefetch(&self, addrs: &[TrackAddr]) {
         self.inner.prefetch(addrs);

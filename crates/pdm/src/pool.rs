@@ -92,38 +92,7 @@ impl BlockPool {
             self.shared.reused.fetch_add(1, Ordering::Relaxed);
         }
         buf.resize(len, 0);
-        PooledBlock { buf, offset: 0, pool: Arc::clone(&self.shared) }
-    }
-
-    /// Check out a buffer of `len` bytes whose first byte sits on an
-    /// `align`-byte boundary (`align` must be a power of two).
-    ///
-    /// This is what O_DIRECT file I/O needs: the kernel rejects
-    /// transfers whose user buffer is not sector-aligned. The pool
-    /// over-allocates by one alignment granule and the returned
-    /// [`PooledBlock`] derefs to the aligned window, so the alignment
-    /// survives pooling — a recycled buffer is re-windowed on every
-    /// checkout (its allocation may move between uses).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `align` is not a power of two.
-    pub fn checkout_aligned(&self, len: usize, align: usize) -> PooledBlock {
-        assert!(align.is_power_of_two(), "alignment must be a power of two, got {align}");
-        self.shared.checkouts.fetch_add(1, Ordering::Relaxed);
-        let mut buf = self.shared.free.lock().unwrap().pop().unwrap_or_default();
-        if buf.capacity() > 0 {
-            self.shared.reused.fetch_add(1, Ordering::Relaxed);
-        }
-        // Fix the allocation first (growing may move it), then compute
-        // the aligned window against the now-stable pointer; the final
-        // resize only shrinks or grows within capacity.
-        buf.clear();
-        buf.reserve(len + align - 1);
-        let offset = buf.as_ptr().align_offset(align);
-        debug_assert!(offset < align);
-        buf.resize(offset + len, 0);
-        PooledBlock { buf, offset, pool: Arc::clone(&self.shared) }
+        PooledBlock { buf, pool: Arc::clone(&self.shared) }
     }
 
     /// Reuse counters (see [`PoolStats`]).
@@ -138,33 +107,27 @@ impl BlockPool {
 
 /// A byte buffer on loan from a [`BlockPool`]; derefs to `[u8]` and
 /// returns itself to the pool on drop (from any thread).
-///
-/// For [`BlockPool::checkout_aligned`] checkouts the deref window skips
-/// the pad bytes in front of the aligned boundary — `len()` is exactly
-/// the requested length either way.
 pub struct PooledBlock {
     buf: Vec<u8>,
-    /// Start of the caller-visible window (0 for unaligned checkouts).
-    offset: usize,
     pool: Arc<PoolShared>,
 }
 
 impl Deref for PooledBlock {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.buf[self.offset..]
+        &self.buf
     }
 }
 
 impl DerefMut for PooledBlock {
     fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.buf[self.offset..]
+        &mut self.buf
     }
 }
 
 impl std::fmt::Debug for PooledBlock {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PooledBlock({} bytes)", self.buf.len() - self.offset)
+        write!(f, "PooledBlock({} bytes)", self.buf.len())
     }
 }
 
@@ -206,38 +169,6 @@ mod tests {
         let blocks: Vec<_> = (0..5).map(|_| pool.checkout(16)).collect();
         drop(blocks);
         assert_eq!(pool.stats().idle, 2);
-    }
-
-    #[test]
-    fn aligned_checkout_honours_alignment_and_length() {
-        let pool = BlockPool::default();
-        for align in [1usize, 512, 4096] {
-            let mut b = pool.checkout_aligned(100, align);
-            assert_eq!(b.len(), 100);
-            assert_eq!(b.as_ptr() as usize % align, 0, "align {align}");
-            b[0] = 7;
-            b[99] = 8;
-            assert_eq!((b[0], b[99]), (7, 8));
-        }
-    }
-
-    #[test]
-    fn aligned_checkout_survives_pool_recycling() {
-        let pool = BlockPool::default();
-        drop(pool.checkout(4096)); // seed the free list with a plain buffer
-        let b = pool.checkout_aligned(512, 512);
-        assert_eq!(b.as_ptr() as usize % 512, 0);
-        assert_eq!(b.len(), 512);
-        drop(b);
-        // and an aligned buffer recycles back into a plain checkout
-        assert_eq!(pool.checkout(8).len(), 8);
-        assert!(pool.stats().reused >= 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn aligned_checkout_rejects_non_power_of_two() {
-        BlockPool::default().checkout_aligned(16, 3);
     }
 
     #[test]

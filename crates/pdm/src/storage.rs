@@ -2,17 +2,21 @@
 //!
 //! The accounting layer (legality checks, [`crate::IoStats`]) lives in
 //! `DiskArray` and is backend-agnostic; a [`TrackStorage`] only moves
-//! bytes. Three backends exist:
+//! bytes. Two synchronous backends and one queued engine exist:
 //!
 //! * [`MemStorage`] (here) — tracks in memory, the default,
 //! * [`crate::file_backend::FileStorage`] — one file per drive, synchronous,
-//! * `cgmio_io::ConcurrentStorage` — per-drive worker threads with
-//!   prefetch and write-behind, layered on `FileStorage`.
+//! * `cgmio_io::ConcurrentStorage` — the queued drive engine: per-drive
+//!   worker threads with write-behind, split-phase reads and an
+//!   optional prefetch cache, layered over either of the above (or any
+//!   other storage) or — through `cgmio_io::AsyncFileStorage::open_dir` —
+//!   owning the drive files itself and coalescing adjacent tracks.
 //!
-//! [`TrackRange`] is not a backend but a *namespacing wrapper*: it
-//! exposes a bounded per-drive track window of any backend as a storage
-//! of its own, which is how the job service multiplexes many runs over
-//! one shared engine.
+//! The rest are *wrappers*, not backends: [`TrackRange`] exposes a
+//! bounded per-drive track window of any backend as a storage of its
+//! own (how the job service multiplexes many runs over one shared
+//! engine), [`crate::FaultInjector`] injects seeded faults, and
+//! `cgmio_io::RetryStorage` retries them.
 //!
 //! All methods take `&self` so a storage can be driven from per-drive
 //! worker threads; backends provide their own interior mutability.
@@ -34,9 +38,10 @@ use crate::DiskGeometry;
 ///   block size; never-written tracks read as zeros,
 /// * `write_track` is only called with `data.len() <= block_bytes`
 ///   (`DiskArray` rejects larger payloads before reaching the backend),
-/// * [`TrackStorage::read_batch`] / [`TrackStorage::write_batch`] receive
-///   at most one track per disk (the PDM legality rule) — backends may
-///   exploit this to issue the transfers concurrently,
+/// * [`TrackStorage::read_scatter_with`] / [`TrackStorage::write_scatter`]
+///   take any number of tracks per disk — a legal parallel operation (at
+///   most one track per disk) is the special case backends with real
+///   parallelism overlap across drives,
 /// * [`TrackStorage::prefetch`] is a pure hint: it must not change
 ///   observable contents and completes in the background if at all,
 /// * after [`TrackStorage::flush`] returns, every previously submitted
@@ -56,21 +61,6 @@ pub trait TrackStorage: Send + Sync {
 
     /// Write one track (short payloads are zero-padded on disk).
     fn write_track(&self, disk: usize, track: u64, data: &[u8]) -> io::Result<()>;
-
-    /// Read several tracks — at most one per disk — returning contents in
-    /// request order. Backends with real parallelism overlap the
-    /// transfers; the default does them sequentially.
-    fn read_batch(&self, addrs: &[TrackAddr]) -> io::Result<Vec<Vec<u8>>> {
-        addrs.iter().map(|a| self.read_track(a.disk, a.track)).collect()
-    }
-
-    /// Write several tracks, at most one per disk.
-    fn write_batch(&self, writes: &[(TrackAddr, &[u8])]) -> io::Result<()> {
-        for (a, data) in writes {
-            self.write_track(a.disk, a.track, data)?;
-        }
-        Ok(())
-    }
 
     /// Read an arbitrary scatter list of tracks — any number per disk —
     /// handing each block to `f(request_index, bytes)` in request order.
@@ -95,11 +85,10 @@ pub trait TrackStorage: Send + Sync {
     /// Write an arbitrary scatter list of tracks — any number per disk —
     /// as one vectored submission.
     ///
-    /// Unlike [`TrackStorage::write_batch`] there is no one-track-per-disk
-    /// restriction: a whole compound-superstep write arrives as a single
-    /// call, and concurrent backends split it into one submission per
-    /// drive instead of per-block sends. The default loops
-    /// [`TrackStorage::write_track`].
+    /// There is no one-track-per-disk restriction: a whole
+    /// compound-superstep write arrives as a single call, and concurrent
+    /// backends split it into one submission per drive instead of
+    /// per-block sends. The default loops [`TrackStorage::write_track`].
     fn write_scatter(&self, writes: &[(TrackAddr, &[u8])]) -> io::Result<()> {
         for (a, data) in writes {
             self.write_track(a.disk, a.track, data)?;
@@ -168,8 +157,8 @@ pub trait TrackStorage: Send + Sync {
 
 /// Forwarding impls so wrappers (`FaultInjector`, retry layers) can be
 /// composed over type-erased backends. Every method forwards — including
-/// the batch defaults, so a backend's concurrent batch implementation is
-/// not silently replaced by the sequential default.
+/// the provided ones, so a backend's vectored or split-phase
+/// implementation is not silently replaced by the sequential default.
 macro_rules! forward_track_storage {
     ($ptr:ident) => {
         impl<S: TrackStorage + ?Sized> TrackStorage for $ptr<S> {
@@ -178,12 +167,6 @@ macro_rules! forward_track_storage {
             }
             fn write_track(&self, disk: usize, track: u64, data: &[u8]) -> io::Result<()> {
                 (**self).write_track(disk, track, data)
-            }
-            fn read_batch(&self, addrs: &[TrackAddr]) -> io::Result<Vec<Vec<u8>>> {
-                (**self).read_batch(addrs)
-            }
-            fn write_batch(&self, writes: &[(TrackAddr, &[u8])]) -> io::Result<()> {
-                (**self).write_batch(writes)
             }
             fn read_scatter_with(
                 &self,
@@ -244,8 +227,8 @@ forward_track_storage!(Arc);
 /// I/O counts, and errors are bit-identical to a solo run (see
 /// `tests/service_isolation.rs`).
 ///
-/// All forwarding preserves the inner backend's concurrency: batches,
-/// scatter lists, split-phase tickets, and prefetch hints are remapped
+/// All forwarding preserves the inner backend's concurrency: scatter
+/// lists, split-phase tickets, and prefetch hints are remapped
 /// address-by-address, never serialised.
 ///
 /// ```
@@ -308,18 +291,6 @@ impl<S: TrackStorage> TrackStorage for TrackRange<S> {
 
     fn write_track(&self, disk: usize, track: u64, data: &[u8]) -> io::Result<()> {
         self.inner.write_track(disk, self.map(track)?, data)
-    }
-
-    fn read_batch(&self, addrs: &[TrackAddr]) -> io::Result<Vec<Vec<u8>>> {
-        self.inner.read_batch(&self.map_addrs(addrs)?)
-    }
-
-    fn write_batch(&self, writes: &[(TrackAddr, &[u8])]) -> io::Result<()> {
-        let mapped: Vec<(TrackAddr, &[u8])> = writes
-            .iter()
-            .map(|(a, d)| Ok((TrackAddr::new(a.disk, self.map(a.track)?), *d)))
-            .collect::<io::Result<_>>()?;
-        self.inner.write_batch(&mapped)
     }
 
     fn read_scatter_with(
@@ -604,15 +575,46 @@ mod tests {
         assert_eq!(s.read_track(0, 0).unwrap(), vec![0; 4]);
     }
 
+    /// Collect a scatter read, checking blocks arrive in request order.
+    fn scatter(s: &dyn TrackStorage, addrs: &[TrackAddr]) -> io::Result<Vec<Vec<u8>>> {
+        let mut got = Vec::new();
+        s.read_scatter_with(addrs, &mut |i, b| {
+            assert_eq!(i, got.len(), "blocks arrive in request order");
+            got.push(b.to_vec());
+        })?;
+        Ok(got)
+    }
+
     #[test]
     fn batch_defaults_preserve_order() {
-        let s = MemStorage::new(DiskGeometry::new(3, 2));
-        s.write_batch(&[(TrackAddr::new(2, 0), &[2u8][..]), (TrackAddr::new(0, 0), &[0u8][..])])
-            .unwrap();
-        let r = s
-            .read_batch(&[TrackAddr::new(0, 0), TrackAddr::new(1, 0), TrackAddr::new(2, 0)])
-            .unwrap();
-        assert_eq!(r, vec![vec![0, 0], vec![0, 0], vec![2, 0]]);
+        // The provided scatter methods (what a one-track-per-disk batch
+        // goes through) on a backend that only implements the per-track
+        // calls: write order applied, read results in request order.
+        struct PerTrack(MemStorage);
+        impl TrackStorage for PerTrack {
+            fn read_track(&self, disk: usize, track: u64) -> io::Result<Vec<u8>> {
+                self.0.read_track(disk, track)
+            }
+            fn write_track(&self, disk: usize, track: u64, data: &[u8]) -> io::Result<()> {
+                self.0.write_track(disk, track, data)
+            }
+            fn tracks_used(&self) -> Vec<u64> {
+                self.0.tracks_used()
+            }
+        }
+        let s = PerTrack(MemStorage::new(DiskGeometry::new(3, 2)));
+        s.write_scatter(&[
+            (TrackAddr::new(2, 0), &[2u8][..]),
+            (TrackAddr::new(0, 0), &[9u8][..]),
+            (TrackAddr::new(0, 0), &[1u8][..]),
+        ])
+        .unwrap();
+        let addrs = [TrackAddr::new(0, 0), TrackAddr::new(1, 0), TrackAddr::new(2, 0)];
+        assert_eq!(scatter(&s, &addrs).unwrap(), vec![vec![1, 0], vec![0, 0], vec![2, 0]]);
+        let ticket = s.read_scatter_submit(&addrs).unwrap();
+        let mut n = 0;
+        s.read_scatter_wait(ticket, &addrs, &mut |_, _| n += 1).unwrap();
+        assert_eq!(n, 3);
     }
 
     #[test]
@@ -629,7 +631,8 @@ mod tests {
         // Bounds: track 4 of a 4-track window is out of range everywhere.
         assert_eq!(a.read_track(1, 4).unwrap_err().kind(), io::ErrorKind::InvalidInput);
         assert!(a.write_track(1, 4, &[9]).is_err());
-        assert!(a.read_batch(&[TrackAddr::new(0, 9)]).is_err());
+        assert!(scatter(&a, &[TrackAddr::new(0, 9)]).is_err());
+        assert!(a.write_scatter(&[(TrackAddr::new(0, 9), &[9u8][..])]).is_err());
         // tracks_used is window-relative and clamped: the pool's disk-0
         // high-water mark (5, set by b's write) clamps to a's full
         // window and lands at offset 1 inside b's.
@@ -647,13 +650,15 @@ mod tests {
         assert_eq!(pool.read_track(0, 3).unwrap(), vec![1, 0]);
         assert_eq!(pool.read_track(0, 7).unwrap(), vec![2, 0]);
         let addrs = [TrackAddr::new(0, 0), TrackAddr::new(0, 4), TrackAddr::new(1, 1)];
-        let mut got = Vec::new();
-        r.read_scatter_with(&addrs, &mut |i, b| {
-            assert_eq!(i, got.len());
-            got.push(b.to_vec());
-        })
-        .unwrap();
-        assert_eq!(got, vec![vec![1, 0], vec![2, 0], vec![0, 0]]);
+        assert_eq!(scatter(&r, &addrs).unwrap(), vec![vec![1, 0], vec![2, 0], vec![0, 0]]);
+        // A legal parallel operation (one track per disk) is the same
+        // call with a shorter list.
+        r.write_scatter(&[(TrackAddr::new(0, 1), &[3u8][..]), (TrackAddr::new(1, 1), &[4u8][..])])
+            .unwrap();
+        assert_eq!(pool.read_track(0, 4).unwrap(), vec![3, 0]);
+        assert_eq!(pool.read_track(1, 4).unwrap(), vec![4, 0]);
+        let op = [TrackAddr::new(1, 1), TrackAddr::new(0, 1)];
+        assert_eq!(scatter(&r, &op).unwrap(), vec![vec![4, 0], vec![3, 0]]);
         // Split-phase defaults go through the same remapping.
         let ticket = r.read_scatter_submit(&addrs).unwrap();
         let mut n = 0;
@@ -710,13 +715,10 @@ mod tests {
         ];
         s.write_scatter(&writes).unwrap();
         let addrs: Vec<TrackAddr> = writes.iter().map(|w| w.0).collect();
-        let mut got: Vec<Vec<u8>> = Vec::new();
-        s.read_scatter_with(&addrs, &mut |i, b| {
-            assert_eq!(i, got.len(), "blocks arrive in request order");
-            got.push(b.to_vec());
-        })
-        .unwrap();
-        assert_eq!(got, vec![vec![1, 0], vec![2, 3], vec![4, 0], vec![5, 0]]);
+        assert_eq!(
+            scatter(&s, &addrs).unwrap(),
+            vec![vec![1, 0], vec![2, 3], vec![4, 0], vec![5, 0]]
+        );
         // unwritten tracks read back as zeros through the scatter path too
         s.read_scatter_with(&[TrackAddr::new(1, 9)], &mut |_, b| assert_eq!(b, &[0, 0][..]))
             .unwrap();

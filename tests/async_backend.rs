@@ -235,3 +235,49 @@ fn async_file_fault_and_retry_totals_match_concurrent() {
         assert_eq!(arep.io, crep.io, "p={p}: IoStats differ");
     }
 }
+
+/// One engine, one `wait`: a depth-2 run redeems pre-issued reads on
+/// every constructor, so an observed run records pipeline stalls — the
+/// tuner's signal — on each of them, and observing changes nothing.
+#[test]
+fn every_engine_constructor_records_pipeline_stalls() {
+    let keys = data::uniform_u64(4000, 17);
+    let v = 6;
+    let prog = CgmSort::<u64>::by_pivots();
+    let mut base = sort_config(&keys, v, 4, 64);
+    base.pipeline_depth = 2;
+    let dir = TempDir::new("cgmio-async-stall");
+    // A fault plan (one that injects nothing) selects the layered
+    // `AsyncFileStorage::over` constructor.
+    let no_faults = cgmio_pdm::FaultPlan::default();
+    let constructors = [
+        ("new", BackendSpec::Concurrent { dir: None, opts: IoEngineOpts::default() }, None),
+        (
+            "open_dir",
+            BackendSpec::Concurrent {
+                dir: Some(dir.path().join("conc")),
+                opts: IoEngineOpts::default(),
+            },
+            None,
+        ),
+        ("async open_dir", async_backend(dir.path().join("aio")), None),
+        ("async over", async_backend(dir.path().join("aio-over")), Some(no_faults)),
+    ];
+    for (name, backend, fault) in constructors {
+        let run = |obs: Option<Obs>| {
+            let mut cfg = base.clone();
+            cfg.backend = backend.clone();
+            cfg.fault = fault.clone();
+            cfg.obs = obs;
+            SeqEmRunner::new(cfg).run(&prog, sort_states(&keys, v)).unwrap()
+        };
+        let (want, want_rep) = run(None);
+        let obs = Obs::new();
+        let (got, rep) = run(Some(obs.clone()));
+        assert_eq!(got, want, "{name}: finals differ under observation");
+        assert_eq!(rep.io, want_rep.io, "{name}: IoStats differ under observation");
+        assert_eq!(rep.breakdown, want_rep.breakdown, "{name}: breakdown differs");
+        let stalls = obs.snapshot().histogram_sum("cgmio_pipeline_stall_us", &[]);
+        assert!(stalls.count > 0, "{name}: no pipeline stall recorded at depth 2");
+    }
+}

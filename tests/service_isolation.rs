@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use cgmio_algos::CgmSort;
 use cgmio_core::{
-    measure_requirements, BackendSpec, EmConfig, EmRunReport, ParEmRunner, SeqEmRunner,
+    measure_requirements, BackendSpec, EmConfig, EmError, EmRunReport, ParEmRunner, SeqEmRunner,
 };
 use cgmio_data as data;
 use cgmio_io::{ConcurrentStorage, IoEngineOpts};
@@ -140,6 +140,45 @@ proptest! {
     ) {
         assert_pair_isolated(seed, n_a, n_b, 4, true);
     }
+}
+
+/// A superstep that fails with pre-issued reads in flight abandons
+/// their tickets. Discarding the job's window — what the service does
+/// for failed and finished jobs alike — must drop them from the shared
+/// engine, which outlives every job: no ticket id the engine ever
+/// handed out may still be redeemable afterwards.
+#[test]
+fn failed_job_leaves_no_parked_reads_on_the_shared_pool() {
+    let (v, d, bb) = (6usize, 2usize, 64usize);
+    let keys = data::uniform_u64(3000, 3);
+    let mut cfg = sort_config(&keys, v, 1, d, bb);
+    let span = cfg.tracks_per_worker(SORT_MSG_BYTES);
+    let pool = Arc::new(ConcurrentStorage::new(
+        Arc::new(MemStorage::new(DiskGeometry::new(d, bb))),
+        d,
+        IoEngineOpts::default(),
+    ));
+    cfg.backend = BackendSpec::Shared {
+        storage: Arc::clone(&pool) as Arc<dyn TrackStorage>,
+        base_track: 0,
+        worker_span_tracks: span,
+    };
+    cfg.pipeline_depth = 2;
+    cfg.msg_slot_items = 1; // every real message overflows its slot
+    let prog = CgmSort::<u64>::by_pivots();
+    let err = SeqEmRunner::new(cfg).run(&prog, sort_states(&keys, v)).unwrap_err();
+    assert!(matches!(err, EmError::MsgSlotOverflow { .. }), "{err:?}");
+
+    for disk in 0..d {
+        pool.discard(disk, 0..span).unwrap();
+    }
+    let next = pool.read_scatter_submit(&[]).unwrap();
+    assert!(next > 1, "the failed run pre-issued no reads");
+    for id in 1..next {
+        let parked = pool.read_scatter_wait(id, &[], &mut |_, _| {});
+        assert!(parked.is_err(), "ticket {id} of {next} outlived its window");
+    }
+    pool.read_scatter_wait(next, &[], &mut |_, _| {}).unwrap();
 }
 
 fn svc_spec(tenant: &str, seed: u64) -> JobSpec {
