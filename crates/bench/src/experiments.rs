@@ -586,30 +586,173 @@ pub fn fig8() -> Table {
     t
 }
 
-/// Theorem 2/3 audit: measured context vs message I/O against the
-/// predicted `O(λ·vμ/(DB))` bound, plus the memory high-water mark.
+/// Theorem 2/3 audit with the operations ledger: per purpose (context
+/// swaps and message traffic) the operations a sort and a token ring
+/// cost, split into the payload's share of Theorem 2's `vμ/(DB)` per
+/// transfer, the padding of partial trailing blocks, the stripe floor
+/// (`Σ⌈blocks/D⌉` over the gather lists the runner submitted) and the
+/// narrow operations above it. The floors are rebuilt from the program's
+/// own context and message lengths (a `Ledger` wrapper); the run's exact
+/// counters must then add up — `floor + narrow = algorithm_ops`, with
+/// `narrow` from `IoStats::narrow_ops` — or the audit panics.
 pub fn audit() -> Table {
     let mut t = Table::new(
         "audit_theorem2",
-        &["n", "lambda", "ctx_ops", "msg_ops", "predicted_ops", "measured_over_pred", "peak_mem_B"],
+        &[
+            "case",
+            "n",
+            "v",
+            "D",
+            "B",
+            "k",
+            "lambda",
+            "purpose",
+            "ops",
+            "payload_ops",
+            "padding_bytes",
+            "stripe_floor",
+            "narrow_ops",
+            "ops_over_thm2",
+        ],
     );
-    let (v, d, bb) = (16usize, 2usize, 2048usize);
-    for n in [1usize << 14, 1 << 16] {
-        let rep = em_sort_report(n, v, d, bb);
-        // Same predictor the job service's admission controller uses.
-        let predicted = rep.costs.predicted_ops(v, d, bb);
-        let measured = rep.breakdown.algorithm_ops() as f64;
+    let sort = |n: usize, v: usize| {
+        let keys = data::uniform_u64(n, 42);
+        move || data::block_split(keys.clone(), v).into_iter().map(|b| (b, Vec::new())).collect()
+    };
+    // The Figure 3 sort at two sizes, the benchmark sorts' shape (v = 32,
+    // D = 4, messages of about one block), and `ring-largev`'s shape.
+    for (n, v, d, bb) in
+        [(1usize << 14, 16, 2, 2048), (1 << 16, 16, 2, 2048), (1 << 16, 32, 4, 512)]
+    {
+        audit_rows(&mut t, "sort", n, &CgmSort::<u64>::by_pivots(), sort(n, v), d, bb);
+    }
+    let ring = || (0..1000u64).map(|i| vec![i]).collect::<Vec<_>>();
+    audit_rows(&mut t, "ring", 1000, &cgmio_model::demo::TokenRing { rounds: 2 }, ring, 2, 64);
+    t
+}
+
+/// A program wrapped to record what the runner moves for it, as its own
+/// state and outbox see it: per round and vp, the context bytes read
+/// (before the round) and written (after), and the bytes of each
+/// message sent.
+struct Ledger<'a, P> {
+    inner: &'a P,
+    log: std::sync::Mutex<Vec<LedgerEntry>>,
+}
+
+/// `(round, pid, ctx bytes read, ctx bytes written, [(dst, message bytes)])`.
+type LedgerEntry = (usize, usize, usize, usize, Vec<(usize, usize)>);
+
+impl<P: cgmio_model::CgmProgram> cgmio_model::CgmProgram for Ledger<'_, P> {
+    type Msg = P::Msg;
+    type State = P::State;
+
+    fn round(
+        &self,
+        ctx: &mut cgmio_model::RoundCtx<'_, P::Msg>,
+        state: &mut P::State,
+    ) -> cgmio_model::Status {
+        use cgmio_model::ProcState;
+        use cgmio_pdm::Item;
+        let read = state.encoded_len();
+        let status = self.inner.round(ctx, state);
+        let sent = (0..ctx.v).map(|dst| (dst, ctx.outbox.queued(dst) * P::Msg::SIZE));
+        let sent = sent.filter(|&(_, bytes)| bytes > 0).collect();
+        let entry = (ctx.round, ctx.pid, read, state.encoded_len(), sent);
+        self.log.lock().expect("ledger lock").push(entry);
+        status
+    }
+}
+
+/// Run `prog` on the sequential EM runner under a [`Ledger`] and append
+/// the context and message rows of the audit (see [`audit`]).
+fn audit_rows<P: cgmio_model::CgmProgram>(
+    t: &mut Table,
+    case: &str,
+    n: usize,
+    prog: &P,
+    mk: impl Fn() -> Vec<P::State>,
+    d: usize,
+    bb: usize,
+) {
+    let v = mk().len();
+    let (_, _, req) = measure_requirements(prog, mk()).expect("dry run");
+    let cfg = EmConfig::from_requirements(v, 1, d, bb, &req);
+    let k = cfg.vp_group;
+    let ledger = Ledger { inner: prog, log: Default::default() };
+    let (_, rep) = SeqEmRunner::new(cfg).run(&ledger, mk()).expect("EM run");
+    let mut log = ledger.log.into_inner().expect("ledger lock");
+    log.sort_by_key(|e| (e.0, e.1));
+
+    // Per purpose: [ctx, msg] payload bytes, blocks and stripe floor.
+    let blocks = |bytes: usize| bytes.div_ceil(bb) as u64;
+    let (mut payload, mut nblocks, mut floor) = ([0u64; 2], [0u64; 2], [0u64; 2]);
+    let mut list = |purpose: usize, lens: &mut dyn Iterator<Item = usize>| {
+        let b: u64 = lens
+            .map(|len| {
+                payload[purpose] += len as u64;
+                blocks(len)
+            })
+            .sum();
+        nblocks[purpose] += b;
+        floor[purpose] += b.div_ceil(d as u64);
+    };
+    // Set-up and readout: the first reads and the last writes, k at a time.
+    let rounds = log.last().map_or(0, |e| e.0 + 1);
+    let edge = |r: usize, f: fn(&LedgerEntry) -> usize| {
+        let lens: Vec<usize> = log.iter().filter(|e| e.0 == r).map(f).collect();
+        let b: Vec<u64> = lens.chunks(k).map(|g| g.iter().map(|&l| blocks(l)).sum()).collect();
+        (b.iter().sum::<u64>(), b.iter().map(|b| b.div_ceil(d as u64)).sum::<u64>())
+    };
+    let (setup_blocks, setup_floor) = edge(0, |e| e.2);
+    let (readout_blocks, readout_floor) = edge(rounds - 1, |e| e.3);
+    // Superstep r, group g: contexts in, inboxes in (what the previous
+    // round sent to the group), outboxes out, contexts out.
+    for (r, round) in log.chunk_by(|a, b| a.0 == b.0).enumerate() {
+        for group in round.chunks(k) {
+            let pids = group[0].1..group[0].1 + group.len();
+            list(0, &mut group.iter().map(|e| e.2));
+            if r > 0 {
+                let sent = log.iter().filter(|e| e.0 == r - 1).flat_map(|e| e.4.iter());
+                let inbox = sent.filter(|&&(dst, _)| pids.contains(&dst));
+                list(1, &mut inbox.map(|&(_, bytes)| bytes));
+            }
+            list(1, &mut group.iter().flat_map(|e| e.4.iter().map(|&(_, bytes)| bytes)));
+            list(0, &mut group.iter().map(|e| e.3));
+        }
+    }
+    let b = rep.breakdown;
+    assert_eq!(
+        nblocks[0] + nblocks[1] + setup_blocks + readout_blocks,
+        rep.io.total_blocks(),
+        "{case}: the ledger's blocks are not the blocks the runner moved"
+    );
+    let narrow = rep.io.narrow_ops - (b.setup_ops - setup_floor) - (b.readout_ops - readout_floor);
+    assert_eq!(
+        floor[0] + floor[1] + narrow,
+        b.algorithm_ops(),
+        "{case}: stripe floor + narrow operations != algorithm_ops"
+    );
+    let predicted = rep.costs.predicted_ops(v, d, bb);
+    for (p, (purpose, ops)) in [("ctx", b.ctx_ops), ("msg", b.msg_ops)].into_iter().enumerate() {
+        assert!(ops >= floor[p], "{case}: {purpose} ops {ops} below the stripe floor");
         t.row(vec![
+            case.into(),
             n.to_string(),
-            format!("{}", rep.costs.lambda()),
-            rep.breakdown.ctx_ops.to_string(),
-            rep.breakdown.msg_ops.to_string(),
-            format!("{predicted:.0}"),
-            format!("{:.2}", measured / predicted),
-            rep.peak_mem_bytes.to_string(),
+            v.to_string(),
+            d.to_string(),
+            bb.to_string(),
+            k.to_string(),
+            rep.costs.lambda().to_string(),
+            purpose.into(),
+            ops.to_string(),
+            format!("{:.2}", payload[p] as f64 / (d * bb) as f64),
+            (nblocks[p] * bb as u64 - payload[p]).to_string(),
+            floor[p].to_string(),
+            (ops - floor[p]).to_string(),
+            format!("{:.2}", ops as f64 / predicted),
         ]);
     }
-    t
 }
 
 /// A maximally skewed exchange: each processor ships its whole block to

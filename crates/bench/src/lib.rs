@@ -135,34 +135,28 @@ pub mod prelude {
 /// Measure how many parallel write operations a `v × v` message matrix
 /// of `blocks_per_msg`-block messages needs under (a) the paper's
 /// staggered layout and (b) a naive per-band layout that always starts
-/// bands at disk 0 — the Figure 2 ablation.
+/// bands at disk 0 — the Figure 2 ablation. Each writer emits its list
+/// stripe by stripe (block `q` of every message before block `q + 1`),
+/// in the block-major order both layouts share.
 pub fn layout_ablation_ops(v: usize, d: usize, blocks_per_msg: u64) -> (u64, u64) {
-    let block_bytes = 64usize;
     let layout = MessageMatrixLayout { num_disks: d, v, blocks_per_msg, base_track: 0 };
-    let mut staggered = cgmio_pdm::DiskArray::new(DiskGeometry::new(d, block_bytes));
-    for src in 0..v {
-        let queue: Vec<IoRequest> = layout
-            .write_order_for_src(src)
-            .map(|addr| IoRequest { addr, data: vec![0u8; 8] })
-            .collect();
-        staggered.write_fifo(&queue).unwrap();
-    }
+    let (tracks_per_band, stride) = (layout.tracks_per_band(), layout.stripe_stride());
     // naive: band j starts at disk 0 (no stagger)
-    let mut naive = cgmio_pdm::DiskArray::new(DiskGeometry::new(d, block_bytes));
-    let tracks_per_band = layout.tracks_per_band();
-    for src in 0..v {
-        let queue: Vec<IoRequest> = (0..v)
-            .flat_map(|dst| {
-                (0..blocks_per_msg).map(move |q| {
-                    let g = src as u64 * blocks_per_msg + q;
-                    cgmio_pdm::consecutive_addr(d, dst as u64 * tracks_per_band, 0, g)
-                })
-            })
-            .map(|addr| IoRequest { addr, data: vec![0u8; 8] })
-            .collect();
-        naive.write_fifo(&queue).unwrap();
-    }
-    (staggered.stats().write_ops, naive.stats().write_ops)
+    let naive = |src: usize, dst: usize, q: u64| {
+        cgmio_pdm::consecutive_addr(d, dst as u64 * tracks_per_band, 0, q * stride + src as u64)
+    };
+    let ops = |addr: &dyn Fn(usize, usize, u64) -> cgmio_pdm::TrackAddr| {
+        let mut disks = cgmio_pdm::DiskArray::new(DiskGeometry::new(d, 64));
+        for src in 0..v {
+            let queue: Vec<IoRequest> = (0..blocks_per_msg)
+                .flat_map(|q| (0..v).map(move |dst| (dst, q)))
+                .map(|(dst, q)| IoRequest { addr: addr(src, dst, q), data: vec![0u8; 8] })
+                .collect();
+            disks.write_fifo(&queue).unwrap();
+        }
+        disks.stats().write_ops
+    };
+    (ops(&|src, dst, q| layout.addr(src, dst, q)), ops(&naive))
 }
 
 /// Sort runner shared by Figure 3/4/5a: returns the EM report for

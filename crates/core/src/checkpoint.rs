@@ -116,11 +116,9 @@ impl CheckpointManifest {
         for w in &self.workers {
             let _ = writeln!(s, "worker {}", w.worker);
             let _ = writeln!(s, "peak_mem {}", w.peak_mem);
-            let _ = writeln!(
-                s,
-                "io {} {} {} {} {}",
-                w.io.read_ops, w.io.write_ops, w.io.blocks_read, w.io.blocks_written, w.io.full_ops
-            );
+            let io = &w.io;
+            let ops = [io.read_ops, io.write_ops, io.blocks_read, io.blocks_written, io.full_ops];
+            let _ = writeln!(s, "io {} {}", ops.map(|x| x.to_string()).join(" "), io.narrow_ops);
             let _ = write!(s, "per_disk_blocks");
             for b in &w.io.per_disk_blocks {
                 let _ = write!(s, " {b}");
@@ -204,9 +202,11 @@ impl CheckpointManifest {
         for _ in 0..n_workers {
             let worker = one(field("worker")?, "worker")? as usize;
             let peak_mem = one(field("peak_mem")?, "peak_mem")? as usize;
+            // Manifests older than `narrow_ops` carry five values; they
+            // parse, and resume then refuses them by config hash.
             let io_vals = field("io")?;
-            if io_vals.len() != 5 {
-                return Err(bad("io needs 5 values"));
+            if !(5..=6).contains(&io_vals.len()) {
+                return Err(bad("io needs 6 values"));
             }
             let per_disk_blocks = field("per_disk_blocks")?;
             let io = IoStats {
@@ -215,6 +215,7 @@ impl CheckpointManifest {
                 blocks_read: io_vals[2],
                 blocks_written: io_vals[3],
                 full_ops: io_vals[4],
+                narrow_ops: io_vals.get(5).copied().unwrap_or(0),
                 per_disk_blocks,
             };
             let bd = field("breakdown")?;
@@ -389,6 +390,7 @@ mod tests {
                         blocks_read: 20,
                         blocks_written: 22,
                         full_ops: 9,
+                        narrow_ops: 2,
                         per_disk_blocks: vec![21, 21],
                     },
                     breakdown: IoBreakdown {

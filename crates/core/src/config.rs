@@ -10,7 +10,7 @@ use cgmio_io::{
 use cgmio_obs::{Counter, Obs};
 use cgmio_pdm::{
     DiskArray, DiskGeometry, FaultInjector, FaultPlan, FaultStats, FileStorage, MemStorage,
-    TrackRange, TrackStorage,
+    MessageMatrixLayout, TrackRange, TrackStorage,
 };
 
 use crate::context::CtxPaging;
@@ -203,6 +203,13 @@ pub struct DiskHandles {
     pub prefetch_cap: Option<Arc<AtomicUsize>>,
 }
 
+/// Version of the on-disk placement the runners use, folded into
+/// [`EmConfig::config_hash`] so a manifest written under another
+/// placement is refused. `1`: message-major matrix bands (the hash had
+/// no version then); `2`: block-major bands staggered by `j mod D`
+/// ([`cgmio_pdm::MessageMatrixLayout`]).
+pub const LAYOUT_VERSION: u64 = 2;
+
 /// Configuration of the simulated EM-CGM target machine.
 ///
 /// The paper's model parameters map as: `v` virtual processors, `p` real
@@ -248,6 +255,14 @@ pub struct EmConfig {
     pub msg_slot_items: usize,
     /// Fixed context-slot capacity, in bytes (`≥ μ`).
     pub max_ctx_bytes: usize,
+    /// Virtual processors simulated per compound step (`k ≥ 1`): each
+    /// real processor swaps its local vps in groups of `k` consecutive
+    /// ones — one gather list for their contexts, one for their inboxes
+    /// — so that contexts smaller than a `D`-wide stripe still fill
+    /// every parallel I/O. The `M` audit covers the whole group. It
+    /// changes `IoStats` and the audit, so it is part of
+    /// [`Self::config_hash`].
+    pub vp_group: usize,
     /// Fail (rather than record) when memory or parameter checks fail.
     pub strict: bool,
     /// Livelock guard.
@@ -328,17 +343,25 @@ impl EmConfig {
         block_bytes: usize,
         req: &Requirements,
     ) -> Self {
+        // M must hold one context plus its in/out message traffic.
+        let mem_bytes = (req.max_ctx_bytes
+            + 2 * req.max_proc_recv_bytes.max(req.max_proc_sent_bytes))
+        .max(num_disks * block_bytes);
+        let max_ctx_bytes = req.max_ctx_bytes.max(8);
+        // The smallest group whose contexts fill one D-wide stripe,
+        // never more than M holds.
+        let per_vp = req.max_ctx_bytes + req.max_proc_recv_bytes + req.max_proc_sent_bytes;
+        let vp_group =
+            (num_disks / max_ctx_bytes.div_ceil(block_bytes)).min(mem_bytes / per_vp.max(1)).max(1);
         Self {
             v,
             p,
             num_disks,
             block_bytes,
-            // M must hold one context plus its in/out message traffic.
-            mem_bytes: (req.max_ctx_bytes
-                + 2 * req.max_proc_recv_bytes.max(req.max_proc_sent_bytes))
-            .max(num_disks * block_bytes),
+            mem_bytes,
             msg_slot_items: req.max_msg_items.max(1),
-            max_ctx_bytes: req.max_ctx_bytes.max(8),
+            max_ctx_bytes,
+            vp_group,
             strict: false,
             round_limit: cgmio_model::DEFAULT_ROUND_LIMIT,
             backend: BackendSpec::Mem,
@@ -354,13 +377,15 @@ impl EmConfig {
     }
 
     /// Hash of the fields that determine the on-disk layout and the
-    /// simulation semantics (`v`, `p`, `D`, `B`, slot sizes). Stored in
-    /// checkpoint manifests; `resume_from` refuses a manifest whose hash
-    /// differs — resuming under a different layout would silently read
-    /// the wrong tracks.
+    /// simulation semantics (`v`, `p`, `D`, `B`, slot sizes, group
+    /// size) and of [`LAYOUT_VERSION`]. Stored in checkpoint manifests;
+    /// `resume_from` refuses a manifest whose hash differs — resuming
+    /// under a different layout would silently read the wrong tracks.
     pub fn config_hash(&self) -> u64 {
         let mut h = 0xCBF2_9CE4_8422_2325u64;
         for x in [
+            LAYOUT_VERSION,
+            self.vp_group as u64,
             self.v as u64,
             self.p as u64,
             self.num_disks as u64,
@@ -562,8 +587,13 @@ impl EmConfig {
         // MessageMatrix: one band of v messages per local destination,
         // staggered format, one slack track — twice (ping-pong).
         let blocks_per_msg = ((self.msg_slot_items * msg_item_bytes) as u64).div_ceil(bb).max(1);
-        let tracks_per_band = (self.v as u64 * blocks_per_msg + d - 1).div_ceil(d);
-        let mat_tracks = tracks_per_band * n_local + 1;
+        let layout = MessageMatrixLayout {
+            num_disks: self.num_disks,
+            v: self.v,
+            blocks_per_msg,
+            base_track: 0,
+        };
+        let mat_tracks = layout.tracks_per_band() * n_local + 1;
         ctx_tracks + 2 * mat_tracks
     }
 
@@ -595,6 +625,9 @@ impl EmConfig {
         }
         if self.max_ctx_bytes == 0 {
             return Err(EmError::BadConfig("max_ctx_bytes must be positive".into()));
+        }
+        if self.vp_group == 0 {
+            return Err(EmError::BadConfig("vp_group must be positive".into()));
         }
         // PDM requires M >= D*B (one block from each disk in memory).
         if self.mem_bytes < self.num_disks * self.block_bytes {
@@ -661,6 +694,7 @@ mod tests {
             mem_bytes: 1 << 20,
             msg_slot_items: 32,
             max_ctx_bytes: 4096,
+            vp_group: 1,
             strict: false,
             round_limit: 100,
             backend: BackendSpec::Mem,
@@ -693,6 +727,9 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = base();
         c.msg_slot_items = 0;
+        assert!(c.validate().is_err());
+        let mut c = base();
+        c.vp_group = 0;
         assert!(c.validate().is_err());
     }
 

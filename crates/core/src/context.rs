@@ -28,6 +28,7 @@
 //! series (see `docs/OPERATIONS.md`).
 
 use std::cell::RefCell;
+use std::ops::Range;
 
 use cgmio_obs::{Counter, Gauge, Obs};
 use cgmio_pdm::{
@@ -243,8 +244,9 @@ pub struct ContextStore {
     cap_bytes: usize,
     count: usize,
     lens: CtxLens,
-    /// Address lists of read tickets, recycled at finish.
+    /// Address and length lists of read tickets, recycled at finish.
     addr_lists: FreeList<TrackAddr>,
+    len_lists: FreeList<usize>,
 }
 
 impl ContextStore {
@@ -289,6 +291,7 @@ impl ContextStore {
             count,
             lens,
             addr_lists: FreeList::new(),
+            len_lists: FreeList::new(),
         }
     }
 
@@ -398,27 +401,40 @@ impl ContextStore {
         Ok(())
     }
 
-    /// Write context `slot`. Uses `⌈len/B⌉` blocks in consecutive format
-    /// (fully parallel via the FIFO scheduler).
+    /// Write context `slot`: the one-slot case of [`Self::write_slots`].
     pub fn write(
         &mut self,
         disks: &mut DiskArray,
         slot: usize,
         bytes: &[u8],
     ) -> Result<(), EmError> {
-        if bytes.len() > self.cap_bytes {
-            return Err(EmError::CtxSlotOverflow {
-                pid: slot,
-                len: bytes.len(),
-                cap: self.cap_bytes,
-            });
+        self.write_slots(disks, slot, &[bytes])
+    }
+
+    /// Write contexts `first..first + ctxs.len()` as one gather list.
+    /// Each uses `⌈len/B⌉` blocks of its slot; consecutive slots continue
+    /// the round-robin stream, so the list is fully parallel. Nothing is
+    /// written if any context overflows its slot.
+    pub fn write_slots<B: AsRef<[u8]>>(
+        &mut self,
+        disks: &mut DiskArray,
+        first: usize,
+        ctxs: &[B],
+    ) -> Result<(), EmError> {
+        let cap = self.cap_bytes;
+        if let Some((i, c)) = ctxs.iter().enumerate().find(|(_, c)| c.as_ref().len() > cap) {
+            return Err(EmError::CtxSlotOverflow { pid: first + i, len: c.as_ref().len(), cap });
         }
-        let (layout, base) = (self.layout, slot as u64 * self.slot_blocks);
-        // Gather write straight from the caller's encoded buffer — the
-        // chunks borrow `bytes`, so no per-block staging copies.
-        let chunks = bytes.chunks(self.block_bytes).enumerate();
-        disks.write_gather_iter(chunks.map(|(q, chunk)| (layout.addr(base + q as u64), chunk)))?;
-        self.set_len(slot, bytes.len());
+        let (layout, bb, sb) = (self.layout, self.block_bytes, self.slot_blocks);
+        // Gather write straight from the caller's encoded buffers — the
+        // chunks borrow them, so no per-block staging copies.
+        disks.write_gather_iter(ctxs.iter().enumerate().flat_map(|(i, c)| {
+            let base = (first + i) as u64 * sb;
+            c.as_ref().chunks(bb).enumerate().map(move |(q, b)| (layout.addr(base + q as u64), b))
+        }))?;
+        for (i, c) in ctxs.iter().enumerate() {
+            self.set_len(first + i, c.as_ref().len());
+        }
         Ok(())
     }
 
@@ -440,13 +456,24 @@ impl ContextStore {
         })
     }
 
-    /// Track addresses a `read(slot)` would touch right now — used as a
-    /// prefetch hint for asynchronous backends (never counted as I/O).
-    pub fn read_addrs(&self, slot: usize) -> Vec<cgmio_pdm::TrackAddr> {
-        let len = self.len(slot);
-        let nblocks = (len as u64).div_ceil(self.block_bytes as u64);
-        let base = slot as u64 * self.slot_blocks;
-        (0..nblocks).map(|q| self.layout.addr(base + q)).collect()
+    /// Push the blocks of `slots`, as they are now, onto `addrs`, and
+    /// their lengths onto `lens`.
+    fn list(&self, slots: Range<usize>, addrs: &mut Vec<TrackAddr>, lens: &mut Vec<usize>) {
+        for slot in slots {
+            let len = self.len(slot);
+            let base = slot as u64 * self.slot_blocks;
+            let nblocks = (len as u64).div_ceil(self.block_bytes as u64);
+            addrs.extend((0..nblocks).map(|q| self.layout.addr(base + q)));
+            lens.push(len);
+        }
+    }
+
+    /// Track addresses a read of `slots` would touch right now — used as
+    /// a prefetch hint for asynchronous backends (never counted as I/O).
+    pub fn read_addrs(&self, slots: Range<usize>) -> Vec<TrackAddr> {
+        let mut addrs = Vec::new();
+        self.list(slots, &mut addrs, &mut Vec::new());
+        addrs
     }
 
     /// Read context `slot` back (exactly the bytes last written).
@@ -456,70 +483,94 @@ impl ContextStore {
         Ok(out)
     }
 
-    /// Read context `slot` into a reused buffer (cleared first). Blocks
-    /// are appended directly from the storage's block views — no
-    /// intermediate per-block vectors — and the buffer's capacity is
-    /// kept across supersteps, so the steady-state read path allocates
-    /// nothing.
-    ///
-    /// This is [`Self::read_submit`] followed immediately by
-    /// [`Self::read_finish`]: the serial path and the pipelined path are
-    /// the same code with a different gap between the two halves.
+    /// Read context `slot` into a reused buffer (cleared first): the
+    /// one-slot case of [`Self::read_slots_into`].
     pub fn read_into(
         &mut self,
         disks: &mut DiskArray,
         slot: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), EmError> {
-        let t = self.read_submit(disks, slot)?;
-        self.read_finish(disks, t, out)
+        self.read_slots_into(disks, slot..slot + 1, std::slice::from_mut(out))
     }
 
-    /// Begin an asynchronous read of context `slot`: captures the slot's
-    /// current addresses and length, submits the gather read (charged to
-    /// the cost model now), and returns the ticket to redeem with
-    /// [`Self::read_finish`]. The slot must not be rewritten between the
-    /// two calls — the pipelined runners guarantee this because a vp's
-    /// context is only written by its own step (e), which runs after its
-    /// own read completes.
+    /// Read contexts `slots` into reused buffers, one per slot. Blocks
+    /// are appended directly from the storage's block views — no
+    /// intermediate per-block vectors — and the buffers' capacity is
+    /// kept across supersteps, so the steady-state read path allocates
+    /// nothing.
+    ///
+    /// This is [`Self::read_submit`] followed immediately by
+    /// [`Self::read_finish`]: the serial path and the pipelined path are
+    /// the same code with a different gap between the two halves.
+    pub fn read_slots_into(
+        &mut self,
+        disks: &mut DiskArray,
+        slots: Range<usize>,
+        outs: &mut [Vec<u8>],
+    ) -> Result<(), EmError> {
+        let t = self.read_submit(disks, slots)?;
+        self.read_finish(disks, t, outs)
+    }
+
+    /// Begin an asynchronous read of contexts `slots`: captures their
+    /// current addresses and lengths, submits one gather read (charged
+    /// to the cost model now), and returns the ticket to redeem with
+    /// [`Self::read_finish`]. The slots must not be rewritten between
+    /// the two calls — the pipelined runners guarantee this because a
+    /// vp's context is only written by its own step (e), which runs
+    /// after its own read completes.
     pub fn read_submit(
         &self,
         disks: &mut DiskArray,
-        slot: usize,
+        slots: Range<usize>,
     ) -> Result<CtxReadTicket, EmError> {
-        let len = self.len(slot);
-        let nblocks = (len as u64).div_ceil(self.block_bytes as u64);
-        let base = slot as u64 * self.slot_blocks;
-        let mut addrs = self.addr_lists.take();
-        addrs.extend((0..nblocks).map(|q| self.layout.addr(base + q)));
+        let (mut addrs, mut lens) = (self.addr_lists.take(), self.len_lists.take());
+        self.list(slots, &mut addrs, &mut lens);
         let ticket = disks.read_gather_submit(&addrs)?;
-        Ok(CtxReadTicket { len, addrs, ticket })
+        Ok(CtxReadTicket { lens, addrs, ticket })
     }
 
-    /// Complete a read begun with [`Self::read_submit`], filling `out`
-    /// (cleared first) with exactly the bytes last written to the slot.
-    /// Charges nothing — the submit already did.
+    /// Complete a read begun with [`Self::read_submit`], filling
+    /// `outs[i]` (cleared first) with exactly the bytes last written to
+    /// the `i`-th slot read. Charges nothing — the submit already did.
     pub fn read_finish(
         &self,
         disks: &mut DiskArray,
         t: CtxReadTicket,
-        out: &mut Vec<u8>,
+        outs: &mut [Vec<u8>],
     ) -> Result<(), EmError> {
-        out.clear();
-        out.reserve(t.addrs.len() * self.block_bytes);
-        disks.read_gather_finish(t.ticket, &t.addrs, &mut |_, b| out.extend_from_slice(b))?;
-        out.truncate(t.len);
+        let bb = self.block_bytes;
+        let blocks = |len: usize| len.div_ceil(bb);
+        for (out, &len) in outs.iter_mut().zip(&t.lens) {
+            out.clear();
+            out.reserve(blocks(len) * bb);
+        }
+        // Blocks arrive in request order: slot by slot.
+        let (mut slot, mut left) = (0usize, 0usize);
+        disks.read_gather_finish(t.ticket, &t.addrs, &mut |_, b| {
+            while left == 0 {
+                left = blocks(t.lens[slot]);
+                slot += 1;
+            }
+            outs[slot - 1].extend_from_slice(b);
+            left -= 1;
+        })?;
+        for (out, &len) in outs.iter_mut().zip(&t.lens) {
+            out.truncate(len);
+        }
         self.addr_lists.give(t.addrs);
+        self.len_lists.give(t.lens);
         Ok(())
     }
 }
 
 /// Completion handle for an in-flight context read (see
-/// [`ContextStore::read_submit`]). Captures the slot's addresses and
-/// encoded length at submit time, so the finish decodes exactly the
+/// [`ContextStore::read_submit`]). Captures the slots' addresses and
+/// encoded lengths at submit time, so the finish decodes exactly the
 /// bytes that were current when the read was issued.
 pub struct CtxReadTicket {
-    len: usize,
+    lens: Vec<usize>,
     addrs: Vec<TrackAddr>,
     ticket: u64,
 }

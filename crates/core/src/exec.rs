@@ -467,15 +467,18 @@ struct Worker<'a, P: CgmProgram> {
     mats: [MessageMatrix<P::Msg>; 2],
     breakdown: IoBreakdown,
     peak_mem: usize,
-    /// Context scratch (read into, then encoded into): once grown to
-    /// the largest context, the swap path stops allocating.
-    buf: Vec<u8>,
-    /// The `(src, items)` list of the last inbox and the `(dst, items)`
-    /// list of the last outbox, emptied: the next vp's are built in them.
-    inbox: Vec<(usize, Vec<P::Msg>)>,
-    sent: Vec<(usize, Vec<P::Msg>)>,
-    /// Step (a)+(b) reads run this many vps ahead. Only the tuner moves
-    /// it, between rounds, where the window has drained.
+    /// Scratch of the group being simulated, one entry per slot: its
+    /// context (read into, then encoded into), the `(src, items)` list
+    /// of its inbox and the `(dst, items)` list of its outbox, emptied
+    /// between groups. Once grown to the largest group, the swap path
+    /// stops allocating. `ctxs.len()` is the group size `k`.
+    ctxs: Vec<Vec<u8>>,
+    inboxes: Vec<Vec<(usize, Vec<P::Msg>)>>,
+    sents: Vec<Vec<(usize, Vec<P::Msg>)>>,
+    /// The group's decoded states, drained at step (e).
+    states: Vec<P::State>,
+    /// Step (a)+(b) reads run this many groups ahead. Only the tuner
+    /// moves it, between rounds, where the window has drained.
     depth: usize,
     inflight: InflightReads,
     /// Feedback tuner and the baseline of its per-superstep window.
@@ -546,12 +549,18 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
 
         let mut breakdown = IoBreakdown::default();
         let mut peak_mem = 0usize;
+        let k = cfg.vp_group.min(range.len()).max(1);
+        let mut ctxs: Vec<Vec<u8>> = (0..k).map(|_| Vec::new()).collect();
         match init.restore {
             None => {
-                // Input distribution: write initial contexts.
+                // Input distribution: write initial contexts, a group
+                // per gather list.
                 let _g = cfg.obs.as_ref().map(|o| o.span(t as u64, 0, Phase::Setup));
-                for (k, state) in init.states.into_iter().enumerate() {
-                    ctx_store.write(&mut h.disks, k, &state.to_bytes())?;
+                let mut states = init.states.into_iter();
+                for slots in groups(range.len(), k) {
+                    let ctxs = &mut ctxs[..slots.len()];
+                    ctxs.iter_mut().zip(states.by_ref()).for_each(|(c, s)| s.encode_to_vec(c));
+                    ctx_store.write_slots(&mut h.disks, slots.start, ctxs)?;
                 }
                 breakdown.setup_ops = h.disks.stats().total_ops();
             }
@@ -566,7 +575,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             }
         }
 
-        let depth = cfg.pipeline_depth.min(range.len());
+        let depth = cfg.pipeline_depth.min(range.len().div_ceil(k));
         let tuner = cfg.obs.as_ref().filter(|_| cfg.autotune.enabled).map(|o| {
             let policy = &cfg.autotune.policy;
             let prefetch0 = h.prefetch_cap.as_ref().map(|c| c.load(Ordering::Relaxed));
@@ -586,9 +595,10 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             mats,
             breakdown,
             peak_mem,
-            buf: Vec::new(),
-            inbox: Vec::new(),
-            sent: Vec::new(),
+            ctxs,
+            inboxes: (0..k).map(|_| Vec::new()).collect(),
+            sents: (0..k).map(|_| Vec::new()).collect(),
+            states: Vec::with_capacity(k),
             depth,
             inflight: InflightReads::new(),
             tuner,
@@ -606,18 +616,23 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
         }
     }
 
-    /// One compound superstep: for each local vp in turn **(a)** context
-    /// in, **(b)** inbox in, **(c)** compute, **(d)** messages out,
-    /// **(e)** context out; then the barrier flush.
+    /// One compound superstep: for each group of `k` local vps in turn
+    /// **(a)** contexts in and **(b)** inboxes in — a gather list each —
+    /// **(c)** each vp's compute, **(d)** messages out (one list per
+    /// group at `p = 1`, shipped per vp at `p ≥ 2`), **(e)** contexts
+    /// out as one list; then the barrier flush.
     fn superstep(
         &mut self,
         round: usize,
         link: &mut Link<'_, '_, P::Msg>,
     ) -> Result<RoundCtl, EmError> {
         let Self { cfg, t, range, h, ctx_store, mats, breakdown, inflight, .. } = self;
-        let (cfg, t, depth, hinted) = (*cfg, *t, self.depth, h.prefetch_cap.is_some());
+        let Self { ctxs, inboxes, sents, states, depth, prog, peak_mem, .. } = self;
+        let (cfg, t, depth, hinted) = (*cfg, *t, *depth, h.prefetch_cap.is_some());
         let disks = &mut h.disks;
-        let (v, first, n_local) = (cfg.v, range.start, range.len());
+        let (v, first, n_local, k) = (cfg.v, range.start, range.len(), ctxs.len());
+        let group = |g: usize| (g * k).min(n_local)..((g + 1) * k).min(n_local);
+        let globally = |slots: Range<usize>| first + slots.start..first + slots.end;
         // Spans publish (superstep, phase) to the io layer; free without obs.
         let span = |ph: Phase| cfg.obs.as_ref().map(|o| o.span(t as u64, round as u64, ph));
         let [m0, m1] = mats;
@@ -626,102 +641,117 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
         ctl.cost.min_message = usize::MAX;
 
         let mut submitted = 0;
-        for k in 0..n_local {
-            let pid = first + k;
-            // (a)+(b): keep reads in flight up to vp `k + depth`, then
-            // redeem vp `k`'s (at depth 0: a demand read). A superstep's
-            // first submit follows the previous barrier and checkpoint
-            // decision — no read of `r` is charged before `r` begins, so
-            // manifests are bit-identical at every depth.
-            while submitted < n_local && submitted <= k + depth {
-                inflight.push_back(pipeline::submit_vp_reads(
+        for (g, slots) in groups(n_local, k).enumerate() {
+            // (a)+(b): keep reads in flight up to group `g + depth`, then
+            // redeem group `g`'s (at depth 0: a demand read). A
+            // superstep's first submit follows the previous barrier and
+            // checkpoint decision — no read of `r` is charged before `r`
+            // begins, so manifests are bit-identical at every depth.
+            while submitted < n_local.div_ceil(k) && submitted <= g + depth {
+                inflight.push_back(pipeline::submit_group_reads(
                     span,
                     disks,
                     ctx_store,
                     mat_cur,
                     breakdown,
-                    submitted,
-                    first + submitted,
+                    group(submitted),
+                    first,
                 )?);
                 submitted += 1;
             }
-            let (ctx_t, inbox_t) = inflight.pop_front().expect("window holds vp k's tickets");
-            let g = span(Phase::CtxLoad);
-            let inbox_items = inbox_t.items();
-            ctx_store.read_finish(disks, ctx_t, &mut self.buf)?;
-            let mut state =
-                P::State::try_from_bytes(&self.buf).map_err(|e| ctx_store.corrupt_error(k, e))?;
-            drop(g);
-            let g = span(Phase::MatrixRead);
-            let mut per_src = std::mem::take(&mut self.inbox);
-            mat_cur.read_for_dst_finish_into(disks, inbox_t, &mut per_src)?;
-            drop(g);
+            let (ctx_t, inbox_t) = inflight.pop_front().expect("window holds group g's tickets");
+            let n = slots.len();
+            let (ctxs, inboxes, sents) = (&mut ctxs[..n], &mut inboxes[..n], &mut sents[..n]);
+            let gs = span(Phase::CtxLoad);
+            let mut mem = inbox_t.items() * P::Msg::SIZE;
+            ctx_store.read_finish(disks, ctx_t, ctxs)?;
+            for (slot, bytes) in slots.clone().zip(ctxs.iter()) {
+                let state = P::State::try_from_bytes(bytes);
+                states.push(state.map_err(|e| ctx_store.corrupt_error(slot, e))?);
+            }
+            drop(gs);
+            let gs = span(Phase::MatrixRead);
+            mat_cur.read_for_dst_finish_into(disks, inbox_t, inboxes)?;
+            drop(gs);
 
             // (c) compute, behind read-ahead hints (never counted as I/O).
-            let g = span(Phase::Rounds);
-            if k + 1 == n_local {
-                // Boundary: the first local vp's next context is on disk
-                // already; its inbox is hinted once it is, below.
-                disks.prefetch(&ctx_store.read_addrs(0));
+            let gs = span(Phase::Rounds);
+            if slots.end == n_local {
+                // Boundary: the first local group's next contexts are on
+                // disk already; its inboxes are hinted once they are, below.
+                disks.prefetch(&ctx_store.read_addrs(group(0)));
             } else if depth == 0 && hinted {
                 // (The pipelined path pre-issues real reads instead, and
                 // only a backend with a prefetch cache keeps a hint: the
                 // others would have the two lists built to drop them.)
-                let mut hints = ctx_store.read_addrs(k + 1);
-                hints.extend(mat_cur.read_addrs_for_dst(pid + 1));
+                let mut hints = ctx_store.read_addrs(group(g + 1));
+                hints.extend(mat_cur.read_addrs_for_dst(globally(group(g + 1))));
                 disks.prefetch(&hints);
             }
-            let mut outbox = Outbox::reusing(v, std::mem::take(&mut self.sent));
-            let incoming = Incoming::from_sparse(v, per_src);
-            let mut rctx = RoundCtx { pid, v, round, incoming, outbox: &mut outbox };
-            if self.prog.round(&mut rctx, &mut state) == Status::Done {
-                ctl.n_done += 1;
+            for (i, state) in states.iter_mut().enumerate() {
+                let pid = first + slots.start + i;
+                let mut outbox = Outbox::reusing(v, std::mem::take(&mut sents[i]));
+                let incoming = Incoming::from_sparse(v, std::mem::take(&mut inboxes[i]));
+                let mut rctx = RoundCtx { pid, v, round, incoming, outbox: &mut outbox };
+                if prog.round(&mut rctx, state) == Status::Done {
+                    ctl.n_done += 1;
+                }
+                inboxes[i] = rctx.incoming.into_sparse();
+                inboxes[i].clear();
+                let out_items = outbox.total();
+                mem += ctxs[i].len() + out_items * P::Msg::SIZE;
+                ctl.cost.max_sent = ctl.cost.max_sent.max(out_items);
+                ctl.cost.total_items += out_items;
+                sents[i] = outbox.into_sparse();
+                for (_, msg) in &sents[i] {
+                    ctl.cost.max_message = ctl.cost.max_message.max(msg.len());
+                    ctl.cost.min_message = ctl.cost.min_message.min(msg.len());
+                }
             }
-            self.inbox = rctx.incoming.into_sparse();
-            self.inbox.clear();
-            let out_items = outbox.total();
-            drop(g);
+            drop(gs);
 
-            // Memory audit: context + inbox + outbox must fit in M.
-            let mem = self.buf.len() + (inbox_items + out_items) * P::Msg::SIZE;
-            self.peak_mem = self.peak_mem.max(mem);
+            // Memory audit: the group's contexts + inboxes + outboxes
+            // must fit in M.
+            *peak_mem = (*peak_mem).max(mem);
             if cfg.strict && mem > cfg.mem_bytes {
+                let pid = first + slots.start;
                 return Err(EmError::MemoryExceeded { pid, need: mem, m: cfg.mem_bytes });
             }
 
             // (d) messages out — only destinations actually sent to
             // (sorted, merged): O(fanout) per vp, not O(v).
-            ctl.cost.max_sent = ctl.cost.max_sent.max(out_items);
-            ctl.cost.total_items += out_items;
-            let mut sent = outbox.into_sparse();
-            for (_, msg) in &sent {
-                ctl.cost.max_message = ctl.cost.max_message.max(msg.len());
-                ctl.cost.min_message = ctl.cost.min_message.min(msg.len());
-            }
             match link {
                 // Algorithm 2: straight into the next matrix (Figure 2).
                 Link::Inline(_) => {
                     let _g = span(Phase::MatrixWrite);
-                    let entries = sent.iter().map(|(dst, msg)| (pid, *dst, msg.as_slice()));
+                    let entries =
+                        globally(slots.clone()).zip(sents.iter()).flat_map(|(pid, sent)| {
+                            sent.iter().map(move |(dst, msg)| (pid, *dst, msg.as_slice()))
+                        });
                     let ops0 = disks.stats().total_ops();
                     mat_next.write_entries(disks, entries)?;
                     breakdown.msg_ops += disks.stats().total_ops() - ops0;
-                    if k + 1 == n_local {
-                        disks.prefetch(&mat_next.read_addrs_for_dst(first));
+                    if slots.end == n_local {
+                        disks.prefetch(&mat_next.read_addrs_for_dst(globally(group(0))));
                     }
                 }
                 // Algorithm 3: to the owner, who writes it at the round end.
-                Link::Wire(w) => ctl.cross_items += w.ship(t, pid, &mut sent),
+                Link::Wire(w) => {
+                    for (pid, sent) in globally(slots.clone()).zip(sents.iter_mut()) {
+                        ctl.cross_items += w.ship(t, pid, sent);
+                    }
+                }
             }
-            sent.clear();
-            self.sent = sent;
+            sents.iter_mut().for_each(Vec::clear);
 
-            // (e) context out
+            // (e) contexts out
             let _g = span(Phase::CtxLoad);
-            state.encode_to_vec(&mut self.buf);
-            ctl.max_ctx = ctl.max_ctx.max(self.buf.len());
+            for (state, buf) in states.drain(..).zip(ctxs.iter_mut()) {
+                state.encode_to_vec(buf);
+                ctl.max_ctx = ctl.max_ctx.max(buf.len());
+            }
             let ops0 = disks.stats().total_ops();
-            ctx_store.write(disks, k, &self.buf)?;
+            ctx_store.write_slots(disks, slots.start, ctxs)?;
             breakdown.ctx_ops += disks.stats().total_ops() - ops0;
         }
 
@@ -737,7 +767,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             let ops0 = disks.stats().total_ops();
             mat_next.write_entries(disks, entries)?;
             breakdown.msg_ops += disks.stats().total_ops() - ops0;
-            disks.prefetch(&mat_next.read_addrs_for_dst(first));
+            disks.prefetch(&mat_next.read_addrs_for_dst(globally(group(0))));
         }
 
         // Barrier: drain write-behind, surface deferred write errors
@@ -776,7 +806,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             *prev = now;
             let action = ctl.observe(&signals);
             let prefetch_blocks = ctl.prefetch_blocks();
-            self.depth = ctl.depth().min(self.range.len());
+            self.depth = ctl.depth().min(self.range.len().div_ceil(self.ctxs.len()));
             if let Some(cap) = &self.h.prefetch_cap {
                 cap.store(prefetch_blocks, Ordering::Relaxed);
             }
@@ -811,10 +841,13 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
         if !halted {
             let _g = cfg.obs.as_ref().map(|o| o.span(self.t as u64, round as u64, Phase::Readout));
             let ops0 = disks.stats().total_ops();
-            for k in 0..self.range.len() {
-                self.ctx_store.read_into(disks, k, &mut self.buf)?;
-                let state = P::State::try_from_bytes(&self.buf);
-                finals.push(state.map_err(|e| self.ctx_store.corrupt_error(k, e))?);
+            for slots in groups(self.range.len(), self.ctxs.len()) {
+                let ctxs = &mut self.ctxs[..slots.len()];
+                self.ctx_store.read_slots_into(disks, slots.clone(), ctxs)?;
+                for (slot, bytes) in slots.zip(ctxs.iter()) {
+                    let state = P::State::try_from_bytes(bytes);
+                    finals.push(state.map_err(|e| self.ctx_store.corrupt_error(slot, e))?);
+                }
             }
             self.breakdown.readout_ops = disks.stats().total_ops() - ops0;
         }
@@ -845,6 +878,12 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
         };
         Ok(WorkerOut { finals, report, handoff })
     }
+}
+
+/// Slots `0..n` in groups of `k` consecutive ones (the last may be
+/// short).
+fn groups(n: usize, k: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..n).step_by(k).map(move |s| s..(s + k).min(n))
 }
 
 /// The loop of real processor `t`: set up, then superstep →

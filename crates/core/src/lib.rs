@@ -95,7 +95,7 @@ pub enum EmError {
     /// Strict mode: a compound superstep needed more internal memory
     /// than the configured `M`.
     MemoryExceeded {
-        /// Virtual processor being simulated.
+        /// First virtual processor of the group being simulated.
         pid: usize,
         /// Bytes required.
         need: usize,

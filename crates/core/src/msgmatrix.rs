@@ -3,10 +3,11 @@
 //!
 //! Messages are stored in fixed slots of `slot_items` items
 //! (`b′ = ⌈slot_bytes/B⌉` blocks): slot `(src, dst)` lives in destination
-//! band `dst`, staggered so that both the write order of a source
-//! (destinations ascending) and the read order of a destination (sources
-//! ascending) advance round-robin across the disks — so with balanced
-//! messages every parallel I/O uses all `D` drives.
+//! band `dst`, block-major and staggered
+//! ([`cgmio_pdm::MessageMatrixLayout`]) so that, stripe by stripe, both
+//! the write order of a source (destinations ascending) and the read
+//! order of a destination (sources ascending) advance round-robin
+//! across the disks — so every parallel I/O uses all `D` drives.
 //!
 //! Only the blocks actually occupied by a message are transferred; slot
 //! capacity bounds what *may* be sent, and the engine verifies it. With
@@ -31,6 +32,7 @@
 //! [`crate::ScaleTuning`].
 
 use std::cell::RefCell;
+use std::ops::Range;
 
 use cgmio_pdm::{
     DiskArray, IoError, IoErrorKind, Item, MessageMatrixLayout, SpanDecoder, TrackAddr,
@@ -131,9 +133,11 @@ pub struct MessageMatrix<M: Item> {
     /// engine; the block start of the owning real processor otherwise).
     dst_base: usize,
     lens: LenTable,
-    /// Address and span lists of inbox tickets, recycled at finish.
+    /// Address, span and block-owner lists of inbox tickets, recycled
+    /// at finish.
     addr_lists: FreeList<TrackAddr>,
-    span_lists: FreeList<(usize, usize, usize)>,
+    span_lists: FreeList<Span>,
+    owner_lists: FreeList<usize>,
     /// The per-source decoders of the inbox read being finished; empty
     /// between calls, kept for its allocation.
     decoders: RefCell<Vec<SpanDecoder<M>>>,
@@ -197,6 +201,7 @@ impl<M: Item> MessageMatrix<M> {
             lens: LenTable::new(dst_count, v, sparse),
             addr_lists: FreeList::new(),
             span_lists: FreeList::new(),
+            owner_lists: FreeList::new(),
             decoders: RefCell::new(Vec::new()),
         }
     }
@@ -339,147 +344,160 @@ impl<M: Item> MessageMatrix<M> {
         Ok(())
     }
 
-    /// Track addresses `read_for_dst(dst)` would touch right now — used
-    /// as a prefetch hint for asynchronous backends (never counted).
-    pub fn read_addrs_for_dst(&self, dst: usize) -> Vec<cgmio_pdm::TrackAddr> {
-        let dst_local = dst - self.dst_base;
-        let mut addrs = Vec::new();
-        for (src, len) in self.lens.row_nonzero(dst_local) {
-            let nblocks = (len as usize * M::SIZE).div_ceil(self.block_bytes);
-            for q in 0..nblocks {
-                addrs.push(self.layout.addr(src, dst_local, q as u64));
+    /// List the inboxes of global destinations `dsts` as they are now:
+    /// one span per occupied slot, and its blocks in request order with
+    /// the span each belongs to. Per destination the blocks go stripe
+    /// by stripe — block `q` of every message before block `q + 1` of
+    /// any — so that each drive's share ascends in track order.
+    fn list(
+        &self,
+        dsts: Range<usize>,
+        spans: &mut Vec<Span>,
+        addrs: &mut Vec<TrackAddr>,
+        owner: &mut Vec<usize>,
+    ) {
+        for dst in dsts.clone() {
+            let dst_local = dst - self.dst_base;
+            let first = spans.len();
+            for (src, len) in self.lens.row_nonzero(dst_local) {
+                let n_items = len as usize;
+                let nblocks = (n_items * M::SIZE).div_ceil(self.block_bytes);
+                spans.push(Span { dst: dst - dsts.start, src, n_items, nblocks });
+            }
+            let stripes = spans[first..].iter().map(|s| s.nblocks).max().unwrap_or(0);
+            for q in 0..stripes {
+                for (i, s) in spans.iter().enumerate().skip(first).filter(|(_, s)| s.nblocks > q) {
+                    addrs.push(self.layout.addr(s.src, dst_local, q as u64));
+                    owner.push(i);
+                }
             }
         }
+    }
+
+    /// Track addresses a read of the inboxes of `dsts` would touch right
+    /// now — used as a prefetch hint for asynchronous backends (never
+    /// counted).
+    pub fn read_addrs_for_dst(&self, dsts: Range<usize>) -> Vec<TrackAddr> {
+        let mut addrs = Vec::new();
+        self.list(dsts, &mut Vec::new(), &mut addrs, &mut Vec::new());
         addrs
     }
 
     /// Read the full inbox of global destination `dst`: `(src, items)`
     /// per *non-empty* source, in source order (step (b) of Algorithm
     /// 2) — the shape [`cgmio_model::Incoming::from_sparse`] consumes.
-    /// Only occupied blocks are read, in staggered order (round-robin
-    /// across disks for balanced traffic).
+    /// Only occupied blocks are read.
     ///
-    /// This is [`Self::read_for_dst_submit`] followed immediately by
-    /// [`Self::read_for_dst_finish`]: the serial path and the pipelined
-    /// path are the same code with a different gap between the halves.
+    /// This is the one-destination case of [`Self::read_for_dst_submit`]
+    /// followed immediately by [`Self::read_for_dst_finish_into`]: the
+    /// serial path and the pipelined path are the same code with a
+    /// different gap between the halves.
     pub fn read_for_dst(
         &mut self,
         disks: &mut DiskArray,
         dst: usize,
     ) -> Result<Vec<(usize, Vec<M>)>, EmError> {
-        let t = self.read_for_dst_submit(disks, dst)?;
-        self.read_for_dst_finish(disks, t)
-    }
-
-    /// Begin an asynchronous read of destination `dst`'s inbox: captures
-    /// the per-source slot lengths and block addresses *as they are now*,
-    /// submits the gather read (charged to the cost model now), and
-    /// returns the ticket to redeem with [`Self::read_for_dst_finish`].
-    /// The captured slots must not be rewritten between the two calls —
-    /// the pipelined runners guarantee this because the inbox matrix of
-    /// the current superstep was fully written (and barrier-flushed) last
-    /// superstep, while this superstep's sends go to the other matrix of
-    /// the ping-pong pair.
-    pub fn read_for_dst_submit(
-        &self,
-        disks: &mut DiskArray,
-        dst: usize,
-    ) -> Result<InboxTicket, EmError> {
-        let dst_local = dst - self.dst_base;
-        let mut addrs = self.addr_lists.take();
-        // (src, items, nblocks) per non-empty source, in source order.
-        let mut spans = self.span_lists.take();
-        for (src, len) in self.lens.row_nonzero(dst_local) {
-            let n_items = len as usize;
-            let bytes = n_items * M::SIZE;
-            let nblocks = bytes.div_ceil(self.block_bytes);
-            spans.push((src, n_items, nblocks));
-            for q in 0..nblocks {
-                addrs.push(self.layout.addr(src, dst_local, q as u64));
-            }
-        }
-        let ticket = disks.read_gather_submit(&addrs)?;
-        Ok(InboxTicket { dst, addrs, spans, ticket })
-    }
-
-    /// Complete a read begun with [`Self::read_for_dst_submit`],
-    /// decoding each block straight from the storage's block views into
-    /// per-source streaming decoders — no reassembly buffer and, for
-    /// in-memory backends, no block copy. Charges nothing — the submit
-    /// already did.
-    pub fn read_for_dst_finish(
-        &self,
-        disks: &mut DiskArray,
-        t: InboxTicket,
-    ) -> Result<Vec<(usize, Vec<M>)>, EmError> {
-        let mut out = Vec::with_capacity(t.spans.len());
+        let t = self.read_for_dst_submit(disks, dst..dst + 1)?;
+        let mut out = [Vec::new()];
         self.read_for_dst_finish_into(disks, t, &mut out)?;
+        let [out] = out;
         Ok(out)
     }
 
-    /// [`Self::read_for_dst_finish`] into a reused list (cleared
-    /// first): a caller that hands the same list back every time reads
-    /// inboxes without allocating more than the items themselves.
+    /// Begin an asynchronous read of the inboxes of global destinations
+    /// `dsts`: captures the per-source slot lengths and block addresses
+    /// *as they are now*, submits one gather read (charged to the cost
+    /// model now), and returns the ticket to redeem with
+    /// [`Self::read_for_dst_finish_into`]. The captured slots must not
+    /// be rewritten between the two calls — the pipelined runners
+    /// guarantee this because the inbox matrix of the current superstep
+    /// was fully written (and barrier-flushed) last superstep, while
+    /// this superstep's sends go to the other matrix of the ping-pong
+    /// pair.
+    pub fn read_for_dst_submit(
+        &self,
+        disks: &mut DiskArray,
+        dsts: Range<usize>,
+    ) -> Result<InboxTicket, EmError> {
+        let mut addrs = self.addr_lists.take();
+        let (mut spans, mut owner) = (self.span_lists.take(), self.owner_lists.take());
+        self.list(dsts.clone(), &mut spans, &mut addrs, &mut owner);
+        let ticket = disks.read_gather_submit(&addrs)?;
+        Ok(InboxTicket { first: dsts.start, addrs, spans, owner, ticket })
+    }
+
+    /// Complete a read begun with [`Self::read_for_dst_submit`]: `outs[i]`
+    /// (cleared first) receives the inbox of the `i`-th destination,
+    /// `(src, items)` per non-empty source in source order. Each block is
+    /// decoded straight from the storage's block view into a per-source
+    /// streaming decoder — no reassembly buffer and, for in-memory
+    /// backends, no block copy — and a caller that hands the same lists
+    /// back every time reads inboxes without allocating more than the
+    /// items themselves. Charges nothing — the submit already did.
     pub fn read_for_dst_finish_into(
         &self,
         disks: &mut DiskArray,
         t: InboxTicket,
-        out: &mut Vec<(usize, Vec<M>)>,
+        outs: &mut [Vec<(usize, Vec<M>)>],
     ) -> Result<(), EmError> {
-        let InboxTicket { dst, addrs, spans, ticket } = t;
-        out.clear();
+        let InboxTicket { first, addrs, spans, owner, ticket } = t;
+        outs.iter_mut().for_each(Vec::clear);
         let mut decoders = self.decoders.take();
-        decoders.extend(spans.iter().map(|&(_, n_items, _)| SpanDecoder::new(n_items)));
-        // Blocks arrive in request order, so the span a block belongs
-        // to only ever moves forward.
-        let (mut si, mut span_end) = (0usize, spans.first().map_or(0, |s| s.2));
-        disks.read_gather_finish(ticket, &addrs, &mut |i, block| {
-            while i >= span_end {
-                si += 1;
-                span_end += spans[si].2;
-            }
-            decoders[si].feed(block);
-        })?;
-        let mut bi = 0usize;
-        for (dec, &(src, _, nblocks)) in decoders.drain(..).zip(&spans) {
-            let first = addrs.get(bi).copied().unwrap_or(TrackAddr::new(0, 0));
-            bi += nblocks;
+        decoders.extend(spans.iter().map(|s| SpanDecoder::new(s.n_items)));
+        disks.read_gather_finish(ticket, &addrs, &mut |i, block| decoders[owner[i]].feed(block))?;
+        for (dec, s) in decoders.drain(..).zip(&spans) {
             match dec.finish() {
-                Ok(items) => out.push((src, items)),
+                Ok(items) => outs[s.dst].push((s.src, items)),
                 Err(e) => {
+                    let dst = first + s.dst;
+                    let a = self.layout.addr(s.src, dst - self.dst_base, 0);
                     return Err(EmError::Io(IoError::Fault {
                         kind: IoErrorKind::Corrupt,
-                        disk: first.disk,
-                        track: first.track,
-                        detail: format!("message slot src {src} dst {dst}: {e}"),
-                    }))
+                        disk: a.disk,
+                        track: a.track,
+                        detail: format!("message slot src {} dst {dst}: {e}", s.src),
+                    }));
                 }
             }
         }
         self.decoders.replace(decoders);
         self.addr_lists.give(addrs);
         self.span_lists.give(spans);
+        self.owner_lists.give(owner);
         Ok(())
     }
 }
 
-/// Completion handle for an in-flight inbox read (see
-/// [`MessageMatrix::read_for_dst_submit`]). Captures the destination's
-/// slot lengths and block addresses at submit time, so the finish
-/// decodes exactly the inbox that was current when the read was issued.
-pub struct InboxTicket {
+/// One occupied slot of an inbox read: `n_items` items in `nblocks`
+/// blocks from `src` to the `dst`-th destination read.
+struct Span {
     dst: usize,
+    src: usize,
+    n_items: usize,
+    nblocks: usize,
+}
+
+/// Completion handle for an in-flight inbox read (see
+/// [`MessageMatrix::read_for_dst_submit`]). Captures the destinations'
+/// slot lengths and block addresses at submit time, so the finish
+/// decodes exactly the inboxes that were current when the read was
+/// issued.
+pub struct InboxTicket {
+    /// Global id of the first destination read.
+    first: usize,
     addrs: Vec<TrackAddr>,
-    /// `(src, items, nblocks)` per non-empty source, in source order.
-    spans: Vec<(usize, usize, usize)>,
+    /// One per non-empty slot, by destination, then source.
+    spans: Vec<Span>,
+    /// The span each block of `addrs` belongs to.
+    owner: Vec<usize>,
     ticket: u64,
 }
 
 impl InboxTicket {
     /// Total items this inbox read will deliver (the submit-time
-    /// `received_items` of the destination).
+    /// `received_items` of its destinations).
     pub fn items(&self) -> usize {
-        self.spans.iter().map(|&(_, n, _)| n).sum()
+        self.spans.iter().map(|s| s.n_items).sum()
     }
 }
 

@@ -1,18 +1,18 @@
 //! The read window of the software-pipelined compound superstep.
 //!
-//! The executor (`exec.rs`) drives a three-stage pipeline per virtual
-//! processor: **load** (steps (a)+(b), submitted up to
-//! [`crate::EmConfig::pipeline_depth`] vps ahead of the one computing),
-//! **compute** (step (c)), and **store** (steps (d)+(e), drained by the
-//! backend's write-behind). This module holds the charging half of the
-//! load stage: submitting a vp's reads charges the cost model and
-//! attributes spans at submit time, whatever the distance to the
-//! matching finish — depth 0 is a submit and a finish with no gap — so
-//! `IoStats`, the op breakdown, and checkpoint manifests are
-//! bit-identical at every pipeline depth.
+//! The executor (`exec.rs`) drives a three-stage pipeline per group of
+//! [`crate::EmConfig::vp_group`] virtual processors: **load** (steps
+//! (a)+(b), submitted up to [`crate::EmConfig::pipeline_depth`] groups
+//! ahead of the one computing), **compute** (step (c)), and **store**
+//! (steps (d)+(e), drained by the backend's write-behind). This module
+//! holds the charging half of the load stage: submitting a group's
+//! reads charges the cost model and attributes spans at submit time,
+//! whatever the distance to the matching finish — depth 0 is a submit
+//! and a finish with no gap — so `IoStats`, the op breakdown, and
+//! checkpoint manifests are bit-identical at every pipeline depth.
 //!
-//! Why pre-issuing inside a superstep is safe: vp `k`'s context slot is
-//! only rewritten by vp `k`'s own step (e), which runs strictly after
+//! Why pre-issuing inside a superstep is safe: a group's context slots
+//! are only rewritten by its own step (e), which runs strictly after
 //! its step (a) read completes; and the inbox matrix of the current
 //! superstep was fully written (and barrier-flushed) last superstep,
 //! while this superstep's sends go to the other matrix of the ping-pong
@@ -21,6 +21,7 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use cgmio_obs::{Phase, SpanScope};
 use cgmio_pdm::{DiskArray, Item};
@@ -31,7 +32,7 @@ use crate::report::IoBreakdown;
 use crate::EmError;
 
 /// In-flight step (a)+(b) tickets; the front entry belongs to the next
-/// vp to compute. Holds at most `pipeline_depth` entries.
+/// group to compute. Holds at most `pipeline_depth + 1` entries.
 pub(crate) type InflightReads = VecDeque<(CtxReadTicket, InboxTicket)>;
 
 /// Emptied vectors waiting for the next read ticket of the store that
@@ -61,33 +62,33 @@ impl<T> FreeList<T> {
     }
 }
 
-/// Submit one vp's step (a) context read and step (b) inbox read.
+/// Submit one group's step (a) context read and step (b) inbox read.
 ///
-/// `ctx_slot` is the vp's local context slot, `dst` its global pid (the
-/// two coincide at `p = 1`; workers address the context store locally
-/// and the message matrix globally). `span` opens a phase span of the
+/// `slots` are the group's local context slots; `first` is the global
+/// pid of local slot 0 (workers address the context store locally and
+/// the message matrix globally). `span` opens a phase span of the
 /// calling worker's current superstep.
 ///
 /// Charges the cost model *now* and returns the completion tickets to
-/// redeem when that vp is next to compute. Redemption charges nothing.
-pub(crate) fn submit_vp_reads<M: Item>(
+/// redeem when that group is next to compute. Redemption charges nothing.
+pub(crate) fn submit_group_reads<M: Item>(
     span: impl Fn(Phase) -> Option<SpanScope>,
     disks: &mut DiskArray,
     ctx_store: &ContextStore,
     mat_cur: &MessageMatrix<M>,
     breakdown: &mut IoBreakdown,
-    ctx_slot: usize,
-    dst: usize,
+    slots: Range<usize>,
+    first: usize,
 ) -> Result<(CtxReadTicket, InboxTicket), EmError> {
     let g = span(Phase::CtxLoad);
     let ops0 = disks.stats().total_ops();
-    let ctx_t = ctx_store.read_submit(disks, ctx_slot)?;
+    let ctx_t = ctx_store.read_submit(disks, slots.clone())?;
     breakdown.ctx_ops += disks.stats().total_ops() - ops0;
     drop(g);
 
     let g = span(Phase::MatrixRead);
     let ops0 = disks.stats().total_ops();
-    let inbox_t = mat_cur.read_for_dst_submit(disks, dst)?;
+    let inbox_t = mat_cur.read_for_dst_submit(disks, first + slots.start..first + slots.end)?;
     breakdown.msg_ops += disks.stats().total_ops() - ops0;
     drop(g);
     Ok((ctx_t, inbox_t))

@@ -46,8 +46,9 @@ pub struct EmRunReport {
     pub p: usize,
     /// Virtual processors simulated.
     pub v: usize,
-    /// Peak internal memory used to simulate any single virtual
-    /// processor: context + inbox + outbox bytes.
+    /// Peak internal memory used to simulate any one group of
+    /// `EmConfig::vp_group` virtual processors: their contexts, inboxes
+    /// and outboxes, in bytes.
     pub peak_mem_bytes: usize,
     /// Items that crossed a real-processor boundary (0 for Algorithm 2).
     pub cross_thread_items: u64,

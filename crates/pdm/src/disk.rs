@@ -29,7 +29,7 @@ impl TrackAddr {
     }
 }
 
-/// A single block transfer request (used by the FIFO write scheduler).
+/// A single block transfer request (the queue entry of [`DiskArray::write_fifo`]).
 #[derive(Debug, Clone)]
 pub struct IoRequest {
     /// Where the block goes.
@@ -134,23 +134,27 @@ pub struct DiskArray {
     storage: Box<dyn TrackStorage>,
     stats: IoStats,
     pool: BlockPool,
-    /// Drive `d` is used by the parallel operation being formed iff
-    /// `cycle_of[d] == cycle`: opening the next operation is one
-    /// increment, whatever `D` is.
+    /// Drive `d` is used by the operation (or list) being checked iff
+    /// `cycle_of[d] == cycle`: opening the next one is one increment,
+    /// whatever `D` is.
     cycle_of: Vec<u64>,
     cycle: u64,
+    /// Blocks of the list being charged on each drive; valid where the
+    /// drive's stamp is current.
+    drive_blocks: Vec<u64>,
     /// The scatter list of [`Self::write_gather_iter`], kept (empty)
     /// between calls for its allocation.
     write_list: Vec<(TrackAddr, &'static [u8])>,
 }
 
-/// What one address list costs when packed FIFO into parallel
-/// operations; committed to [`IoStats`] once the transfer succeeded.
+/// What one address list costs (see [`DiskArray::charge`]); committed
+/// to [`IoStats`] once the transfer succeeded.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct Charge {
     ops: u64,
     full_ops: u64,
     blocks: u64,
+    narrow_ops: u64,
 }
 
 /// Empty `v` and hand its allocation on as a vector of `U`.
@@ -189,6 +193,7 @@ impl DiskArray {
             pool: BlockPool::default(),
             cycle_of: vec![0; geom.num_disks],
             cycle: 0,
+            drive_blocks: vec![0; geom.num_disks],
             write_list: Vec::new(),
         }
     }
@@ -291,44 +296,50 @@ impl DiskArray {
         Ok(())
     }
 
-    /// FIFO packing arithmetic shared by the gather paths: walk the
-    /// addresses in order, close the current parallel operation as soon
-    /// as a disk repeats (or all `D` disks are used), and total what the
-    /// operations cost. This is exactly the paper's `DiskWrite`
-    /// scheduling rule, computed *as counters* in one streaming pass —
-    /// the actual bytes move in one scatter submission, but the
-    /// [`IoStats`] cost model charges the same operations it always did.
+    /// The drive-balanced charge of one list submitted together: it
+    /// costs `max_d` (its blocks on drive `d`) parallel operations, of
+    /// which `min_d` are full, in one streaming pass.
+    ///
+    /// `max_d` is the length of the schedule whose cycle `c` takes the
+    /// `c`-th block of every drive. That schedule keeps each drive's
+    /// order — all any backend observes, and what the engine's
+    /// per-drive queues execute — and no legal schedule is shorter. It
+    /// never exceeds the paper's FIFO `DiskWrite` packing (close an
+    /// operation when a drive repeats) and equals it on round-robin
+    /// lists, the ones the staggered formats produce.
     ///
     /// Validates every address and touches no counter: a list that fails
     /// here, or in the backend afterwards, charges nothing.
-    fn fifo_charge(&mut self, addrs: impl Iterator<Item = TrackAddr>) -> Result<Charge, IoError> {
+    fn charge(&mut self, addrs: impl Iterator<Item = TrackAddr>) -> Result<Charge, IoError> {
         let d = self.geom.num_disks;
-        let mut charge = Charge::default();
-        let mut cur = 0usize;
+        let (mut ops, mut blocks, mut touched) = (0u64, 0u64, 0usize);
         self.cycle += 1;
         for a in addrs {
             if a.disk >= d {
                 return Err(IoError::NoSuchDisk { disk: a.disk, num_disks: d });
             }
-            if self.cycle_of[a.disk] == self.cycle || cur == d {
-                charge.ops += 1;
-                charge.full_ops += u64::from(cur == d);
-                cur = 0;
-                self.cycle += 1;
+            let n = &mut self.drive_blocks[a.disk];
+            if self.cycle_of[a.disk] != self.cycle {
+                self.cycle_of[a.disk] = self.cycle;
+                *n = 0;
+                touched += 1;
             }
-            self.cycle_of[a.disk] = self.cycle;
-            cur += 1;
-            charge.blocks += 1;
+            *n += 1;
+            ops = ops.max(*n);
+            blocks += 1;
         }
-        if cur > 0 {
-            charge.ops += 1;
-            charge.full_ops += u64::from(cur == d);
-        }
-        Ok(charge)
+        // Every drive's count is current once all were touched; a list
+        // of at most D blocks that touched all of them is one full op.
+        let full_ops = match touched == d {
+            false => 0,
+            true if blocks <= d as u64 => 1,
+            true => self.drive_blocks.iter().copied().min().unwrap_or(0),
+        };
+        Ok(Charge { ops, full_ops, blocks, narrow_ops: ops - blocks.div_ceil(d as u64) })
     }
 
     /// Commit a successful transfer: per-disk block counts plus the
-    /// operations [`Self::fifo_charge`] packed it into.
+    /// operations [`Self::charge`] priced it at.
     fn commit(&mut self, addrs: impl Iterator<Item = TrackAddr>, charge: Charge, write: bool) {
         for a in addrs {
             self.stats.per_disk_blocks[a.disk] += 1;
@@ -341,16 +352,18 @@ impl DiskArray {
         *ops += charge.ops;
         *blocks += charge.blocks;
         self.stats.full_ops += charge.full_ops;
+        self.stats.narrow_ops += charge.narrow_ops;
     }
 
     /// Write an arbitrary list of blocks — any number per disk — as
     /// **one** vectored submission to the backend, charged to the cost
-    /// model as if serviced by the paper's FIFO scheduler
-    /// (see [`Self::write_fifo`], which is this plus per-request `Vec`s).
+    /// model by the drive-balanced rule: as many parallel operations as
+    /// the busiest drive has blocks in the list (see
+    /// [`Self::write_fifo`], which is this plus per-request `Vec`s).
     ///
     /// Returns the number of parallel operations charged.
     pub fn write_gather(&mut self, writes: &[(TrackAddr, &[u8])]) -> Result<usize, IoError> {
-        let charge = self.fifo_charge(writes.iter().map(|(a, _)| *a))?;
+        let charge = self.charge(writes.iter().map(|(a, _)| *a))?;
         let bb = self.geom.block_bytes;
         for (_, data) in writes {
             if data.len() > bb {
@@ -384,7 +397,7 @@ impl DiskArray {
     /// scatter submission, handing each block to `f(request_index,
     /// bytes)` in request order. On in-memory backends the bytes are
     /// **borrowed from storage** (zero-copy); the cost model charges the
-    /// FIFO-packed operations exactly as [`Self::read_fifo`] does.
+    /// list exactly as [`Self::write_gather`] charges a write list.
     ///
     /// Returns the number of parallel operations charged.
     pub fn read_gather_with(
@@ -392,7 +405,7 @@ impl DiskArray {
         addrs: &[TrackAddr],
         f: &mut dyn FnMut(usize, &[u8]),
     ) -> Result<usize, IoError> {
-        let charge = self.fifo_charge(addrs.iter().copied())?;
+        let charge = self.charge(addrs.iter().copied())?;
         if addrs.is_empty() {
             return Ok(0);
         }
@@ -402,8 +415,7 @@ impl DiskArray {
     }
 
     /// Begin an asynchronous gather read of `addrs`, charging the cost
-    /// model **now** — the same FIFO-packed operations and per-disk
-    /// block counts [`Self::read_gather_with`] charges — and returning a
+    /// model **now** — the same operations and per-disk block counts [`Self::read_gather_with`] charges — and returning a
     /// ticket to redeem with [`Self::read_gather_finish`] (passing the
     /// same address list). On asynchronous backends the transfers start
     /// immediately and overlap the caller's compute; on synchronous
@@ -412,7 +424,7 @@ impl DiskArray {
     /// in the program: the pipeline changes *when* bytes move on the
     /// wall clock, never what the cost model counts.
     pub fn read_gather_submit(&mut self, addrs: &[TrackAddr]) -> Result<u64, IoError> {
-        let charge = self.fifo_charge(addrs.iter().copied())?;
+        let charge = self.charge(addrs.iter().copied())?;
         if addrs.is_empty() {
             return Ok(0);
         }
@@ -437,15 +449,14 @@ impl DiskArray {
         self.storage.read_scatter_wait(ticket, addrs, f).map_err(IoError::from)
     }
 
-    /// The paper's `DiskWrite` procedure: service a FIFO queue of block
-    /// writes, packing blocks into parallel operations **strictly in FIFO
-    /// order** and closing the current operation as soon as a block's disk
-    /// conflicts with an earlier block in the same cycle.
+    /// The paper's `DiskWrite` procedure: service a queue of block
+    /// writes, each drive in queue order, as one gather list.
     ///
     /// Returns the number of parallel operations used. With a staggered
-    /// layout this is `ceil(len/D)`; with a naive layout it degrades — the
-    /// difference is what the paper's Figure 2 illustrates, and what the
-    /// `ablation` benches measure.
+    /// layout this is `ceil(len/D)`; with a naive layout, which piles
+    /// blocks onto few drives, it degrades — the difference is what the
+    /// paper's Figure 2 illustrates, and what the `ablation` benches
+    /// measure.
     ///
     /// This is [`Self::write_gather`] over owned per-request buffers; the
     /// hot path stages into one pooled buffer and calls `write_gather`
@@ -456,9 +467,8 @@ impl DiskArray {
         self.write_gather(&writes)
     }
 
-    /// Read the blocks produced by `addrs`, chunked greedily into legal
-    /// parallel operations (FIFO order, one operation per disk conflict —
-    /// mirror of [`Self::write_fifo`]), returning an owned copy of each
+    /// Read the blocks produced by `addrs` as one gather list (mirror of
+    /// [`Self::write_fifo`]), returning an owned copy of each
     /// block. The hot path uses [`Self::read_gather_with`] to decode
     /// straight from the storage-owned bytes instead.
     pub fn read_fifo(
@@ -480,9 +490,10 @@ mod tests {
         DiskArray::new(DiskGeometry::new(d, b))
     }
 
-    /// The FIFO packing rule as it was first written — one vector of
-    /// operation sizes, one of used flags — kept as the reference the
-    /// streaming [`DiskArray::fifo_charge`] is tested against.
+    /// The paper's FIFO packing rule — close an operation when a drive
+    /// repeats or all `D` are used — as the cost model charged it before
+    /// the drive-balanced rule: the reference the balanced charge must
+    /// never exceed.
     fn fifo_cycle_sizes(d: usize, addrs: &[TrackAddr]) -> Result<Vec<usize>, IoError> {
         let mut sizes = Vec::new();
         let mut used = vec![false; d];
@@ -505,13 +516,24 @@ mod tests {
         Ok(sizes)
     }
 
+    /// The drive-balanced rule written out: cycle `c` takes the `c`-th
+    /// block of every drive. Returns the size of each cycle.
+    fn balanced_cycle_sizes(d: usize, addrs: &[TrackAddr]) -> Vec<usize> {
+        let mut per_drive = vec![0usize; d];
+        addrs.iter().for_each(|a| per_drive[a.disk] += 1);
+        let cycles = per_drive.iter().copied().max().unwrap_or(0);
+        (0..cycles).map(|c| per_drive.iter().filter(|&&n| n > c).count()).collect()
+    }
+
     /// What the reference rule charges for `addrs` on top of `before`.
     fn reference_stats(before: &IoStats, d: usize, addrs: &[TrackAddr], write: bool) -> IoStats {
         let mut want = before.clone();
         for a in addrs {
             want.per_disk_blocks[a.disk] += 1;
         }
-        for n in fifo_cycle_sizes(d, addrs).expect("addresses in range") {
+        let sizes = balanced_cycle_sizes(d, addrs);
+        want.narrow_ops += (sizes.len() - addrs.len().div_ceil(d)) as u64;
+        for n in sizes {
             if write {
                 want.record_write(n, d);
             } else {
@@ -521,7 +543,48 @@ mod tests {
         want
     }
 
+    const DRIVES: [usize; 6] = [1, 2, 3, 64, 65, 200];
+
+    /// Addresses in one of three regimes: pure round-robin (every
+    /// operation full), round-robin with repeats and skips, and drives
+    /// drawn at random from half the array.
+    fn regime_addrs(d: usize, regime: usize, picks: &[u32]) -> Vec<TrackAddr> {
+        let mut disk = 0usize;
+        let step = |disk: usize, r: u32| match regime {
+            0 => (disk + 1) % d,
+            1 => (disk + [1, 1, 1, 0, 2][r as usize % 5]) % d,
+            _ => r as usize % d.div_ceil(2),
+        };
+        (picks.iter().enumerate())
+            .map(|(i, &r)| {
+                disk = step(disk, r);
+                TrackAddr::new(disk, i as u64)
+            })
+            .collect()
+    }
+
     proptest::proptest! {
+        #[test]
+        fn balanced_charge_never_exceeds_fifo(
+            d_pick in 0usize..6,
+            regime in 0usize..3,
+            picks in proptest::collection::vec(proptest::any::<u32>(), 0..300),
+        ) {
+            let d = DRIVES[d_pick];
+            let addrs = regime_addrs(d, regime, &picks);
+            let fifo = fifo_cycle_sizes(d, &addrs).unwrap();
+            let mut a = arr(d, 4);
+            let ops = a.read_gather_with(&addrs, &mut |_, _| {}).unwrap();
+            proptest::prop_assert!(ops <= fifo.len(), "balanced {} > FIFO {}", ops, fifo.len());
+            if regime == 0 {
+                // Round-robin: both rules pack D blocks per operation.
+                proptest::prop_assert_eq!(ops, fifo.len());
+                let full = fifo.iter().filter(|&&n| n == d).count() as u64;
+                proptest::prop_assert_eq!(a.stats().full_ops, full);
+                proptest::prop_assert_eq!(a.stats().narrow_ops, 0);
+            }
+        }
+
         #[test]
         fn streaming_charge_equals_the_reference_rule(
             d_pick in 0usize..6,
@@ -529,23 +592,8 @@ mod tests {
             picks in proptest::collection::vec(proptest::any::<u32>(), 0..300),
             bad_at in 0usize..600,
         ) {
-            let d = [1usize, 2, 3, 64, 65, 200][d_pick];
-            // Three regimes: pure round-robin (every operation full, the
-            // `cur == D` edge), round-robin with repeats and skips, and
-            // drives drawn at random from half the array.
-            let mut disk = 0usize;
-            let addrs: Vec<TrackAddr> = picks
-                .iter()
-                .enumerate()
-                .map(|(i, &r)| {
-                    disk = match regime {
-                        0 => (disk + 1) % d,
-                        1 => (disk + [1, 1, 1, 0, 2][r as usize % 5]) % d,
-                        _ => r as usize % d.div_ceil(2),
-                    };
-                    TrackAddr::new(disk, i as u64)
-                })
-                .collect();
+            let d = DRIVES[d_pick];
+            let addrs = regime_addrs(d, regime, &picks);
             let block = [7u8; 4];
             let writes: Vec<(TrackAddr, &[u8])> = addrs.iter().map(|&a| (a, &block[..])).collect();
             let mut a = arr(d, 4);
@@ -553,7 +601,7 @@ mod tests {
             // One array takes all four paths in turn, so stale drive
             // stamps of earlier calls are part of what is tested.
             let want = reference_stats(a.stats(), d, &addrs, true);
-            let sizes = fifo_cycle_sizes(d, &addrs).unwrap();
+            let sizes = balanced_cycle_sizes(d, &addrs);
             proptest::prop_assert_eq!(a.write_gather(&writes).unwrap(), sizes.len());
             proptest::prop_assert_eq!(a.stats(), &want);
 
@@ -777,6 +825,7 @@ mod tests {
                 blocks_read: 5,
                 blocks_written: 5,
                 full_ops: 2,
+                narrow_ops: 0,
                 per_disk_blocks: vec![4, 3, 3],
             };
             assert_eq!(a.stats(), &want, "{name}");

@@ -29,8 +29,8 @@ pub fn consecutive_addr(
 }
 
 /// The staggered format: identical arithmetic to [`consecutive_addr`] but
-/// with a caller-chosen per-band disk offset (the paper staggers band `j`
-/// by `j·b′ mod D`). Provided as a named alias for readability at call
+/// with a caller-chosen per-band disk offset (band `j` of the message
+/// matrix is staggered by `j mod D`). Provided as a named alias for readability at call
 /// sites that deal with the message matrix.
 pub fn staggered_addr(
     num_disks: usize,
@@ -65,28 +65,36 @@ impl Layout {
 }
 
 /// The paper's **message matrix** (appendix, "Details of Step (d)" and
-/// Figure 2).
+/// Figure 2), in block-major order.
 ///
-/// All `v × v` messages of one superstep, each occupying exactly
+/// All `v × v` messages of one superstep, each in a slot of exactly
 /// `blocks_per_msg = b′` blocks, are stored in `v` *destination bands*.
-/// Band `j` holds `msg(0,j) … msg(v−1,j)` consecutively, starts at track
-/// `base_track + j · tracks_per_band` and is staggered by disk offset
-/// `d_j = (j · b′) mod D`.
+/// Band `j` starts at track `base_track + j · tracks_per_band` and is
+/// staggered by disk offset `d_j = j mod D`. Within band `j`, block `q`
+/// of `msg(i,j)` sits at position `g = q·s + i` — the `q`-th blocks of
+/// all the band's messages form *stripe* `q`, `s` positions apart, where
+/// the stride `s ≥ v` is the smallest with `s ≡ 1 (mod D)` — and its
+/// address is disk `(d_j + g) mod D = (j + q + i) mod D`, track
+/// `T_j + (d_j + g) / D`. At `b′ = 1` there is one stripe and this is
+/// Figure 2 address for address.
 ///
-/// Within band `j`, the global block index of block `q` of `msg(i,j)` is
-/// `g = i·b′ + q` and its address is disk `(d_j + g) mod D`, track
-/// `T_j + (d_j + g) / D`.
+/// Three round-robin properties follow (tested below and relied upon
+/// by the simulation engine):
 ///
-/// Two round-robin properties follow (tested below and relied upon by the
-/// simulation engine):
+/// * a **writer** (virtual processor `i`) emitting stripe `q` of its
+///   messages in destination order `j = 0, 1, …` advances by exactly
+///   one disk per block,
+/// * a **reader** (virtual processor `j`) consuming stripe `q` of its
+///   band in source order also advances by one disk per block, and
+/// * the blocks of any one message advance by one disk per block (the
+///   stride's `≡ 1`; with `s = v` and `D | v` they would all share a
+///   drive, and one large message would cost a parallel I/O per block).
 ///
-/// * a **writer** (virtual processor `i`) emitting all its messages in
-///   destination order `j = 0, 1, …` produces the disk sequence
-///   `((i+j)·b′ + q) mod D`, which advances by exactly one disk per
-///   block, and
-/// * a **reader** (virtual processor `j`) consuming its band in source
-///   order produces `(d_j + i·b′ + q) mod D`, which also advances by one
-///   disk per block.
+/// A message shorter than its slot only leaves gaps in the higher
+/// stripes, so the blocks a list does carry still spread over all `D`
+/// drives; in the message-major order of the paper's `b′ > 1` figure
+/// (block `q` at `i·b′ + q`, offset `j·b′ mod D`) a one-block message
+/// in a two-block slot always started on an even drive at `D = 4`.
 #[derive(Debug, Clone, Copy)]
 pub struct MessageMatrixLayout {
     /// Number of drives.
@@ -100,13 +108,21 @@ pub struct MessageMatrixLayout {
 }
 
 impl MessageMatrixLayout {
-    /// Tracks reserved per destination band. The `+ (D − 1)` term wastes
-    /// at most one track per band, paying for the band's disk offset —
-    /// the paper's "at most one track is wasted for each virtual
-    /// processor".
+    /// Positions between the starts of consecutive stripes: the
+    /// smallest `s ≥ v` with `s ≡ 1 (mod D)`.
+    pub fn stripe_stride(&self) -> u64 {
+        let (v, d) = (self.v as u64, self.num_disks as u64);
+        v + (1 + d - v % d) % d
+    }
+
+    /// Tracks reserved per destination band: `b′ − 1` strides and the
+    /// last stripe. The `+ (D − 1)` term wastes at most one track per
+    /// band, paying for the band's disk offset — the paper's "at most
+    /// one track is wasted for each virtual processor" (the stride adds
+    /// fewer than `D` positions per stripe).
     pub fn tracks_per_band(&self) -> u64 {
-        (self.v as u64 * self.blocks_per_msg + self.num_disks as u64 - 1)
-            .div_ceil(self.num_disks as u64)
+        let positions = (self.blocks_per_msg - 1) * self.stripe_stride() + self.v as u64;
+        (positions + self.num_disks as u64 - 1).div_ceil(self.num_disks as u64)
     }
 
     /// Total tracks occupied by the matrix on each drive.
@@ -116,28 +132,30 @@ impl MessageMatrixLayout {
 
     /// Disk offset `d_j` of destination band `j`.
     pub fn band_disk_offset(&self, dst: usize) -> usize {
-        ((dst as u64 * self.blocks_per_msg) % self.num_disks as u64) as usize
+        dst % self.num_disks
     }
 
     /// Address of block `q` of the message from `src` to `dst`.
     pub fn addr(&self, src: usize, dst: usize, q: u64) -> TrackAddr {
         debug_assert!(src < self.v && dst < self.v && q < self.blocks_per_msg);
         let band_track = self.base_track + dst as u64 * self.tracks_per_band();
-        let g = src as u64 * self.blocks_per_msg + q;
+        let g = q * self.stripe_stride() + src as u64;
         staggered_addr(self.num_disks, band_track, self.band_disk_offset(dst), g)
     }
 
-    /// The block addresses written by source `src`, in the order it emits
-    /// them (destination 0 first, `b′` blocks each).
+    /// The block addresses written by source `src` when every message
+    /// fills its slot, stripe by stripe (destinations in order within
+    /// each stripe).
     pub fn write_order_for_src(&self, src: usize) -> impl Iterator<Item = TrackAddr> + '_ {
-        (0..self.v)
-            .flat_map(move |dst| (0..self.blocks_per_msg).map(move |q| self.addr(src, dst, q)))
+        (0..self.blocks_per_msg)
+            .flat_map(move |q| (0..self.v).map(move |dst| self.addr(src, dst, q)))
     }
 
-    /// The block addresses read by destination `dst`, in source order.
+    /// The block addresses read by destination `dst`, stripe by stripe
+    /// (sources in order within each stripe).
     pub fn read_order_for_dst(&self, dst: usize) -> impl Iterator<Item = TrackAddr> + '_ {
-        (0..self.v)
-            .flat_map(move |src| (0..self.blocks_per_msg).map(move |q| self.addr(src, dst, q)))
+        (0..self.blocks_per_msg)
+            .flat_map(move |q| (0..self.v).map(move |src| self.addr(src, dst, q)))
     }
 }
 
@@ -161,6 +179,12 @@ mod tests {
         addrs.windows(2).all(|w| w[1].disk == (w[0].disk + 1) % d)
     }
 
+    /// Every stripe of `order` (`v` blocks each) is round-robin.
+    fn stripes_round_robin(order: impl Iterator<Item = TrackAddr>, v: usize, d: usize) -> bool {
+        let addrs: Vec<_> = order.collect();
+        addrs.chunks(v).all(|stripe| round_robin(stripe, d))
+    }
+
     #[test]
     fn writer_sequences_are_round_robin() {
         for d in [1usize, 2, 3, 4, 5, 8] {
@@ -168,8 +192,8 @@ mod tests {
                 let m =
                     MessageMatrixLayout { num_disks: d, v: 6, blocks_per_msg: bpm, base_track: 4 };
                 for src in 0..6 {
-                    let addrs: Vec<_> = m.write_order_for_src(src).collect();
-                    assert!(round_robin(&addrs, d), "D={d} b'={bpm} src={src}");
+                    let ok = stripes_round_robin(m.write_order_for_src(src), 6, d);
+                    assert!(ok, "D={d} b'={bpm} src={src}");
                 }
             }
         }
@@ -182,10 +206,46 @@ mod tests {
                 let m =
                     MessageMatrixLayout { num_disks: d, v: 6, blocks_per_msg: bpm, base_track: 0 };
                 for dst in 0..6 {
-                    let addrs: Vec<_> = m.read_order_for_dst(dst).collect();
-                    assert!(round_robin(&addrs, d), "D={d} b'={bpm} dst={dst}");
+                    let ok = stripes_round_robin(m.read_order_for_dst(dst), 6, d);
+                    assert!(ok, "D={d} b'={bpm} dst={dst}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_message_advances_one_drive_per_block() {
+        for (d, v) in [(4usize, 16usize), (4, 6), (3, 9), (8, 32), (1, 5)] {
+            let m = MessageMatrixLayout { num_disks: d, v, blocks_per_msg: 9, base_track: 0 };
+            for (i, j) in [(0, 0), (3, 1), (v - 1, v - 2)] {
+                let addrs: Vec<_> = (0..9).map(|q| m.addr(i, j, q)).collect();
+                assert!(round_robin(&addrs, d), "D={d} v={v} msg({i},{j})");
+            }
+        }
+    }
+
+    #[test]
+    fn one_block_messages_in_two_block_slots_use_every_drive() {
+        // Each writer sends v one-block messages: only stripe 0. In the
+        // message-major layout they all started on drives of one parity
+        // and the list cost 2⌈v/D⌉; block-major, stripe 0 is round-robin.
+        let (d, v) = (4usize, 10usize);
+        let m = MessageMatrixLayout { num_disks: d, v, blocks_per_msg: 2, base_track: 0 };
+        for src in 0..v {
+            let mut disks = crate::DiskArray::new(crate::DiskGeometry::new(d, 8));
+            let writes: Vec<(TrackAddr, &[u8])> =
+                (0..v).map(|dst| (m.addr(src, dst, 0), &[1u8][..])).collect();
+            assert_eq!(disks.write_gather(&writes).unwrap(), v.div_ceil(d), "src={src}");
+        }
+    }
+
+    #[test]
+    fn one_block_slots_are_figure_2() {
+        // b' = 1: msg(i, j) at position i of band j, band offset j mod D.
+        let m = MessageMatrixLayout { num_disks: 3, v: 5, blocks_per_msg: 1, base_track: 2 };
+        for (i, j) in (0..5).flat_map(|i| (0..5).map(move |j| (i, j))) {
+            let want = consecutive_addr(3, 2 + j as u64 * m.tracks_per_band(), j % 3, i as u64);
+            assert_eq!(m.addr(i, j, 0), want, "msg({i},{j})");
         }
     }
 

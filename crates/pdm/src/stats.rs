@@ -19,6 +19,11 @@ pub struct IoStats {
     pub blocks_written: u64,
     /// Operations that used all `D` disks.
     pub full_ops: u64,
+    /// Operations above the stripe floor: over every charged list, its
+    /// operations minus `⌈blocks/D⌉`, the fewest any `D`-drive schedule
+    /// of that many blocks needs. Zero when every list spreads its
+    /// blocks evenly over the drives.
+    pub narrow_ops: u64,
     /// Per-disk block transfer counts (reads + writes).
     pub per_disk_blocks: Vec<u64>,
 }
@@ -107,6 +112,7 @@ impl IoStats {
             blocks_read: self.blocks_read.saturating_sub(earlier.blocks_read),
             blocks_written: self.blocks_written.saturating_sub(earlier.blocks_written),
             full_ops: self.full_ops.saturating_sub(earlier.full_ops),
+            narrow_ops: self.narrow_ops.saturating_sub(earlier.narrow_ops),
             per_disk_blocks,
         }
     }
@@ -119,6 +125,7 @@ impl IoStats {
         self.blocks_read += other.blocks_read;
         self.blocks_written += other.blocks_written;
         self.full_ops += other.full_ops;
+        self.narrow_ops += other.narrow_ops;
         if self.per_disk_blocks.len() < other.per_disk_blocks.len() {
             self.per_disk_blocks.resize(other.per_disk_blocks.len(), 0);
         }
@@ -163,7 +170,9 @@ mod tests {
         b.record_write(1, 2);
         b.record_read(2, 2);
         b.per_disk_blocks = vec![5, 4];
+        b.narrow_ops = 3;
         let d = b.diff(&a);
+        assert_eq!(d.narrow_ops, 3);
         assert_eq!(d.read_ops, 1);
         assert_eq!(d.write_ops, 1);
         assert_eq!(d.blocks_read, 2);

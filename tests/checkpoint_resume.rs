@@ -12,8 +12,8 @@
 use proptest::prelude::*;
 
 use cgmio_core::{
-    measure_requirements, BackendSpec, CheckpointManifest, EmConfig, EmRunReport, ParEmRunner,
-    RunOutcome, SeqEmRunner,
+    measure_requirements, BackendSpec, CheckpointManifest, EmConfig, EmError, EmRunReport,
+    ParEmRunner, RunOutcome, SeqEmRunner,
 };
 use cgmio_io::IoEngineOpts;
 use cgmio_model::demo::TokenRing;
@@ -109,6 +109,101 @@ fn fault_and_retry_totals_appear_in_reports() {
     let (_, rep) = kill_and_resume(&prog, &fcfg, v, 1, Some(dir.path()));
     let f = rep.faults.expect("crash recovery rebuilds injectors, counts must be present");
     assert_eq!(rep.retries, f.read_transient + f.write_transient + f.torn_writes);
+}
+
+/// Halting at every barrier and resuming — in process on `Mem`, and
+/// from the manifest alone on files — reproduces the uninterrupted run
+/// at every group size and on both runners; the two backends write the
+/// same manifest.
+#[test]
+fn every_barrier_resumes_exactly_at_every_group_size() {
+    let (v, rounds) = (7usize, 5usize);
+    let prog = TokenRing { rounds };
+    for (p, k) in [1usize, 3].into_iter().flat_map(|p| [1usize, 2, 3].map(|k| (p, k))) {
+        let mut cfg = config(&prog, v, p);
+        cfg.vp_group = k;
+        let run = |c: EmConfig| {
+            if p == 1 {
+                SeqEmRunner::new(c).run_until(&prog, mk_states(v)).unwrap()
+            } else {
+                ParEmRunner::new(c).run_until(&prog, mk_states(v)).unwrap()
+            }
+        };
+        let want = run(cfg.clone()).expect_complete();
+        for halt in 0..rounds {
+            let tag = format!("p={p} k={k} halt={halt}");
+            let mut hcfg = cfg.clone();
+            hcfg.halt_after_superstep = Some(halt);
+            let RunOutcome::Interrupted(ckpt) = run(hcfg.clone()) else { panic!("{tag}: no halt") };
+            let manifest = ckpt.manifest.clone();
+            let got = if p == 1 {
+                SeqEmRunner::new(cfg.clone()).resume(&prog, ckpt)
+            } else {
+                ParEmRunner::new(cfg.clone()).resume(&prog, ckpt)
+            };
+            assert_same(&format!("{tag} mem"), &got.unwrap().expect_complete(), &want);
+
+            let dir = TempDir::new("cgmio-ckpt-every-barrier");
+            let mut fcfg = cfg.clone();
+            fcfg.backend = BackendSpec::SyncFile { dir: dir.path().join("drives") };
+            hcfg.backend = fcfg.backend.clone();
+            hcfg.checkpoint_dir = Some(dir.path().to_path_buf());
+            drop(run(hcfg)); // the "crash": only the files survive
+            let saved = CheckpointManifest::load(&CheckpointManifest::path_in(dir.path())).unwrap();
+            assert_eq!(saved, manifest, "{tag}: the manifest depends on the backend");
+            let got = if p == 1 {
+                SeqEmRunner::new(fcfg).resume_from(&prog, &saved)
+            } else {
+                ParEmRunner::new(fcfg).resume_from(&prog, &saved)
+            };
+            assert_same(&format!("{tag} sync-file"), &got.unwrap().expect_complete(), &want);
+        }
+    }
+}
+
+/// A manifest written before the block-major message layout — five `io`
+/// values, and the config hash of the time, which covered neither a
+/// layout version nor `vp_group` — parses, and resume refuses it with a
+/// `BadConfig` naming both hashes instead of decoding moved blocks.
+#[test]
+fn manifest_with_the_parent_hash_is_refused() {
+    let prog = TokenRing { rounds: 4 };
+    let (v, halt) = (4usize, 1usize);
+    let dir = TempDir::new("cgmio-ckpt-stale");
+    let mut cfg = config(&prog, v, 1);
+    cfg.backend = BackendSpec::SyncFile { dir: dir.path().join("drives") };
+    cfg.checkpoint_dir = Some(dir.path().to_path_buf());
+    cfg.halt_after_superstep = Some(halt);
+    drop(SeqEmRunner::new(cfg.clone()).run_until(&prog, mk_states(v)).unwrap());
+    let path = CheckpointManifest::path_in(dir.path());
+
+    // The hash the parent computed for this config: FNV-1a over v, p, D,
+    // B and the two slot sizes.
+    let fields = [v, 1, 2, 64, cfg.msg_slot_items, cfg.max_ctx_bytes];
+    let parent_hash = fields
+        .iter()
+        .flat_map(|&x| (x as u64).to_le_bytes())
+        .fold(0xCBF2_9CE4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3));
+    assert_eq!(parent_hash, 0xd161_1c37_bbd9_2cd3, "the fixed config drifted");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let stale: String = text
+        .lines()
+        .map(|l| match l.split_once(' ') {
+            Some(("config_hash", _)) => format!("config_hash {parent_hash}\n"),
+            Some(("io", vals)) => format!("io {}\n", vals.rsplit_once(' ').unwrap().0),
+            _ => format!("{l}\n"),
+        })
+        .collect();
+    std::fs::write(&path, stale).unwrap();
+
+    let manifest = CheckpointManifest::load(&path).unwrap();
+    assert_eq!(manifest.config_hash, parent_hash);
+    cfg.halt_after_superstep = None;
+    let e = SeqEmRunner::new(cfg.clone()).resume_from(&prog, &manifest).unwrap_err();
+    let EmError::BadConfig(msg) = e else { panic!("expected BadConfig, got {e:?}") };
+    for hash in [parent_hash, cfg.config_hash()] {
+        assert!(msg.contains(&format!("{hash:#x}")), "{msg}");
+    }
 }
 
 proptest! {

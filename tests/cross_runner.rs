@@ -11,7 +11,11 @@ use cgmio_data as data;
 use cgmio_model::demo::AllToOne;
 use cgmio_model::{CgmProgram, DirectRunner, ThreadedRunner};
 
-/// Run `prog` on all four runners and demand identical final states.
+/// Group sizes the EM runners are checked at (`vp_group`).
+const GROUPS: [usize; 3] = [1, 2, 3];
+
+/// Run `prog` on all four runners — the EM ones at every group size —
+/// and demand identical final states.
 fn assert_all_runners_agree<P>(prog: &P, mk: impl Fn() -> Vec<P::State>, label: &str)
 where
     P: CgmProgram,
@@ -24,16 +28,16 @@ where
     assert_eq!(threaded, want, "{label}: threaded != direct");
 
     let (_, _, req) = measure_requirements(prog, mk()).unwrap();
-    for d in [1usize, 3] {
-        let cfg = EmConfig::from_requirements(v, 1, d, 512, &req);
-        let (seq_em, rep) = SeqEmRunner::new(cfg).run(prog, mk()).unwrap();
-        assert_eq!(seq_em, want, "{label}: seq EM (D={d}) != direct");
+    for (d, k) in [1usize, 3].into_iter().flat_map(|d| GROUPS.map(|k| (d, k))) {
+        let mut cfg = EmConfig::from_requirements(v, 1, d, 512, &req);
+        cfg.vp_group = k;
+        let (seq_em, rep) = SeqEmRunner::new(cfg.clone()).run(prog, mk()).unwrap();
+        assert_eq!(seq_em, want, "{label}: seq EM (D={d}, k={k}) != direct");
         assert!(rep.breakdown.algorithm_ops() > 0 || rep.costs.total_items() == 0);
 
-        let mut cfg = EmConfig::from_requirements(v, 1, d, 512, &req);
         cfg.p = (v / 2).max(2).min(v);
         let (par_em, _) = ParEmRunner::new(cfg).run(prog, mk()).unwrap();
-        assert_eq!(par_em, want, "{label}: par EM (D={d}) != direct");
+        assert_eq!(par_em, want, "{label}: par EM (D={d}, k={k}) != direct");
     }
 }
 
@@ -203,19 +207,25 @@ fn irregular_sort_input() -> Vec<(Vec<u64>, Vec<u64>)> {
 }
 
 /// The EM runners' per-round h-relation ledger must be the reference
-/// runner's, for every `p`: `max_received` of a round is what was sent
-/// *in* that round (including the last one), not what was read in it.
+/// runner's, for every `p` and group size: `max_received` of a round is
+/// what was sent *in* that round (including the last one), not what was
+/// read in it.
 #[test]
 fn round_costs_match_direct_runner_for_every_p() {
-    fn check<P: CgmProgram>(prog: &P, mk: impl Fn() -> Vec<P::State>, label: &str) {
+    fn check<P: CgmProgram>(prog: &P, mk: impl Fn() -> Vec<P::State>, label: &str)
+    where
+        P::State: PartialEq + std::fmt::Debug,
+    {
         let v = mk().len();
-        let (_, want) = DirectRunner::default().run(prog, mk()).unwrap();
+        let (finals, want) = DirectRunner::default().run(prog, mk()).unwrap();
         let (_, _, req) = measure_requirements(prog, mk()).unwrap();
-        for p in [1usize, 2, 3] {
-            let cfg = EmConfig::from_requirements(v, p, 2, 64, &req);
-            let (_, rep) = ParEmRunner::new(cfg).run(prog, mk()).unwrap();
-            assert_eq!(rep.costs.rounds, want.rounds, "{label}: p={p}");
-            assert_eq!(rep.costs.max_h(), want.max_h(), "{label}: p={p}");
+        for (p, k) in [1usize, 2, 3].into_iter().flat_map(|p| GROUPS.map(|k| (p, k))) {
+            let mut cfg = EmConfig::from_requirements(v, p, 2, 64, &req);
+            cfg.vp_group = k;
+            let (got, rep) = ParEmRunner::new(cfg).run(prog, mk()).unwrap();
+            assert_eq!(got, finals, "{label}: p={p} k={k}");
+            assert_eq!(rep.costs.rounds, want.rounds, "{label}: p={p} k={k}");
+            assert_eq!(rep.costs.max_h(), want.max_h(), "{label}: p={p} k={k}");
         }
         let cfg = EmConfig::from_requirements(v, 1, 2, 64, &req);
         let (_, rep) = SeqEmRunner::new(cfg).run(prog, mk()).unwrap();
@@ -227,12 +237,20 @@ fn round_costs_match_direct_runner_for_every_p() {
 
 /// `ParEmRunner` at `p = 1` *is* `SeqEmRunner`: every count, every
 /// round cost and the checkpoint manifest agree on irregular traffic,
-/// and a run halted under either facade resumes under the other.
+/// and a run halted under either facade resumes under the other — at
+/// every group size.
 #[test]
 fn p1_is_the_sequential_runner_exactly() {
+    for k in GROUPS {
+        p1_is_the_sequential_runner_at(k);
+    }
+}
+
+fn p1_is_the_sequential_runner_at(k: usize) {
     let (prog, mk) = (CgmSort::<u64>::block_distributed(), irregular_sort_input);
     let (_, _, req) = measure_requirements(&prog, mk()).unwrap();
-    let cfg = EmConfig::from_requirements(8, 1, 4, 64, &req);
+    let mut cfg = EmConfig::from_requirements(8, 1, 4, 64, &req);
+    cfg.vp_group = k;
     let (seq_finals, seq) = SeqEmRunner::new(cfg.clone()).run(&prog, mk()).unwrap();
     let (par_finals, par) = ParEmRunner::new(cfg.clone()).run(&prog, mk()).unwrap();
     assert_eq!(par_finals, seq_finals);

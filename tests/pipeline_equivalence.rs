@@ -1,9 +1,10 @@
 //! The software-pipelined superstep executor must be *observably
 //! invisible* at every depth: final states, `IoStats`, op breakdowns,
 //! checkpoint manifests, trace op counts, and fault/retry totals have
-//! to be bit-identical whether vp reads are demand-issued (depth 0) or
-//! pre-issued up to `pipeline_depth` vps ahead — across every backend
-//! and both EM runners, including kill-and-resume at a mid-run barrier.
+//! to be bit-identical whether group reads are demand-issued (depth 0)
+//! or pre-issued up to `pipeline_depth` groups ahead — across every
+//! backend, both EM runners and every group size `vp_group`, including
+//! kill-and-resume at a mid-run barrier.
 
 use cgmio_algos::CgmSort;
 use cgmio_core::{
@@ -17,6 +18,9 @@ use proptest::prelude::*;
 type SortState = (Vec<u64>, Vec<u64>);
 
 const DEPTHS: [usize; 3] = [0, 1, 4];
+
+/// Group sizes swept by every check (`vp_group`).
+const GROUPS: [usize; 3] = [1, 2, 3];
 
 fn sort_states(keys: &[u64], v: usize) -> Vec<SortState> {
     data::block_split(keys.to_vec(), v).into_iter().map(|b| (b, Vec::new())).collect()
@@ -37,49 +41,61 @@ fn backends(dir: &cgmio_pdm::testutil::TempDir, tag: &str) -> Vec<BackendSpec> {
 }
 
 /// Finals, IoStats, and op breakdowns agree across pipeline depths
-/// {0, 1, 4} × {Mem, SyncFile, Concurrent} × both runners.
+/// {0, 1, 4} × {Mem, SyncFile, Concurrent} × both runners, for every
+/// group size.
 #[test]
 fn depths_invisible_across_backends_and_runners() {
     let keys = data::uniform_u64(3000, 17);
     let v = 6;
-    let prog = CgmSort::<u64>::by_pivots();
-    let base = sort_config(&keys, v, 2, 64);
     let dir = cgmio_pdm::testutil::TempDir::new("cgmio-pipe-eq");
+    for k in GROUPS {
+        let mut base = sort_config(&keys, v, 2, 64);
+        base.vp_group = k;
+        depths_invisible_at(&keys, v, &base, &dir, &format!("k{k}"));
+    }
+}
 
-    let (want, want_rep) =
-        SeqEmRunner::new(base.clone()).run(&prog, sort_states(&keys, v)).unwrap();
+fn depths_invisible_at(
+    keys: &[u64],
+    v: usize,
+    base: &EmConfig,
+    dir: &cgmio_pdm::testutil::TempDir,
+    k: &str,
+) {
+    let prog = CgmSort::<u64>::by_pivots();
+    let (want, want_rep) = SeqEmRunner::new(base.clone()).run(&prog, sort_states(keys, v)).unwrap();
     let par_base = {
         let mut cfg = base.clone();
         cfg.p = 2;
         cfg
     };
     let (pwant, pwant_rep) =
-        ParEmRunner::new(par_base.clone()).run(&prog, sort_states(&keys, v)).unwrap();
-    assert_eq!(pwant, want, "par and seq must agree before depth enters the picture");
+        ParEmRunner::new(par_base.clone()).run(&prog, sort_states(keys, v)).unwrap();
+    assert_eq!(pwant, want, "{k}: par and seq must agree before depth enters the picture");
 
     for (tag, depth) in DEPTHS.into_iter().enumerate() {
-        for backend in backends(&dir, &format!("seq{tag}")) {
+        for backend in backends(dir, &format!("seq{tag}{k}")) {
             let mut cfg = base.clone();
             cfg.pipeline_depth = depth;
             cfg.backend = backend.clone();
-            let (got, rep) = SeqEmRunner::new(cfg).run(&prog, sort_states(&keys, v)).unwrap();
-            assert_eq!(got, want, "seq depth={depth} {backend:?}: finals differ");
-            assert_eq!(rep.io, want_rep.io, "seq depth={depth} {backend:?}: IoStats differ");
+            let (got, rep) = SeqEmRunner::new(cfg).run(&prog, sort_states(keys, v)).unwrap();
+            assert_eq!(got, want, "{k} seq depth={depth} {backend:?}: finals differ");
+            assert_eq!(rep.io, want_rep.io, "{k} seq depth={depth} {backend:?}: IoStats differ");
             assert_eq!(
                 rep.breakdown, want_rep.breakdown,
-                "seq depth={depth} {backend:?}: breakdown differs"
+                "{k} seq depth={depth} {backend:?}: breakdown differs"
             );
         }
-        for backend in backends(&dir, &format!("par{tag}")) {
+        for backend in backends(dir, &format!("par{tag}{k}")) {
             let mut cfg = par_base.clone();
             cfg.pipeline_depth = depth;
             cfg.backend = backend.clone();
-            let (got, rep) = ParEmRunner::new(cfg).run(&prog, sort_states(&keys, v)).unwrap();
-            assert_eq!(got, pwant, "par depth={depth} {backend:?}: finals differ");
-            assert_eq!(rep.io, pwant_rep.io, "par depth={depth} {backend:?}: IoStats differ");
+            let (got, rep) = ParEmRunner::new(cfg).run(&prog, sort_states(keys, v)).unwrap();
+            assert_eq!(got, pwant, "{k} par depth={depth} {backend:?}: finals differ");
+            assert_eq!(rep.io, pwant_rep.io, "{k} par depth={depth} {backend:?}: IoStats differ");
             assert_eq!(
                 rep.breakdown, pwant_rep.breakdown,
-                "par depth={depth} {backend:?}: breakdown differs"
+                "{k} par depth={depth} {backend:?}: breakdown differs"
             );
         }
     }
@@ -95,8 +111,9 @@ fn manifests_identical_across_depths() {
     let prog = CgmSort::<u64>::by_pivots();
     let base = sort_config(&keys, v, 2, 64);
 
-    let manifest_at = |depth: usize, p: usize, halt: usize| -> CheckpointManifest {
+    let manifest_at = |depth: usize, p: usize, halt: usize, k: usize| -> CheckpointManifest {
         let mut cfg = base.clone();
+        cfg.vp_group = k;
         cfg.pipeline_depth = depth;
         cfg.p = p;
         cfg.backend = BackendSpec::Concurrent { dir: None, opts: Default::default() };
@@ -111,14 +128,14 @@ fn manifests_identical_across_depths() {
             RunOutcome::Complete { .. } => panic!("expected halt at {halt}"),
         }
     };
-    for p in [1usize, 2] {
+    for (p, k) in [1usize, 2].into_iter().flat_map(|p| GROUPS.map(|k| (p, k))) {
         for halt in [0usize, 1] {
-            let want = manifest_at(0, p, halt);
+            let want = manifest_at(0, p, halt, k);
             for depth in [1usize, 4] {
                 assert_eq!(
-                    manifest_at(depth, p, halt),
+                    manifest_at(depth, p, halt, k),
                     want,
-                    "p={p} halt={halt} depth={depth}: manifest differs"
+                    "p={p} k={k} halt={halt} depth={depth}: manifest differs"
                 );
             }
         }
@@ -135,12 +152,13 @@ fn fault_and_retry_totals_identical_across_depths() {
     let prog = CgmSort::<u64>::by_pivots();
     let base = sort_config(&keys, v, 2, 64);
 
-    for backend in
-        [BackendSpec::Mem, BackendSpec::Concurrent { dir: None, opts: Default::default() }]
-    {
+    let backends =
+        [BackendSpec::Mem, BackendSpec::Concurrent { dir: None, opts: Default::default() }];
+    for (backend, k) in backends.into_iter().flat_map(|b| GROUPS.map(|k| (b.clone(), k))) {
         let mut want: Option<_> = None;
         for depth in DEPTHS {
             let mut cfg = base.clone();
+            cfg.vp_group = k;
             cfg.pipeline_depth = depth;
             cfg.backend = backend.clone();
             cfg.fault = Some(cgmio_pdm::FaultPlan::transient(41, 0.04));
@@ -152,10 +170,11 @@ fn fault_and_retry_totals_identical_across_depths() {
             match &want {
                 None => want = Some(key),
                 Some(w) => {
-                    assert_eq!(&key.0, &w.0, "{backend:?} depth={depth}: finals differ");
-                    assert_eq!(&key.1, &w.1, "{backend:?} depth={depth}: IoStats differ");
-                    assert_eq!(&key.2, &w.2, "{backend:?} depth={depth}: fault counts differ");
-                    assert_eq!(key.3, w.3, "{backend:?} depth={depth}: retries differ");
+                    let at = format!("{backend:?} k={k} depth={depth}");
+                    assert_eq!(&key.0, &w.0, "{at}: finals differ");
+                    assert_eq!(&key.1, &w.1, "{at}: IoStats differ");
+                    assert_eq!(&key.2, &w.2, "{at}: fault counts differ");
+                    assert_eq!(key.3, w.3, "{at}: retries differ");
                 }
             }
         }
@@ -172,10 +191,12 @@ fn kill_and_resume_matches_uninterrupted_at_every_depth() {
     let init = || (0..v as u64).map(|i| vec![i]).collect::<Vec<_>>();
     let (_, _, req) = measure_requirements(&prog, init()).unwrap();
 
-    for p in [1usize, 2] {
+    for (p, k) in [1usize, 2].into_iter().flat_map(|p| GROUPS.map(|k| (p, k))) {
         for depth in DEPTHS {
-            let dir = cgmio_pdm::testutil::TempDir::new(&format!("cgmio-pipe-resume-{p}-{depth}"));
+            let dir =
+                cgmio_pdm::testutil::TempDir::new(&format!("cgmio-pipe-resume-{p}-{k}-{depth}"));
             let mut cfg = EmConfig::from_requirements(v, p, 2, 32, &req);
+            cfg.vp_group = k;
             cfg.pipeline_depth = depth;
 
             let run = |c: EmConfig| {
@@ -204,13 +225,11 @@ fn kill_and_resume_matches_uninterrupted_at_every_depth() {
                 ParEmRunner::new(cfg).resume_from(&prog, &manifest).unwrap()
             };
             let (finals, rep) = resumed.expect_complete();
-            assert_eq!(finals, want, "p={p} depth={depth}: finals differ after resume");
-            assert_eq!(rep.io, want_rep.io, "p={p} depth={depth}: IoStats differ after resume");
-            assert_eq!(
-                rep.breakdown, want_rep.breakdown,
-                "p={p} depth={depth}: breakdown differs after resume"
-            );
-            assert_eq!(rep.costs.lambda(), want_rep.costs.lambda(), "p={p} depth={depth}");
+            let at = format!("p={p} k={k} depth={depth}");
+            assert_eq!(finals, want, "{at}: finals differ after resume");
+            assert_eq!(rep.io, want_rep.io, "{at}: IoStats differ after resume");
+            assert_eq!(rep.breakdown, want_rep.breakdown, "{at}: breakdown differs after resume");
+            assert_eq!(rep.costs.lambda(), want_rep.costs.lambda(), "{at}");
         }
     }
 }
@@ -238,17 +257,19 @@ fn trace_op_counts_match_io_stats_at_depth() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Arbitrary inputs: depth 4 matches depth 0 bit-for-bit on both
-    /// Mem and Concurrent backends.
+    /// Arbitrary inputs and group sizes: depth 4 matches depth 0
+    /// bit-for-bit on both Mem and Concurrent backends.
     #[test]
     fn random_inputs_depth_invariant(
         seed in 0u64..1000,
         n in 200usize..800,
+        k in 1usize..4,
     ) {
         let keys = data::uniform_u64(n, seed);
         let v = 4;
         let prog = CgmSort::<u64>::by_pivots();
-        let cfg = sort_config(&keys, v, 2, 64);
+        let mut cfg = sort_config(&keys, v, 2, 64);
+        cfg.vp_group = k;
         for backend in
             [BackendSpec::Mem, BackendSpec::Concurrent { dir: None, opts: Default::default() }]
         {

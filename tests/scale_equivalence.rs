@@ -3,7 +3,7 @@
 //! ([`cgmio_core::ScaleTuning`]) are memory layouts, not semantics, so
 //! final states, `IoStats`, op breakdowns, and checkpoint manifests
 //! have to be bit-identical to the dense/resident path — across both
-//! EM runners and backends, including a checkpoint taken under one
+//! EM runners, backends and group sizes, including a checkpoint taken under one
 //! representation and resumed under the other (`ScaleTuning` is
 //! excluded from `config_hash` precisely to allow that).
 
@@ -28,6 +28,9 @@ fn sort_config(keys: &[u64], v: usize, d: usize, bb: usize) -> EmConfig {
     EmConfig::from_requirements(v, 1, d, bb, &req)
 }
 
+/// Group sizes every check sweeps (`vp_group`).
+const GROUPS: [usize; 3] = [1, 2, 3];
+
 /// Force the dense message table and fully resident context table.
 fn dense() -> ScaleTuning {
     ScaleTuning {
@@ -50,7 +53,8 @@ fn sparse() -> ScaleTuning {
 }
 
 /// Finals, IoStats, and op breakdowns agree between representations on
-/// both runners and all three backends, for a message-heavy sort.
+/// both runners and all three backends, for a message-heavy sort, at
+/// every group size.
 #[test]
 fn representations_invisible_across_backends_and_runners() {
     let keys = data::uniform_u64(3000, 29);
@@ -59,16 +63,17 @@ fn representations_invisible_across_backends_and_runners() {
     let base = sort_config(&keys, v, 2, 64);
     let dir = cgmio_pdm::testutil::TempDir::new("cgmio-scale-eq");
 
-    for p in [1usize, 2] {
+    for (p, k) in [1usize, 2].into_iter().flat_map(|p| GROUPS.map(|k| (p, k))) {
         let mut want = None;
         for (tag, tuning) in [("dense", dense()), ("sparse", sparse())] {
             for backend in [
                 BackendSpec::Mem,
-                BackendSpec::SyncFile { dir: dir.path().join(format!("sync-{p}-{tag}")) },
+                BackendSpec::SyncFile { dir: dir.path().join(format!("sync-{p}-{k}-{tag}")) },
                 BackendSpec::Concurrent { dir: None, opts: Default::default() },
             ] {
                 let mut cfg = base.clone();
                 cfg.p = p;
+                cfg.vp_group = k;
                 cfg.scale = tuning.clone();
                 cfg.backend = backend.clone();
                 let (got, rep) = if p == 1 {
@@ -80,10 +85,11 @@ fn representations_invisible_across_backends_and_runners() {
                 match &want {
                     None => want = Some(key),
                     Some(w) => {
-                        assert_eq!(&key.0, &w.0, "p={p} {tag} {backend:?}: finals differ");
-                        assert_eq!(&key.1, &w.1, "p={p} {tag} {backend:?}: IoStats differ");
-                        assert_eq!(&key.2, &w.2, "p={p} {tag} {backend:?}: breakdown differs");
-                        assert_eq!(&key.3, &w.3, "p={p} {tag} {backend:?}: costs differ");
+                        let at = format!("p={p} k={k} {tag} {backend:?}");
+                        assert_eq!(&key.0, &w.0, "{at}: finals differ");
+                        assert_eq!(&key.1, &w.1, "{at}: IoStats differ");
+                        assert_eq!(&key.2, &w.2, "{at}: breakdown differs");
+                        assert_eq!(&key.3, &w.3, "{at}: costs differ");
                     }
                 }
             }
@@ -101,10 +107,11 @@ fn manifests_and_resume_cross_representations() {
     let init = || (0..v as u64).map(|i| vec![i]).collect::<Vec<_>>();
     let (_, _, req) = measure_requirements(&prog, init()).unwrap();
 
-    for p in [1usize, 2] {
+    for (p, k) in [1usize, 2].into_iter().flat_map(|p| GROUPS.map(|k| (p, k))) {
         for (take, resume) in [(dense(), sparse()), (sparse(), dense())] {
-            let dir = cgmio_pdm::testutil::TempDir::new(&format!("cgmio-scale-resume-{p}"));
+            let dir = cgmio_pdm::testutil::TempDir::new(&format!("cgmio-scale-resume-{p}-{k}"));
             let mut cfg = EmConfig::from_requirements(v, p, 2, 32, &req);
+            cfg.vp_group = k;
             let run = |c: EmConfig| {
                 if p == 1 {
                     SeqEmRunner::new(c).run_until(&prog, init())
@@ -129,7 +136,7 @@ fn manifests_and_resume_cross_representations() {
                 assert_eq!(
                     manifest_under(dense(), halt),
                     manifest_under(sparse(), halt),
-                    "p={p} halt={halt}: manifest depends on representation"
+                    "p={p} k={k} halt={halt}: manifest depends on representation"
                 );
             }
 
@@ -152,8 +159,8 @@ fn manifests_and_resume_cross_representations() {
                 ParEmRunner::new(cfg).resume_from(&prog, &manifest).unwrap()
             };
             let (finals, rep) = resumed.expect_complete();
-            assert_eq!(finals, want, "p={p}: cross-representation resume diverged");
-            assert_eq!(rep.io, want_rep.io, "p={p}: cumulative I/O diverged");
+            assert_eq!(finals, want, "p={p} k={k}: cross-representation resume diverged");
+            assert_eq!(rep.io, want_rep.io, "p={p} k={k}: cumulative I/O diverged");
         }
     }
 }
@@ -166,8 +173,9 @@ fn skewed_traffic_identical_across_representations() {
     let prog = AllToOne { items_per_proc: 5 };
     let init = || (0..v).map(|_| Vec::new()).collect::<Vec<Vec<u64>>>();
     let (_, _, req) = measure_requirements(&prog, init()).unwrap();
-    for p in [1usize, 2, 4] {
+    for (p, k) in [1usize, 2, 4].into_iter().flat_map(|p| GROUPS.map(|k| (p, k))) {
         let mut cfg = EmConfig::from_requirements(v, p, 2, 32, &req);
+        cfg.vp_group = k;
         cfg.scale = dense();
         let run = |c: EmConfig| {
             if p == 1 {
@@ -179,9 +187,9 @@ fn skewed_traffic_identical_across_representations() {
         let (want, want_rep) = run(cfg.clone());
         cfg.scale = sparse();
         let (got, rep) = run(cfg);
-        assert_eq!(got, want, "p={p}: skewed finals differ");
-        assert_eq!(rep.io, want_rep.io, "p={p}: skewed IoStats differ");
-        assert_eq!(rep.costs, want_rep.costs, "p={p}: skewed costs differ");
+        assert_eq!(got, want, "p={p} k={k}: skewed finals differ");
+        assert_eq!(rep.io, want_rep.io, "p={p} k={k}: skewed IoStats differ");
+        assert_eq!(rep.costs, want_rep.costs, "p={p} k={k}: skewed costs differ");
     }
 }
 
@@ -196,12 +204,14 @@ proptest! {
         n in 200usize..800,
         v in 2usize..8,
         p in 1usize..3,
+        k in 1usize..4,
     ) {
         let p = p.min(v);
         let keys = data::uniform_u64(n, seed);
         let prog = CgmSort::<u64>::by_pivots();
         let mut cfg = sort_config(&keys, v, 2, 64);
         cfg.p = p;
+        cfg.vp_group = k;
         let run = |c: EmConfig| {
             if p == 1 {
                 SeqEmRunner::new(c).run(&prog, sort_states(&keys, v)).unwrap()

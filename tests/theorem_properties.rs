@@ -116,9 +116,15 @@ proptest! {
         let (want, _) = DirectRunner::default().run(&prog, mk()).unwrap();
         let (_, _, req) = measure_requirements(&prog, mk()).unwrap();
         let cfg = EmConfig::from_requirements(v, 1, 2, 256, &req);
-        let (got, rep) = SeqEmRunner::new(cfg).run(&prog, mk()).unwrap();
+        let (got, rep) = SeqEmRunner::new(cfg.clone()).run(&prog, mk()).unwrap();
+        prop_assert_eq!(got, want.clone());
+        // the automatic group's memory audit — k·(μ + r + s) — fits in M
+        prop_assert!(rep.peak_mem_bytes <= cfg.mem_bytes,
+            "peak {} > M {} at k = {}", rep.peak_mem_bytes, cfg.mem_bytes, cfg.vp_group);
+        // one vp at a time never exceeds what the measurement promised
+        let one = EmConfig { vp_group: 1, ..cfg };
+        let (got, rep) = SeqEmRunner::new(one).run(&prog, mk()).unwrap();
         prop_assert_eq!(got, want);
-        // the memory audit never exceeds what the measurement promised
         prop_assert!(rep.peak_mem_bytes <= req.max_ctx_bytes
             + 2 * (req.max_proc_recv_bytes.max(req.max_proc_sent_bytes))
             + 64);
