@@ -594,7 +594,9 @@ pub fn fig8() -> Table {
 /// narrow operations above it. The floors are rebuilt from the program's
 /// own context and message lengths (a `Ledger` wrapper); the run's exact
 /// counters must then add up — `floor + narrow = algorithm_ops`, with
-/// `narrow` from `IoStats::narrow_ops` — or the audit panics.
+/// `narrow` from `IoStats::narrow_ops` — or the audit panics. It also
+/// panics if the ring's messages are not at their stripe floor: placed
+/// at write time, every message list uses both drives.
 pub fn audit() -> Table {
     let mut t = Table::new(
         "audit_theorem2",
@@ -627,7 +629,9 @@ pub fn audit() -> Table {
         audit_rows(&mut t, "sort", n, &CgmSort::<u64>::by_pivots(), sort(n, v), d, bb);
     }
     let ring = || (0..1000u64).map(|i| vec![i]).collect::<Vec<_>>();
-    audit_rows(&mut t, "ring", 1000, &cgmio_model::demo::TokenRing { rounds: 2 }, ring, 2, 64);
+    let narrow =
+        audit_rows(&mut t, "ring", 1000, &cgmio_model::demo::TokenRing { rounds: 2 }, ring, 2, 64);
+    assert_eq!(narrow[1], 0, "ring: message operations above the stripe floor");
     t
 }
 
@@ -664,8 +668,9 @@ impl<P: cgmio_model::CgmProgram> cgmio_model::CgmProgram for Ledger<'_, P> {
     }
 }
 
-/// Run `prog` on the sequential EM runner under a [`Ledger`] and append
-/// the context and message rows of the audit (see [`audit`]).
+/// Run `prog` on the sequential EM runner under a [`Ledger`], append
+/// the context and message rows of the audit (see [`audit`]) and return
+/// their narrow operations.
 fn audit_rows<P: cgmio_model::CgmProgram>(
     t: &mut Table,
     case: &str,
@@ -674,7 +679,7 @@ fn audit_rows<P: cgmio_model::CgmProgram>(
     mk: impl Fn() -> Vec<P::State>,
     d: usize,
     bb: usize,
-) {
+) -> [u64; 2] {
     let v = mk().len();
     let (_, _, req) = measure_requirements(prog, mk()).expect("dry run");
     let cfg = EmConfig::from_requirements(v, 1, d, bb, &req);
@@ -753,6 +758,7 @@ fn audit_rows<P: cgmio_model::CgmProgram>(
             format!("{:.2}", ops as f64 / predicted),
         ]);
     }
+    [b.ctx_ops - floor[0], b.msg_ops - floor[1]]
 }
 
 /// A maximally skewed exchange: each processor ships its whole block to

@@ -139,7 +139,14 @@ pub mod prelude {
 /// stripe by stripe (block `q` of every message before block `q + 1`),
 /// in the block-major order both layouts share.
 pub fn layout_ablation_ops(v: usize, d: usize, blocks_per_msg: u64) -> (u64, u64) {
-    let layout = MessageMatrixLayout { num_disks: d, v, blocks_per_msg, base_track: 0 };
+    let layout = MessageMatrixLayout {
+        num_disks: d,
+        v,
+        blocks_per_msg,
+        base_track: 0,
+        rot_base: 0,
+        copy_tracks: 0,
+    };
     let (tracks_per_band, stride) = (layout.tracks_per_band(), layout.stripe_stride());
     // naive: band j starts at disk 0 (no stagger)
     let naive = |src: usize, dst: usize, q: u64| {
@@ -156,7 +163,7 @@ pub fn layout_ablation_ops(v: usize, d: usize, blocks_per_msg: u64) -> (u64, u64
         }
         disks.stats().write_ops
     };
-    (ops(&|src, dst, q| layout.addr(src, dst, q)), ops(&naive))
+    (ops(&|src, dst, q| layout.addr(src, dst, q, 0)), ops(&naive))
 }
 
 /// Sort runner shared by Figure 3/4/5a: returns the EM report for

@@ -31,6 +31,7 @@ use cgmio_io::TraceHandle;
 use cgmio_model::cost::RoundCost;
 use cgmio_pdm::{DiskArray, IoStats};
 
+use crate::msgmatrix::InboxRow;
 use crate::report::{EmRunReport, IoBreakdown};
 use crate::EmError;
 
@@ -38,9 +39,11 @@ use crate::EmError;
 /// switched the per-worker length tables to compact encodings —
 /// run-length context lengths and sparse inbox rows — so a manifest
 /// stays kilobytes at `v = 10^6` instead of the dense `v × v` table
-/// that dominated `v1`. `v1` manifests are rejected (re-checkpoint from
-/// a fresh run).
-const MAGIC: &str = "cgmio-checkpoint v2";
+/// that dominated `v1`. `v3` stores each inbox slot's rotation copy
+/// beside its length (`src len rot` triples). Older manifests are
+/// refused with [`io::ErrorKind::Unsupported`] (re-checkpoint from a
+/// fresh run).
+const MAGIC: &str = "cgmio-checkpoint v3";
 
 /// Per-real-processor state captured at a superstep barrier.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,10 +55,10 @@ pub struct WorkerCheckpoint {
     /// (the encoding of [`crate::context::ContextStore::lens_rle`]).
     pub ctx_lens: Vec<(u64, u64)>,
     /// Length table of the *next* round's inbox matrix, one row per
-    /// local destination of sorted `(src, items)` pairs — non-empty
-    /// slots only (the encoding of
+    /// local destination of sorted `(src, items, rot)` triples —
+    /// non-empty slots only (the encoding of
     /// [`crate::msgmatrix::MessageMatrix::sparse_lens`]).
-    pub inbox_lens: Vec<Vec<(u64, u32)>>,
+    pub inbox_lens: Vec<InboxRow>,
     /// Cumulative I/O counters of this worker's array at the barrier.
     pub io: IoStats,
     /// Cumulative per-purpose op breakdown at the barrier.
@@ -138,10 +141,10 @@ impl CheckpointManifest {
             }
             let _ = writeln!(s);
             let _ = writeln!(s, "inbox_rows {}", w.inbox_lens.len());
-            for row in &w.inbox_lens {
+            for InboxRow(row) in &w.inbox_lens {
                 let _ = write!(s, "row");
-                for (src, len) in row {
-                    let _ = write!(s, " {src} {len}");
+                for (src, len, rot) in row {
+                    let _ = write!(s, " {src} {len} {rot}");
                 }
                 let _ = writeln!(s);
             }
@@ -150,13 +153,22 @@ impl CheckpointManifest {
         s
     }
 
-    /// Parse the text format back (inverse of [`Self::to_text`]).
+    /// Parse the text format back (inverse of [`Self::to_text`]). Any
+    /// malformed input — truncated, garbled, counts larger than the
+    /// file, lengths past `u32` — is an error, never a panic.
     pub fn from_text(text: &str) -> io::Result<Self> {
         let mut lines = text.lines();
         let bad =
             |msg: &str| io::Error::new(io::ErrorKind::InvalidData, format!("manifest: {msg}"));
-        if lines.next() != Some(MAGIC) {
-            return Err(bad("missing or unsupported version header"));
+        match lines.next() {
+            Some(MAGIC) => {}
+            Some(h) if h.starts_with("cgmio-checkpoint ") => {
+                return Err(io::Error::new(
+                    io::ErrorKind::Unsupported,
+                    format!("manifest: `{h}` is not readable by this build, which reads `{MAGIC}`"),
+                ))
+            }
+            _ => return Err(bad("missing version header")),
         }
         // Each metadata line is "key value..."; read them in fixed order.
         let mut field = |key: &str| -> io::Result<Vec<u64>> {
@@ -182,8 +194,10 @@ impl CheckpointManifest {
         let superstep = one(field("superstep")?, "superstep")? as usize;
         let max_ctx_bytes_seen = one(field("max_ctx_bytes_seen")?, "max_ctx_bytes_seen")? as usize;
         let cross_items = one(field("cross_items")?, "cross_items")?;
-        let n_rounds = one(field("rounds")?, "rounds")? as usize;
-        let mut rounds = Vec::with_capacity(n_rounds);
+        // Counts come from the file: vectors grow as their lines arrive,
+        // so a count larger than the file is a truncation error.
+        let n_rounds = one(field("rounds")?, "rounds")?;
+        let mut rounds = Vec::new();
         for _ in 0..n_rounds {
             let vals = field("round")?;
             if vals.len() != 5 {
@@ -197,8 +211,8 @@ impl CheckpointManifest {
                 min_message: vals[4] as usize,
             });
         }
-        let n_workers = one(field("workers")?, "workers")? as usize;
-        let mut workers = Vec::with_capacity(n_workers);
+        let n_workers = one(field("workers")?, "workers")?;
+        let mut workers = Vec::new();
         for _ in 0..n_workers {
             let worker = one(field("worker")?, "worker")? as usize;
             let peak_mem = one(field("peak_mem")?, "peak_mem")? as usize;
@@ -235,15 +249,17 @@ impl CheckpointManifest {
                 Ok(vals.chunks_exact(2).map(|c| (c[0], c[1])).collect())
             };
             let ctx_lens = pairs(field("ctx_lens_rle")?, "ctx_lens_rle")?;
-            let n_rows = one(field("inbox_rows")?, "inbox_rows")? as usize;
-            let mut inbox_lens = Vec::with_capacity(n_rows);
+            let n_rows = one(field("inbox_rows")?, "inbox_rows")?;
+            let mut inbox_lens = Vec::new();
             for _ in 0..n_rows {
-                inbox_lens.push(
-                    pairs(field("row")?, "row")?
-                        .into_iter()
-                        .map(|(src, len)| (src, len as u32))
-                        .collect(),
-                );
+                let vals = field("row")?;
+                if !vals.len().is_multiple_of(3) {
+                    return Err(bad("field `row` needs whole (src, len, rot) triples"));
+                }
+                let narrow =
+                    |x: u64| u32::try_from(x).map_err(|_| bad(&format!("{x} overflows u32")));
+                let slots = vals.chunks_exact(3).map(|c| Ok((c[0], narrow(c[1])?, narrow(c[2])?)));
+                inbox_lens.push(InboxRow(slots.collect::<io::Result<_>>()?));
             }
             workers.push(WorkerCheckpoint {
                 worker,
@@ -383,7 +399,10 @@ mod tests {
                 WorkerCheckpoint {
                     worker: 0,
                     ctx_lens: vec![(1, 16), (1, 0), (1, 24)],
-                    inbox_lens: vec![vec![(1, 2), (3, 1)], vec![(0, 3), (5, 9)]],
+                    inbox_lens: vec![
+                        InboxRow(vec![(1, 2, 0), (3, 1, 1)]),
+                        [(0, 3), (5, 9)].into_iter().collect(),
+                    ],
                     io: IoStats {
                         read_ops: 10,
                         write_ops: 11,
@@ -404,7 +423,7 @@ mod tests {
                 WorkerCheckpoint {
                     worker: 1,
                     ctx_lens: vec![(3, 8)],
-                    inbox_lens: vec![vec![]],
+                    inbox_lens: vec![InboxRow::default()],
                     io: IoStats::new(2),
                     breakdown: IoBreakdown::default(),
                     peak_mem: 64,
@@ -443,11 +462,17 @@ mod tests {
         // Corrupt a number.
         let garbled = text.replace("superstep 3", "superstep x");
         assert!(CheckpointManifest::from_text(&garbled).is_err());
-        // v1 manifests (dense tables) are not resumable under v2.
-        let v1 = text.replace("cgmio-checkpoint v2", "cgmio-checkpoint v1");
-        assert!(CheckpointManifest::from_text(&v1).is_err());
-        // RLE/sparse fields must hold whole pairs.
+        // v1 (dense tables) and v2 (no rotations) are refused by name.
+        for old in ["v1", "v2"] {
+            let text = text.replace("cgmio-checkpoint v3", &format!("cgmio-checkpoint {old}"));
+            let e = CheckpointManifest::from_text(&text).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::Unsupported);
+            assert!(e.to_string().contains(&format!("cgmio-checkpoint {old}")), "{e}");
+        }
+        // RLE fields must hold whole pairs, inbox rows whole triples.
         let odd = text.replace("ctx_lens_rle 1 16 1 0 1 24", "ctx_lens_rle 1 16 1");
+        assert!(CheckpointManifest::from_text(&odd).is_err());
+        let odd = text.replace("row 1 2 0 3 1 1", "row 1 2 0 3 1");
         assert!(CheckpointManifest::from_text(&odd).is_err());
     }
 

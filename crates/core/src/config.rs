@@ -207,8 +207,9 @@ pub struct DiskHandles {
 /// [`EmConfig::config_hash`] so a manifest written under another
 /// placement is refused. `1`: message-major matrix bands (the hash had
 /// no version then); `2`: block-major bands staggered by `j mod D`
-/// ([`cgmio_pdm::MessageMatrixLayout`]).
-pub const LAYOUT_VERSION: u64 = 2;
+/// ([`cgmio_pdm::MessageMatrixLayout`]); `3`: each message in one of `D`
+/// rotation copies, chosen when it is written.
+pub const LAYOUT_VERSION: u64 = 3;
 
 /// Configuration of the simulated EM-CGM target machine.
 ///
@@ -570,10 +571,12 @@ impl EmConfig {
 
     /// Per-drive tracks one real processor of this machine needs for a
     /// program whose messages are items of `msg_item_bytes` bytes — the
-    /// context store plus the two ping-pong message matrices, exactly as
-    /// the runners lay them out. This is the `worker_span_tracks` to
-    /// reserve per worker for [`BackendSpec::Shared`] (a run with `p`
-    /// workers needs `p` consecutive spans).
+    /// context store plus the `D` rotation copies of the two ping-pong
+    /// message matrices, exactly as the runners lay them out (address
+    /// space: only tracks written take memory or file blocks). This is
+    /// the `worker_span_tracks` to reserve per worker for
+    /// [`BackendSpec::Shared`] (a run with `p` workers needs `p`
+    /// consecutive spans).
     pub fn tracks_per_worker(&self, msg_item_bytes: usize) -> u64 {
         // Workers split the v virtual processors into contiguous ranges
         // of at most ceil(v/p); span for the largest range bounds all.
@@ -585,16 +588,19 @@ impl EmConfig {
         let ctx_slot_blocks = (self.max_ctx_bytes as u64).div_ceil(bb).max(1);
         let ctx_tracks = (n_local * ctx_slot_blocks).div_ceil(d) + 1;
         // MessageMatrix: one band of v messages per local destination,
-        // staggered format, one slack track — twice (ping-pong).
+        // staggered format, one slack track — in D rotation copies,
+        // twice (ping-pong).
         let blocks_per_msg = ((self.msg_slot_items * msg_item_bytes) as u64).div_ceil(bb).max(1);
         let layout = MessageMatrixLayout {
             num_disks: self.num_disks,
             v: self.v,
             blocks_per_msg,
             base_track: 0,
+            rot_base: 0,
+            copy_tracks: 0,
         };
         let mat_tracks = layout.tracks_per_band() * n_local + 1;
-        ctx_tracks + 2 * mat_tracks
+        ctx_tracks + 2 * d * mat_tracks
     }
 
     /// Disk geometry of each real processor's array.
@@ -767,7 +773,7 @@ mod tests {
             );
             assert_eq!(
                 c.tracks_per_worker(8),
-                ctx.total_tracks() + 2 * mat.total_tracks(),
+                ctx.total_tracks() + 2 * c.num_disks as u64 * mat.total_tracks(),
                 "span formula drifted from the runners' layout (v={v} p={p})"
             );
         }

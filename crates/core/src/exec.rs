@@ -531,6 +531,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
         if let Some(o) = &cfg.obs {
             ctx_store.attach_obs(o, t);
         }
+        let k = cfg.vp_group.min(range.len()).max(1);
         let mk_mat = |base| {
             MessageMatrix::<P::Msg>::new_with_mode(
                 geom.num_disks,
@@ -543,13 +544,17 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
                 cfg.scale.sparse_msgs(v),
             )
         };
-        let mat0 = mk_mat(ctx_store.total_tracks());
-        let mat1 = mk_mat(ctx_store.total_tracks() + mat0.total_tracks());
-        let mut mats = [mat0, mat1];
+        // Copy 0 of both matrices follows the contexts, then the
+        // rotation copies 1..D of each (`EmConfig::tracks_per_worker`).
+        let ctx = ctx_store.total_tracks();
+        let mat0 = mk_mat(ctx);
+        let mat = mat0.total_tracks();
+        let rot_base = |m: u64| ctx + 2 * mat + m * (geom.num_disks as u64 - 1) * mat;
+        let mut mats =
+            [mat0.with_placement(k, rot_base(0)), mk_mat(ctx + mat).with_placement(k, rot_base(1))];
 
         let mut breakdown = IoBreakdown::default();
         let mut peak_mem = 0usize;
-        let k = cfg.vp_group.min(range.len()).max(1);
         let mut ctxs: Vec<Vec<u8>> = (0..k).map(|_| Vec::new()).collect();
         match init.restore {
             None => {

@@ -15,6 +15,12 @@
 //! ablation benchmarks compare balanced vs unbalanced I/O efficiency
 //! through exactly this code path.
 //!
+//! Each message goes to one of `D` rotation copies, picked as it is
+//! written and stored beside its length: the one minimising `max_d(W +
+//! m) + max_d(R_g + m)`, ties to 0, where `W` counts the blocks per drive
+//! of the whole list being written and `R_g` those already written to
+//! its reader group (the `k` destinations one read gathers).
+//!
 //! # Length tables at scale
 //!
 //! The on-disk layout is a full `v × dst_count` grid, but the in-memory
@@ -24,7 +30,7 @@
 //! 4 TB at `v = 10^6` — is the scale blocker while holding almost
 //! nothing. `LenTable` therefore has two representations behind one
 //! interface: a dense grid (small `v`, matches the original layout
-//! 1:1), and a CSR-style sparse table of sorted `(src, len)` rows
+//! 1:1), and a CSR-style sparse table of sorted `(src, len, rot)` rows
 //! holding only non-empty slots. Both produce **identical** block
 //! addresses, `IoStats`, and [`MessageMatrix::sparse_lens`] snapshots —
 //! property-tested in `tests/scale_equivalence.rs` — so the choice is
@@ -41,15 +47,28 @@ use cgmio_pdm::{
 use crate::pipeline::FreeList;
 use crate::EmError;
 
-/// Per-slot message lengths: which `(src, dst_local)` slots are occupied
-/// and by how many items. Sparse rows hold only non-zero entries, sorted
-/// by source (`u64` source ids — the addressing convention for the
-/// `10^5`–`10^6` vp range).
+/// One local destination's occupied message slots in source order:
+/// `(src, len, rot)` — the items in the slot and the rotation copy that
+/// holds them. The compact form checkpoint manifests persist.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct InboxRow(pub Vec<(u64, u32, u32)>);
+
+/// A row of `(src, len)` slots in rotation copy 0, Figure 2's own place.
+impl FromIterator<(u64, u32)> for InboxRow {
+    fn from_iter<I: IntoIterator<Item = (u64, u32)>>(iter: I) -> Self {
+        InboxRow(iter.into_iter().map(|(src, len)| (src, len, 0)).collect())
+    }
+}
+
+/// Per-slot message lengths and rotations: which `(src, dst_local)`
+/// slots are occupied, by how many items, in which copy. Sparse rows
+/// hold only non-zero entries, sorted by source (`u64` source ids — the
+/// addressing convention for the `10^5`–`10^6` vp range).
 enum LenTable {
-    /// `rows[dst_local][src]` = items in that slot (0 = empty).
-    Dense(Vec<Vec<u32>>),
-    /// `rows[dst_local]` = sorted `(src, len)` with `len > 0` only.
-    Sparse(Vec<Vec<(u64, u32)>>),
+    /// `rows[dst_local][src]` = `(items, rot)` of that slot (0 items = empty).
+    Dense(Vec<Vec<(u32, u32)>>),
+    /// `rows[dst_local]` = sorted `(src, len, rot)` with `len > 0` only.
+    Sparse(Vec<Vec<(u64, u32, u32)>>),
 }
 
 impl LenTable {
@@ -57,22 +76,19 @@ impl LenTable {
         if sparse {
             LenTable::Sparse((0..dst_count).map(|_| Vec::new()).collect())
         } else {
-            LenTable::Dense(vec![vec![0; v]; dst_count])
+            LenTable::Dense(vec![vec![(0, 0); v]; dst_count])
         }
     }
 
-    fn set(&mut self, dst_local: usize, src: usize, len: u32) {
+    /// Occupy a slot with `len > 0` items in copy `rot`.
+    fn set(&mut self, dst_local: usize, src: usize, len: u32, rot: u32) {
         match self {
-            LenTable::Dense(rows) => rows[dst_local][src] = len,
+            LenTable::Dense(rows) => rows[dst_local][src] = (len, rot),
             LenTable::Sparse(rows) => {
                 let row = &mut rows[dst_local];
-                match row.binary_search_by_key(&(src as u64), |&(s, _)| s) {
-                    Ok(k) if len == 0 => {
-                        row.remove(k);
-                    }
-                    Ok(k) => row[k].1 = len,
-                    Err(_) if len == 0 => {}
-                    Err(k) => row.insert(k, (src as u64, len)),
+                match row.binary_search_by_key(&(src as u64), |&(s, ..)| s) {
+                    Ok(k) => row[k] = (src as u64, len, rot),
+                    Err(k) => row.insert(k, (src as u64, len, rot)),
                 }
             }
         }
@@ -80,9 +96,7 @@ impl LenTable {
 
     fn clear(&mut self) {
         match self {
-            LenTable::Dense(rows) => {
-                rows.iter_mut().for_each(|r| r.iter_mut().for_each(|l| *l = 0))
-            }
+            LenTable::Dense(rows) => rows.iter_mut().for_each(|r| r.fill((0, 0))),
             LenTable::Sparse(rows) => rows.iter_mut().for_each(Vec::clear),
         }
     }
@@ -94,8 +108,8 @@ impl LenTable {
         }
     }
 
-    /// Non-empty `(src, len)` entries of one row, in source order — the
-    /// one iteration shape both representations share.
+    /// Non-empty `(src, len, rot)` entries of one row, in source order —
+    /// the one iteration shape both representations share.
     fn row_nonzero(&self, dst_local: usize) -> RowNonzero<'_> {
         match self {
             LenTable::Dense(rows) => RowNonzero::Dense(rows[dst_local].iter().enumerate()),
@@ -106,18 +120,65 @@ impl LenTable {
 
 /// Iterator of [`LenTable::row_nonzero`].
 enum RowNonzero<'a> {
-    Dense(std::iter::Enumerate<std::slice::Iter<'a, u32>>),
-    Sparse(std::slice::Iter<'a, (u64, u32)>),
+    Dense(std::iter::Enumerate<std::slice::Iter<'a, (u32, u32)>>),
+    Sparse(std::slice::Iter<'a, (u64, u32, u32)>),
 }
 
 impl Iterator for RowNonzero<'_> {
-    type Item = (usize, u32);
+    type Item = (usize, u32, u32);
 
-    fn next(&mut self) -> Option<(usize, u32)> {
+    fn next(&mut self) -> Option<(usize, u32, u32)> {
         match self {
-            RowNonzero::Dense(row) => row.find(|&(_, &l)| l > 0).map(|(s, &l)| (s, l)),
-            RowNonzero::Sparse(row) => row.next().map(|&(s, l)| (s as usize, l)),
+            RowNonzero::Dense(row) => row.find(|(_, l)| l.0 > 0).map(|(s, &(l, r))| (s, l, r)),
+            RowNonzero::Sparse(row) => row.next().map(|&(s, l, r)| (s as usize, l, r)),
         }
+    }
+}
+
+/// A message's blocks per drive at rotation 0: `full` on every drive,
+/// and one more on each of the `extra` drives from drive `start` on.
+#[derive(Clone, Copy)]
+struct Footprint {
+    start: usize,
+    full: u32,
+    extra: usize,
+}
+
+impl Footprint {
+    /// `nblocks` blocks, block 0 on drive `start mod d` of `d`.
+    fn new(start: usize, nblocks: usize, d: usize) -> Self {
+        Footprint { start: start % d, full: (nblocks / d) as u32, extra: nblocks % d }
+    }
+
+    /// The drives of the `extra` blocks at rotation `rot < d`.
+    fn extra_drives(self, rot: usize, d: usize) -> impl Iterator<Item = usize> {
+        let s = self.start + rot;
+        let s = if s >= d { s - d } else { s };
+        (s..s + self.extra).map(move |x| if x >= d { x - d } else { x })
+    }
+
+    /// Add `delta` (`1`, or `u32::MAX` to take away) per block at
+    /// rotation `rot` to the per-drive `counts`.
+    fn tally(self, counts: &mut [u32], rot: usize, delta: u32) {
+        let full = delta.wrapping_mul(self.full);
+        counts.iter_mut().for_each(|c| *c = c.wrapping_add(full));
+        for x in self.extra_drives(rot, counts.len()) {
+            counts[x] = counts[x].wrapping_add(delta);
+        }
+    }
+
+    /// The rotation minimising the sum of the two lists' busiest drives,
+    /// `max_d(w + m) + max_d(g + m)`, ties to the lowest. Only the
+    /// `extra` drives a rotation moves matter: `O(D · min(nblocks, D))`.
+    fn best_rot(self, w: &[u32], g: &[u32]) -> usize {
+        if self.extra == 0 {
+            return 0;
+        }
+        let max = |c: &[u32]| c.iter().copied().max().unwrap_or(0);
+        let (w_max, g_max) = (max(w), max(g));
+        let peak =
+            |c: &[u32], m: u32, r| self.extra_drives(r, c.len()).fold(m, |m, x| m.max(c[x] + 1));
+        (0..w.len()).min_by_key(|&r| peak(w, w_max, r) + peak(g, g_max, r)).unwrap_or(0)
     }
 }
 
@@ -133,6 +194,15 @@ pub struct MessageMatrix<M: Item> {
     /// engine; the block start of the owning real processor otherwise).
     dst_base: usize,
     lens: LenTable,
+    /// Destinations per reader group (the runner's group size).
+    k: usize,
+    /// `R_g`: blocks per drive written to each reader group since the
+    /// last clear, `D` per group; sized on first use.
+    readers: Vec<u32>,
+    /// `W` of the list being written, and each entry's rotation:
+    /// scratch of [`Self::write_entries`], recycled.
+    writer: Vec<u32>,
+    rots: Vec<usize>,
     /// Address, span and block-owner lists of inbox tickets, recycled
     /// at finish.
     addr_lists: FreeList<TrackAddr>,
@@ -187,18 +257,27 @@ impl<M: Item> MessageMatrix<M> {
     ) -> Self {
         let slot_bytes = slot_items * M::SIZE;
         let blocks_per_msg = (slot_bytes as u64).div_ceil(block_bytes as u64).max(1);
+        let mut layout = MessageMatrixLayout {
+            num_disks,
+            v: v.max(dst_count),
+            blocks_per_msg,
+            base_track,
+            rot_base: 0,
+            copy_tracks: 0,
+        };
+        layout.copy_tracks = layout.tracks_per_band() * dst_count as u64 + 1;
+        layout.rot_base = base_track + layout.copy_tracks;
         Self {
-            layout: MessageMatrixLayout {
-                num_disks,
-                v: v.max(dst_count),
-                blocks_per_msg,
-                base_track,
-            },
+            layout,
             block_bytes,
             slot_items,
             v,
             dst_base,
             lens: LenTable::new(dst_count, v, sparse),
+            k: 1,
+            readers: Vec::new(),
+            writer: vec![0; num_disks],
+            rots: Vec::new(),
             addr_lists: FreeList::new(),
             span_lists: FreeList::new(),
             owner_lists: FreeList::new(),
@@ -206,9 +285,19 @@ impl<M: Item> MessageMatrix<M> {
         }
     }
 
-    /// Tracks this matrix occupies per drive.
+    /// Put rotation copies `1..D` at `rot_base`, one per
+    /// [`Self::total_tracks`] (default: after copy 0), and read in groups
+    /// of `k` destinations (default 1). Call before the first write.
+    pub fn with_placement(mut self, k: usize, rot_base: u64) -> Self {
+        self.k = k.max(1);
+        self.layout.rot_base = rot_base;
+        self
+    }
+
+    /// Tracks one copy of this matrix occupies per drive (`D` copies in
+    /// all: copy 0 from the base track, the rest from the rotation base).
     pub fn total_tracks(&self) -> u64 {
-        self.layout.tracks_per_band() * self.lens.rows() as u64 + 1
+        self.layout.copy_tracks
     }
 
     /// Slot capacity in items.
@@ -217,12 +306,12 @@ impl<M: Item> MessageMatrix<M> {
     }
 
     /// The per-slot length table in its canonical compact form: one row
-    /// per local destination of sorted `(src, len)` pairs, non-empty
-    /// slots only. Identical for both table representations — this is
-    /// the shape checkpoint manifests persist.
-    pub fn sparse_lens(&self) -> Vec<Vec<(u64, u32)>> {
+    /// per local destination of sorted `(src, len, rot)` triples,
+    /// non-empty slots only. Identical for both table representations —
+    /// this is the shape checkpoint manifests persist.
+    pub fn sparse_lens(&self) -> Vec<InboxRow> {
         (0..self.lens.rows())
-            .map(|d| self.lens.row_nonzero(d).map(|(s, l)| (s as u64, l)).collect())
+            .map(|d| InboxRow(self.lens.row_nonzero(d).map(|(s, l, r)| (s as u64, l, r)).collect()))
             .collect()
     }
 
@@ -230,7 +319,7 @@ impl<M: Item> MessageMatrix<M> {
     /// (the compact form of [`Self::sparse_lens`]). The on-disk slot
     /// contents must match (they do when the array was flushed at the
     /// barrier the manifest describes).
-    pub fn set_sparse_lens(&mut self, rows: Vec<Vec<(u64, u32)>>) -> Result<(), EmError> {
+    pub fn set_sparse_lens(&mut self, rows: Vec<InboxRow>) -> Result<(), EmError> {
         if rows.len() != self.lens.rows() {
             return Err(EmError::BadConfig(format!(
                 "checkpoint inbox table has {} rows, matrix has {}",
@@ -238,12 +327,12 @@ impl<M: Item> MessageMatrix<M> {
                 self.lens.rows()
             )));
         }
-        for row in &rows {
-            for &(src, len) in row {
-                if src >= self.v as u64 {
+        for InboxRow(row) in &rows {
+            for &(src, len, rot) in row {
+                if src >= self.v as u64 || rot as usize >= self.layout.num_disks {
                     return Err(EmError::BadConfig(format!(
-                        "checkpoint inbox source {src} out of range (v = {})",
-                        self.v
+                        "checkpoint inbox slot (src {src}, rot {rot}) out of range (v = {}, D = {})",
+                        self.v, self.layout.num_disks
                     )));
                 }
                 if len == 0 || len as usize > self.slot_items {
@@ -257,10 +346,13 @@ impl<M: Item> MessageMatrix<M> {
                 return Err(EmError::BadConfig("checkpoint inbox row not sorted by source".into()));
             }
         }
-        self.lens.clear();
-        for (dst_local, row) in rows.into_iter().enumerate() {
-            for (src, len) in row {
-                self.lens.set(dst_local, src as usize, len);
+        self.clear();
+        for (j, InboxRow(row)) in rows.into_iter().enumerate() {
+            for (src, len, rot) in row {
+                self.lens.set(j, src as usize, len, rot);
+                let (g, nb) = (self.group(j), self.blocks(len as usize));
+                let m = Footprint::new(src as usize + j, nb, self.layout.num_disks);
+                m.tally(&mut self.readers[g], rot as usize, 1);
             }
         }
         Ok(())
@@ -269,11 +361,26 @@ impl<M: Item> MessageMatrix<M> {
     /// Reset all slots to empty (ping-pong reuse between supersteps).
     pub fn clear(&mut self) {
         self.lens.clear();
+        let n = self.lens.rows().div_ceil(self.k) * self.layout.num_disks;
+        self.readers.clear();
+        self.readers.resize(n, 0);
+    }
+
+    /// Blocks of a message of `n_items` items.
+    fn blocks(&self, n_items: usize) -> usize {
+        (n_items * M::SIZE).div_ceil(self.block_bytes)
+    }
+
+    /// Where `R_g` of local destination `dst_local`'s group sits in
+    /// `readers`.
+    fn group(&self, dst_local: usize) -> Range<usize> {
+        let d = self.layout.num_disks;
+        dst_local / self.k * d..(dst_local / self.k + 1) * d
     }
 
     /// Total items received by local destination `dst_local`.
     pub fn received_items(&self, dst_local: usize) -> usize {
-        self.lens.row_nonzero(dst_local).map(|(_, l)| l as usize).sum()
+        self.lens.row_nonzero(dst_local).map(|(_, l, _)| l as usize).sum()
     }
 
     /// Largest inbox (total items) over all local destinations — the
@@ -302,15 +409,21 @@ impl<M: Item> MessageMatrix<M> {
     /// [`Self::write_batch`] of the `(src, dst, items)` entries an
     /// iterator yields (it is walked three times: validate, encode,
     /// address), so a caller holding its messages in another shape need
-    /// not build the entry list.
+    /// not build the entry list. Each message goes to the rotation copy
+    /// the rule of the module docs picks.
     pub fn write_entries<'m>(
         &mut self,
         disks: &mut DiskArray,
         entries: impl Iterator<Item = (usize, usize, &'m [M])> + Clone,
     ) -> Result<(), EmError> {
-        let bb = self.block_bytes;
+        let (bb, d) = (self.block_bytes, self.layout.num_disks);
+        if self.readers.is_empty() {
+            self.clear(); // first write: size R_g
+        }
         // Validate the whole batch before touching disk or the length
-        // table, then size the staging buffer in one pass.
+        // table; size the staging buffer and count W at rotation 0 in
+        // the same pass.
+        self.writer.fill(0);
         let mut total_blocks = 0usize;
         for (src, dst, items) in entries.clone() {
             if items.len() > self.slot_items {
@@ -321,34 +434,52 @@ impl<M: Item> MessageMatrix<M> {
                     slot: self.slot_items,
                 });
             }
-            total_blocks += (items.len() * M::SIZE).div_ceil(bb);
+            let (j, nb) = (dst - self.dst_base, self.blocks(items.len()));
+            Footprint::new(src + j, nb, d).tally(&mut self.writer, 0, 1);
+            total_blocks += nb;
         }
         let mut staging = disks.pool().checkout(total_blocks * bb);
         let mut off = 0usize;
-        for (src, dst, items) in entries.clone().filter(|(_, _, items)| !items.is_empty()) {
+        self.rots.clear();
+        for (src, dst, items) in entries.clone() {
+            let (j, nb) = (dst - self.dst_base, self.blocks(items.len()));
+            // Out of W at rotation 0, back in at the chosen one.
+            let m = Footprint::new(src + j, nb, d);
+            m.tally(&mut self.writer, 0, u32::MAX);
+            let g = self.group(j);
+            let g = &mut self.readers[g];
+            let rot = m.best_rot(&self.writer, g);
+            m.tally(&mut self.writer, rot, 1);
+            m.tally(g, rot, 1);
+            self.rots.push(rot);
+            if items.is_empty() {
+                continue;
+            }
             let bytes = items.len() * M::SIZE;
             M::encode_into(items, &mut staging[off..off + bytes])
                 .expect("staging sized to the batch");
-            off += bytes.div_ceil(bb) * bb;
-            self.lens.set(dst - self.dst_base, src, items.len() as u32);
+            off += nb * bb;
+            self.lens.set(j, src, items.len() as u32, rot as u32);
         }
         let (layout, dst_base, staging) = (self.layout, self.dst_base, &staging[..]);
         let mut off = 0usize;
-        disks.write_gather_iter(entries.flat_map(|(src, dst, items)| {
+        let entries = entries.zip(&self.rots);
+        disks.write_gather_iter(entries.flat_map(|((src, dst, items), &rot)| {
             let bytes = items.len() * M::SIZE;
             let encoded = &staging[off..off + bytes];
             off += bytes.div_ceil(bb) * bb;
             let blocks = encoded.chunks(bb).enumerate();
-            blocks.map(move |(q, chunk)| (layout.addr(src, dst - dst_base, q as u64), chunk))
+            blocks.map(move |(q, chunk)| (layout.addr(src, dst - dst_base, q as u64, rot), chunk))
         }))?;
         Ok(())
     }
 
     /// List the inboxes of global destinations `dsts` as they are now:
     /// one span per occupied slot, and its blocks in request order with
-    /// the span each belongs to. Per destination the blocks go stripe
-    /// by stripe — block `q` of every message before block `q + 1` of
-    /// any — so that each drive's share ascends in track order.
+    /// the span each belongs to. The blocks go copy by copy, then per
+    /// destination stripe by stripe — block `q` of every message before
+    /// block `q + 1` of any — so that each drive's share ascends in
+    /// track order.
     fn list(
         &self,
         dsts: Range<usize>,
@@ -356,20 +487,28 @@ impl<M: Item> MessageMatrix<M> {
         addrs: &mut Vec<TrackAddr>,
         owner: &mut Vec<usize>,
     ) {
+        let first = spans.len();
         for dst in dsts.clone() {
-            let dst_local = dst - self.dst_base;
-            let first = spans.len();
-            for (src, len) in self.lens.row_nonzero(dst_local) {
-                let n_items = len as usize;
-                let nblocks = (n_items * M::SIZE).div_ceil(self.block_bytes);
-                spans.push(Span { dst: dst - dsts.start, src, n_items, nblocks });
+            for (src, len, rot) in self.lens.row_nonzero(dst - self.dst_base) {
+                let (n_items, rot) = (len as usize, rot as usize);
+                let nblocks = self.blocks(n_items);
+                spans.push(Span { dst: dst - dsts.start, src, rot, n_items, nblocks });
             }
-            let stripes = spans[first..].iter().map(|s| s.nblocks).max().unwrap_or(0);
-            for q in 0..stripes {
-                for (i, s) in spans.iter().enumerate().skip(first).filter(|(_, s)| s.nblocks > q) {
-                    addrs.push(self.layout.addr(s.src, dst_local, q as u64));
-                    owner.push(i);
+        }
+        let copies = spans[first..].iter().map(|s| s.rot + 1).max().unwrap_or(0);
+        for rot in 0..copies {
+            let mut at = first;
+            for run in spans[first..].chunk_by(|a, b| a.dst == b.dst) {
+                let dst_local = dsts.start + run[0].dst - self.dst_base;
+                let mine = || run.iter().enumerate().filter(move |(_, s)| s.rot == rot);
+                let stripes = mine().map(|(_, s)| s.nblocks).max().unwrap_or(0);
+                for q in 0..stripes {
+                    for (i, s) in mine().filter(|(_, s)| s.nblocks > q) {
+                        addrs.push(self.layout.addr(s.src, dst_local, q as u64, rot));
+                        owner.push(at + i);
+                    }
                 }
+                at += run.len();
             }
         }
     }
@@ -450,7 +589,7 @@ impl<M: Item> MessageMatrix<M> {
                 Ok(items) => outs[s.dst].push((s.src, items)),
                 Err(e) => {
                     let dst = first + s.dst;
-                    let a = self.layout.addr(s.src, dst - self.dst_base, 0);
+                    let a = self.layout.addr(s.src, dst - self.dst_base, 0, s.rot);
                     return Err(EmError::Io(IoError::Fault {
                         kind: IoErrorKind::Corrupt,
                         disk: a.disk,
@@ -469,10 +608,12 @@ impl<M: Item> MessageMatrix<M> {
 }
 
 /// One occupied slot of an inbox read: `n_items` items in `nblocks`
-/// blocks from `src` to the `dst`-th destination read.
+/// blocks of rotation copy `rot` from `src` to the `dst`-th destination
+/// read.
 struct Span {
     dst: usize,
     src: usize,
+    rot: usize,
     n_items: usize,
     nblocks: usize,
 }
@@ -575,14 +716,19 @@ mod tests {
         let msg = vec![1u64, 2, 3];
         m.write_batch(&mut disks, &[(2, 1, msg.as_slice()), (0, 3, msg.as_slice())]).unwrap();
         let lens = m.sparse_lens();
-        assert_eq!(lens[1], vec![(2, 3)]);
-        assert_eq!(lens[3], vec![(0, 3)]);
+        assert_eq!(lens[1], InboxRow(vec![(2, 3, 0)]));
+        assert_eq!(lens[3], InboxRow(vec![(0, 3, 0)]));
         let mut m2: MessageMatrix<u64> = MessageMatrix::new_with_mode(2, 16, 0, 4, 0, 4, 4, true);
         m2.set_sparse_lens(lens.clone()).unwrap();
         assert_eq!(m2.sparse_lens(), lens);
-        // Out-of-range source and unsorted rows are rejected.
-        assert!(m2.set_sparse_lens(vec![vec![(9, 1)], vec![], vec![], vec![]]).is_err());
-        assert!(m2.set_sparse_lens(vec![vec![(2, 1), (1, 1)], vec![], vec![], vec![]]).is_err());
+        // Out-of-range source or rotation and unsorted rows are rejected.
+        let rows = |row: InboxRow| {
+            vec![row, InboxRow::default(), InboxRow::default(), InboxRow::default()]
+        };
+        assert!(m2.set_sparse_lens(rows(InboxRow(vec![(9, 1, 0)]))).is_err());
+        assert!(m2.set_sparse_lens(rows(InboxRow(vec![(1, 1, 2)]))).is_err());
+        assert!(m2.set_sparse_lens(rows(InboxRow(vec![(2, 1, 0), (1, 1, 0)]))).is_err());
+        m2.set_sparse_lens(rows(InboxRow(vec![(1, 1, 1)]))).unwrap();
     }
 
     #[test]
@@ -611,6 +757,8 @@ mod tests {
         let s = disks.stats();
         assert_eq!(s.write_ops, (v * v * 2 / d) as u64);
         assert_eq!(s.full_ops, s.write_ops, "every write op must use all D disks");
+        let rots = m.sparse_lens().into_iter().flat_map(|r| r.0).map(|(.., rot)| rot);
+        assert!(rots.into_iter().all(|r| r == 0), "balanced traffic keeps Figure 2's place");
 
         // reads for each destination are fully parallel too
         disks.reset_stats();
@@ -619,6 +767,40 @@ mod tests {
         }
         let s = disks.stats();
         assert_eq!(s.full_ops, s.read_ops);
+    }
+
+    #[test]
+    fn ring_messages_use_both_drives() {
+        // A ring at D = 2 in groups of k = 2: vp i sends one block to
+        // i + 1. Unrotated, every message of a group lands on drive 1
+        // (i + (i + 1) is odd), so each group write and each group read
+        // costs 2 operations; rotating one message per group makes both 1.
+        let (d, v, k) = (2, 8, 2);
+        let mut disks = DiskArray::new(DiskGeometry::new(d, 8));
+        let m: MessageMatrix<u64> = MessageMatrix::new(d, 8, 0, v, 0, v, 1);
+        let rot_base = m.total_tracks();
+        let mut m = m.with_placement(k, rot_base);
+        let msgs: Vec<[u64; 1]> = (0..v as u64).map(|i| [i + 100]).collect();
+        for g in 0..v / k {
+            let entries: Vec<_> =
+                (g * k..(g + 1) * k).map(|i| (i, (i + 1) % v, &msgs[i][..])).collect();
+            assert_eq!(disks.stats().write_ops, g as u64);
+            m.write_batch(&mut disks, &entries).unwrap();
+        }
+        assert_eq!(disks.stats().write_ops, (v / k) as u64, "one op per group write");
+        let rotated = m.sparse_lens().into_iter().filter(|r| r.0.iter().any(|s| s.2 != 0));
+        assert_eq!(rotated.count(), v / k, "one rotated message per group");
+        let mut outs = vec![Vec::new(); k];
+        for g in 0..v / k {
+            let t = m.read_for_dst_submit(&mut disks, g * k..(g + 1) * k).unwrap();
+            m.read_for_dst_finish_into(&mut disks, t, &mut outs).unwrap();
+            for (i, inbox) in (g * k..(g + 1) * k).zip(&outs) {
+                let src = (i + v - 1) % v;
+                assert_eq!(inbox, &vec![(src, vec![src as u64 + 100])], "dst {i}");
+            }
+        }
+        assert_eq!(disks.stats().read_ops, (v / k) as u64, "one op per group read");
+        assert_eq!(disks.stats().narrow_ops, 0);
     }
 
     #[test]

@@ -28,19 +28,6 @@ pub fn consecutive_addr(
     }
 }
 
-/// The staggered format: identical arithmetic to [`consecutive_addr`] but
-/// with a caller-chosen per-band disk offset (band `j` of the message
-/// matrix is staggered by `j mod D`). Provided as a named alias for readability at call
-/// sites that deal with the message matrix.
-pub fn staggered_addr(
-    num_disks: usize,
-    base_track: u64,
-    band_disk_offset: usize,
-    q: u64,
-) -> TrackAddr {
-    consecutive_addr(num_disks, base_track, band_disk_offset, q)
-}
-
 /// A consecutive-format region of the disk array: a logical stream of
 /// blocks striped round-robin across all drives starting at `base_track`,
 /// disk 0.
@@ -78,8 +65,8 @@ impl Layout {
 /// `T_j + (d_j + g) / D`. At `b′ = 1` there is one stripe and this is
 /// Figure 2 address for address.
 ///
-/// Three round-robin properties follow (tested below and relied upon
-/// by the simulation engine):
+/// Three round-robin properties follow, in every rotation copy (tested
+/// below and relied upon by the simulation engine):
 ///
 /// * a **writer** (virtual processor `i`) emitting stripe `q` of its
 ///   messages in destination order `j = 0, 1, …` advances by exactly
@@ -95,6 +82,10 @@ impl Layout {
 /// drives; in the message-major order of the paper's `b′ > 1` figure
 /// (block `q` at `i·b′ + q`, offset `j·b′ mod D`) a one-block message
 /// in a two-block slot always started on an even drive at `D = 4`.
+///
+/// **Rotations.** The matrix exists in `D` copies: copy `r` has band
+/// offsets `(j + r) mod D`, so block `q` of `msg(i,j)` lands on drive
+/// `(i + j + q + r) mod D`. A writer picks one copy per message.
 #[derive(Debug, Clone, Copy)]
 pub struct MessageMatrixLayout {
     /// Number of drives.
@@ -103,8 +94,12 @@ pub struct MessageMatrixLayout {
     pub v: usize,
     /// Fixed message size in blocks (`b′ = ⌈b/B⌉`).
     pub blocks_per_msg: u64,
-    /// First track of the matrix.
+    /// First track of the matrix (rotation copy 0).
     pub base_track: u64,
+    /// First track of rotation copy 1.
+    pub rot_base: u64,
+    /// Tracks between the starts of consecutive rotation copies `≥ 1`.
+    pub copy_tracks: u64,
 }
 
 impl MessageMatrixLayout {
@@ -125,37 +120,23 @@ impl MessageMatrixLayout {
         (positions + self.num_disks as u64 - 1).div_ceil(self.num_disks as u64)
     }
 
-    /// Total tracks occupied by the matrix on each drive.
+    /// Total tracks occupied by one copy of the matrix on each drive.
     pub fn total_tracks(&self) -> u64 {
         self.tracks_per_band() * self.v as u64
     }
 
-    /// Disk offset `d_j` of destination band `j`.
-    pub fn band_disk_offset(&self, dst: usize) -> usize {
-        dst % self.num_disks
-    }
-
-    /// Address of block `q` of the message from `src` to `dst`.
-    pub fn addr(&self, src: usize, dst: usize, q: u64) -> TrackAddr {
+    /// Address of block `q` of the message from `src` to `dst` in
+    /// rotation copy `rot < D`.
+    pub fn addr(&self, src: usize, dst: usize, q: u64, rot: usize) -> TrackAddr {
         debug_assert!(src < self.v && dst < self.v && q < self.blocks_per_msg);
-        let band_track = self.base_track + dst as u64 * self.tracks_per_band();
+        debug_assert!(rot < self.num_disks);
+        let copy = match rot {
+            0 => self.base_track,
+            r => self.rot_base + (r as u64 - 1) * self.copy_tracks,
+        };
+        let band_track = copy + dst as u64 * self.tracks_per_band();
         let g = q * self.stripe_stride() + src as u64;
-        staggered_addr(self.num_disks, band_track, self.band_disk_offset(dst), g)
-    }
-
-    /// The block addresses written by source `src` when every message
-    /// fills its slot, stripe by stripe (destinations in order within
-    /// each stripe).
-    pub fn write_order_for_src(&self, src: usize) -> impl Iterator<Item = TrackAddr> + '_ {
-        (0..self.blocks_per_msg)
-            .flat_map(move |q| (0..self.v).map(move |dst| self.addr(src, dst, q)))
-    }
-
-    /// The block addresses read by destination `dst`, stripe by stripe
-    /// (sources in order within each stripe).
-    pub fn read_order_for_dst(&self, dst: usize) -> impl Iterator<Item = TrackAddr> + '_ {
-        (0..self.blocks_per_msg)
-            .flat_map(move |q| (0..self.v).map(move |src| self.addr(src, dst, q)))
+        consecutive_addr(self.num_disks, band_track, (dst + rot) % self.num_disks, g)
     }
 }
 
@@ -185,29 +166,103 @@ mod tests {
         addrs.chunks(v).all(|stripe| round_robin(stripe, d))
     }
 
+    impl MessageMatrixLayout {
+        /// The block addresses written by source `src` into copy `rot`
+        /// when every message fills its slot, stripe by stripe
+        /// (destinations in order within each stripe).
+        fn write_order_for_src(&self, src: usize, rot: usize) -> impl Iterator<Item = TrackAddr> {
+            let m = *self;
+            (0..m.blocks_per_msg).flat_map(move |q| (0..m.v).map(move |j| m.addr(src, j, q, rot)))
+        }
+
+        /// The block addresses read by destination `dst` from copy
+        /// `rot`, stripe by stripe (sources in order within each stripe).
+        fn read_order_for_dst(&self, dst: usize, rot: usize) -> impl Iterator<Item = TrackAddr> {
+            let m = *self;
+            (0..m.blocks_per_msg).flat_map(move |q| (0..m.v).map(move |i| m.addr(i, dst, q, rot)))
+        }
+    }
+
+    /// A matrix whose `D` rotation copies sit back to back from `base`.
+    fn matrix(d: usize, v: usize, bpm: u64, base: u64) -> MessageMatrixLayout {
+        let mut m = MessageMatrixLayout {
+            num_disks: d,
+            v,
+            blocks_per_msg: bpm,
+            base_track: base,
+            rot_base: 0,
+            copy_tracks: 0,
+        };
+        m.copy_tracks = m.total_tracks();
+        m.rot_base = base + m.copy_tracks;
+        m
+    }
+
+    /// Every machine shape the placement tests sweep: `(D, b′, v)`.
+    fn shapes() -> impl Iterator<Item = (usize, u64, usize)> {
+        let ds = [1usize, 2, 3, 4, 5, 8];
+        ds.into_iter().flat_map(|d| {
+            [1u64, 2, 3, 7].into_iter().flat_map(move |b| [5usize, 6, 16].map(|v| (d, b, v)))
+        })
+    }
+
     #[test]
     fn writer_sequences_are_round_robin() {
-        for d in [1usize, 2, 3, 4, 5, 8] {
-            for bpm in [1u64, 2, 3, 7] {
-                let m =
-                    MessageMatrixLayout { num_disks: d, v: 6, blocks_per_msg: bpm, base_track: 4 };
-                for src in 0..6 {
-                    let ok = stripes_round_robin(m.write_order_for_src(src), 6, d);
-                    assert!(ok, "D={d} b'={bpm} src={src}");
-                }
+        for (d, bpm, v) in shapes() {
+            let m = matrix(d, v, bpm, 4);
+            for (src, rot) in (0..v).flat_map(|i| (0..d).map(move |r| (i, r))) {
+                let ok = stripes_round_robin(m.write_order_for_src(src, rot), v, d);
+                assert!(ok, "D={d} b'={bpm} v={v} src={src} rot={rot}");
             }
         }
     }
 
     #[test]
     fn reader_sequences_are_round_robin() {
-        for d in [1usize, 2, 3, 4, 5, 8] {
-            for bpm in [1u64, 2, 3, 7] {
-                let m =
-                    MessageMatrixLayout { num_disks: d, v: 6, blocks_per_msg: bpm, base_track: 0 };
-                for dst in 0..6 {
-                    let ok = stripes_round_robin(m.read_order_for_dst(dst), 6, d);
-                    assert!(ok, "D={d} b'={bpm} dst={dst}");
+        for (d, bpm, v) in shapes() {
+            let m = matrix(d, v, bpm, 0);
+            for (dst, rot) in (0..v).flat_map(|j| (0..d).map(move |r| (j, r))) {
+                let ok = stripes_round_robin(m.read_order_for_dst(dst, rot), v, d);
+                assert!(ok, "D={d} b'={bpm} v={v} dst={dst} rot={rot}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_block_slots_are_figure_2() {
+        // b' = 1: msg(i, j) at position i of band j, band offset j mod D;
+        // rotation r only adds r to the offset, in a copy of its own.
+        let m = matrix(3, 5, 1, 2);
+        for (i, j) in (0..5).flat_map(|i| (0..5).map(move |j| (i, j))) {
+            for rot in 0..3 {
+                let band = 2 + rot as u64 * m.total_tracks() + j as u64 * m.tracks_per_band();
+                let want = consecutive_addr(3, band, (j + rot) % 3, i as u64);
+                assert_eq!(m.addr(i, j, 0, rot), want, "msg({i},{j}) rot {rot}");
+            }
+        }
+    }
+
+    #[test]
+    fn all_blocks_have_distinct_addresses() {
+        // Over every (src, dst, q, rot) of a matrix: distinct, block q of
+        // msg(i, j) on drive (i + j + q + rot) mod D, each copy within its
+        // own `total_tracks`, and copy 0 exactly the unrotated layout.
+        for (d, bpm, v) in shapes() {
+            let base = 7;
+            let m = matrix(d, v, bpm, base);
+            let mut seen = HashSet::new();
+            let slots = (0..v).flat_map(|i| (0..v).map(move |j| (i, j)));
+            for (i, j, q) in slots.flat_map(|(i, j)| (0..bpm).map(move |q| (i, j, q))) {
+                let g = q * m.stripe_stride() + i as u64;
+                let want = consecutive_addr(d, base + j as u64 * m.tracks_per_band(), j % d, g);
+                assert_eq!(m.addr(i, j, q, 0), want, "D={d} b'={bpm} v={v} msg({i},{j}) q={q}");
+                for rot in 0..d {
+                    let a = m.addr(i, j, q, rot);
+                    let tag = format!("D={d} b'={bpm} v={v} ({i},{j},{q},{rot})");
+                    assert_eq!(a.disk, (i + j + q as usize + rot) % d, "{tag}");
+                    let copy = base + rot as u64 * m.total_tracks();
+                    assert!((copy..copy + m.total_tracks()).contains(&a.track), "{tag}");
+                    assert!(seen.insert(a), "{tag} collides");
                 }
             }
         }
@@ -216,9 +271,9 @@ mod tests {
     #[test]
     fn a_message_advances_one_drive_per_block() {
         for (d, v) in [(4usize, 16usize), (4, 6), (3, 9), (8, 32), (1, 5)] {
-            let m = MessageMatrixLayout { num_disks: d, v, blocks_per_msg: 9, base_track: 0 };
+            let m = matrix(d, v, 9, 0);
             for (i, j) in [(0, 0), (3, 1), (v - 1, v - 2)] {
-                let addrs: Vec<_> = (0..9).map(|q| m.addr(i, j, q)).collect();
+                let addrs: Vec<_> = (0..9).map(|q| m.addr(i, j, q, 0)).collect();
                 assert!(round_robin(&addrs, d), "D={d} v={v} msg({i},{j})");
             }
         }
@@ -230,50 +285,24 @@ mod tests {
         // message-major layout they all started on drives of one parity
         // and the list cost 2⌈v/D⌉; block-major, stripe 0 is round-robin.
         let (d, v) = (4usize, 10usize);
-        let m = MessageMatrixLayout { num_disks: d, v, blocks_per_msg: 2, base_track: 0 };
+        let m = matrix(d, v, 2, 0);
         for src in 0..v {
             let mut disks = crate::DiskArray::new(crate::DiskGeometry::new(d, 8));
             let writes: Vec<(TrackAddr, &[u8])> =
-                (0..v).map(|dst| (m.addr(src, dst, 0), &[1u8][..])).collect();
+                (0..v).map(|dst| (m.addr(src, dst, 0, 0), &[1u8][..])).collect();
             assert_eq!(disks.write_gather(&writes).unwrap(), v.div_ceil(d), "src={src}");
         }
     }
 
     #[test]
-    fn one_block_slots_are_figure_2() {
-        // b' = 1: msg(i, j) at position i of band j, band offset j mod D.
-        let m = MessageMatrixLayout { num_disks: 3, v: 5, blocks_per_msg: 1, base_track: 2 };
-        for (i, j) in (0..5).flat_map(|i| (0..5).map(move |j| (i, j))) {
-            let want = consecutive_addr(3, 2 + j as u64 * m.tracks_per_band(), j % 3, i as u64);
-            assert_eq!(m.addr(i, j, 0), want, "msg({i},{j})");
-        }
-    }
-
-    #[test]
-    fn all_blocks_have_distinct_addresses() {
-        let m = MessageMatrixLayout { num_disks: 4, v: 5, blocks_per_msg: 3, base_track: 7 };
-        let mut seen = HashSet::new();
-        for src in 0..5 {
-            for dst in 0..5 {
-                for q in 0..3 {
-                    assert!(seen.insert(m.addr(src, dst, q)), "collision at ({src},{dst},{q})");
-                }
-            }
-        }
-        // and the matrix stays within its declared footprint
-        let max_track = seen.iter().map(|a| a.track).max().unwrap();
-        assert!(max_track < 7 + m.total_tracks());
-    }
-
-    #[test]
     fn bands_do_not_overlap() {
-        let m = MessageMatrixLayout { num_disks: 3, v: 4, blocks_per_msg: 2, base_track: 0 };
+        let m = matrix(3, 4, 2, 0);
         for dst in 0..4usize {
             let band_start = dst as u64 * m.tracks_per_band();
             let band_end = band_start + m.tracks_per_band();
             for src in 0..4 {
                 for q in 0..2 {
-                    let a = m.addr(src, dst, q);
+                    let a = m.addr(src, dst, q, 0);
                     assert!(a.track >= band_start && a.track < band_end);
                 }
             }
@@ -282,8 +311,8 @@ mod tests {
 
     #[test]
     fn single_disk_degenerates_gracefully() {
-        let m = MessageMatrixLayout { num_disks: 1, v: 3, blocks_per_msg: 2, base_track: 0 };
-        let addrs: Vec<_> = m.write_order_for_src(0).collect();
+        let m = matrix(1, 3, 2, 0);
+        let addrs: Vec<_> = m.write_order_for_src(0, 0).collect();
         assert!(addrs.iter().all(|a| a.disk == 0));
         let set: HashSet<_> = addrs.iter().map(|a| a.track).collect();
         assert_eq!(set.len(), addrs.len());

@@ -58,7 +58,7 @@ pub use fault::{
 };
 pub use file_backend::FileStorage;
 pub use item::{CodecError, Item, SpanDecoder};
-pub use layout::{consecutive_addr, staggered_addr, Layout, MessageMatrixLayout};
+pub use layout::{consecutive_addr, Layout, MessageMatrixLayout};
 pub use paged::PagedStore;
 pub use pool::{BlockPool, PoolStats, PooledBlock};
 pub use stats::IoStats;

@@ -20,10 +20,12 @@ use cgmio_model::demo::TokenRing;
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Allocations one ring vp-superstep may perform, at the group size of
-/// two the config picks: three the program owns (state `Vec`, inbox
-/// `Vec<u64>`, outbox `Vec<u64>`) plus slack for scratch that is not
-/// recycled yet.
-const RING_BUDGET: f64 = 6.0;
+/// two the config picks: the three the program owns (state `Vec`, inbox
+/// `Vec<u64>`, outbox `Vec<u64>`) and nothing else — placement scratch
+/// and the reader-group counts are allocated once per matrix. The
+/// 0.004 measured above 3.0 at `v` = 2 000 is about seven allocations
+/// per superstep, not per vp: it halves when `v` doubles.
+const RING_BUDGET: f64 = 3.01;
 
 /// Allocations a whole ring run (set-up, `rounds + 1` supersteps,
 /// readout) may perform per virtual processor at two rotations: the
@@ -75,7 +77,7 @@ fn per_operation_path_stays_within_its_allocation_budget() {
         let per_vp_superstep = (ring_allocs(v, 6, depth) - short) as f64 / (4 * v) as f64;
         let per_vp = short as f64 / v as f64;
         println!(
-            "ring depth {depth}: {per_vp_superstep:.2} allocations per vp-superstep, \
+            "ring depth {depth}: {per_vp_superstep:.4} allocations per vp-superstep, \
              {per_vp:.2} per vp over a whole two-rotation run"
         );
         assert!(

@@ -111,14 +111,20 @@ fn fault_and_retry_totals_appear_in_reports() {
     assert_eq!(rep.retries, f.read_transient + f.write_transient + f.torn_writes);
 }
 
+/// Whether some inbox slot of `m` sits in a rotation copy other than 0.
+fn has_rotated_slot(m: &CheckpointManifest) -> bool {
+    m.workers.iter().flat_map(|w| &w.inbox_lens).flat_map(|r| &r.0).any(|s| s.2 != 0)
+}
+
 /// Halting at every barrier and resuming — in process on `Mem`, and
 /// from the manifest alone on files — reproduces the uninterrupted run
 /// at every group size and on both runners; the two backends write the
-/// same manifest.
+/// same manifest. Some of the manifests hold rotated message slots.
 #[test]
 fn every_barrier_resumes_exactly_at_every_group_size() {
     let (v, rounds) = (7usize, 5usize);
     let prog = TokenRing { rounds };
+    let mut rotated = 0;
     for (p, k) in [1usize, 3].into_iter().flat_map(|p| [1usize, 2, 3].map(|k| (p, k))) {
         let mut cfg = config(&prog, v, p);
         cfg.vp_group = k;
@@ -151,6 +157,7 @@ fn every_barrier_resumes_exactly_at_every_group_size() {
             drop(run(hcfg)); // the "crash": only the files survive
             let saved = CheckpointManifest::load(&CheckpointManifest::path_in(dir.path())).unwrap();
             assert_eq!(saved, manifest, "{tag}: the manifest depends on the backend");
+            rotated += has_rotated_slot(&saved) as usize;
             let got = if p == 1 {
                 SeqEmRunner::new(fcfg).resume_from(&prog, &saved)
             } else {
@@ -159,12 +166,21 @@ fn every_barrier_resumes_exactly_at_every_group_size() {
             assert_same(&format!("{tag} sync-file"), &got.unwrap().expect_complete(), &want);
         }
     }
+    assert!(rotated > 0, "no manifest held a rotated message slot");
 }
 
-/// A manifest written before the block-major message layout — five `io`
-/// values, and the config hash of the time, which covered neither a
-/// layout version nor `vp_group` — parses, and resume refuses it with a
-/// `BadConfig` naming both hashes instead of decoding moved blocks.
+/// FNV-1a of `fields`' little-endian bytes: the config hash's function.
+fn fnv(fields: &[usize]) -> u64 {
+    let bytes = fields.iter().flat_map(|&x| (x as u64).to_le_bytes());
+    bytes.fold(0xCBF2_9CE4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
+/// Manifests written under an older message layout parse, and resume
+/// refuses them with a `BadConfig` naming both hashes instead of
+/// decoding moved blocks: one from before the block-major layout (five
+/// `io` values, and a hash that covered neither a layout version nor
+/// `vp_group`), and one from before rotation copies (`LAYOUT_VERSION`
+/// 2).
 #[test]
 fn manifest_with_the_parent_hash_is_refused() {
     let prog = TokenRing { rounds: 4 };
@@ -177,32 +193,86 @@ fn manifest_with_the_parent_hash_is_refused() {
     drop(SeqEmRunner::new(cfg.clone()).run_until(&prog, mk_states(v)).unwrap());
     let path = CheckpointManifest::path_in(dir.path());
 
-    // The hash the parent computed for this config: FNV-1a over v, p, D,
-    // B and the two slot sizes.
-    let fields = [v, 1, 2, 64, cfg.msg_slot_items, cfg.max_ctx_bytes];
-    let parent_hash = fields
-        .iter()
-        .flat_map(|&x| (x as u64).to_le_bytes())
-        .fold(0xCBF2_9CE4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3));
-    assert_eq!(parent_hash, 0xd161_1c37_bbd9_2cd3, "the fixed config drifted");
+    // The hashes older layouts computed for this config: FNV-1a over v,
+    // p, D, B and the two slot sizes; then with the layout version and
+    // the group size in front.
+    let (slots, k) = ([cfg.msg_slot_items, cfg.max_ctx_bytes], cfg.vp_group);
+    let message_major = fnv(&[v, 1, 2, 64, slots[0], slots[1]]);
+    assert_eq!(message_major, 0xd161_1c37_bbd9_2cd3, "the fixed config drifted");
+    let unrotated = fnv(&[2, k, v, 1, 2, 64, slots[0], slots[1]]);
+    assert_eq!(fnv(&[3, k, v, 1, 2, 64, slots[0], slots[1]]), cfg.config_hash());
     let text = std::fs::read_to_string(&path).unwrap();
-    let stale: String = text
-        .lines()
-        .map(|l| match l.split_once(' ') {
-            Some(("config_hash", _)) => format!("config_hash {parent_hash}\n"),
-            Some(("io", vals)) => format!("io {}\n", vals.rsplit_once(' ').unwrap().0),
-            _ => format!("{l}\n"),
-        })
-        .collect();
-    std::fs::write(&path, stale).unwrap();
-
-    let manifest = CheckpointManifest::load(&path).unwrap();
-    assert_eq!(manifest.config_hash, parent_hash);
     cfg.halt_after_superstep = None;
-    let e = SeqEmRunner::new(cfg.clone()).resume_from(&prog, &manifest).unwrap_err();
-    let EmError::BadConfig(msg) = e else { panic!("expected BadConfig, got {e:?}") };
-    for hash in [parent_hash, cfg.config_hash()] {
-        assert!(msg.contains(&format!("{hash:#x}")), "{msg}");
+    for (old_hash, io_values) in [(message_major, 5), (unrotated, 6)] {
+        let stale: String = text
+            .lines()
+            .map(|l| match l.split_once(' ') {
+                Some(("config_hash", _)) => format!("config_hash {old_hash}\n"),
+                Some(("io", vals)) => {
+                    let vals: Vec<&str> = vals.split(' ').take(io_values).collect();
+                    format!("io {}\n", vals.join(" "))
+                }
+                _ => format!("{l}\n"),
+            })
+            .collect();
+        std::fs::write(&path, stale).unwrap();
+
+        let manifest = CheckpointManifest::load(&path).unwrap();
+        assert_eq!(manifest.config_hash, old_hash);
+        let e = SeqEmRunner::new(cfg.clone()).resume_from(&prog, &manifest).unwrap_err();
+        let EmError::BadConfig(msg) = e else { panic!("expected BadConfig, got {e:?}") };
+        for hash in [old_hash, cfg.config_hash()] {
+            assert!(msg.contains(&format!("{hash:#x}")), "{msg}");
+        }
+    }
+}
+
+/// The manifest parser trusts nothing it reads: a real manifest cut
+/// short at every line, given counts of `u64::MAX` or lengths past
+/// `u32`, is an error — never a panic or an allocation abort.
+#[test]
+fn malformed_manifests_are_errors_not_panics() {
+    let (v, p) = (7usize, 3usize);
+    let prog = TokenRing { rounds: 4 };
+    let mut cfg = config(&prog, v, p);
+    cfg.vp_group = 2;
+    cfg.halt_after_superstep = Some(1);
+    let RunOutcome::Interrupted(ckpt) =
+        ParEmRunner::new(cfg).run_until(&prog, mk_states(v)).unwrap()
+    else {
+        panic!("no halt")
+    };
+    assert!(has_rotated_slot(&ckpt.manifest));
+    let text = ckpt.manifest.to_text();
+    assert_eq!(CheckpointManifest::from_text(&text).unwrap(), ckpt.manifest);
+
+    let lines: Vec<&str> = text.lines().collect();
+    for cut in 0..lines.len() {
+        let head = lines[..cut].join("\n");
+        assert!(CheckpointManifest::from_text(&head).is_err(), "cut after {cut} lines parsed");
+    }
+    let max = u64::MAX;
+    let edits = |key: &str, value: &str| -> String {
+        let edit = |l: &str| match l.split_once(' ') {
+            Some((k, _)) if k == key => format!("{key} {value}"),
+            _ => l.to_string(),
+        };
+        lines.iter().map(|l| edit(l)).collect::<Vec<_>>().join("\n") + "\n"
+    };
+    let row = lines.iter().find(|l| l.starts_with("row ")).expect("a non-empty inbox row");
+    let slot: Vec<&str> = row.split(' ').skip(1).take(3).collect();
+    let cases = [
+        edits("rounds", &max.to_string()),
+        edits("rounds", "1000000000000"),
+        edits("workers", &max.to_string()),
+        edits("inbox_rows", &max.to_string()),
+        edits("row", &format!("{} {} {}", slot[0], 1u64 << 32 | 1, slot[2])),
+        edits("row", &format!("{} {} {}", slot[0], slot[1], 1u64 << 32)),
+        edits("row", &format!("{} {}", slot[0], slot[1])),
+        text.replace("cgmio-checkpoint v3", "cgmio-checkpoint v2"),
+    ];
+    for (i, bad) in cases.iter().enumerate() {
+        assert!(CheckpointManifest::from_text(bad).is_err(), "case {i} parsed:\n{bad}");
     }
 }
 

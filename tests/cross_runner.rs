@@ -8,7 +8,7 @@ use cgmio_algos::graphs::{CgmConnectivity, CgmEulerTour, CgmListRank};
 use cgmio_algos::{CgmPermute, CgmSort, CgmTranspose};
 use cgmio_core::{measure_requirements, EmConfig, ParEmRunner, RunOutcome, SeqEmRunner};
 use cgmio_data as data;
-use cgmio_model::demo::AllToOne;
+use cgmio_model::demo::{AllToOne, TokenRing};
 use cgmio_model::{CgmProgram, DirectRunner, ThreadedRunner};
 
 /// Group sizes the EM runners are checked at (`vp_group`).
@@ -197,6 +197,26 @@ fn connectivity_agrees_everywhere() {
         },
         "connectivity",
     );
+}
+
+/// A token ring at `D = 2`, contexts of one block in groups of two:
+/// each message is placed so that every write and every inbox read uses
+/// both drives, on every `p` — no operation is narrow. (A fixed stagger
+/// puts every shift-by-one message on drive 1.)
+#[test]
+fn ring_messages_use_every_drive_for_every_p() {
+    let prog = TokenRing { rounds: 4 };
+    for v in [12usize, 13] {
+        let mk = || (0..v as u64).map(|i| vec![i]).collect::<Vec<_>>();
+        let (_, _, req) = measure_requirements(&prog, mk()).unwrap();
+        for p in [1usize, 2, 3] {
+            let cfg = EmConfig::from_requirements(v, p, 2, 64, &req);
+            assert_eq!(cfg.vp_group, 2);
+            let (finals, rep) = ParEmRunner::new(cfg).run(&prog, mk()).unwrap();
+            assert_eq!(finals[0], vec![((v - 4) % v) as u64], "v={v} p={p}");
+            assert_eq!(rep.io.narrow_ops, 0, "v={v} p={p}: {:?}", rep.io);
+        }
+    }
 }
 
 /// Initial states of a sort with irregular traffic: 5 000 uniform keys

@@ -97,9 +97,10 @@ fn representations_invisible_across_backends_and_runners() {
     }
 }
 
-/// Checkpoint manifests are representation-independent, and a manifest
-/// written under one representation resumes under the other with
-/// bit-identical finals and cumulative I/O — on both runners.
+/// Checkpoint manifests are representation-independent — the ring's
+/// rotated message slots at `k = 2` included — and a manifest written
+/// under one representation resumes under the other with bit-identical
+/// finals and cumulative I/O, on both runners.
 #[test]
 fn manifests_and_resume_cross_representations() {
     let v = 4;
@@ -133,10 +134,17 @@ fn manifests_and_resume_cross_representations() {
                 }
             };
             for halt in [0usize, 2] {
+                let dense = manifest_under(dense(), halt);
                 assert_eq!(
-                    manifest_under(dense(), halt),
+                    dense,
                     manifest_under(sparse(), halt),
                     "p={p} k={k} halt={halt}: manifest depends on representation"
+                );
+                let slots = dense.workers.iter().flat_map(|w| &w.inbox_lens).flat_map(|r| &r.0);
+                let rotated = slots.filter(|s| s.2 != 0).count();
+                assert!(
+                    k != 2 || rotated > 0,
+                    "p={p} halt={halt}: the ring at k = 2 rotated nothing"
                 );
             }
 
