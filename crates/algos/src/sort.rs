@@ -159,7 +159,10 @@ where
             }
             2 => {
                 let mut recv_counts = vec![0u64; v]; // items per destination, all rows summed
-                let mut mine: Vec<K> = Vec::new();
+
+                // Sized once: no regrowth copies, and no slack kept in
+                // the state (the EM runners hand it to the caller as is).
+                let mut mine: Vec<K> = Vec::with_capacity(ctx.incoming.total());
                 for (_src, items) in ctx.incoming.iter() {
                     for m in items {
                         match *m {
@@ -200,7 +203,7 @@ where
             _ => {
                 // Runs arrive in ascending source order = ascending
                 // global rank, so concatenation is sorted.
-                let mut out = Vec::new();
+                let mut out = Vec::with_capacity(ctx.incoming.total());
                 for (_src, items) in ctx.incoming.iter() {
                     for m in items {
                         match *m {

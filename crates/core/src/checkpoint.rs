@@ -19,9 +19,9 @@
 //! `tests/checkpoint_resume.rs`).
 //!
 //! The manifest is a versioned plain-text file, written atomically
-//! (temp file + rename) *after* the barrier flush, so a crash between
-//! superstep `r` and `r+1` always leaves a consistent pair (disks at
-//! barrier `r`, manifest at `r` or `r−1` — both resumable).
+//! (temp file + rename) *after* the barrier flush. A crash after it or
+//! in the final superstep (which writes no context) is resumable; one in
+//! an earlier superstep is not yet: (e) rewrites contexts in place.
 
 use std::fmt::Write as _;
 use std::io::{self, Read as _, Write as _};

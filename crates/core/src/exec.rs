@@ -477,6 +477,11 @@ struct Worker<'a, P: CgmProgram> {
     sents: Vec<Vec<(usize, Vec<P::Msg>)>>,
     /// The group's decoded states, drained at step (e).
     states: Vec<P::State>,
+    /// A fresh run's input, drained by superstep 0 in place of step (a).
+    input: std::vec::IntoIter<P::State>,
+    /// States of `Done` vps, kept at step (e) instead of written back
+    /// (sized once: regrowing it in the last superstep fragments the heap).
+    finals: Vec<P::State>,
     /// Step (a)+(b) reads run this many groups ahead. Only the tuner
     /// moves it, between rounds, where the window has drained.
     depth: usize,
@@ -487,8 +492,8 @@ struct Worker<'a, P: CgmProgram> {
 
 impl<'a, P: CgmProgram> Worker<'a, P> {
     /// Open (or adopt) real processor `t`'s disks, lay out contexts and
-    /// matrices, and distribute the input or restore the barrier
-    /// metadata so that `round` runs next.
+    /// matrices, and hold the input or restore the barrier metadata so
+    /// that `round` runs next.
     fn new(
         cfg: &'a EmConfig,
         prog: &'a P,
@@ -496,9 +501,10 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
         round: usize,
         init: WorkerInit<P::State>,
     ) -> Result<Self, EmError> {
+        let _g = cfg.obs.as_ref().map(|o| o.span(t as u64, round as u64, Phase::Setup));
         let (v, range, geom) = (cfg.v, init.range, cfg.geometry());
         let mut base_io = IoStats::new(geom.num_disks);
-        let mut h = match init.disks {
+        let h = match init.disks {
             // Retry/fault handles do not travel with a checkpoint: the
             // resumed portion reports zero of both.
             Some((disks, trace)) => DiskHandles {
@@ -553,31 +559,15 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
         let mut mats =
             [mat0.with_placement(k, rot_base(0)), mk_mat(ctx + mat).with_placement(k, rot_base(1))];
 
-        let mut breakdown = IoBreakdown::default();
-        let mut peak_mem = 0usize;
-        let mut ctxs: Vec<Vec<u8>> = (0..k).map(|_| Vec::new()).collect();
-        match init.restore {
-            None => {
-                // Input distribution: write initial contexts, a group
-                // per gather list.
-                let _g = cfg.obs.as_ref().map(|o| o.span(t as u64, 0, Phase::Setup));
-                let mut states = init.states.into_iter();
-                for slots in groups(range.len(), k) {
-                    let ctxs = &mut ctxs[..slots.len()];
-                    ctxs.iter_mut().zip(states.by_ref()).for_each(|(c, s)| s.encode_to_vec(c));
-                    ctx_store.write_slots(&mut h.disks, slots.start, ctxs)?;
-                }
-                breakdown.setup_ops = h.disks.stats().total_ops();
-            }
-            Some(wc) => {
-                // The disks hold the barrier state. The matrix written
-                // during the checkpointed superstep is the one `round`
-                // reads; its partner was cleared (= a fresh matrix).
-                ctx_store.set_lens_rle(&wc.ctx_lens)?;
-                mats[round % 2].set_sparse_lens(wc.inbox_lens)?;
-                breakdown = wc.breakdown;
-                peak_mem = wc.peak_mem;
-            }
+        let (mut breakdown, mut peak_mem) = (IoBreakdown::default(), 0usize);
+        if let Some(wc) = init.restore {
+            // The disks hold the barrier state. The matrix written during
+            // the checkpointed superstep is the one `round` reads; its
+            // partner was cleared (= a fresh matrix).
+            ctx_store.set_lens_rle(&wc.ctx_lens)?;
+            mats[round % 2].set_sparse_lens(wc.inbox_lens)?;
+            breakdown = wc.breakdown;
+            peak_mem = wc.peak_mem;
         }
 
         let depth = cfg.pipeline_depth.min(range.len().div_ceil(k));
@@ -600,10 +590,12 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             mats,
             breakdown,
             peak_mem,
-            ctxs,
+            ctxs: (0..k).map(|_| Vec::new()).collect(),
             inboxes: (0..k).map(|_| Vec::new()).collect(),
             sents: (0..k).map(|_| Vec::new()).collect(),
             states: Vec::with_capacity(k),
+            finals: Vec::with_capacity(init.states.len()),
+            input: init.states.into_iter(),
             depth,
             inflight: InflightReads::new(),
             tuner,
@@ -625,14 +617,16 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
     /// **(a)** contexts in and **(b)** inboxes in — a gather list each —
     /// **(c)** each vp's compute, **(d)** messages out (one list per
     /// group at `p = 1`, shipped per vp at `p ≥ 2`), **(e)** contexts
-    /// out as one list; then the barrier flush.
+    /// out as one list; then the barrier flush. Superstep 0 of a fresh
+    /// run takes its states from the input instead of (a)+(b) (it has no
+    /// inbox), and a group of `Done` vps keeps them as finals, not (e).
     fn superstep(
         &mut self,
         round: usize,
         link: &mut Link<'_, '_, P::Msg>,
     ) -> Result<RoundCtl, EmError> {
-        let Self { cfg, t, range, h, ctx_store, mats, breakdown, inflight, .. } = self;
-        let Self { ctxs, inboxes, sents, states, depth, prog, peak_mem, .. } = self;
+        let Self { cfg, t, range, h, ctx_store, mats, breakdown, inflight, input, .. } = self;
+        let Self { ctxs, inboxes, sents, states, finals, depth, prog, peak_mem, .. } = self;
         let (cfg, t, depth, hinted) = (*cfg, *t, *depth, h.prefetch_cap.is_some());
         let disks = &mut h.disks;
         let (v, first, n_local, k) = (cfg.v, range.start, range.len(), ctxs.len());
@@ -645,39 +639,45 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
         let mut ctl = RoundCtl::default();
         ctl.cost.min_message = usize::MAX;
 
-        let mut submitted = 0;
+        let (mut input, mut submitted) = (std::mem::take(input), 0);
         for (g, slots) in groups(n_local, k).enumerate() {
-            // (a)+(b): keep reads in flight up to group `g + depth`, then
-            // redeem group `g`'s (at depth 0: a demand read). A
-            // superstep's first submit follows the previous barrier and
-            // checkpoint decision — no read of `r` is charged before `r`
-            // begins, so manifests are bit-identical at every depth.
-            while submitted < n_local.div_ceil(k) && submitted <= g + depth {
-                inflight.push_back(pipeline::submit_group_reads(
-                    span,
-                    disks,
-                    ctx_store,
-                    mat_cur,
-                    breakdown,
-                    group(submitted),
-                    first,
-                )?);
-                submitted += 1;
-            }
-            let (ctx_t, inbox_t) = inflight.pop_front().expect("window holds group g's tickets");
             let n = slots.len();
             let (ctxs, inboxes, sents) = (&mut ctxs[..n], &mut inboxes[..n], &mut sents[..n]);
-            let gs = span(Phase::CtxLoad);
-            let mut mem = inbox_t.items() * P::Msg::SIZE;
-            ctx_store.read_finish(disks, ctx_t, ctxs)?;
-            for (slot, bytes) in slots.clone().zip(ctxs.iter()) {
-                let state = P::State::try_from_bytes(bytes);
-                states.push(state.map_err(|e| ctx_store.corrupt_error(slot, e))?);
-            }
-            drop(gs);
-            let gs = span(Phase::MatrixRead);
-            mat_cur.read_for_dst_finish_into(disks, inbox_t, inboxes)?;
-            drop(gs);
+            // The M audit charges each context at its encoded length.
+            let mut mem = if input.len() > 0 {
+                states.extend(input.by_ref().take(n));
+                states.iter().map(ProcState::encoded_len).sum()
+            } else {
+                // (a)+(b): keep reads in flight up to group `g + depth`,
+                // then redeem group `g`'s. No read of `r` is charged
+                // before `r` begins: manifests match at every depth.
+                while submitted < n_local.div_ceil(k) && submitted <= g + depth {
+                    inflight.push_back(pipeline::submit_group_reads(
+                        span,
+                        disks,
+                        ctx_store,
+                        mat_cur,
+                        breakdown,
+                        group(submitted),
+                        first,
+                    )?);
+                    submitted += 1;
+                }
+                let (ctx_t, inbox_t) = inflight.pop_front().expect("group g is in flight");
+                let gs = span(Phase::CtxLoad);
+                let mut mem = inbox_t.items() * P::Msg::SIZE;
+                ctx_store.read_finish(disks, ctx_t, ctxs)?;
+                for (slot, bytes) in slots.clone().zip(ctxs.iter()) {
+                    mem += bytes.len();
+                    let state = P::State::try_from_bytes(bytes);
+                    states.push(state.map_err(|e| ctx_store.corrupt_error(slot, e))?);
+                }
+                drop(gs);
+                let gs = span(Phase::MatrixRead);
+                mat_cur.read_for_dst_finish_into(disks, inbox_t, inboxes)?;
+                drop(gs);
+                mem
+            };
 
             // (c) compute, behind read-ahead hints (never counted as I/O).
             let gs = span(Phase::Rounds);
@@ -693,6 +693,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
                 hints.extend(mat_cur.read_addrs_for_dst(globally(group(g + 1))));
                 disks.prefetch(&hints);
             }
+            let done0 = ctl.n_done;
             for (i, state) in states.iter_mut().enumerate() {
                 let pid = first + slots.start + i;
                 let mut outbox = Outbox::reusing(v, std::mem::take(&mut sents[i]));
@@ -704,7 +705,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
                 inboxes[i] = rctx.incoming.into_sparse();
                 inboxes[i].clear();
                 let out_items = outbox.total();
-                mem += ctxs[i].len() + out_items * P::Msg::SIZE;
+                mem += out_items * P::Msg::SIZE;
                 ctl.cost.max_sent = ctl.cost.max_sent.max(out_items);
                 ctl.cost.total_items += out_items;
                 sents[i] = outbox.into_sparse();
@@ -749,15 +750,31 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             }
             sents.iter_mut().for_each(Vec::clear);
 
-            // (e) contexts out
+            // (e) contexts out, each checked against its slot; a group of
+            // `Done` vps (never read again: see `decide`) keeps its finals.
             let _g = span(Phase::CtxLoad);
-            for (state, buf) in states.drain(..).zip(ctxs.iter_mut()) {
-                state.encode_to_vec(buf);
-                ctl.max_ctx = ctl.max_ctx.max(buf.len());
+            let done = ctl.n_done - done0 == n;
+            for (i, (state, buf)) in states.iter().zip(ctxs.iter_mut()).enumerate() {
+                let len = if done {
+                    state.encoded_len()
+                } else {
+                    state.encode_to_vec(buf);
+                    buf.len()
+                };
+                ctl.max_ctx = ctl.max_ctx.max(len);
+                if len > cfg.max_ctx_bytes {
+                    let (pid, cap) = (first + slots.start + i, cfg.max_ctx_bytes);
+                    return Err(EmError::CtxSlotOverflow { pid, len, cap });
+                }
             }
-            let ops0 = disks.stats().total_ops();
-            ctx_store.write_slots(disks, slots.start, ctxs)?;
-            breakdown.ctx_ops += disks.stats().total_ops() - ops0;
+            if done {
+                finals.append(states);
+            } else {
+                states.clear();
+                let ops0 = disks.stats().total_ops();
+                ctx_store.write_slots(disks, slots.start, ctxs)?;
+                breakdown.ctx_ops += disks.stats().total_ops() - ops0;
+            }
         }
 
         if let Link::Wire(w) = link {
@@ -834,30 +851,12 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
     }
 
     /// After the last barrier, `wall` into the loop: hand the live disks
-    /// back if `halted`, else read the finals out.
-    fn finish(
-        mut self,
-        round: usize,
-        halted: bool,
-        wall: Duration,
-    ) -> Result<WorkerOut<P::State>, EmError> {
-        let (cfg, disks) = (self.cfg, &mut self.h.disks);
-        let mut finals = Vec::new();
-        if !halted {
-            let _g = cfg.obs.as_ref().map(|o| o.span(self.t as u64, round as u64, Phase::Readout));
-            let ops0 = disks.stats().total_ops();
-            for slots in groups(self.range.len(), self.ctxs.len()) {
-                let ctxs = &mut self.ctxs[..slots.len()];
-                self.ctx_store.read_slots_into(disks, slots.clone(), ctxs)?;
-                for (slot, bytes) in slots.zip(ctxs.iter()) {
-                    let state = P::State::try_from_bytes(bytes);
-                    finals.push(state.map_err(|e| self.ctx_store.corrupt_error(slot, e))?);
-                }
-            }
-            self.breakdown.readout_ops = disks.stats().total_ops() - ops0;
-        }
+    /// back if `halted`, else the finals the last superstep collected.
+    fn finish(self, round: usize, halted: bool, wall: Duration) -> WorkerOut<P::State> {
+        let (cfg, t, round) = (self.cfg, self.t as u64, round as u64);
+        let _g = cfg.obs.as_ref().filter(|_| !halted).map(|o| o.span(t, round, Phase::Readout));
         let mut io = self.base_io;
-        io.merge(disks.stats());
+        io.merge(self.h.disks.stats());
         let DiskHandles { disks, trace, retries, faults, deferred_drops, .. } = self.h;
         let (io_trace, handoff) = if halted {
             (Vec::new(), Some((disks, trace)))
@@ -881,7 +880,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
                 .get()
                 .saturating_sub(self.base_deferred_drops),
         };
-        Ok(WorkerOut { finals, report, handoff })
+        WorkerOut { finals: self.finals, report, handoff }
     }
 }
 
@@ -922,7 +921,7 @@ fn run_worker<P: CgmProgram>(
         }
     };
     let wall = t0.elapsed();
-    guard(t, round, || worker?.finish(round, halted, wall))
+    worker.map(|w| w.finish(round, halted, wall))
 }
 
 /// Run `f` (program code runs inside), turning a panic into a typed

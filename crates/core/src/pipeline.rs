@@ -3,13 +3,14 @@
 //! The executor (`exec.rs`) drives a three-stage pipeline per group of
 //! [`crate::EmConfig::vp_group`] virtual processors: **load** (steps
 //! (a)+(b), submitted up to [`crate::EmConfig::pipeline_depth`] groups
-//! ahead of the one computing), **compute** (step (c)), and **store**
-//! (steps (d)+(e), drained by the backend's write-behind). This module
-//! holds the charging half of the load stage: submitting a group's
-//! reads charges the cost model and attributes spans at submit time,
-//! whatever the distance to the matching finish — depth 0 is a submit
-//! and a finish with no gap — so `IoStats`, the op breakdown, and
-//! checkpoint manifests are bit-identical at every pipeline depth.
+//! ahead of the one computing; none in a fresh run's superstep 0),
+//! **compute** (step (c)), and **store** (steps (d)+(e), drained by the
+//! backend's write-behind). This module holds the charging half of the
+//! load stage: submitting a group's reads charges the cost model and
+//! attributes spans at submit time, whatever the distance to the
+//! matching finish — depth 0 is a submit and a finish with no gap — so
+//! `IoStats`, the op breakdown, and checkpoint manifests are
+//! bit-identical at every pipeline depth.
 //!
 //! Why pre-issuing inside a superstep is safe: a group's context slots
 //! are only rewritten by its own step (e), which runs strictly after

@@ -10,21 +10,21 @@ use cgmio_pdm::{DiskGeometry, DiskTimingModel, FaultCounts, IoStats};
 /// Parallel-I/O operation counts split by purpose.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoBreakdown {
-    /// Operations spent loading the initial contexts onto the disks
-    /// (input distribution — not charged to the algorithm, reported
-    /// separately like the paper's input assumption).
+    /// Operations writing the initial contexts: 0, superstep 0 takes the
+    /// input (kept for manifests, svc `report.json` and the benchmark).
     pub setup_ops: u64,
     /// Context swap operations (steps (a)/(e)).
     pub ctx_ops: u64,
     /// Message matrix operations (steps (b)/(d)).
     pub msg_ops: u64,
-    /// Operations to read the final contexts back.
+    /// Operations reading the final contexts back: 0, the last superstep
+    /// keeps them (kept like [`Self::setup_ops`]).
     pub readout_ops: u64,
 }
 
 impl IoBreakdown {
-    /// Operations charged to the algorithm proper (excluding input
-    /// distribution and final readout).
+    /// Operations charged to the algorithm proper: context swaps and
+    /// message traffic.
     pub fn algorithm_ops(&self) -> u64 {
         self.ctx_ops + self.msg_ops
     }

@@ -35,8 +35,8 @@ impl SeqEmRunner {
     }
 
     /// Run `prog` from the given initial states; returns final states
-    /// and the full report. The disks are created fresh; initial
-    /// contexts are loaded first (counted as `setup_ops`).
+    /// and the full report. The disks are created fresh; the initial and
+    /// final states never touch them (no set-up or readout pass).
     ///
     /// If [`EmConfig::halt_after_superstep`] is set this returns
     /// [`EmError::Interrupted`]; use [`Self::run_until`] to receive the

@@ -221,12 +221,18 @@ pub trait ProcState: Sized {
     }
 }
 
+// The built-in states know their encoded length without encoding: the
+// runners size contexts they never write (a fresh run's input, a
+// finished run's finals) with it.
 impl<T: Item> ProcState for Vec<T> {
     fn encode(&self, enc: &mut Encoder) {
         enc.items(self);
     }
     fn decode(dec: &mut Decoder<'_>) -> Self {
         dec.items()
+    }
+    fn encoded_len(&self) -> usize {
+        8 + self.len() * T::SIZE
     }
 }
 
@@ -236,6 +242,9 @@ impl ProcState for u64 {
     }
     fn decode(dec: &mut Decoder<'_>) -> Self {
         dec.u64()
+    }
+    fn encoded_len(&self) -> usize {
+        8
     }
 }
 
@@ -248,6 +257,9 @@ impl<A: ProcState, B: ProcState> ProcState for (A, B) {
         let a = A::decode(dec);
         let b = B::decode(dec);
         (a, b)
+    }
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len() + self.1.encoded_len()
     }
 }
 
@@ -262,6 +274,9 @@ impl<A: ProcState, B: ProcState, C: ProcState> ProcState for (A, B, C) {
         let b = B::decode(dec);
         let c = C::decode(dec);
         (a, b, c)
+    }
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len() + self.1.encoded_len() + self.2.encoded_len()
     }
 }
 
@@ -283,6 +298,9 @@ mod tests {
         let bytes = s.to_bytes();
         let back = <(u64, Vec<i64>, Vec<(u64, u64)>)>::from_bytes(&bytes);
         assert_eq!(back, s);
+        assert_eq!(s.encoded_len(), bytes.len());
+        let pair: (Vec<u32>, u64) = (vec![1, 2, 3], 9);
+        assert_eq!(pair.encoded_len(), pair.to_bytes().len());
     }
 
     #[test]

@@ -54,8 +54,8 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// `proc` label used for coordinator-side spans (checkpoint writes,
-/// readout) that belong to no worker.
+/// `proc` label used for coordinator-side spans (checkpoint writes)
+/// that belong to no worker.
 pub const COORD_PROC: u64 = u64::MAX;
 
 /// Default span-ring capacity: enough for every phase of tens of

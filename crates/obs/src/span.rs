@@ -21,7 +21,7 @@ pub enum Phase {
     /// Outside any instrumented phase.
     #[default]
     None = 0,
-    /// Initial data distribution / input write.
+    /// Opening a worker's disks and laying out its stores.
     Setup = 1,
     /// Phase (a)/(e): reading or writing a virtual processor's context.
     CtxLoad = 2,
@@ -37,7 +37,7 @@ pub enum Phase {
     Barrier = 7,
     /// Writing a checkpoint manifest.
     Checkpoint = 8,
-    /// Final result readout.
+    /// Handing the final states and the report over.
     Readout = 9,
     /// Auto-tuner decision at a barrier (reading windowed metric
     /// deltas, choosing the next superstep's pipeline depth/prefetch).

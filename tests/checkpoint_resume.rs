@@ -17,6 +17,7 @@ use cgmio_core::{
 };
 use cgmio_io::IoEngineOpts;
 use cgmio_model::demo::TokenRing;
+use cgmio_model::{CgmProgram, RoundCtx, Status};
 use cgmio_pdm::testutil::TempDir;
 
 fn mk_states(v: usize) -> Vec<Vec<u64>> {
@@ -167,6 +168,62 @@ fn every_barrier_resumes_exactly_at_every_group_size() {
         }
     }
     assert!(rotated > 0, "no manifest held a rotated message slot");
+}
+
+/// A token ring over `[token, count]` states whose final round adds one
+/// to every count, and panics at vp `panic_at` if set — after the vps
+/// before it have finished.
+struct BumpAtEnd {
+    rounds: usize,
+    panic_at: Option<usize>,
+}
+
+impl CgmProgram for BumpAtEnd {
+    type Msg = u64;
+    type State = Vec<u64>;
+
+    fn round(&self, ctx: &mut RoundCtx<'_, u64>, state: &mut Vec<u64>) -> Status {
+        let status = TokenRing { rounds: self.rounds }.round(ctx, state);
+        if ctx.round == self.rounds {
+            state[1] += 1;
+            assert_ne!(self.panic_at, Some(ctx.pid), "vp {} dies in the last superstep", ctx.pid);
+        }
+        status
+    }
+}
+
+/// A crash inside the final superstep leaves the previous barrier
+/// resumable: finished vps hand their states to the finals instead of
+/// writing them back, so the contexts on disk are still the barrier's
+/// and the replay adds one to every count exactly once.
+#[test]
+fn crash_in_the_final_superstep_resumes_exactly() {
+    let (v, rounds) = (7usize, 3usize);
+    let ok = BumpAtEnd { rounds, panic_at: None };
+    let states = || (0..v as u64).map(|i| vec![i, 0]).collect::<Vec<_>>();
+    let (_, _, req) = measure_requirements(&ok, states()).unwrap();
+    for (p, k) in [(1usize, 1usize), (1, 2), (3, 1)] {
+        let tag = format!("p={p} k={k}");
+        let mut cfg = EmConfig::from_requirements(v, p, 2, 64, &req);
+        cfg.vp_group = k;
+        let dir = TempDir::new("cgmio-ckpt-final-crash");
+        cfg.backend = BackendSpec::SyncFile { dir: dir.path().join("drives") };
+        let run = |prog: &BumpAtEnd, cfg: EmConfig| ParEmRunner::new(cfg).run(prog, states());
+        let want = run(&ok, cfg.clone()).unwrap();
+        assert!(want.0.iter().all(|s| s[1] == 1), "{tag}: {:?}", want.0);
+
+        let mut ccfg = cfg.clone();
+        ccfg.checkpoint_dir = Some(dir.path().to_path_buf());
+        let e = run(&BumpAtEnd { rounds, panic_at: Some(v - 1) }, ccfg).unwrap_err();
+        assert!(
+            matches!(e, EmError::WorkerPanicked { superstep, .. } if superstep == rounds),
+            "{tag}: {e:?}"
+        );
+        let saved = CheckpointManifest::load(&CheckpointManifest::path_in(dir.path())).unwrap();
+        assert_eq!(saved.superstep, rounds - 1, "{tag}");
+        let got = ParEmRunner::new(cfg).resume_from(&ok, &saved).unwrap().expect_complete();
+        assert_same(&tag, &got, &want);
+    }
 }
 
 /// FNV-1a of `fields`' little-endian bytes: the config hash's function.

@@ -6,10 +6,10 @@
 use cgmio_algos::geometry::{CgmConvexHull, CgmDominance, CgmIntervalStab, CgmUnionArea};
 use cgmio_algos::graphs::{CgmConnectivity, CgmEulerTour, CgmListRank};
 use cgmio_algos::{CgmPermute, CgmSort, CgmTranspose};
-use cgmio_core::{measure_requirements, EmConfig, ParEmRunner, RunOutcome, SeqEmRunner};
+use cgmio_core::{measure_requirements, EmConfig, EmError, ParEmRunner, RunOutcome, SeqEmRunner};
 use cgmio_data as data;
 use cgmio_model::demo::{AllToOne, TokenRing};
-use cgmio_model::{CgmProgram, DirectRunner, ThreadedRunner};
+use cgmio_model::{CgmProgram, DirectRunner, ModelError, RoundCtx, Status, ThreadedRunner};
 
 /// Group sizes the EM runners are checked at (`vp_group`).
 const GROUPS: [usize; 3] = [1, 2, 3];
@@ -301,4 +301,123 @@ fn p1_is_the_sequential_runner_at(k: usize) {
         (finals, rep.io, rep.breakdown, rep.costs),
         (seq_finals, seq.io, seq.breakdown, seq.costs)
     );
+}
+
+/// `(p, pipeline depth)`: the cells the run-boundary tests sweep.
+const CELLS: [(usize, usize); 6] = [(1, 0), (1, 2), (2, 0), (2, 2), (3, 0), (3, 2)];
+
+/// How [`BadEnd`]'s vp misbehaves in the last round.
+#[derive(Clone, Copy, Debug)]
+enum EndFault {
+    /// Returns `Continue` while every other vp is `Done`.
+    Disagree,
+    /// Grows its final state past the context slot.
+    Overflow,
+    /// Returns `Done` with a message queued.
+    SendAfterDone,
+}
+
+/// A two-rotation token ring whose vp `at` misbehaves in the last round.
+struct BadEnd {
+    fault: EndFault,
+    at: usize,
+}
+
+impl CgmProgram for BadEnd {
+    type Msg = u64;
+    type State = Vec<u64>;
+
+    fn round(&self, ctx: &mut RoundCtx<'_, u64>, state: &mut Vec<u64>) -> Status {
+        let status = TokenRing { rounds: 2 }.round(ctx, state);
+        if status == Status::Done && ctx.pid == self.at {
+            match self.fault {
+                EndFault::Disagree => return Status::Continue,
+                EndFault::Overflow => state.resize(1024, 0),
+                EndFault::SendAfterDone => ctx.push(0, 1),
+            }
+        }
+        status
+    }
+}
+
+/// The last superstep hands finished states to the finals instead of
+/// writing them back, and still fails exactly as the reference runner
+/// does — or, for a state too large for its slot, names the vp. The
+/// misbehaving vp shares its group with a finished one at `p = 1`, and
+/// lives on a later worker at `p ≥ 2`, where its local slot is not its
+/// pid.
+#[test]
+fn last_superstep_errors_are_unchanged_for_every_p_and_depth() {
+    let v = 7;
+    let states = || (0..v as u64).map(|i| vec![i]).collect::<Vec<_>>();
+    let (_, _, req) = measure_requirements(&TokenRing { rounds: 2 }, states()).unwrap();
+    for (p, depth) in CELLS {
+        let mut cfg = EmConfig::from_requirements(v, p, 2, 16, &req);
+        (cfg.pipeline_depth, cfg.vp_group) = (depth, 2);
+        let run = |fault| {
+            let prog = BadEnd { fault, at: v - 2 };
+            let direct = DirectRunner::default().run(&prog, states()).err();
+            let em = ParEmRunner::new(cfg.clone()).run(&prog, states()).unwrap_err();
+            (direct, em)
+        };
+        let tag = format!("p={p} depth={depth}");
+        for (fault, want) in [
+            (EndFault::Disagree, ModelError::StatusDisagreement { round: 2 }),
+            (EndFault::SendAfterDone, ModelError::MessagesAfterDone),
+        ] {
+            assert_eq!(run(fault), (Some(want.clone()), EmError::Model(want)), "{tag} {fault:?}");
+        }
+        let (direct, em) = run(EndFault::Overflow);
+        assert_eq!(direct, None, "{tag}: the reference runner has no slots");
+        let cap = cfg.max_ctx_bytes;
+        assert!(
+            matches!(em, EmError::CtxSlotOverflow { pid, len: 8200, cap: c } if pid == v - 2 && c == cap),
+            "{tag}: {em:?}"
+        );
+    }
+}
+
+/// Superstep 0 takes its contexts from the input and the last superstep
+/// hands them to the finals, so neither end of a run moves a block: no
+/// set-up or readout operations, and the context operations are those
+/// of an executor with both passes minus the passes — pinned per
+/// program as that executor's `(ctx_ops, setup_ops, readout_ops)` on
+/// the same layout. Finals agree in every cell, and `IoStats` across
+/// pipeline depths.
+#[test]
+fn run_boundaries_move_no_blocks_for_every_p_and_depth() {
+    fn check<P: CgmProgram>(
+        label: &str,
+        prog: &P,
+        mk: impl Fn() -> Vec<P::State>,
+        (d, bb): (usize, usize),
+        (ctx, setup, readout): (u64, u64, u64),
+    ) where
+        P::State: PartialEq + std::fmt::Debug,
+    {
+        let v = mk().len();
+        let (want, _) = DirectRunner::default().run(prog, mk()).unwrap();
+        let (_, _, req) = measure_requirements(prog, mk()).unwrap();
+        let mut io_at_depth0 = Vec::new();
+        for (p, depth) in CELLS {
+            let tag = format!("{label} p={p} depth={depth}");
+            let mut cfg = EmConfig::from_requirements(v, p, d, bb, &req);
+            cfg.pipeline_depth = depth;
+            let (finals, rep) = ParEmRunner::new(cfg).run(prog, mk()).unwrap();
+            assert_eq!(finals, want, "{tag}");
+            let b = rep.breakdown;
+            assert_eq!((b.setup_ops, b.readout_ops), (0, 0), "{tag}");
+            assert_eq!(b.ctx_ops, ctx - setup - readout, "{tag}");
+            if depth == 0 {
+                io_at_depth0.push(rep.io);
+            } else {
+                assert_eq!(Some(&rep.io), io_at_depth0.last(), "{tag}");
+            }
+        }
+    }
+    let keys = data::uniform_u64(3000, 1);
+    let sort = || data::block_split(keys.clone(), 6).into_iter().map(|b| (b, Vec::new())).collect();
+    check("sort", &CgmSort::<u64>::by_pivots(), sort, (4, 128), (205, 48, 49));
+    let ring = || (0..7u64).map(|i| vec![i]).collect();
+    check("ring", &TokenRing { rounds: 3 }, ring, (2, 16), (56, 7, 7));
 }

@@ -164,7 +164,9 @@ fn failed_job_leaves_no_parked_reads_on_the_shared_pool() {
         worker_span_tracks: span,
     };
     cfg.pipeline_depth = 2;
-    cfg.msg_slot_items = 1; // every real message overflows its slot
+    // Superstep 0 reads nothing and its v samples per message fit;
+    // superstep 1's buckets overflow with the next groups' reads in flight.
+    cfg.msg_slot_items = v;
     let prog = CgmSort::<u64>::by_pivots();
     let err = SeqEmRunner::new(cfg).run(&prog, sort_states(&keys, v)).unwrap_err();
     assert!(matches!(err, EmError::MsgSlotOverflow { .. }), "{err:?}");
