@@ -4,8 +4,8 @@ use std::fmt::Write as _;
 
 use crate::results::{obj, percentile_us, BenchReport, Value};
 use crate::{
-    disk_model, em_permute_report, em_sort_report, em_transpose_report, layout_ablation_ops,
-    run_seq_em, sweep_sizes, Table,
+    disk_model, em_permute_report, em_sort_report, em_sort_run, em_transpose_report,
+    layout_ablation_ops, run_seq_em, sweep_sizes, Table,
 };
 
 use cgmio_algos::geometry::{
@@ -20,7 +20,7 @@ use cgmio_algos::CgmSort;
 use cgmio_baselines::{
     external_merge_sort, naive_permutation, paged_merge_sort, sort_based_permutation,
 };
-use cgmio_core::{measure_requirements, params, EmConfig, SeqEmRunner};
+use cgmio_core::{measure_requirements, params, EmConfig, EmRunReport, ParamCheck, SeqEmRunner};
 use cgmio_data as data;
 use cgmio_pdm::DiskGeometry;
 use cgmio_routing::{bin_sizes, theorem1_bounds, Balanced};
@@ -133,67 +133,59 @@ pub fn fig4() -> Table {
 }
 
 /// Figure 5, Group A: sorting / permutation / transpose — measured EM
-/// I/O against the `O(N/(pDB))` bound and the classical baselines.
+/// I/O against the `O(N/(pDB))` bound and the classical baselines, with
+/// the paper's parameter conditions ([`ParamCheck`]) of each run.
 pub fn fig5a() -> Table {
     let mut t = Table::new(
         "fig5a_fundamental",
-        &["problem", "n", "em_ops", "ops_per_NDB", "baseline", "baseline_ops", "base_per_NDB"],
+        &[
+            "problem",
+            "n",
+            "em_ops",
+            "ops_per_NDB",
+            "baseline",
+            "baseline_ops",
+            "base_per_NDB",
+            "n_ge_vDB",
+            "lemma2",
+            "B_le_N_over_v2",
+            "M_ge_N_over_v",
+        ],
     );
     let (v, d, bb) = (16usize, 2usize, 2048usize);
     let per_block = bb / 8;
     let geom = DiskGeometry::new(d, bb);
     for n in sweep_sizes() {
         let ndb = (n as f64) / (d as f64 * per_block as f64);
-        // sorting vs external merge sort (M = 4 blocks per... use N/v items)
-        let em = em_sort_report(n, v, d, bb);
+        let mut row = |problem: &str, (chk, em): &(ParamCheck, EmRunReport), base: &str, ops| {
+            let per = |ops: u64| format!("{:.2}", ops as f64 / ndb);
+            let em_ops = em.breakdown.algorithm_ops();
+            let (base_ops, base_per) = match ops {
+                Some(ops) => (u64::to_string(&ops), per(ops)),
+                None => ("-".into(), "-".into()),
+            };
+            let flags = [chk.n_ge_vdb, chk.lemma2, chk.b_le_n_over_v2, chk.m_ge_n_over_v];
+            let mut cells = vec![problem.into(), n.to_string(), em_ops.to_string(), per(em_ops)];
+            cells.extend([base.into(), base_ops, base_per]);
+            cells.extend(flags.map(|f| (f as u8).to_string()));
+            t.row(cells);
+        };
+        // sorting vs external merge sort (M = N/v items)
+        let em = em_sort_run(n, v, d, bb);
         let keys = data::uniform_u64(n, 42);
         let (_, ms) = external_merge_sort(geom, (n / v).max(2 * per_block), &keys);
-        t.row(vec![
-            "sort".into(),
-            n.to_string(),
-            em.breakdown.algorithm_ops().to_string(),
-            format!("{:.2}", em.breakdown.algorithm_ops() as f64 / ndb),
-            "merge_sort".into(),
-            ms.io.total_ops().to_string(),
-            format!("{:.2}", ms.io.total_ops() as f64 / ndb),
-        ]);
+        row("sort", &em, "merge_sort", Some(ms.io.total_ops()));
         // permutation vs naive and sort-based
         let em = em_permute_report(n, v, d, bb);
         let vals = data::uniform_u64(n, 7);
         let perm = data::random_permutation(n, 8);
         let (_, np) = naive_permutation(geom, &vals, &perm);
         let (_, sp) = sort_based_permutation(geom, (n / v).max(2 * per_block), &vals, &perm);
-        t.row(vec![
-            "permute".into(),
-            n.to_string(),
-            em.breakdown.algorithm_ops().to_string(),
-            format!("{:.2}", em.breakdown.algorithm_ops() as f64 / ndb),
-            "naive".into(),
-            np.total_ops().to_string(),
-            format!("{:.2}", np.total_ops() as f64 / ndb),
-        ]);
-        t.row(vec![
-            "permute".into(),
-            n.to_string(),
-            em.breakdown.algorithm_ops().to_string(),
-            format!("{:.2}", em.breakdown.algorithm_ops() as f64 / ndb),
-            "sort_based".into(),
-            sp.total_ops().to_string(),
-            format!("{:.2}", sp.total_ops() as f64 / ndb),
-        ]);
+        row("permute", &em, "naive", Some(np.total_ops()));
+        row("permute", &em, "sort_based", Some(sp.total_ops()));
         // transpose
         let k = 1usize << 7;
-        let l = n / k;
-        let em = em_transpose_report(k, l, v, d, bb);
-        t.row(vec![
-            "transpose".into(),
-            n.to_string(),
-            em.breakdown.algorithm_ops().to_string(),
-            format!("{:.2}", em.breakdown.algorithm_ops() as f64 / ndb),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-        ]);
+        row("transpose", &em_transpose_report(k, n / k, v, d, bb), "-", None);
     }
     t
 }
@@ -592,13 +584,18 @@ pub fn fig8() -> Table {
 /// transfer, the padding of partial trailing blocks, the stripe floor
 /// (`Σ⌈blocks/D⌉` over the gather lists the runner submitted) and the
 /// narrow operations above it. The floors are rebuilt from the program's
-/// own context and message lengths (a `Ledger` wrapper); the run's exact
-/// counters must then add up — `floor + narrow = algorithm_ops`, with
-/// `narrow` from `IoStats::narrow_ops` — or the audit panics. It also
-/// panics if a set-up or readout pass moved a block (superstep 0 takes
-/// its contexts from the input, and the last superstep hands them to the
-/// finals), and if the ring's messages are not at their stripe floor:
-/// placed at write time, every message list uses both drives.
+/// own context and message lengths (a `Ledger` wrapper): messages pack
+/// into one mailbox per destination, so an inbox is `⌈mailbox/B⌉` blocks
+/// — the mailbox floor — and the ledger replays the runner's open-block
+/// pool to split the writes into lists. A group's contexts and inboxes
+/// are one read list: the contexts' floor is `⌈ctx blocks/D⌉`, the
+/// messages' the rest of the list's. The run's exact counters must then
+/// add up — its blocks are the ledger's, and `floor + narrow =
+/// algorithm_ops`, with `narrow` from `IoStats::narrow_ops` — or the
+/// audit panics. It also panics if a set-up or readout pass moved a
+/// block (superstep 0 takes its contexts from the input, and the last
+/// superstep hands them to the finals), and if the ring's messages are
+/// not at their stripe floor: every message list uses both drives.
 pub fn audit() -> Table {
     let mut t = Table::new(
         "audit_theorem2",
@@ -681,46 +678,93 @@ fn audit_rows<P: cgmio_model::CgmProgram>(
     mk: impl Fn() -> Vec<P::State>,
     d: usize,
     bb: usize,
-) -> [u64; 2] {
+) -> [i64; 2] {
+    use cgmio_pdm::Item;
     let v = mk().len();
     let (_, _, req) = measure_requirements(prog, mk()).expect("dry run");
     let cfg = EmConfig::from_requirements(v, 1, d, bb, &req);
-    let k = cfg.vp_group;
+    let (k, m) = (cfg.vp_group, cfg.mem_bytes);
     let ledger = Ledger { inner: prog, log: Default::default() };
     let (_, rep) = SeqEmRunner::new(cfg).run(&ledger, mk()).expect("EM run");
     let mut log = ledger.log.into_inner().expect("ledger lock");
     log.sort_by_key(|e| (e.0, e.1));
 
     // Per purpose: [ctx, msg] payload bytes, blocks and stripe floor.
-    let blocks = |bytes: usize| bytes.div_ceil(bb) as u64;
+    let (s, b) = (P::Msg::SIZE, |bytes: usize| bytes.div_ceil(bb));
     let (mut payload, mut nblocks, mut floor) = ([0u64; 2], [0u64; 2], [0u64; 2]);
-    let mut list = |purpose: usize, lens: &mut dyn Iterator<Item = usize>| {
-        let b: u64 = lens
-            .map(|len| {
-                payload[purpose] += len as u64;
-                blocks(len)
-            })
-            .sum();
-        nblocks[purpose] += b;
-        floor[purpose] += b.div_ceil(d as u64);
+    let mut list = |blocks: [usize; 2], bytes: [usize; 2]| {
+        let ctx = (blocks[0] as u64).div_ceil(d as u64);
+        let all = (blocks[0] + blocks[1]) as u64;
+        for p in 0..2 {
+            payload[p] += bytes[p] as u64;
+            nblocks[p] += blocks[p] as u64;
+        }
+        floor[0] += ctx;
+        floor[1] += all.div_ceil(d as u64) - ctx;
     };
-    // Superstep r, group g: contexts in, inboxes in (what the previous
-    // round sent to the group), outboxes out, contexts out. Superstep 0
-    // takes its contexts from the input and the last one hands them to
-    // the finals: neither touches the disks.
+    fn sum(it: impl Iterator<Item = (usize, usize)>) -> (usize, usize) {
+        it.fold((0, 0), |a, x| (a.0 + x.0, a.1 + x.1))
+    }
+    // Each mailbox in items: its end and whether its last block is open.
+    let mut mailbox = vec![(0usize, false); v];
+    let mut inbox = vec![0usize; v];
+    // Superstep r, group g: contexts and inboxes in as one list (what
+    // the previous round sent to the group), outboxes out, contexts out.
+    // Superstep 0 takes its contexts from the input and the last one
+    // hands them to the finals: neither touches the disks.
     let rounds = log.last().map_or(0, |e| e.0 + 1);
     for (r, round) in log.chunk_by(|a, b| a.0 == b.0).enumerate() {
-        for group in round.chunks(k) {
+        let read = std::mem::replace(&mut mailbox, vec![(0, false); v]);
+        let received = std::mem::replace(&mut inbox, vec![0; v]);
+        for (g, group) in round.chunks(k).enumerate() {
             let pids = group[0].1..group[0].1 + group.len();
             if r > 0 {
-                list(0, &mut group.iter().map(|e| e.2));
-                let sent = log.iter().filter(|e| e.0 == r - 1).flat_map(|e| e.4.iter());
-                let inbox = sent.filter(|&&(dst, _)| pids.contains(&dst));
-                list(1, &mut inbox.map(|&(_, bytes)| bytes));
+                let ctx = group.iter().map(|e| (b(e.2), e.2));
+                let msgs = pids.map(|j| (b(read[j].0 * s), received[j]));
+                let (ctx, msgs) = (sum(ctx), sum(msgs));
+                list([ctx.0, msgs.0], [ctx.1, msgs.1]);
             }
-            list(1, &mut group.iter().flat_map(|e| e.4.iter().map(|&(_, bytes)| bytes)));
+            // The runner's write list: each mailbox continues its open
+            // block or, if it has a written partial one, resumes at the
+            // next block; then the `hold` lowest mailboxes with an open
+            // block keep it, and the others' are written.
+            let sent: Vec<(usize, usize)> = group.iter().flat_map(|e| e.4.clone()).collect();
+            let sent_bytes: usize = sent.iter().map(|x| x.1).sum();
+            let mem = group.iter().map(|e| e.2 + received[e.1]).sum::<usize>() + sent_bytes;
+            let last = (g + 1) * k >= round.len();
+            let hold = if last { 0 } else { m.saturating_sub(mem + d * bb) / bb };
+            let mut runs: Vec<(usize, usize)> = Vec::new(); // (mailbox, first block)
+            for &(dst, bytes) in &sent {
+                let (end, open) = mailbox[dst];
+                if runs.iter().all(|r| r.0 != dst) {
+                    let start = match open || (end * s).is_multiple_of(bb) {
+                        true => end,
+                        false => ((end * s).div_ceil(bb) * bb).div_ceil(s),
+                    };
+                    runs.push((dst, start * s / bb));
+                    mailbox[dst].0 = start;
+                }
+                mailbox[dst].0 += bytes / s;
+                inbox[dst] += bytes;
+            }
+            let old: Vec<usize> =
+                (0..v).filter(|&j| mailbox[j].1 && runs.iter().all(|r| r.0 != j)).collect();
+            let partial =
+                runs.iter().map(|r| r.0).filter(|&j| !(mailbox[j].0 * s).is_multiple_of(bb));
+            let mut open: Vec<usize> = old.iter().copied().chain(partial).collect();
+            open.sort_unstable();
+            let kept = &open[..hold.min(open.len())];
+            let written: usize =
+                runs.iter().map(|&(j, first)| b(mailbox[j].0 * s) - first).sum::<usize>()
+                    + old.iter().filter(|j| !kept.contains(j)).count()
+                    - runs.iter().filter(|r| kept.contains(&r.0)).count();
+            for &j in old.iter().chain(runs.iter().map(|r| &r.0)) {
+                mailbox[j].1 = kept.contains(&j);
+            }
+            list([0, written], [0, sent_bytes]);
             if r + 1 < rounds {
-                list(0, &mut group.iter().map(|e| e.3));
+                let out = sum(group.iter().map(|e| (b(e.3), e.3)));
+                list([out.0, 0], [out.1, 0]);
             }
         }
     }
@@ -736,9 +780,10 @@ fn audit_rows<P: cgmio_model::CgmProgram>(
         b.algorithm_ops(),
         "{case}: stripe floor + narrow operations != algorithm_ops"
     );
+    assert!(b.ctx_ops >= floor[0], "{case}: ctx ops {} below the stripe floor", b.ctx_ops);
     let predicted = rep.costs.predicted_ops(v, d, bb);
+    let narrow = [b.ctx_ops as i64 - floor[0] as i64, b.msg_ops as i64 - floor[1] as i64];
     for (p, (purpose, ops)) in [("ctx", b.ctx_ops), ("msg", b.msg_ops)].into_iter().enumerate() {
-        assert!(ops >= floor[p], "{case}: {purpose} ops {ops} below the stripe floor");
         t.row(vec![
             case.into(),
             n.to_string(),
@@ -752,11 +797,11 @@ fn audit_rows<P: cgmio_model::CgmProgram>(
             format!("{:.2}", payload[p] as f64 / (d * bb) as f64),
             (nblocks[p] * bb as u64 - payload[p]).to_string(),
             floor[p].to_string(),
-            (ops - floor[p]).to_string(),
+            narrow[p].to_string(),
             format!("{:.2}", ops as f64 / predicted),
         ]);
     }
-    [b.ctx_ops - floor[0], b.msg_ops - floor[1]]
+    narrow
 }
 
 /// A maximally skewed exchange: each processor ships its whole block to
@@ -1756,12 +1801,8 @@ pub fn scale(out_dir: &std::path::Path) -> Table {
     let run_cell = |backend: &'static str, v: usize, mode: &'static str| -> ScaleCell {
         let mut cfg = EmConfig::from_requirements(v, 1, d, bb, &req);
         match mode {
-            "dense" => {
-                cfg.scale.sparse_msg_lens = Some(false);
-                cfg.scale.paged_ctx_lens = Some(false);
-            }
+            "dense" => cfg.scale.paged_ctx_lens = Some(false),
             "sparse" => {
-                cfg.scale.sparse_msg_lens = Some(true);
                 cfg.scale.paged_ctx_lens = Some(true);
                 cfg.scale.ctx_page_entries = 4;
                 cfg.scale.ctx_resident_pages = 2;

@@ -10,7 +10,9 @@
 use std::fmt::Write as _;
 
 use cgmio_algos::{CgmPermute, CgmSort, CgmTranspose};
-use cgmio_core::{measure_requirements, BackendSpec, EmConfig, EmRunReport, SeqEmRunner};
+use cgmio_core::{
+    measure_requirements, BackendSpec, EmConfig, EmRunReport, ParamCheck, SeqEmRunner,
+};
 use cgmio_io::IoEngineOpts;
 use cgmio_model::{CgmProgram, DirectRunner};
 use cgmio_pdm::{DiskGeometry, DiskTimingModel, IoRequest, MessageMatrixLayout};
@@ -108,8 +110,21 @@ pub fn run_seq_em<P: CgmProgram>(
     d: usize,
     block_bytes: usize,
 ) -> (Vec<P::State>, EmRunReport) {
+    let (_, fin, rep) = run_seq_em_cfg(prog, mk_states, v, d, block_bytes);
+    (fin, rep)
+}
+
+/// [`run_seq_em`], also returning the measured config.
+pub fn run_seq_em_cfg<P: CgmProgram>(
+    prog: &P,
+    mk_states: impl Fn() -> Vec<P::State>,
+    v: usize,
+    d: usize,
+    block_bytes: usize,
+) -> (EmConfig, Vec<P::State>, EmRunReport) {
     let cfg = config_for(prog, mk_states(), v, 1, d, block_bytes);
-    SeqEmRunner::new(cfg).run(prog, mk_states()).expect("EM run")
+    let (fin, rep) = SeqEmRunner::new(cfg.clone()).run(prog, mk_states()).expect("EM run");
+    (cfg, fin, rep)
 }
 
 /// The disk model used to convert op counts into modelled wall time.
@@ -139,14 +154,7 @@ pub mod prelude {
 /// stripe by stripe (block `q` of every message before block `q + 1`),
 /// in the block-major order both layouts share.
 pub fn layout_ablation_ops(v: usize, d: usize, blocks_per_msg: u64) -> (u64, u64) {
-    let layout = MessageMatrixLayout {
-        num_disks: d,
-        v,
-        blocks_per_msg,
-        base_track: 0,
-        rot_base: 0,
-        copy_tracks: 0,
-    };
+    let layout = MessageMatrixLayout { num_disks: d, v, blocks_per_msg, base_track: 0 };
     let (tracks_per_band, stride) = (layout.tracks_per_band(), layout.stripe_stride());
     // naive: band j starts at disk 0 (no stagger)
     let naive = |src: usize, dst: usize, q: u64| {
@@ -163,12 +171,17 @@ pub fn layout_ablation_ops(v: usize, d: usize, blocks_per_msg: u64) -> (u64, u64
         }
         disks.stats().write_ops
     };
-    (ops(&|src, dst, q| layout.addr(src, dst, q, 0)), ops(&naive))
+    (ops(&|src, dst, q| layout.addr(src, dst, q)), ops(&naive))
 }
 
 /// Sort runner shared by Figure 3/4/5a: returns the EM report for
 /// sorting `n` uniform keys.
 pub fn em_sort_report(n: usize, v: usize, d: usize, block_bytes: usize) -> EmRunReport {
+    em_sort_run(n, v, d, block_bytes).1
+}
+
+/// [`em_sort_report`] with the machine's parameter checks.
+pub fn em_sort_run(n: usize, v: usize, d: usize, block_bytes: usize) -> (ParamCheck, EmRunReport) {
     let keys = cgmio_data::uniform_u64(n, 42);
     let mk = || {
         cgmio_data::block_split(keys.clone(), v)
@@ -177,14 +190,14 @@ pub fn em_sort_report(n: usize, v: usize, d: usize, block_bytes: usize) -> EmRun
             .collect::<Vec<_>>()
     };
     let prog = CgmSort::<u64>::by_pivots();
-    let (fin, rep) = run_seq_em(&prog, mk, v, d, block_bytes);
+    let (cfg, fin, rep) = run_seq_em_cfg(&prog, mk, v, d, block_bytes);
     // sanity: output must be globally sorted
     let flat: Vec<u64> = fin.iter().flat_map(|(b, _)| b.iter().copied()).collect();
     debug_assert!(flat.windows(2).all(|w| w[0] <= w[1]));
     let mut sorted = keys;
     sorted.sort_unstable();
     assert_eq!(flat.len(), sorted.len());
-    rep
+    (cfg.check_params(n as u64, 8), rep)
 }
 
 /// The Figure 3 sort again, but on the `cgmio-io` concurrent file
@@ -215,8 +228,14 @@ pub fn em_sort_report_traced(
     SeqEmRunner::new(cfg).run(&prog, mk()).expect("EM run").1
 }
 
-/// EM permutation report for `n` items.
-pub fn em_permute_report(n: usize, v: usize, d: usize, block_bytes: usize) -> EmRunReport {
+/// EM permutation report for `n` items, with the machine's parameter
+/// checks.
+pub fn em_permute_report(
+    n: usize,
+    v: usize,
+    d: usize,
+    block_bytes: usize,
+) -> (ParamCheck, EmRunReport) {
     let vals = cgmio_data::uniform_u64(n, 7);
     let perm = cgmio_data::random_permutation(n, 8);
     let mk = || {
@@ -226,17 +245,19 @@ pub fn em_permute_report(n: usize, v: usize, d: usize, block_bytes: usize) -> Em
             .map(|(vb, pb)| (vb, pb, n as u64))
             .collect::<Vec<_>>()
     };
-    run_seq_em(&CgmPermute, mk, v, d, block_bytes).1
+    let (cfg, _, rep) = run_seq_em_cfg(&CgmPermute, mk, v, d, block_bytes);
+    (cfg.check_params(n as u64, 8), rep)
 }
 
-/// EM transpose report for a `k × ℓ` matrix.
+/// EM transpose report for a `k × ℓ` matrix, with the machine's
+/// parameter checks.
 pub fn em_transpose_report(
     k: usize,
     l: usize,
     v: usize,
     d: usize,
     block_bytes: usize,
-) -> EmRunReport {
+) -> (ParamCheck, EmRunReport) {
     let m = cgmio_data::uniform_u64(k * l, 5);
     let mk = || {
         cgmio_data::block_split(m.clone(), v)
@@ -244,7 +265,8 @@ pub fn em_transpose_report(
             .map(|b| (b, k as u64, l as u64))
             .collect::<Vec<_>>()
     };
-    run_seq_em(&CgmTranspose, mk, v, d, block_bytes).1
+    let (cfg, _, rep) = run_seq_em_cfg(&CgmTranspose, mk, v, d, block_bytes);
+    (cfg.check_params((k * l) as u64, 8), rep)
 }
 
 /// Reference in-memory run used by benches to compare against.

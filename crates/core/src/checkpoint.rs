@@ -39,11 +39,12 @@ use crate::EmError;
 /// switched the per-worker length tables to compact encodings —
 /// run-length context lengths and sparse inbox rows — so a manifest
 /// stays kilobytes at `v = 10^6` instead of the dense `v × v` table
-/// that dominated `v1`. `v3` stores each inbox slot's rotation copy
-/// beside its length (`src len rot` triples). Older manifests are
-/// refused with [`io::ErrorKind::Unsupported`] (re-checkpoint from a
-/// fresh run).
-const MAGIC: &str = "cgmio-checkpoint v3";
+/// that dominated `v1`. `v3` stored each inbox slot's rotation copy
+/// beside its length; `v4` stores each message's offset in its
+/// destination's mailbox (`src len offset` triples). Older manifests
+/// are refused with [`io::ErrorKind::Unsupported`] (re-checkpoint from
+/// a fresh run).
+const MAGIC: &str = "cgmio-checkpoint v4";
 
 /// Per-real-processor state captured at a superstep barrier.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,9 +55,9 @@ pub struct WorkerCheckpoint {
     /// encoded as `(run, length)` pairs covering the slots in order
     /// (the encoding of [`crate::context::ContextStore::lens_rle`]).
     pub ctx_lens: Vec<(u64, u64)>,
-    /// Length table of the *next* round's inbox matrix, one row per
-    /// local destination of sorted `(src, items, rot)` triples —
-    /// non-empty slots only (the encoding of
+    /// Mailbox rows of the *next* round's inbox matrix, one per local
+    /// destination of `(src, items, offset)` triples in source order —
+    /// messages sent only (the encoding of
     /// [`crate::msgmatrix::MessageMatrix::sparse_lens`]).
     pub inbox_lens: Vec<InboxRow>,
     /// Cumulative I/O counters of this worker's array at the barrier.
@@ -143,8 +144,8 @@ impl CheckpointManifest {
             let _ = writeln!(s, "inbox_rows {}", w.inbox_lens.len());
             for InboxRow(row) in &w.inbox_lens {
                 let _ = write!(s, "row");
-                for (src, len, rot) in row {
-                    let _ = write!(s, " {src} {len} {rot}");
+                for (src, len, off) in row {
+                    let _ = write!(s, " {src} {len} {off}");
                 }
                 let _ = writeln!(s);
             }
@@ -254,11 +255,11 @@ impl CheckpointManifest {
             for _ in 0..n_rows {
                 let vals = field("row")?;
                 if !vals.len().is_multiple_of(3) {
-                    return Err(bad("field `row` needs whole (src, len, rot) triples"));
+                    return Err(bad("field `row` needs whole (src, len, offset) triples"));
                 }
                 let narrow =
                     |x: u64| u32::try_from(x).map_err(|_| bad(&format!("{x} overflows u32")));
-                let slots = vals.chunks_exact(3).map(|c| Ok((c[0], narrow(c[1])?, narrow(c[2])?)));
+                let slots = vals.chunks_exact(3).map(|c| Ok((c[0], narrow(c[1])?, c[2])));
                 inbox_lens.push(InboxRow(slots.collect::<io::Result<_>>()?));
             }
             workers.push(WorkerCheckpoint {
@@ -400,7 +401,7 @@ mod tests {
                     worker: 0,
                     ctx_lens: vec![(1, 16), (1, 0), (1, 24)],
                     inbox_lens: vec![
-                        InboxRow(vec![(1, 2, 0), (3, 1, 1)]),
+                        InboxRow(vec![(1, 2, 0), (3, 1, 5)]),
                         [(0, 3), (5, 9)].into_iter().collect(),
                     ],
                     io: IoStats {
@@ -462,9 +463,10 @@ mod tests {
         // Corrupt a number.
         let garbled = text.replace("superstep 3", "superstep x");
         assert!(CheckpointManifest::from_text(&garbled).is_err());
-        // v1 (dense tables) and v2 (no rotations) are refused by name.
-        for old in ["v1", "v2"] {
-            let text = text.replace("cgmio-checkpoint v3", &format!("cgmio-checkpoint {old}"));
+        // v1 (dense tables), v2 (no rotations) and v3 (rotation copies)
+        // are refused by name.
+        for old in ["v1", "v2", "v3"] {
+            let text = text.replace("cgmio-checkpoint v4", &format!("cgmio-checkpoint {old}"));
             let e = CheckpointManifest::from_text(&text).unwrap_err();
             assert_eq!(e.kind(), io::ErrorKind::Unsupported);
             assert!(e.to_string().contains(&format!("cgmio-checkpoint {old}")), "{e}");
@@ -472,7 +474,7 @@ mod tests {
         // RLE fields must hold whole pairs, inbox rows whole triples.
         let odd = text.replace("ctx_lens_rle 1 16 1 0 1 24", "ctx_lens_rle 1 16 1");
         assert!(CheckpointManifest::from_text(&odd).is_err());
-        let odd = text.replace("row 1 2 0 3 1 1", "row 1 2 0 3 1");
+        let odd = text.replace("row 1 2 0 3 1 5", "row 1 2 0 3 1");
         assert!(CheckpointManifest::from_text(&odd).is_err());
     }
 

@@ -10,30 +10,28 @@ use cgmio_io::{
 use cgmio_obs::{Counter, Obs};
 use cgmio_pdm::{
     DiskArray, DiskGeometry, FaultInjector, FaultPlan, FaultStats, FileStorage, MemStorage,
-    MessageMatrixLayout, TrackRange, TrackStorage,
+    TrackRange, TrackStorage,
 };
 
 use crate::context::CtxPaging;
 use crate::measure::Requirements;
+use crate::msgmatrix;
 use crate::EmError;
 
 /// Representation knobs for the `10^5`–`10^6` virtual-processor range.
 ///
-/// These choose *representations*, never semantics: sparse vs dense
-/// message-length tables and paged vs resident context-length tables
-/// are bit-identical in finals, `IoStats`, and checkpoint manifests
-/// (property-tested in `tests/scale_equivalence.rs`). The struct is
+/// These choose *representations*, never semantics: paged vs resident
+/// context-length tables are bit-identical in finals, `IoStats`, and
+/// checkpoint manifests (property-tested in
+/// `tests/scale_equivalence.rs`). The struct is
 /// therefore — like [`EmConfig::obs`] and [`EmConfig::pipeline_depth`]
 /// — **excluded from [`EmConfig::config_hash`]**: a checkpoint taken
 /// with one tuning resumes under any other.
 ///
-/// The `None` defaults auto-select by `v`: dense/resident at or below
-/// [`Self::AUTO_THRESHOLD`] virtual processors, sparse/paged above.
+/// The `None` default auto-selects by `v`: resident at or below
+/// [`Self::AUTO_THRESHOLD`] virtual processors, paged above.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScaleTuning {
-    /// Force the sparse (`Some(true)`) or dense (`Some(false)`)
-    /// message-matrix length table; `None` auto-selects by `v`.
-    pub sparse_msg_lens: Option<bool>,
     /// Force the paged (`Some(true)`) or resident (`Some(false)`)
     /// context-store length table; `None` auto-selects by `v`.
     pub paged_ctx_lens: Option<bool>,
@@ -49,25 +47,14 @@ pub struct ScaleTuning {
 
 impl Default for ScaleTuning {
     fn default() -> Self {
-        Self {
-            sparse_msg_lens: None,
-            paged_ctx_lens: None,
-            ctx_page_entries: 4096,
-            ctx_resident_pages: 8,
-        }
+        Self { paged_ctx_lens: None, ctx_page_entries: 4096, ctx_resident_pages: 8 }
     }
 }
 
 impl ScaleTuning {
-    /// `v` above which the auto-selecting defaults switch to the sparse
-    /// message table and the paged context table.
+    /// `v` above which the auto-selecting default switches to the
+    /// paged context table.
     pub const AUTO_THRESHOLD: usize = 4096;
-
-    /// Resolved message-table representation for a machine of `v`
-    /// virtual processors.
-    pub fn sparse_msgs(&self, v: usize) -> bool {
-        self.sparse_msg_lens.unwrap_or(v > Self::AUTO_THRESHOLD)
-    }
 
     /// Resolved context-table residency policy for a worker of `count`
     /// local slots on a machine of `v` virtual processors.
@@ -208,8 +195,10 @@ pub struct DiskHandles {
 /// placement is refused. `1`: message-major matrix bands (the hash had
 /// no version then); `2`: block-major bands staggered by `j mod D`
 /// ([`cgmio_pdm::MessageMatrixLayout`]); `3`: each message in one of `D`
-/// rotation copies, chosen when it is written.
-pub const LAYOUT_VERSION: u64 = 3;
+/// rotation copies, chosen when it is written; `4`: one packed mailbox
+/// per destination ([`crate::msgmatrix`]), whose open-block pool `M`
+/// sizes (so `M` joined the hash).
+pub const LAYOUT_VERSION: u64 = 4;
 
 /// Configuration of the simulated EM-CGM target machine.
 ///
@@ -314,9 +303,9 @@ pub struct EmConfig {
     /// like [`Self::obs`] — **excluded from [`Self::config_hash`]**, so
     /// a checkpoint taken at one depth resumes at any other.
     pub pipeline_depth: usize,
-    /// Representation tuning for large `v` (sparse message tables,
-    /// paged context tables). Pure representation — bit-identical
-    /// results — and therefore **excluded from [`Self::config_hash`]**.
+    /// Representation tuning for large `v` (paged context tables).
+    /// Pure representation — bit-identical results — and therefore
+    /// **excluded from [`Self::config_hash`]**.
     pub scale: ScaleTuning,
     /// Barrier-time feedback auto-tuner (see `cgmio-tune`): when
     /// enabled, the runners read per-superstep deltas of the
@@ -379,9 +368,10 @@ impl EmConfig {
 
     /// Hash of the fields that determine the on-disk layout and the
     /// simulation semantics (`v`, `p`, `D`, `B`, slot sizes, group
-    /// size) and of [`LAYOUT_VERSION`]. Stored in checkpoint manifests;
-    /// `resume_from` refuses a manifest whose hash differs — resuming
-    /// under a different layout would silently read the wrong tracks.
+    /// size, `M`) and of [`LAYOUT_VERSION`]. Stored in checkpoint
+    /// manifests; `resume_from` refuses a manifest whose hash differs —
+    /// resuming under a different layout would silently read the wrong
+    /// tracks.
     pub fn config_hash(&self) -> u64 {
         let mut h = 0xCBF2_9CE4_8422_2325u64;
         for x in [
@@ -393,6 +383,7 @@ impl EmConfig {
             self.block_bytes as u64,
             self.msg_slot_items as u64,
             self.max_ctx_bytes as u64,
+            self.mem_bytes as u64,
         ] {
             for b in x.to_le_bytes() {
                 h ^= b as u64;
@@ -571,36 +562,24 @@ impl EmConfig {
 
     /// Per-drive tracks one real processor of this machine needs for a
     /// program whose messages are items of `msg_item_bytes` bytes — the
-    /// context store plus the `D` rotation copies of the two ping-pong
-    /// message matrices, exactly as the runners lay them out (address
-    /// space: only tracks written take memory or file blocks). This is
-    /// the `worker_span_tracks` to reserve per worker for
-    /// [`BackendSpec::Shared`] (a run with `p` workers needs `p`
-    /// consecutive spans).
+    /// context store plus the two ping-pong message matrices, exactly as
+    /// the runners lay them out (address space: only tracks written take
+    /// memory or file blocks). This is the `worker_span_tracks` to
+    /// reserve per worker for [`BackendSpec::Shared`] (a run with `p`
+    /// workers needs `p` consecutive spans).
     pub fn tracks_per_worker(&self, msg_item_bytes: usize) -> u64 {
         // Workers split the v virtual processors into contiguous ranges
         // of at most ceil(v/p); span for the largest range bounds all.
         let n_local = self.v.div_ceil(self.p) as u64;
-        let bb = self.block_bytes as u64;
-        let d = self.num_disks as u64;
+        let (bb, d) = (self.block_bytes as u64, self.num_disks as u64);
         // ContextStore: n_local slots of ceil(max_ctx_bytes/B) blocks,
         // consecutive format, one slack track.
         let ctx_slot_blocks = (self.max_ctx_bytes as u64).div_ceil(bb).max(1);
         let ctx_tracks = (n_local * ctx_slot_blocks).div_ceil(d) + 1;
-        // MessageMatrix: one band of v messages per local destination,
-        // staggered format, one slack track — in D rotation copies,
-        // twice (ping-pong).
-        let blocks_per_msg = ((self.msg_slot_items * msg_item_bytes) as u64).div_ceil(bb).max(1);
-        let layout = MessageMatrixLayout {
-            num_disks: self.num_disks,
-            v: self.v,
-            blocks_per_msg,
-            base_track: 0,
-            rot_base: 0,
-            copy_tracks: 0,
-        };
-        let mat_tracks = layout.tracks_per_band() * n_local + 1;
-        ctx_tracks + 2 * d * mat_tracks
+        // MessageMatrix: one mailbox band per local destination.
+        let (slot, v) = (self.msg_slot_items, self.v);
+        let band = msgmatrix::band_blocks(self.block_bytes, v, slot, msg_item_bytes);
+        ctx_tracks + 2 * msgmatrix::band_tracks(self.num_disks, band) * n_local
     }
 
     /// Disk geometry of each real processor's array.
@@ -773,7 +752,7 @@ mod tests {
             );
             assert_eq!(
                 c.tracks_per_worker(8),
-                ctx.total_tracks() + 2 * c.num_disks as u64 * mat.total_tracks(),
+                ctx.total_tracks() + 2 * mat.total_tracks(),
                 "span formula drifted from the runners' layout (v={v} p={p})"
             );
         }

@@ -525,10 +525,18 @@ impl ContextStore {
         disks: &mut DiskArray,
         slots: Range<usize>,
     ) -> Result<CtxReadTicket, EmError> {
+        let mut t = self.read_plan(slots);
+        t.ticket = disks.read_gather_submit(&t.addrs)?;
+        Ok(t)
+    }
+
+    /// The read of contexts `slots` as they are now, not yet submitted:
+    /// its address list is `t.addrs`, its ticket `t.ticket` once
+    /// submitted.
+    pub(crate) fn read_plan(&self, slots: Range<usize>) -> CtxReadTicket {
         let (mut addrs, mut lens) = (self.addr_lists.take(), self.len_lists.take());
         self.list(slots, &mut addrs, &mut lens);
-        let ticket = disks.read_gather_submit(&addrs)?;
-        Ok(CtxReadTicket { lens, addrs, ticket })
+        CtxReadTicket { lens, addrs, ticket: 0 }
     }
 
     /// Complete a read begun with [`Self::read_submit`], filling
@@ -571,8 +579,8 @@ impl ContextStore {
 /// bytes that were current when the read was issued.
 pub struct CtxReadTicket {
     lens: Vec<usize>,
-    addrs: Vec<TrackAddr>,
-    ticket: u64,
+    pub(crate) addrs: Vec<TrackAddr>,
+    pub(crate) ticket: u64,
 }
 
 #[cfg(test)]

@@ -538,26 +538,14 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             ctx_store.attach_obs(o, t);
         }
         let k = cfg.vp_group.min(range.len()).max(1);
+        // Both matrices follow the contexts (`EmConfig::tracks_per_worker`).
         let mk_mat = |base| {
-            MessageMatrix::<P::Msg>::new_with_mode(
-                geom.num_disks,
-                geom.block_bytes,
-                base,
-                v,
-                range.start,
-                range.len(),
-                cfg.msg_slot_items,
-                cfg.scale.sparse_msgs(v),
-            )
+            let (d, bb, slot) = (geom.num_disks, geom.block_bytes, cfg.msg_slot_items);
+            MessageMatrix::<P::Msg>::new(d, bb, base, v, range.start, range.len(), slot)
         };
-        // Copy 0 of both matrices follows the contexts, then the
-        // rotation copies 1..D of each (`EmConfig::tracks_per_worker`).
-        let ctx = ctx_store.total_tracks();
-        let mat0 = mk_mat(ctx);
-        let mat = mat0.total_tracks();
-        let rot_base = |m: u64| ctx + 2 * mat + m * (geom.num_disks as u64 - 1) * mat;
-        let mut mats =
-            [mat0.with_placement(k, rot_base(0)), mk_mat(ctx + mat).with_placement(k, rot_base(1))];
+        let mat0 = mk_mat(ctx_store.total_tracks());
+        let mat1 = mk_mat(ctx_store.total_tracks() + mat0.total_tracks());
+        let mut mats = [mat0, mat1];
 
         let (mut breakdown, mut peak_mem) = (IoBreakdown::default(), 0usize);
         if let Some(wc) = init.restore {
@@ -717,8 +705,8 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             drop(gs);
 
             // Memory audit: the group's contexts + inboxes + outboxes
-            // must fit in M.
-            *peak_mem = (*peak_mem).max(mem);
+            // must fit in M; the open message blocks held after its
+            // write take only what is left beyond D blocks of I/O buffer.
             if cfg.strict && mem > cfg.mem_bytes {
                 let pid = first + slots.start;
                 return Err(EmError::MemoryExceeded { pid, need: mem, m: cfg.mem_bytes });
@@ -727,16 +715,19 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             // (d) messages out — only destinations actually sent to
             // (sorted, merged): O(fanout) per vp, not O(v).
             match link {
-                // Algorithm 2: straight into the next matrix (Figure 2).
+                // Algorithm 2: straight into the next matrix's mailboxes.
                 Link::Inline(_) => {
                     let _g = span(Phase::MatrixWrite);
                     let entries =
                         globally(slots.clone()).zip(sents.iter()).flat_map(|(pid, sent)| {
                             sent.iter().map(move |(dst, msg)| (pid, *dst, msg.as_slice()))
                         });
+                    let free = cfg.mem_bytes.saturating_sub(mem + cfg.num_disks * cfg.block_bytes);
+                    let hold = if slots.end == n_local { 0 } else { free / cfg.block_bytes };
                     let ops0 = disks.stats().total_ops();
-                    mat_next.write_entries(disks, entries)?;
+                    mat_next.write_entries(disks, entries, hold)?;
                     breakdown.msg_ops += disks.stats().total_ops() - ops0;
+                    mem += mat_next.open_bytes();
                     if slots.end == n_local {
                         disks.prefetch(&mat_next.read_addrs_for_dst(globally(group(0))));
                     }
@@ -748,6 +739,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
                     }
                 }
             }
+            *peak_mem = (*peak_mem).max(mem);
             sents.iter_mut().for_each(Vec::clear);
 
             // (e) contexts out, each checked against its slot; a group of
@@ -787,7 +779,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             let _g = span(Phase::MatrixWrite);
             let entries = w.arrivals.iter().map(|(src, dst, msg)| (*src, *dst, msg.as_slice()));
             let ops0 = disks.stats().total_ops();
-            mat_next.write_entries(disks, entries)?;
+            mat_next.write_entries(disks, entries, 0)?;
             breakdown.msg_ops += disks.stats().total_ops() - ops0;
             disks.prefetch(&mat_next.read_addrs_for_dst(globally(group(0))));
         }

@@ -10,8 +10,8 @@
 //! * [`SeqEmRunner`] implements Algorithm 2 (*SeqCompoundSuperstep*):
 //!   a single real processor cycles through the `v` virtual processors,
 //!   swapping each one's *context* in from disk (consecutive format),
-//!   delivering its incoming messages from the staggered **message
-//!   matrix** (the paper's Figure 2), running the compound superstep,
+//!   delivering its incoming messages from its **mailbox** (one packed
+//!   block stream per destination), running the compound superstep,
 //!   and writing the generated messages and updated context back out.
 //! * [`ParEmRunner`] implements Algorithm 3 (*ParCompoundSuperstep*):
 //!   `p` real processors each simulate `v/p` virtual processors against
@@ -104,6 +104,16 @@ pub enum EmError {
     },
     /// Invalid configuration.
     BadConfig(String),
+    /// A checkpoint's inbox row describes no mailbox this machine could
+    /// have written.
+    BadInboxRow {
+        /// Local destination of the row.
+        dst: usize,
+        /// Source of the offending message.
+        src: u64,
+        /// What is wrong with it.
+        fault: msgmatrix::InboxFault,
+    },
     /// The run halted at a superstep barrier (per
     /// [`EmConfig::halt_after_superstep`]) while being driven through an
     /// API that cannot return a checkpoint. Use `run_until` to receive
@@ -154,6 +164,9 @@ impl std::fmt::Display for EmError {
                 write!(f, "simulating vp {pid} needs {need} bytes of internal memory, M = {m}")
             }
             EmError::BadConfig(s) => write!(f, "bad config: {s}"),
+            EmError::BadInboxRow { dst, src, fault } => {
+                write!(f, "checkpoint inbox row {dst}: message from {src}: {fault:?}")
+            }
             EmError::Interrupted { superstep } => {
                 write!(f, "run interrupted after superstep {superstep} (checkpoint taken)")
             }

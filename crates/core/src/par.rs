@@ -4,8 +4,8 @@
 //! virtual processors: steps (a), (b), (c) and (e) are Algorithm 2's
 //! against the *local* disks; step (d) ships the generated messages
 //! over the real interconnect to the destination's owner, which
-//! arranges them in memory and writes them to *its* disks in the
-//! staggered format — in sorted `(dst, src)` order, so final states and
+//! arranges them in memory and writes them to *its* disks' mailboxes —
+//! in sorted `(dst, src)` order, so final states and
 //! I/O counts do not depend on thread scheduling.
 //!
 //! [`ParEmRunner`] is a facade over the crate's one superstep executor

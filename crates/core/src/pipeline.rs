@@ -2,8 +2,9 @@
 //!
 //! The executor (`exec.rs`) drives a three-stage pipeline per group of
 //! [`crate::EmConfig::vp_group`] virtual processors: **load** (steps
-//! (a)+(b), submitted up to [`crate::EmConfig::pipeline_depth`] groups
-//! ahead of the one computing; none in a fresh run's superstep 0),
+//! (a)+(b) as one gather list, submitted up to
+//! [`crate::EmConfig::pipeline_depth`] groups ahead of the one
+//! computing; none in a fresh run's superstep 0),
 //! **compute** (step (c)), and **store** (steps (d)+(e), drained by the
 //! backend's write-behind). This module holds the charging half of the
 //! load stage: submitting a group's reads charges the cost model and
@@ -63,7 +64,9 @@ impl<T> FreeList<T> {
     }
 }
 
-/// Submit one group's step (a) context read and step (b) inbox read.
+/// Submit one group's step (a) context read and step (b) inbox read,
+/// charged as one gather list: `ctx_ops` gets what the contexts alone
+/// would cost, `msg_ops` the rest.
 ///
 /// `slots` are the group's local context slots; `first` is the global
 /// pid of local slot 0 (workers address the context store locally and
@@ -82,15 +85,15 @@ pub(crate) fn submit_group_reads<M: Item>(
     first: usize,
 ) -> Result<(CtxReadTicket, InboxTicket), EmError> {
     let g = span(Phase::CtxLoad);
-    let ops0 = disks.stats().total_ops();
-    let ctx_t = ctx_store.read_submit(disks, slots.clone())?;
-    breakdown.ctx_ops += disks.stats().total_ops() - ops0;
+    let mut ctx_t = ctx_store.read_plan(slots.clone());
     drop(g);
 
-    let g = span(Phase::MatrixRead);
+    let _g = span(Phase::MatrixRead);
+    let mut inbox_t = mat_cur.read_plan(first + slots.start..first + slots.end);
     let ops0 = disks.stats().total_ops();
-    let inbox_t = mat_cur.read_for_dst_submit(disks, first + slots.start..first + slots.end)?;
-    breakdown.msg_ops += disks.stats().total_ops() - ops0;
-    drop(g);
+    let ([c, i], ctx_ops) = disks.read_gather_submit_pair(&ctx_t.addrs, &inbox_t.addrs)?;
+    (ctx_t.ticket, inbox_t.ticket) = (c, i);
+    breakdown.ctx_ops += ctx_ops;
+    breakdown.msg_ops += disks.stats().total_ops() - ops0 - ctx_ops;
     Ok((ctx_t, inbox_t))
 }

@@ -1,11 +1,10 @@
 //! Algorithm 2 — *SeqCompoundSuperstep*: simulating a `v`-processor CGM
 //! on a single real processor with `D` disks. Per compound superstep,
 //! for each virtual processor in turn: **(a)** read its context
-//! (consecutive format), **(b)** read the packets it received
-//! (staggered message matrix), **(c)** simulate its computation,
-//! **(d)** write the packets it sent in the staggered format of
-//! Figure 2 (FIFO-packed parallel writes), **(e)** write the changed
-//! context back.
+//! (consecutive format) and **(b)** the packets it received (its
+//! mailbox) as one gather list, **(c)** simulate its computation,
+//! **(d)** append the packets it sent to their destinations' mailboxes
+//! (one gather list), **(e)** write the changed context back.
 //!
 //! [`SeqEmRunner`] is a facade over the crate's one superstep executor
 //! (`exec.rs`), of which Algorithm 2 is the `p = 1` case: one worker on

@@ -433,6 +433,26 @@ impl DiskArray {
         Ok(ticket)
     }
 
+    /// [`Self::read_gather_submit`] of two lists charged as **one**,
+    /// `head` then `tail`, each with a ticket of its own. Also returns
+    /// what `head` alone would have cost, so that a caller can attribute
+    /// the list's operations exactly.
+    pub fn read_gather_submit_pair(
+        &mut self,
+        head: &[TrackAddr],
+        tail: &[TrackAddr],
+    ) -> Result<([u64; 2], u64), IoError> {
+        let head_ops = self.charge(head.iter().copied())?.ops;
+        let both = || head.iter().chain(tail).copied();
+        let charge = self.charge(both())?;
+        let mut tickets = [0; 2];
+        for (t, addrs) in tickets.iter_mut().zip([head, tail]).filter(|(_, a)| !a.is_empty()) {
+            *t = self.storage.read_scatter_submit(addrs).map_err(IoError::from)?;
+        }
+        self.commit(both(), charge, false);
+        Ok((tickets, head_ops))
+    }
+
     /// Complete a read begun with [`Self::read_gather_submit`], handing
     /// each block to `f(request_index, bytes)` in request order. `addrs`
     /// must be the list the ticket was submitted with. Charges nothing —
@@ -624,6 +644,17 @@ mod tests {
             .unwrap();
             proptest::prop_assert_eq!(seen, addrs.len());
             proptest::prop_assert_eq!(a.stats(), &want, "finish charges nothing");
+
+            // The same list submitted as two halves is charged as one.
+            let want = reference_stats(a.stats(), d, &addrs, false);
+            let (head, tail) = addrs.split_at(bad_at % (addrs.len() + 1));
+            let ([th, tt], head_ops) = a.read_gather_submit_pair(head, tail).unwrap();
+            proptest::prop_assert_eq!(a.stats(), &want, "a pair is one list");
+            proptest::prop_assert_eq!(head_ops as usize, balanced_cycle_sizes(d, head).len());
+            let mut seen = 0;
+            a.read_gather_finish(th, head, &mut |_, _| seen += 1).unwrap();
+            a.read_gather_finish(tt, tail, &mut |_, _| seen += 1).unwrap();
+            proptest::prop_assert_eq!(seen, addrs.len());
 
             // An out-of-range drive in the middle: the reference's
             // error, and not one counter moved.

@@ -143,11 +143,24 @@ impl<T: Item> SpanDecoder<T> {
     }
 
     /// Finish, failing if the spans held fewer than `want` items.
-    pub fn finish(self) -> Result<Vec<T>, CodecError> {
+    pub fn finish(mut self) -> Result<Vec<T>, CodecError> {
+        self.take()
+    }
+
+    /// [`Self::finish`] that keeps the decoder — and its carry buffer,
+    /// so that straddling items stop allocating — for
+    /// [`Self::restart`].
+    pub fn take(&mut self) -> Result<Vec<T>, CodecError> {
         if self.out.len() < self.want {
             return Err(CodecError { needed: self.want * T::SIZE, got: self.fed });
         }
-        Ok(self.out)
+        Ok(std::mem::take(&mut self.out))
+    }
+
+    /// Start over, expecting `want` items.
+    pub fn restart(&mut self, want: usize) {
+        (self.out, self.want, self.fed) = (Vec::with_capacity(want), want, 0);
+        self.carry.clear();
     }
 }
 

@@ -2,12 +2,15 @@
 //! Figure 2 and the appendix of the paper) as pure address arithmetic.
 //!
 //! Both formats place a logical stream of blocks onto the `D` drives in
-//! round-robin order starting from some *disk offset*; the staggered
-//! message-matrix format additionally chooses a different disk offset for
-//! each destination band so that **writers (iterating over destinations)
-//! and readers (iterating over sources) both see a perfect round-robin
-//! disk sequence** — which is exactly the property that makes every
-//! parallel I/O operation use all `D` disks.
+//! round-robin order starting from some *disk offset*. The runners store
+//! contexts as one consecutive stream from disk 0, and each
+//! destination's messages as a consecutive stream of its own — a
+//! *mailbox*, band `j` at disk offset `j mod D` — so reading any run of
+//! blocks of one stream uses all `D` disks. The fixed-slot staggered
+//! matrix of Figure 2 ([`MessageMatrixLayout`]) additionally makes
+//! **writers (iterating over destinations) and readers (iterating over
+//! sources) both see a perfect round-robin disk sequence**; it is kept
+//! for the Figure 2 ablation.
 
 use crate::disk::TrackAddr;
 
@@ -52,7 +55,9 @@ impl Layout {
 }
 
 /// The paper's **message matrix** (appendix, "Details of Step (d)" and
-/// Figure 2), in block-major order.
+/// Figure 2), in block-major order: the fixed-slot format the Figure 2
+/// ablation measures. (The runners pack each destination's messages
+/// into one block stream instead — `cgmio_core::msgmatrix`.)
 ///
 /// All `v × v` messages of one superstep, each in a slot of exactly
 /// `blocks_per_msg = b′` blocks, are stored in `v` *destination bands*.
@@ -65,8 +70,7 @@ impl Layout {
 /// `T_j + (d_j + g) / D`. At `b′ = 1` there is one stripe and this is
 /// Figure 2 address for address.
 ///
-/// Three round-robin properties follow, in every rotation copy (tested
-/// below and relied upon by the simulation engine):
+/// Three round-robin properties follow (tested below):
 ///
 /// * a **writer** (virtual processor `i`) emitting stripe `q` of its
 ///   messages in destination order `j = 0, 1, …` advances by exactly
@@ -76,16 +80,6 @@ impl Layout {
 /// * the blocks of any one message advance by one disk per block (the
 ///   stride's `≡ 1`; with `s = v` and `D | v` they would all share a
 ///   drive, and one large message would cost a parallel I/O per block).
-///
-/// A message shorter than its slot only leaves gaps in the higher
-/// stripes, so the blocks a list does carry still spread over all `D`
-/// drives; in the message-major order of the paper's `b′ > 1` figure
-/// (block `q` at `i·b′ + q`, offset `j·b′ mod D`) a one-block message
-/// in a two-block slot always started on an even drive at `D = 4`.
-///
-/// **Rotations.** The matrix exists in `D` copies: copy `r` has band
-/// offsets `(j + r) mod D`, so block `q` of `msg(i,j)` lands on drive
-/// `(i + j + q + r) mod D`. A writer picks one copy per message.
 #[derive(Debug, Clone, Copy)]
 pub struct MessageMatrixLayout {
     /// Number of drives.
@@ -94,12 +88,8 @@ pub struct MessageMatrixLayout {
     pub v: usize,
     /// Fixed message size in blocks (`b′ = ⌈b/B⌉`).
     pub blocks_per_msg: u64,
-    /// First track of the matrix (rotation copy 0).
+    /// First track of the matrix.
     pub base_track: u64,
-    /// First track of rotation copy 1.
-    pub rot_base: u64,
-    /// Tracks between the starts of consecutive rotation copies `≥ 1`.
-    pub copy_tracks: u64,
 }
 
 impl MessageMatrixLayout {
@@ -120,23 +110,17 @@ impl MessageMatrixLayout {
         (positions + self.num_disks as u64 - 1).div_ceil(self.num_disks as u64)
     }
 
-    /// Total tracks occupied by one copy of the matrix on each drive.
+    /// Total tracks occupied by the matrix on each drive.
     pub fn total_tracks(&self) -> u64 {
         self.tracks_per_band() * self.v as u64
     }
 
-    /// Address of block `q` of the message from `src` to `dst` in
-    /// rotation copy `rot < D`.
-    pub fn addr(&self, src: usize, dst: usize, q: u64, rot: usize) -> TrackAddr {
+    /// Address of block `q` of the message from `src` to `dst`.
+    pub fn addr(&self, src: usize, dst: usize, q: u64) -> TrackAddr {
         debug_assert!(src < self.v && dst < self.v && q < self.blocks_per_msg);
-        debug_assert!(rot < self.num_disks);
-        let copy = match rot {
-            0 => self.base_track,
-            r => self.rot_base + (r as u64 - 1) * self.copy_tracks,
-        };
-        let band_track = copy + dst as u64 * self.tracks_per_band();
+        let band_track = self.base_track + dst as u64 * self.tracks_per_band();
         let g = q * self.stripe_stride() + src as u64;
-        consecutive_addr(self.num_disks, band_track, (dst + rot) % self.num_disks, g)
+        consecutive_addr(self.num_disks, band_track, dst % self.num_disks, g)
     }
 }
 
@@ -167,35 +151,24 @@ mod tests {
     }
 
     impl MessageMatrixLayout {
-        /// The block addresses written by source `src` into copy `rot`
-        /// when every message fills its slot, stripe by stripe
-        /// (destinations in order within each stripe).
-        fn write_order_for_src(&self, src: usize, rot: usize) -> impl Iterator<Item = TrackAddr> {
+        /// The block addresses written by source `src` when every
+        /// message fills its slot, stripe by stripe (destinations in
+        /// order within each stripe).
+        fn write_order_for_src(&self, src: usize) -> impl Iterator<Item = TrackAddr> {
             let m = *self;
-            (0..m.blocks_per_msg).flat_map(move |q| (0..m.v).map(move |j| m.addr(src, j, q, rot)))
+            (0..m.blocks_per_msg).flat_map(move |q| (0..m.v).map(move |j| m.addr(src, j, q)))
         }
 
-        /// The block addresses read by destination `dst` from copy
-        /// `rot`, stripe by stripe (sources in order within each stripe).
-        fn read_order_for_dst(&self, dst: usize, rot: usize) -> impl Iterator<Item = TrackAddr> {
+        /// The block addresses read by destination `dst`, stripe by
+        /// stripe (sources in order within each stripe).
+        fn read_order_for_dst(&self, dst: usize) -> impl Iterator<Item = TrackAddr> {
             let m = *self;
-            (0..m.blocks_per_msg).flat_map(move |q| (0..m.v).map(move |i| m.addr(i, dst, q, rot)))
+            (0..m.blocks_per_msg).flat_map(move |q| (0..m.v).map(move |i| m.addr(i, dst, q)))
         }
     }
 
-    /// A matrix whose `D` rotation copies sit back to back from `base`.
     fn matrix(d: usize, v: usize, bpm: u64, base: u64) -> MessageMatrixLayout {
-        let mut m = MessageMatrixLayout {
-            num_disks: d,
-            v,
-            blocks_per_msg: bpm,
-            base_track: base,
-            rot_base: 0,
-            copy_tracks: 0,
-        };
-        m.copy_tracks = m.total_tracks();
-        m.rot_base = base + m.copy_tracks;
-        m
+        MessageMatrixLayout { num_disks: d, v, blocks_per_msg: bpm, base_track: base }
     }
 
     /// Every machine shape the placement tests sweep: `(D, b′, v)`.
@@ -210,9 +183,9 @@ mod tests {
     fn writer_sequences_are_round_robin() {
         for (d, bpm, v) in shapes() {
             let m = matrix(d, v, bpm, 4);
-            for (src, rot) in (0..v).flat_map(|i| (0..d).map(move |r| (i, r))) {
-                let ok = stripes_round_robin(m.write_order_for_src(src, rot), v, d);
-                assert!(ok, "D={d} b'={bpm} v={v} src={src} rot={rot}");
+            for src in 0..v {
+                let ok = stripes_round_robin(m.write_order_for_src(src), v, d);
+                assert!(ok, "D={d} b'={bpm} v={v} src={src}");
             }
         }
     }
@@ -221,32 +194,27 @@ mod tests {
     fn reader_sequences_are_round_robin() {
         for (d, bpm, v) in shapes() {
             let m = matrix(d, v, bpm, 0);
-            for (dst, rot) in (0..v).flat_map(|j| (0..d).map(move |r| (j, r))) {
-                let ok = stripes_round_robin(m.read_order_for_dst(dst, rot), v, d);
-                assert!(ok, "D={d} b'={bpm} v={v} dst={dst} rot={rot}");
+            for dst in 0..v {
+                let ok = stripes_round_robin(m.read_order_for_dst(dst), v, d);
+                assert!(ok, "D={d} b'={bpm} v={v} dst={dst}");
             }
         }
     }
 
     #[test]
     fn one_block_slots_are_figure_2() {
-        // b' = 1: msg(i, j) at position i of band j, band offset j mod D;
-        // rotation r only adds r to the offset, in a copy of its own.
+        // b' = 1: msg(i, j) at position i of band j, band offset j mod D.
         let m = matrix(3, 5, 1, 2);
         for (i, j) in (0..5).flat_map(|i| (0..5).map(move |j| (i, j))) {
-            for rot in 0..3 {
-                let band = 2 + rot as u64 * m.total_tracks() + j as u64 * m.tracks_per_band();
-                let want = consecutive_addr(3, band, (j + rot) % 3, i as u64);
-                assert_eq!(m.addr(i, j, 0, rot), want, "msg({i},{j}) rot {rot}");
-            }
+            let want = consecutive_addr(3, 2 + j as u64 * m.tracks_per_band(), j % 3, i as u64);
+            assert_eq!(m.addr(i, j, 0), want, "msg({i},{j})");
         }
     }
 
     #[test]
     fn all_blocks_have_distinct_addresses() {
-        // Over every (src, dst, q, rot) of a matrix: distinct, block q of
-        // msg(i, j) on drive (i + j + q + rot) mod D, each copy within its
-        // own `total_tracks`, and copy 0 exactly the unrotated layout.
+        // Over every (src, dst, q) of a matrix: distinct, block q of
+        // msg(i, j) on drive (i + j + q) mod D, within `total_tracks`.
         for (d, bpm, v) in shapes() {
             let base = 7;
             let m = matrix(d, v, bpm, base);
@@ -255,15 +223,12 @@ mod tests {
             for (i, j, q) in slots.flat_map(|(i, j)| (0..bpm).map(move |q| (i, j, q))) {
                 let g = q * m.stripe_stride() + i as u64;
                 let want = consecutive_addr(d, base + j as u64 * m.tracks_per_band(), j % d, g);
-                assert_eq!(m.addr(i, j, q, 0), want, "D={d} b'={bpm} v={v} msg({i},{j}) q={q}");
-                for rot in 0..d {
-                    let a = m.addr(i, j, q, rot);
-                    let tag = format!("D={d} b'={bpm} v={v} ({i},{j},{q},{rot})");
-                    assert_eq!(a.disk, (i + j + q as usize + rot) % d, "{tag}");
-                    let copy = base + rot as u64 * m.total_tracks();
-                    assert!((copy..copy + m.total_tracks()).contains(&a.track), "{tag}");
-                    assert!(seen.insert(a), "{tag} collides");
-                }
+                let a = m.addr(i, j, q);
+                let tag = format!("D={d} b'={bpm} v={v} msg({i},{j}) q={q}");
+                assert_eq!(a, want, "{tag}");
+                assert_eq!(a.disk, (i + j + q as usize) % d, "{tag}");
+                assert!((base..base + m.total_tracks()).contains(&a.track), "{tag}");
+                assert!(seen.insert(a), "{tag} collides");
             }
         }
     }
@@ -273,7 +238,7 @@ mod tests {
         for (d, v) in [(4usize, 16usize), (4, 6), (3, 9), (8, 32), (1, 5)] {
             let m = matrix(d, v, 9, 0);
             for (i, j) in [(0, 0), (3, 1), (v - 1, v - 2)] {
-                let addrs: Vec<_> = (0..9).map(|q| m.addr(i, j, q, 0)).collect();
+                let addrs: Vec<_> = (0..9).map(|q| m.addr(i, j, q)).collect();
                 assert!(round_robin(&addrs, d), "D={d} v={v} msg({i},{j})");
             }
         }
@@ -289,7 +254,7 @@ mod tests {
         for src in 0..v {
             let mut disks = crate::DiskArray::new(crate::DiskGeometry::new(d, 8));
             let writes: Vec<(TrackAddr, &[u8])> =
-                (0..v).map(|dst| (m.addr(src, dst, 0, 0), &[1u8][..])).collect();
+                (0..v).map(|dst| (m.addr(src, dst, 0), &[1u8][..])).collect();
             assert_eq!(disks.write_gather(&writes).unwrap(), v.div_ceil(d), "src={src}");
         }
     }
@@ -302,7 +267,7 @@ mod tests {
             let band_end = band_start + m.tracks_per_band();
             for src in 0..4 {
                 for q in 0..2 {
-                    let a = m.addr(src, dst, q, 0);
+                    let a = m.addr(src, dst, q);
                     assert!(a.track >= band_start && a.track < band_end);
                 }
             }
@@ -312,7 +277,7 @@ mod tests {
     #[test]
     fn single_disk_degenerates_gracefully() {
         let m = matrix(1, 3, 2, 0);
-        let addrs: Vec<_> = m.write_order_for_src(0, 0).collect();
+        let addrs: Vec<_> = m.write_order_for_src(0).collect();
         assert!(addrs.iter().all(|a| a.disk == 0));
         let set: HashSet<_> = addrs.iter().map(|a| a.track).collect();
         assert_eq!(set.len(), addrs.len());

@@ -11,6 +11,8 @@
 
 use proptest::prelude::*;
 
+use cgmio_algos::graphs::listrank::{CgmListRank, ListRankState};
+use cgmio_algos::{CgmSort, SortState};
 use cgmio_core::{
     measure_requirements, BackendSpec, CheckpointManifest, EmConfig, EmError, EmRunReport,
     ParEmRunner, RunOutcome, SeqEmRunner,
@@ -19,6 +21,7 @@ use cgmio_io::IoEngineOpts;
 use cgmio_model::demo::TokenRing;
 use cgmio_model::{CgmProgram, RoundCtx, Status};
 use cgmio_pdm::testutil::TempDir;
+use cgmio_pdm::Item;
 
 fn mk_states(v: usize) -> Vec<Vec<u64>> {
     (0..v as u64).map(|i| vec![i]).collect()
@@ -112,20 +115,21 @@ fn fault_and_retry_totals_appear_in_reports() {
     assert_eq!(rep.retries, f.read_transient + f.write_transient + f.torn_writes);
 }
 
-/// Whether some inbox slot of `m` sits in a rotation copy other than 0.
-fn has_rotated_slot(m: &CheckpointManifest) -> bool {
-    m.workers.iter().flat_map(|w| &w.inbox_lens).flat_map(|r| &r.0).any(|s| s.2 != 0)
+/// Messages of `m` that start inside a block another message of the
+/// same mailbox holds bytes of (block size `bb`, items of `item` bytes).
+fn shared_blocks(m: &CheckpointManifest, bb: u64, item: u64) -> usize {
+    let rows = m.workers.iter().flat_map(|w| &w.inbox_lens);
+    rows.map(|r| r.0.iter().filter(|&&(_, _, off)| !(off * item).is_multiple_of(bb)).count()).sum()
 }
 
 /// Halting at every barrier and resuming — in process on `Mem`, and
 /// from the manifest alone on files — reproduces the uninterrupted run
 /// at every group size and on both runners; the two backends write the
-/// same manifest. Some of the manifests hold rotated message slots.
+/// same manifest.
 #[test]
 fn every_barrier_resumes_exactly_at_every_group_size() {
     let (v, rounds) = (7usize, 5usize);
     let prog = TokenRing { rounds };
-    let mut rotated = 0;
     for (p, k) in [1usize, 3].into_iter().flat_map(|p| [1usize, 2, 3].map(|k| (p, k))) {
         let mut cfg = config(&prog, v, p);
         cfg.vp_group = k;
@@ -158,7 +162,6 @@ fn every_barrier_resumes_exactly_at_every_group_size() {
             drop(run(hcfg)); // the "crash": only the files survive
             let saved = CheckpointManifest::load(&CheckpointManifest::path_in(dir.path())).unwrap();
             assert_eq!(saved, manifest, "{tag}: the manifest depends on the backend");
-            rotated += has_rotated_slot(&saved) as usize;
             let got = if p == 1 {
                 SeqEmRunner::new(fcfg).resume_from(&prog, &saved)
             } else {
@@ -167,7 +170,66 @@ fn every_barrier_resumes_exactly_at_every_group_size() {
             assert_same(&format!("{tag} sync-file"), &got.unwrap().expect_complete(), &want);
         }
     }
-    assert!(rotated > 0, "no manifest held a rotated message slot");
+}
+
+/// The sort and list ranking, whose small messages share mailbox
+/// blocks, crash at every barrier on `SyncFile` and resume from the
+/// manifest alone to bit-identical finals and I/O, at `p` ∈ {1, 2}.
+#[test]
+fn packed_mailboxes_resume_from_every_barrier_on_files() {
+    let keys = cgmio_data::uniform_u64(2000, 7);
+    let sort_init = || -> Vec<SortState<u64>> {
+        let parts = cgmio_data::block_split(keys.clone(), 6);
+        parts.into_iter().map(|b| (b, Vec::new())).collect()
+    };
+    let (succ, _) = cgmio_data::random_list(600, 3);
+    let n = succ.len() as u64;
+    let rank_init = || -> Vec<ListRankState> {
+        let parts = cgmio_data::block_split(succ.clone(), 6);
+        parts.into_iter().map(|b| (vec![n], b, Vec::new())).collect()
+    };
+    let shared = resume_everywhere(&CgmSort::<u64>::by_pivots(), sort_init, 128)
+        + resume_everywhere(&CgmListRank, rank_init, 64);
+    assert!(shared > 0, "no manifest held a message sharing a block");
+}
+
+/// Crash `prog` at every barrier at `p` ∈ {1, 2} on files, resume from
+/// the manifest, compare with the uninterrupted run, and count the
+/// manifests' messages that share a block.
+fn resume_everywhere<P: CgmProgram>(prog: &P, init: impl Fn() -> Vec<P::State>, bb: usize) -> usize
+where
+    P::State: PartialEq + std::fmt::Debug,
+{
+    let v = init().len();
+    let (_, _, req) = measure_requirements(prog, init()).unwrap();
+    let mut shared = 0;
+    for p in [1usize, 2] {
+        let cfg = EmConfig::from_requirements(v, p, 2, bb, &req);
+        let (want, want_rep) = ParEmRunner::new(cfg.clone()).run(prog, init()).unwrap();
+        for halt in 0..want_rep.costs.lambda() - 1 {
+            let tag = format!("p={p} halt={halt}");
+            let dir = TempDir::new("cgmio-ckpt-packed");
+            let mut fcfg = cfg.clone();
+            fcfg.backend = BackendSpec::SyncFile { dir: dir.path().join("drives") };
+            let mut hcfg = fcfg.clone();
+            hcfg.checkpoint_dir = Some(dir.path().to_path_buf());
+            hcfg.halt_after_superstep = Some(halt);
+            let RunOutcome::Interrupted(c) =
+                ParEmRunner::new(hcfg).run_until(prog, init()).unwrap()
+            else {
+                panic!("{tag}: no halt")
+            };
+            drop(c); // the "crash": only the files survive
+            let saved = CheckpointManifest::load(&CheckpointManifest::path_in(dir.path())).unwrap();
+            shared += shared_blocks(&saved, bb as u64, <P::Msg as Item>::SIZE as u64);
+            let (finals, rep) =
+                ParEmRunner::new(fcfg).resume_from(prog, &saved).unwrap().expect_complete();
+            assert_eq!(finals, want, "{tag}: finals differ");
+            assert_eq!(rep.io, want_rep.io, "{tag}: IoStats differ");
+            assert_eq!(rep.breakdown, want_rep.breakdown, "{tag}: breakdown differs");
+        }
+    }
+    shared
 }
 
 /// A token ring over `[token, count]` states whose final round adds one
@@ -236,8 +298,9 @@ fn fnv(fields: &[usize]) -> u64 {
 /// refuses them with a `BadConfig` naming both hashes instead of
 /// decoding moved blocks: one from before the block-major layout (five
 /// `io` values, and a hash that covered neither a layout version nor
-/// `vp_group`), and one from before rotation copies (`LAYOUT_VERSION`
-/// 2).
+/// `vp_group`), one from before rotation copies (`LAYOUT_VERSION` 2),
+/// and one from before mailboxes (`LAYOUT_VERSION` 3, whose hash did
+/// not cover `M`).
 #[test]
 fn manifest_with_the_parent_hash_is_refused() {
     let prog = TokenRing { rounds: 4 };
@@ -257,10 +320,12 @@ fn manifest_with_the_parent_hash_is_refused() {
     let message_major = fnv(&[v, 1, 2, 64, slots[0], slots[1]]);
     assert_eq!(message_major, 0xd161_1c37_bbd9_2cd3, "the fixed config drifted");
     let unrotated = fnv(&[2, k, v, 1, 2, 64, slots[0], slots[1]]);
-    assert_eq!(fnv(&[3, k, v, 1, 2, 64, slots[0], slots[1]]), cfg.config_hash());
+    let rotated = fnv(&[3, k, v, 1, 2, 64, slots[0], slots[1]]);
+    let m = cfg.mem_bytes;
+    assert_eq!(fnv(&[4, k, v, 1, 2, 64, slots[0], slots[1], m]), cfg.config_hash());
     let text = std::fs::read_to_string(&path).unwrap();
     cfg.halt_after_superstep = None;
-    for (old_hash, io_values) in [(message_major, 5), (unrotated, 6)] {
+    for (old_hash, io_values) in [(message_major, 5), (unrotated, 6), (rotated, 6)] {
         let stale: String = text
             .lines()
             .map(|l| match l.split_once(' ') {
@@ -299,7 +364,6 @@ fn malformed_manifests_are_errors_not_panics() {
     else {
         panic!("no halt")
     };
-    assert!(has_rotated_slot(&ckpt.manifest));
     let text = ckpt.manifest.to_text();
     assert_eq!(CheckpointManifest::from_text(&text).unwrap(), ckpt.manifest);
 
@@ -324,9 +388,10 @@ fn malformed_manifests_are_errors_not_panics() {
         edits("workers", &max.to_string()),
         edits("inbox_rows", &max.to_string()),
         edits("row", &format!("{} {} {}", slot[0], 1u64 << 32 | 1, slot[2])),
-        edits("row", &format!("{} {} {}", slot[0], slot[1], 1u64 << 32)),
+        edits("row", &format!("{} {} {}0", slot[0], slot[1], u64::MAX)),
         edits("row", &format!("{} {}", slot[0], slot[1])),
-        text.replace("cgmio-checkpoint v3", "cgmio-checkpoint v2"),
+        text.replace("cgmio-checkpoint v4", "cgmio-checkpoint v2"),
+        text.replace("cgmio-checkpoint v4", "cgmio-checkpoint v3"),
     ];
     for (i, bad) in cases.iter().enumerate() {
         assert!(CheckpointManifest::from_text(bad).is_err(), "case {i} parsed:\n{bad}");

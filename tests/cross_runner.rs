@@ -6,9 +6,11 @@
 use cgmio_algos::geometry::{CgmConvexHull, CgmDominance, CgmIntervalStab, CgmUnionArea};
 use cgmio_algos::graphs::{CgmConnectivity, CgmEulerTour, CgmListRank};
 use cgmio_algos::{CgmPermute, CgmSort, CgmTranspose};
-use cgmio_core::{measure_requirements, EmConfig, EmError, ParEmRunner, RunOutcome, SeqEmRunner};
+use cgmio_core::{
+    measure_requirements, BackendSpec, EmConfig, EmError, ParEmRunner, RunOutcome, SeqEmRunner,
+};
 use cgmio_data as data;
-use cgmio_model::demo::{AllToOne, TokenRing};
+use cgmio_model::demo::{AllToOne, PrefixSum, TokenRing};
 use cgmio_model::{CgmProgram, DirectRunner, ModelError, RoundCtx, Status, ThreadedRunner};
 
 /// Group sizes the EM runners are checked at (`vp_group`).
@@ -420,4 +422,55 @@ fn run_boundaries_move_no_blocks_for_every_p_and_depth() {
     check("sort", &CgmSort::<u64>::by_pivots(), sort, (4, 128), (205, 48, 49));
     let ring = || (0..7u64).map(|i| vec![i]).collect();
     check("ring", &TokenRing { rounds: 3 }, ring, (2, 16), (56, 7, 7));
+}
+
+/// Packed mailboxes move where messages sit, never what is delivered:
+/// at `p` ∈ {1, 2, 3} × pipeline depth {0, 2} × `vp_group` {1, 2} ×
+/// Mem/SyncFile, `prog` ends in the reference runner's finals, and
+/// neither the depth nor the backend moves an I/O count. 64-byte blocks
+/// make messages share blocks, and 13-byte sort messages straddle them.
+fn assert_mailboxes_deliver<P>(prog: &P, mk: impl Fn() -> Vec<P::State>, label: &str)
+where
+    P: CgmProgram,
+    P::State: PartialEq + std::fmt::Debug,
+{
+    let v = mk().len();
+    let (want, _) = DirectRunner::default().run(prog, mk()).unwrap();
+    let (_, _, req) = measure_requirements(prog, mk()).unwrap();
+    let dir = cgmio_pdm::testutil::TempDir::new("cgmio-mailbox-eq");
+    for (p, k) in [1usize, 2, 3].into_iter().flat_map(|p| [1usize, 2].map(|k| (p, k))) {
+        let mut io = None;
+        for (depth, file) in [0usize, 2].into_iter().flat_map(|d| [false, true].map(|f| (d, f))) {
+            let tag = format!("{label}: p={p} k={k} depth={depth} file={file}");
+            let mut cfg = EmConfig::from_requirements(v, p, 2, 64, &req);
+            (cfg.vp_group, cfg.pipeline_depth) = (k, depth);
+            if file {
+                let drives = dir.path().join(format!("{p}-{k}-{depth}"));
+                cfg.backend = BackendSpec::SyncFile { dir: drives };
+            }
+            let (got, rep) = ParEmRunner::new(cfg).run(prog, mk()).unwrap();
+            assert_eq!(got, want, "{tag}: finals differ from the reference");
+            assert_eq!(io.get_or_insert_with(|| rep.io.clone()), &rep.io, "{tag}: IoStats moved");
+        }
+    }
+}
+
+#[test]
+fn mailboxes_deliver_identically_for_every_p_depth_group_and_backend() {
+    let ring = |v: u64| move || (0..v).map(|i| vec![i]).collect::<Vec<_>>();
+    assert_mailboxes_deliver(&TokenRing { rounds: 3 }, ring(7), "ring");
+    let keys = data::uniform_u64(1500, 9);
+    let sort_states = || -> Vec<(Vec<u64>, Vec<u64>)> {
+        data::block_split(keys.clone(), 6).into_iter().map(|b| (b, Vec::new())).collect()
+    };
+    assert_mailboxes_deliver(&CgmSort::<u64>::by_pivots(), sort_states, "sort by pivots");
+    assert_mailboxes_deliver(&CgmSort::<u64>::block_distributed(), sort_states, "sort");
+    let prefix = || (0..5u64).map(|i| ((0..=i * 7).collect(), Vec::new())).collect::<Vec<_>>();
+    assert_mailboxes_deliver(&PrefixSum, prefix, "prefix sum");
+    let (succ, _) = data::random_list(400, 5);
+    let n = succ.len() as u64;
+    let lists = || -> Vec<_> {
+        data::block_split(succ.clone(), 6).into_iter().map(|b| (vec![n], b, Vec::new())).collect()
+    };
+    assert_mailboxes_deliver(&CgmListRank, lists, "list ranking");
 }

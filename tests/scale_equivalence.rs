@@ -1,8 +1,8 @@
-//! The large-`v` representations must be *observably invisible*: the
-//! sparse message-length table and the paged context-length table
-//! ([`cgmio_core::ScaleTuning`]) are memory layouts, not semantics, so
-//! final states, `IoStats`, op breakdowns, and checkpoint manifests
-//! have to be bit-identical to the dense/resident path — across both
+//! The large-`v` representation must be *observably invisible*: the
+//! paged context-length table ([`cgmio_core::ScaleTuning`]) is a memory
+//! layout, not semantics, so final states, `IoStats`, op breakdowns,
+//! and checkpoint manifests have to be bit-identical to the resident
+//! path — across both
 //! EM runners, backends and group sizes, including a checkpoint taken under one
 //! representation and resumed under the other (`ScaleTuning` is
 //! excluded from `config_hash` precisely to allow that).
@@ -31,25 +31,15 @@ fn sort_config(keys: &[u64], v: usize, d: usize, bb: usize) -> EmConfig {
 /// Group sizes every check sweeps (`vp_group`).
 const GROUPS: [usize; 3] = [1, 2, 3];
 
-/// Force the dense message table and fully resident context table.
-fn dense() -> ScaleTuning {
-    ScaleTuning {
-        sparse_msg_lens: Some(false),
-        paged_ctx_lens: Some(false),
-        ..ScaleTuning::default()
-    }
+/// Force the fully resident context table.
+fn resident() -> ScaleTuning {
+    ScaleTuning { paged_ctx_lens: Some(false), ..ScaleTuning::default() }
 }
 
-/// Force the sparse message table and a deliberately tiny paged context
-/// table (2-entry pages, 1 hot page) so eviction and reload really
-/// happen even at test-sized `v`.
-fn sparse() -> ScaleTuning {
-    ScaleTuning {
-        sparse_msg_lens: Some(true),
-        paged_ctx_lens: Some(true),
-        ctx_page_entries: 2,
-        ctx_resident_pages: 1,
-    }
+/// Force a deliberately tiny paged context table (2-entry pages, 1 hot
+/// page) so eviction and reload really happen even at test-sized `v`.
+fn paged() -> ScaleTuning {
+    ScaleTuning { paged_ctx_lens: Some(true), ctx_page_entries: 2, ctx_resident_pages: 1 }
 }
 
 /// Finals, IoStats, and op breakdowns agree between representations on
@@ -65,7 +55,7 @@ fn representations_invisible_across_backends_and_runners() {
 
     for (p, k) in [1usize, 2].into_iter().flat_map(|p| GROUPS.map(|k| (p, k))) {
         let mut want = None;
-        for (tag, tuning) in [("dense", dense()), ("sparse", sparse())] {
+        for (tag, tuning) in [("resident", resident()), ("paged", paged())] {
             for backend in [
                 BackendSpec::Mem,
                 BackendSpec::SyncFile { dir: dir.path().join(format!("sync-{p}-{k}-{tag}")) },
@@ -98,7 +88,7 @@ fn representations_invisible_across_backends_and_runners() {
 }
 
 /// Checkpoint manifests are representation-independent — the ring's
-/// rotated message slots at `k = 2` included — and a manifest written
+/// mailbox rows included — and a manifest written
 /// under one representation resumes under the other with bit-identical
 /// finals and cumulative I/O, on both runners.
 #[test]
@@ -109,7 +99,7 @@ fn manifests_and_resume_cross_representations() {
     let (_, _, req) = measure_requirements(&prog, init()).unwrap();
 
     for (p, k) in [1usize, 2].into_iter().flat_map(|p| GROUPS.map(|k| (p, k))) {
-        for (take, resume) in [(dense(), sparse()), (sparse(), dense())] {
+        for (take, resume) in [(resident(), paged()), (paged(), resident())] {
             let dir = cgmio_pdm::testutil::TempDir::new(&format!("cgmio-scale-resume-{p}-{k}"));
             let mut cfg = EmConfig::from_requirements(v, p, 2, 32, &req);
             cfg.vp_group = k;
@@ -134,18 +124,14 @@ fn manifests_and_resume_cross_representations() {
                 }
             };
             for halt in [0usize, 2] {
-                let dense = manifest_under(dense(), halt);
+                let manifest = manifest_under(resident(), halt);
                 assert_eq!(
-                    dense,
-                    manifest_under(sparse(), halt),
+                    manifest,
+                    manifest_under(paged(), halt),
                     "p={p} k={k} halt={halt}: manifest depends on representation"
                 );
-                let slots = dense.workers.iter().flat_map(|w| &w.inbox_lens).flat_map(|r| &r.0);
-                let rotated = slots.filter(|s| s.2 != 0).count();
-                assert!(
-                    k != 2 || rotated > 0,
-                    "p={p} halt={halt}: the ring at k = 2 rotated nothing"
-                );
+                let slots = manifest.workers.iter().flat_map(|w| &w.inbox_lens).flat_map(|r| &r.0);
+                assert_eq!(slots.count(), v, "p={p} halt={halt}: one token per mailbox");
             }
 
             // Crash under `take`, resume under `resume`.
@@ -173,8 +159,8 @@ fn manifests_and_resume_cross_representations() {
     }
 }
 
-/// Skewed traffic (everything to vp 0) exercises the sparse table's
-/// asymmetric rows: one crowded row, all others empty.
+/// Skewed traffic (everything to vp 0) exercises asymmetric mailbox
+/// rows: one crowded row, all others empty.
 #[test]
 fn skewed_traffic_identical_across_representations() {
     let v = 8;
@@ -184,7 +170,7 @@ fn skewed_traffic_identical_across_representations() {
     for (p, k) in [1usize, 2, 4].into_iter().flat_map(|p| GROUPS.map(|k| (p, k))) {
         let mut cfg = EmConfig::from_requirements(v, p, 2, 32, &req);
         cfg.vp_group = k;
-        cfg.scale = dense();
+        cfg.scale = resident();
         let run = |c: EmConfig| {
             if p == 1 {
                 SeqEmRunner::new(c).run(&prog, init()).unwrap()
@@ -193,7 +179,7 @@ fn skewed_traffic_identical_across_representations() {
             }
         };
         let (want, want_rep) = run(cfg.clone());
-        cfg.scale = sparse();
+        cfg.scale = paged();
         let (got, rep) = run(cfg);
         assert_eq!(got, want, "p={p} k={k}: skewed finals differ");
         assert_eq!(rep.io, want_rep.io, "p={p} k={k}: skewed IoStats differ");
@@ -204,8 +190,8 @@ fn skewed_traffic_identical_across_representations() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Arbitrary inputs and machine shapes: sparse/paged matches
-    /// dense/resident bit-for-bit on both runners.
+    /// Arbitrary inputs and machine shapes: paged matches resident
+    /// bit-for-bit on both runners.
     #[test]
     fn random_inputs_representation_invariant(
         seed in 0u64..1000,
@@ -228,9 +214,9 @@ proptest! {
             }
         };
         let mut cd = cfg.clone();
-        cd.scale = dense();
+        cd.scale = resident();
         let (want, want_rep) = run(cd);
-        cfg.scale = sparse();
+        cfg.scale = paged();
         let (got, rep) = run(cfg);
         prop_assert_eq!(got, want);
         prop_assert_eq!(rep.io, want_rep.io);
