@@ -61,11 +61,6 @@ fn menu() -> Vec<(&'static str, &'static str, Exp)> {
             Box::new(ex::pipeline),
         ),
         (
-            "autotune",
-            "feedback tuner vs hand-swept pipeline depth (BENCH_autotune.json)",
-            Box::new(ex::autotune),
-        ),
-        (
             "observe",
             "sort with the observability stack on (report JSON + prom)",
             Box::new(cgmio_bench::observe::observe),
@@ -77,7 +72,7 @@ fn menu() -> Vec<(&'static str, &'static str, Exp)> {
         ),
         (
             "scale",
-            "per-processor state at large v: sparse/paged sweep (BENCH_scale.json)",
+            "per-processor state at large v: v up to 10^6 (BENCH_scale.json)",
             Box::new(ex::scale),
         ),
         (

@@ -1,7 +1,5 @@
 //! One function per paper artefact. See DESIGN.md §4 for the index.
 
-use std::fmt::Write as _;
-
 use crate::results::{obj, percentile_us, BenchReport, Value};
 use crate::{
     disk_model, em_permute_report, em_sort_report, em_sort_run, em_transpose_report,
@@ -1405,167 +1403,6 @@ pub fn pipeline(out_dir: &std::path::Path) -> Table {
     t
 }
 
-/// `autotune`: the self-tuning runtime against a hand-swept pipeline
-/// depth. The Fig 3 sort runs on the concurrent engine under the same
-/// seeded latency spike as the `pipeline` experiment, once per hand
-/// depth {0, 1, 2, 4} and once with the tuner on: the static planner
-/// ([`cgmio_tune::plan`]) picks the starting depth from the dry-run
-/// λ/μ, and the barrier-time [`cgmio_tune::Controller`] adapts from
-/// there using the windowed stall/queue-wait deltas. Each cell is the
-/// best of `reps` runs; finals and exact I/O op counts are asserted
-/// identical across every cell (tuning is accounting-invariant). Writes
-/// `BENCH_autotune.json` (headline: auto wall vs best hand depth, must
-/// stay within a few percent) and `autotune_decisions.csv` (the audit
-/// log of the best auto run) into the output directory. Set
-/// `CGMIO_PERF_SMOKE=1` for a small size (CI autotune-smoke).
-pub fn autotune(out_dir: &std::path::Path) -> Table {
-    use cgmio_core::BackendSpec;
-    use cgmio_io::IoEngineOpts;
-    use cgmio_pdm::FaultPlan;
-
-    let mut t = Table::new(
-        "autotune_vs_hand_depth",
-        &["cell", "start_depth", "final_depth", "wall_ms", "io_ops", "moves", "vs_best_hand_pct"],
-    );
-    let smoke = std::env::var_os("CGMIO_PERF_SMOKE").is_some();
-    // Same geometry as the `pipeline` experiment so the two reports are
-    // directly comparable (see the geometry note there).
-    let (n, bb, reps) = if smoke { (1usize << 16, 8192usize, 3usize) } else { (1 << 20, 32768, 5) };
-    let (v, d, spike_us) = (16usize, 4usize, 30u64);
-    let hand_depths = [0usize, 1, 2, 4];
-
-    let keys = data::uniform_u64(n, 42);
-    let mk = || {
-        data::block_split(keys.clone(), v).into_iter().map(|b| (b, Vec::new())).collect::<Vec<_>>()
-    };
-    let prog = CgmSort::<u64>::by_pivots();
-    let (_, mut costs, req) = measure_requirements(&prog, mk()).expect("dry run");
-    costs.max_context_bytes = req.max_ctx_bytes;
-    let base_cfg = EmConfig::from_requirements(v, 1, d, bb, &req);
-    let plan = cgmio_tune::plan(&costs, v, d, &disk_model());
-
-    let mut want: Option<Vec<u64>> = None;
-    let mut want_ops: Option<u64> = None;
-    // (cell, start depth, best wall, report, decisions of the best rep)
-    let mut cells: Vec<(String, usize, f64, cgmio_core::EmRunReport, Vec<cgmio_tune::Decision>)> =
-        Vec::new();
-    for cell in hand_depths.iter().map(|d| d.to_string()).chain(["auto".to_string()]) {
-        let auto = cell == "auto";
-        let start_depth = if auto { plan.pipeline_depth.min(v) } else { cell.parse().unwrap() };
-        let mut best: Option<(f64, cgmio_core::EmRunReport, Vec<cgmio_tune::Decision>)> = None;
-        for _ in 0..reps {
-            let mut cfg = base_cfg.clone();
-            cfg.pipeline_depth = start_depth;
-            let log = cgmio_tune::DecisionLog::new();
-            if auto {
-                cfg.autotune = cgmio_tune::Autotune::with_log(log.clone());
-            }
-            cfg.fault =
-                Some(FaultPlan { seed: 7, latency_spike: 1.0, spike_us, ..FaultPlan::default() });
-            cfg.backend = BackendSpec::Concurrent {
-                dir: None,
-                opts: IoEngineOpts { trace: true, ..Default::default() },
-            };
-            let (fin, rep) = SeqEmRunner::new(cfg).run(&prog, mk()).expect("autotune bench run");
-            let flat: Vec<u64> = fin.iter().flat_map(|(b, _)| b.iter().copied()).collect();
-            assert!(flat.windows(2).all(|w| w[0] <= w[1]), "autotune bench output not sorted");
-            match &want {
-                None => want = Some(flat),
-                Some(w) => assert_eq!(&flat, w, "cell {cell}: finals differ"),
-            }
-            match want_ops {
-                None => want_ops = Some(rep.io.total_ops()),
-                Some(w) => assert_eq!(
-                    rep.io.total_ops(),
-                    w,
-                    "cell {cell}: tuning must not change the I/O accounting"
-                ),
-            }
-            let wall = rep.wall.as_secs_f64() * 1e3;
-            if best.as_ref().is_none_or(|(bw, _, _)| wall < *bw) {
-                best = Some((wall, rep, log.snapshot()));
-            }
-        }
-        let (wall_ms, rep, decisions) = best.expect("reps >= 1");
-        cells.push((cell, start_depth, wall_ms, rep, decisions));
-    }
-
-    let best_hand_wall = cells
-        .iter()
-        .filter(|(c, ..)| c != "auto")
-        .map(|&(_, _, w, ..)| w)
-        .fold(f64::INFINITY, f64::min);
-
-    let mut report = BenchReport::new(
-        "em_cgm_sort_autotune",
-        format!(
-            "CgmSort<u64> by_pivots, n={n}, v={v}, D={d}, B={bb} bytes, concurrent engine; \
-             simulated device latency {spike_us} us per track op; auto cell starts at the \
-             planner depth and adapts at superstep barriers"
-        ),
-        smoke,
-    )
-    .extra("reps", Value::num(reps))
-    .extra("planned", plan.to_json());
-    let mut csv = String::from(
-        "proc,superstep,stall_us,stall_count,queue_wait_us,queue_wait_count,action,depth,prefetch_blocks\n",
-    );
-    for (cell, start_depth, wall_ms, rep, decisions) in &cells {
-        let final_depth = decisions.last().map_or(*start_depth, |dec| dec.depth).min(v);
-        let moves =
-            decisions.iter().filter(|dec| dec.action != cgmio_tune::TuneAction::Hold).count();
-        let vs_best = 100.0 * (wall_ms / best_hand_wall.max(1e-9) - 1.0);
-        report.point(obj(vec![
-            ("cell", Value::str(cell.clone())),
-            ("start_depth", Value::num(*start_depth)),
-            ("final_depth", Value::num(final_depth)),
-            ("wall_ms", Value::num(format!("{wall_ms:.2}"))),
-            ("io_ops", Value::num(rep.io.total_ops())),
-            ("moves", Value::num(moves)),
-            ("vs_best_hand_pct", Value::num(format!("{vs_best:.1}"))),
-        ]));
-        t.row(vec![
-            cell.clone(),
-            start_depth.to_string(),
-            final_depth.to_string(),
-            format!("{wall_ms:.2}"),
-            rep.io.total_ops().to_string(),
-            moves.to_string(),
-            format!("{vs_best:+.1}"),
-        ]);
-        if cell == "auto" {
-            report.set_headline(obj(vec![
-                ("auto_wall_ms", Value::num(format!("{wall_ms:.2}"))),
-                ("best_hand_wall_ms", Value::num(format!("{best_hand_wall:.2}"))),
-                ("auto_vs_best_hand_pct", Value::num(format!("{vs_best:.1}"))),
-                ("start_depth", Value::num(*start_depth)),
-                ("final_depth", Value::num(final_depth)),
-            ]));
-            for dec in decisions {
-                let _ = writeln!(
-                    csv,
-                    "{},{},{},{},{},{},{},{},{}",
-                    dec.proc,
-                    dec.superstep,
-                    dec.signals.stall_us,
-                    dec.signals.stall_count,
-                    dec.signals.queue_wait_us,
-                    dec.signals.queue_wait_count,
-                    dec.action.name(),
-                    dec.depth,
-                    dec.prefetch_blocks
-                );
-            }
-        }
-    }
-    report.save(out_dir, "BENCH_autotune.json");
-    let _ = std::fs::create_dir_all(out_dir);
-    if let Err(e) = std::fs::write(out_dir.join("autotune_decisions.csv"), csv) {
-        eprintln!("  autotune_decisions.csv save failed: {e}");
-    }
-    t
-}
-
 /// `service`: the multi-tenant job service under a seeded open-loop
 /// workload. Hundreds of mixed jobs (sort/permute/transpose, two
 /// problem sizes, all three priorities) from three tenants are
@@ -1733,22 +1570,18 @@ pub fn service(out_dir: &std::path::Path) -> Table {
 struct ScaleCell {
     backend: &'static str,
     v: usize,
-    mode: &'static str,
     wall_ms: f64,
     io_ops: u64,
     peak_mem_bytes: usize,
     alloc_bytes: u64,
-    ctx_spills: u64,
-    ctx_loads: u64,
     finals_hash: u64,
-    io: cgmio_pdm::IoStats,
 }
 
 /// What the dense per-processor state tables *would* hold resident at
 /// `v` virtual processors: two ping-pong `v × v` `u32` message-length
 /// grids plus the `v`-entry context-length vector. This is the scale
-/// blocker the sparse/paged representations remove (≈ 8 TB at
-/// `v = 10^6`).
+/// blocker the mailbox rows and the run-length manifests remove
+/// (≈ 8 TB at `v = 10^6`).
 fn dense_lens_bytes(v: usize) -> u64 {
     2 * (v as u64) * (v as u64) * 4 + (v as u64) * 8
 }
@@ -1756,24 +1589,16 @@ fn dense_lens_bytes(v: usize) -> u64 {
 /// `scale`: per-processor state at large `v`. Runs a 2-round
 /// [`cgmio_model::demo::TokenRing`] — a balanced O(v)-message workload
 /// whose slot sizes are independent of `v` — across
-/// `v ∈ {16, 10³, 10⁵, 10⁶}` on the `Mem` and `Concurrent` backends
-/// with the auto-selected representations ([`cgmio_core::ScaleTuning`]:
-/// dense/resident below v=4096, sparse/paged above). At `v = 16` the
-/// sweep additionally runs both representations *forced* (with a tiny
-/// 4-entry/2-page context table so paging really happens) and asserts
-/// finals and `IoStats` bit-identical — the equivalence half of the
-/// tentpole claim; the proptest in `tests/scale_equivalence.rs` widens
-/// it to both runners. For `v ≥ 10⁵` the sweep asserts the run's entire
-/// allocator traffic stays under what the dense tables alone would hold
-/// resident. Writes `BENCH_scale.json`. Set `CGMIO_PERF_SMOKE=1` for
-/// the small-`v` subset (CI scale-smoke; the forced-sparse cells keep
-/// the paged path covered). The `Concurrent` backend is capped at
+/// `v ∈ {16, 10³, 10⁵, 10⁶}` on the `Mem` and `Concurrent` backends.
+/// For `v ≥ 10⁵` the sweep asserts the run's entire allocator traffic
+/// stays under what the dense tables alone would hold resident. Writes
+/// `BENCH_scale.json`. Set `CGMIO_PERF_SMOKE=1` for the small-`v`
+/// subset (CI scale-smoke). The `Concurrent` backend is capped at
 /// `v = 10⁵` (per-op channel round-trips dominate far above that) —
 /// the cap is recorded in the JSON, not silent.
 pub fn scale(out_dir: &std::path::Path) -> Table {
     use cgmio_core::BackendSpec;
     use cgmio_model::demo::TokenRing;
-    use cgmio_obs::{Obs, SampleValue};
 
     let smoke = std::env::var_os("CGMIO_PERF_SMOKE").is_some();
     let vs: Vec<usize> = if smoke { vec![16, 1_000] } else { vec![16, 1_000, 100_000, 1_000_000] };
@@ -1798,23 +1623,12 @@ pub fn scale(out_dir: &std::path::Path) -> Table {
         h
     };
 
-    let run_cell = |backend: &'static str, v: usize, mode: &'static str| -> ScaleCell {
+    let run_cell = |backend: &'static str, v: usize| -> ScaleCell {
         let mut cfg = EmConfig::from_requirements(v, 1, d, bb, &req);
-        match mode {
-            "dense" => cfg.scale.paged_ctx_lens = Some(false),
-            "sparse" => {
-                cfg.scale.paged_ctx_lens = Some(true);
-                cfg.scale.ctx_page_entries = 4;
-                cfg.scale.ctx_resident_pages = 2;
-            }
-            _ => {}
-        }
         cfg.backend = match backend {
             "mem" => BackendSpec::Mem,
             _ => BackendSpec::Concurrent { dir: None, opts: Default::default() },
         };
-        let obs = Obs::new();
-        cfg.obs = Some(obs.clone());
         let before = crate::alloc::snapshot();
         let t0 = std::time::Instant::now();
         let (fin, rep) = SeqEmRunner::new(cfg).run(&prog, mk(v)).expect("scale cell run");
@@ -1824,25 +1638,16 @@ pub fn scale(out_dir: &std::path::Path) -> Table {
         let tokens: Vec<u64> = fin.iter().map(|s| s[0]).collect();
         assert!(
             tokens.iter().enumerate().all(|(pid, &t)| t == ((pid + v - 2) % v) as u64),
-            "{backend} v={v} {mode}: ring rotation wrong"
+            "{backend} v={v}: ring rotation wrong"
         );
-        let snap = obs.snapshot();
-        let ctr = |name: &str| match snap.get(name, &[("proc", "0")]) {
-            Some(SampleValue::Counter(c)) => *c,
-            _ => 0,
-        };
         ScaleCell {
             backend,
             v,
-            mode,
             wall_ms,
             io_ops: rep.io.total_ops(),
             peak_mem_bytes: rep.peak_mem_bytes,
             alloc_bytes: alloc.bytes,
-            ctx_spills: ctr("cgmio_ctx_page_spills_total"),
-            ctx_loads: ctr("cgmio_ctx_page_loads_total"),
             finals_hash: fnv(&tokens),
-            io: rep.io.clone(),
         }
     };
 
@@ -1850,15 +1655,6 @@ pub fn scale(out_dir: &std::path::Path) -> Table {
     let mut cells: Vec<ScaleCell> = Vec::new();
     let mut skipped: Vec<String> = Vec::new();
     for backend in ["mem", "concurrent"] {
-        // The equivalence pair: identical machine, representations
-        // forced apart — everything observable must match.
-        let dense = run_cell(backend, 16, "dense");
-        let sparse = run_cell(backend, 16, "sparse");
-        assert_eq!(dense.finals_hash, sparse.finals_hash, "{backend}: finals diverge");
-        assert_eq!(dense.io, sparse.io, "{backend}: IoStats diverge");
-        assert!(sparse.ctx_spills > 0, "{backend}: tiny paged table never spilled");
-        cells.push(dense);
-        cells.push(sparse);
         for &v in &vs {
             if backend == "concurrent" && v > CONCURRENT_V_CAP {
                 let note =
@@ -1867,7 +1663,7 @@ pub fn scale(out_dir: &std::path::Path) -> Table {
                 skipped.push(note);
                 continue;
             }
-            let cell = run_cell(backend, v, "auto");
+            let cell = run_cell(backend, v);
             if v >= 100_000 && counted {
                 assert!(
                     cell.alloc_bytes < dense_lens_bytes(v),
@@ -1880,27 +1676,11 @@ pub fn scale(out_dir: &std::path::Path) -> Table {
         }
     }
 
-    let mut t = Table::new(
-        "scale_state",
-        &[
-            "backend",
-            "v",
-            "mode",
-            "wall_ms",
-            "io_ops",
-            "peak_mem_B",
-            "alloc_MB",
-            "ctx_spills",
-            "ctx_loads",
-        ],
-    );
+    let mut t =
+        Table::new("scale_state", &["backend", "v", "wall_ms", "io_ops", "peak_mem_B", "alloc_MB"]);
     let mut report = BenchReport::new(
         "em_cgm_state_scale",
-        format!(
-            "TokenRing rounds=2, D={d}, B={bb} bytes, seq runner; auto representations \
-             (sparse message lens + paged context lens above v=4096) vs forced \
-             dense/sparse at v=16"
-        ),
+        format!("TokenRing rounds=2, D={d}, B={bb} bytes, seq runner"),
         smoke,
     )
     .extra("allocator_counted", Value::Bool(counted))
@@ -1909,29 +1689,23 @@ pub fn scale(out_dir: &std::path::Path) -> Table {
         report.point(obj(vec![
             ("backend", Value::str(c.backend)),
             ("v", Value::num(c.v)),
-            ("mode", Value::str(c.mode)),
             ("wall_ms", Value::num(format!("{:.2}", c.wall_ms))),
             ("io_ops", Value::num(c.io_ops)),
             ("peak_mem_bytes", Value::num(c.peak_mem_bytes)),
             ("alloc_bytes", Value::num(c.alloc_bytes)),
-            ("ctx_page_spills", Value::num(c.ctx_spills)),
-            ("ctx_page_loads", Value::num(c.ctx_loads)),
             ("dense_lens_bytes_would_be", Value::num(dense_lens_bytes(c.v))),
             ("finals_hash", Value::str(format!("{:016x}", c.finals_hash))),
         ]));
         t.row(vec![
             c.backend.to_string(),
             c.v.to_string(),
-            c.mode.to_string(),
             format!("{:.2}", c.wall_ms),
             c.io_ops.to_string(),
             c.peak_mem_bytes.to_string(),
             format!("{:.1}", c.alloc_bytes as f64 / 1e6),
-            c.ctx_spills.to_string(),
-            c.ctx_loads.to_string(),
         ]);
     }
-    if let Some(h) = cells.iter().filter(|c| c.mode == "auto").max_by_key(|c| c.v) {
+    if let Some(h) = cells.iter().max_by_key(|c| c.v) {
         report.set_headline(obj(vec![
             ("backend", Value::str(h.backend)),
             ("v", Value::num(h.v)),

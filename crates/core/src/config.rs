@@ -1,7 +1,6 @@
 //! EM-CGM machine configuration and the paper's parameter conditions.
 
 use std::path::PathBuf;
-use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
 use cgmio_io::{
@@ -13,62 +12,9 @@ use cgmio_pdm::{
     TrackRange, TrackStorage,
 };
 
-use crate::context::CtxPaging;
 use crate::measure::Requirements;
 use crate::msgmatrix;
 use crate::EmError;
-
-/// Representation knobs for the `10^5`–`10^6` virtual-processor range.
-///
-/// These choose *representations*, never semantics: paged vs resident
-/// context-length tables are bit-identical in finals, `IoStats`, and
-/// checkpoint manifests (property-tested in
-/// `tests/scale_equivalence.rs`). The struct is
-/// therefore — like [`EmConfig::obs`] and [`EmConfig::pipeline_depth`]
-/// — **excluded from [`EmConfig::config_hash`]**: a checkpoint taken
-/// with one tuning resumes under any other.
-///
-/// The `None` default auto-selects by `v`: resident at or below
-/// [`Self::AUTO_THRESHOLD`] virtual processors, paged above.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScaleTuning {
-    /// Force the paged (`Some(true)`) or resident (`Some(false)`)
-    /// context-store length table; `None` auto-selects by `v`.
-    pub paged_ctx_lens: Option<bool>,
-    /// Lengths per page of the paged context table (one side-store
-    /// track of `8 * ctx_page_entries` bytes each).
-    pub ctx_page_entries: usize,
-    /// Hot-page budget of the paged context table: resident table
-    /// memory is bounded by `ctx_resident_pages * ctx_page_entries * 8`
-    /// bytes regardless of `v`. Sized to comfortably cover the pipeline
-    /// window plus the sequential scan's current page.
-    pub ctx_resident_pages: usize,
-}
-
-impl Default for ScaleTuning {
-    fn default() -> Self {
-        Self { paged_ctx_lens: None, ctx_page_entries: 4096, ctx_resident_pages: 8 }
-    }
-}
-
-impl ScaleTuning {
-    /// `v` above which the auto-selecting default switches to the
-    /// paged context table.
-    pub const AUTO_THRESHOLD: usize = 4096;
-
-    /// Resolved context-table residency policy for a worker of `count`
-    /// local slots on a machine of `v` virtual processors.
-    pub fn ctx_paging(&self, v: usize) -> CtxPaging {
-        if self.paged_ctx_lens.unwrap_or(v > Self::AUTO_THRESHOLD) {
-            CtxPaging::Paged {
-                page_entries: self.ctx_page_entries.max(1),
-                resident_pages: self.ctx_resident_pages.max(1),
-            }
-        } else {
-            CtxPaging::Resident
-        }
-    }
-}
 
 /// Which physical storage sits behind each real processor's disk array.
 ///
@@ -182,12 +128,9 @@ pub struct DiskHandles {
     /// engine's bounded retained-error list was full. Always zero for
     /// the synchronous backends (they fail writes in-line).
     pub deferred_drops: Counter,
-    /// Shared handle onto the concurrent engine's live prefetch-cache
-    /// capacity (blocks per drive), present only for the `Concurrent`
-    /// backend. The auto-tuner resizes the window through it between
-    /// supersteps; `None` on backends with no prefetch cache, where
-    /// prefetch tuning is a no-op.
-    pub prefetch_cap: Option<Arc<AtomicUsize>>,
+    /// The backend keeps read-ahead hints in a prefetch cache. Only the
+    /// `Concurrent` backend does; the others would drop every hint.
+    pub hint_cache: bool,
 }
 
 /// Version of the on-disk placement the runners use, folded into
@@ -303,24 +246,6 @@ pub struct EmConfig {
     /// like [`Self::obs`] — **excluded from [`Self::config_hash`]**, so
     /// a checkpoint taken at one depth resumes at any other.
     pub pipeline_depth: usize,
-    /// Representation tuning for large `v` (paged context tables).
-    /// Pure representation — bit-identical results — and therefore
-    /// **excluded from [`Self::config_hash`]**.
-    pub scale: ScaleTuning,
-    /// Barrier-time feedback auto-tuner (see `cgmio-tune`): when
-    /// enabled, the runners read per-superstep deltas of the
-    /// stall/queue-wait histograms at each barrier and adapt
-    /// [`Self::pipeline_depth`] and the concurrent engine's prefetch
-    /// window for the next superstep. Tuning only ever moves knobs
-    /// already proven accounting-neutral (`pipeline_depth`, the hint
-    /// cache) at round boundaries where the pipeline window has fully
-    /// drained, so finals, `IoStats`, fault/retry totals, and
-    /// checkpoint manifests stay bit-identical tuner-on vs tuner-off
-    /// (property-tested in `tests/autotune_equivalence.rs`). Like
-    /// [`Self::obs`] and [`Self::pipeline_depth`], the field is
-    /// **excluded from [`Self::config_hash`]**: a checkpoint taken with
-    /// tuning on resumes with it off and vice versa.
-    pub autotune: cgmio_tune::Autotune,
 }
 
 impl EmConfig {
@@ -361,8 +286,6 @@ impl EmConfig {
             retry: RetryPolicy::default(),
             obs: None,
             pipeline_depth: 0,
-            scale: ScaleTuning::default(),
-            autotune: cgmio_tune::Autotune::default(),
         }
     }
 
@@ -436,7 +359,7 @@ impl EmConfig {
                     retries,
                     faults,
                     deferred_drops: Counter::detached(),
-                    prefetch_cap: None,
+                    hint_cache: false,
                 })
             }
             BackendSpec::SyncFile { dir } => {
@@ -449,7 +372,7 @@ impl EmConfig {
                     retries,
                     faults,
                     deferred_drops: Counter::detached(),
-                    prefetch_cap: None,
+                    hint_cache: false,
                 })
             }
             BackendSpec::Concurrent { dir, opts } => {
@@ -492,14 +415,13 @@ impl EmConfig {
                 // the sync path when `obs` is attached).
                 let retries = storage.retry_counter();
                 let deferred_drops = storage.deferred_drop_counter();
-                let prefetch_cap = Some(storage.prefetch_cap_handle());
                 Ok(DiskHandles {
                     disks: DiskArray::with_storage(geom, Box::new(storage)),
                     trace,
                     retries,
                     faults,
                     deferred_drops,
-                    prefetch_cap,
+                    hint_cache: true,
                 })
             }
             BackendSpec::AsyncFile { dir, opts } => {
@@ -536,9 +458,8 @@ impl EmConfig {
                     retries,
                     faults,
                     deferred_drops,
-                    // Hints are ignored on this backend; hint tuning
-                    // is inert here.
-                    prefetch_cap: None,
+                    // Hints are ignored on this backend.
+                    hint_cache: false,
                 })
             }
             BackendSpec::Shared { storage, base_track, worker_span_tracks } => {
@@ -554,7 +475,7 @@ impl EmConfig {
                     retries,
                     faults,
                     deferred_drops: Counter::detached(),
-                    prefetch_cap: None,
+                    hint_cache: false,
                 })
             }
         }
@@ -604,6 +525,12 @@ impl EmConfig {
                 "need 1 <= p <= v, got p={} v={}",
                 self.p, self.v
             )));
+        }
+        if self.num_disks == 0 {
+            return Err(EmError::BadConfig("num_disks must be positive".into()));
+        }
+        if self.block_bytes == 0 {
+            return Err(EmError::BadConfig("block_bytes must be positive".into()));
         }
         if self.msg_slot_items == 0 {
             return Err(EmError::BadConfig("msg_slot_items must be positive".into()));
@@ -689,8 +616,6 @@ mod tests {
             retry: RetryPolicy::default(),
             obs: None,
             pipeline_depth: 0,
-            scale: ScaleTuning::default(),
-            autotune: cgmio_tune::Autotune::default(),
         }
     }
 
@@ -716,6 +641,12 @@ mod tests {
         let mut c = base();
         c.vp_group = 0;
         assert!(c.validate().is_err());
+        let mut c = base();
+        c.num_disks = 0;
+        assert!(matches!(c.validate(), Err(EmError::BadConfig(m)) if m.contains("num_disks")));
+        let mut c = base();
+        c.block_bytes = 0;
+        assert!(matches!(c.validate(), Err(EmError::BadConfig(m)) if m.contains("block_bytes")));
     }
 
     #[test]

@@ -7,234 +7,13 @@
 //! paper's deterministic context distribution: "we split the context
 //! `V_j` into blocks of size `B` and store the `i`-th block of `V_j` on
 //! disk `(i + j·(μ/B)) mod D`".
-//!
-//! # The length table at scale
-//!
-//! The context *bytes* were always disk-resident; the per-slot length
-//! table was not. A resident `Vec<usize>` is 8 MB at `v = 10^6` per
-//! worker — small next to the dense message table it used to sit
-//! beside, but still linear state the runner holds for the whole run
-//! while only ever touching the pipeline window of it. [`CtxPaging`]
-//! therefore offers a paged table: lengths live in fixed pages of
-//! `page_entries` `u64`s, at most `resident_pages` of which are hot
-//! (LRU); evicted dirty pages spill through a **private side
-//! [`TrackStorage`]** (one `MemStorage` "drive", one track per page,
-//! staged through a [`BlockPool`]) and fault back in on demand. The
-//! side store is deliberately *not* the run's [`DiskArray`]: spills are
-//! bookkeeping, not simulation I/O, and must never perturb `IoStats` —
-//! paged and resident tables are bit-identical in every observable
-//! (tested below and in `tests/scale_equivalence.rs`). Spill/reload
-//! traffic is observable instead through the `cgmio_ctx_*` metric
-//! series (see `docs/OPERATIONS.md`).
 
-use std::cell::RefCell;
 use std::ops::Range;
 
-use cgmio_obs::{Counter, Gauge, Obs};
-use cgmio_pdm::{
-    BlockPool, CodecError, DiskArray, DiskGeometry, IoError, IoErrorKind, Layout, MemStorage,
-    TrackAddr, TrackStorage,
-};
+use cgmio_pdm::{CodecError, DiskArray, IoError, IoErrorKind, Layout, TrackAddr};
 
 use crate::pipeline::FreeList;
 use crate::EmError;
-
-/// Residency policy for a [`ContextStore`]'s per-slot length table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CtxPaging {
-    /// Keep the whole table resident (a `Vec<usize>` — the original
-    /// layout; right for small `v`).
-    Resident,
-    /// Page the table: fixed pages of `page_entries` lengths, at most
-    /// `resident_pages` resident, the rest spilled to a private side
-    /// track store.
-    Paged {
-        /// Lengths per page (each page is one side-store track of
-        /// `8 * page_entries` bytes).
-        page_entries: usize,
-        /// Maximum hot pages (LRU). Resident table memory is bounded by
-        /// `resident_pages * page_entries * 8` bytes regardless of `v`.
-        resident_pages: usize,
-    },
-}
-
-/// Per-slot length table: resident vector or LRU-paged (see module
-/// docs).
-enum CtxLens {
-    Resident(Vec<usize>),
-    Paged(PagedLens),
-}
-
-/// The paged table. Interior mutability (`RefCell`) because reads of the
-/// store (`len`, `read_submit`) take `&self` but may fault pages; the
-/// store is owned by a single worker thread, never shared.
-struct PagedLens {
-    count: usize,
-    page_entries: usize,
-    resident_pages: usize,
-    inner: RefCell<PagedInner>,
-    spills: Counter,
-    loads: Counter,
-    resident: Gauge,
-}
-
-/// One resident page of the table.
-struct Page {
-    data: Box<[u64]>,
-    /// Modified since it was last spilled.
-    dirty: bool,
-    /// Clock reading of the latest access: the resident page with the
-    /// smallest stamp is the least recently used.
-    stamp: u64,
-}
-
-struct PagedInner {
-    /// The page directory, one slot per page (`count / page_entries`
-    /// in all): `Some` while the page is resident.
-    dir: Vec<Option<Page>>,
-    /// The resident pages, at most `resident_pages`, in no order: an
-    /// eviction scans this window for the oldest stamp, not the
-    /// directory.
-    hot: Vec<usize>,
-    /// Access clock behind [`Page::stamp`].
-    clock: u64,
-    /// The page accessed last (`usize::MAX`: none yet). It is resident
-    /// and already the youngest, so the scan-order common case — the
-    /// same page again — touches neither clock nor directory.
-    last: usize,
-    /// Spill target: one "drive", one track per page. Unwritten tracks
-    /// read as zeros — exactly the table's initial state.
-    side: MemStorage,
-    /// Staging buffer pool for page encodes.
-    pool: BlockPool,
-}
-
-fn decode_page(bytes: &[u8], page: &mut [u64]) {
-    for (l, chunk) in page.iter_mut().zip(bytes.chunks_exact(8)) {
-        *l = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
-    }
-}
-
-impl PagedLens {
-    fn new(count: usize, page_entries: usize, resident_pages: usize) -> Self {
-        assert!(
-            page_entries >= 1 && resident_pages >= 1,
-            "paging needs at least one resident page"
-        );
-        Self {
-            count,
-            page_entries,
-            resident_pages,
-            inner: RefCell::new(PagedInner {
-                dir: (0..count.div_ceil(page_entries)).map(|_| None).collect(),
-                hot: Vec::with_capacity(resident_pages.min(count.div_ceil(page_entries))),
-                clock: 0,
-                last: usize::MAX,
-                side: MemStorage::new(DiskGeometry::new(1, page_entries * 8)),
-                pool: BlockPool::with_max_free(2),
-            }),
-            spills: Counter::detached(),
-            loads: Counter::detached(),
-            resident: Gauge::detached(),
-        }
-    }
-
-    /// Make `page` resident, evicting (and, if dirty, spilling) the
-    /// least recently used page when the budget is full. The victim's
-    /// buffer becomes the new page's.
-    fn fault(&self, inner: &mut PagedInner, page: usize) {
-        let mut data = if inner.hot.len() >= self.resident_pages {
-            let dir = &inner.dir;
-            let stamp_of = |p: usize| dir[p].as_ref().expect("hot pages are resident").stamp;
-            let (k, victim) = (inner.hot.iter().copied().enumerate())
-                .min_by_key(|&(_, p)| stamp_of(p))
-                .expect("resident_pages >= 1");
-            inner.hot.swap_remove(k);
-            let old = inner.dir[victim].take().expect("hot pages are resident");
-            if old.dirty {
-                let mut buf = inner.pool.checkout(self.page_entries * 8);
-                for (bytes, l) in buf.chunks_exact_mut(8).zip(old.data.iter()) {
-                    bytes.copy_from_slice(&l.to_le_bytes());
-                }
-                inner
-                    .side
-                    .write_track(0, victim as u64, &buf)
-                    .expect("private side store never faults");
-                self.spills.inc();
-            }
-            old.data
-        } else {
-            vec![0u64; self.page_entries].into_boxed_slice()
-        };
-        inner
-            .side
-            .read_scatter_with(&[TrackAddr::new(0, page as u64)], &mut |_, b| {
-                decode_page(b, &mut data)
-            })
-            .expect("private side store never faults");
-        inner.dir[page] = Some(Page { data, dirty: false, stamp: inner.clock });
-        inner.hot.push(page);
-        self.loads.inc();
-        self.resident.set(inner.hot.len() as i64);
-    }
-
-    /// Run `f` against `page`, faulting it in first if need be.
-    fn with_page<R>(&self, page: usize, f: impl FnOnce(&mut Page) -> R) -> R {
-        let inner = &mut *self.inner.borrow_mut();
-        if inner.last != page {
-            inner.clock += 1;
-            match &mut inner.dir[page] {
-                Some(p) => p.stamp = inner.clock,
-                None => self.fault(inner, page),
-            }
-            inner.last = page;
-        }
-        f(inner.dir[page].as_mut().expect("resident: hit or just faulted in"))
-    }
-
-    fn get(&self, slot: usize) -> usize {
-        let (page, k) = (slot / self.page_entries, slot % self.page_entries);
-        self.with_page(page, |p| p.data[k] as usize)
-    }
-
-    fn set(&self, slot: usize, len: usize) {
-        let (page, k) = (slot / self.page_entries, slot % self.page_entries);
-        self.with_page(page, |p| {
-            p.data[k] = len as u64;
-            p.dirty = true;
-        });
-    }
-
-    /// Visit every slot in order *without* disturbing the LRU — cold
-    /// pages are decoded straight from the side store. Used by the
-    /// checkpoint/RLE paths, which scan all `v` slots once.
-    fn for_each(&self, mut f: impl FnMut(usize, usize)) {
-        let inner = self.inner.borrow();
-        let mut cold = vec![0u64; self.page_entries];
-        for (page, slot) in inner.dir.iter().enumerate() {
-            let data: &[u64] = match slot {
-                Some(hot) => &hot.data,
-                None => {
-                    inner
-                        .side
-                        .read_scatter_with(&[TrackAddr::new(0, page as u64)], &mut |_, b| {
-                            decode_page(b, &mut cold)
-                        })
-                        .expect("private side store never faults");
-                    &cold
-                }
-            };
-            let base = page * self.page_entries;
-            for (k, &l) in data.iter().enumerate() {
-                let slot = base + k;
-                if slot >= self.count {
-                    break;
-                }
-                f(slot, l as usize);
-            }
-        }
-    }
-}
 
 /// Fixed-slot context store over one disk array.
 pub struct ContextStore {
@@ -242,8 +21,8 @@ pub struct ContextStore {
     slot_blocks: u64,
     block_bytes: usize,
     cap_bytes: usize,
-    count: usize,
-    lens: CtxLens,
+    /// Encoded length of each slot's context (0: never written).
+    lens: Vec<usize>,
     /// Address and length lists of read tickets, recycled at finish.
     addr_lists: FreeList<TrackAddr>,
     len_lists: FreeList<usize>,
@@ -251,9 +30,7 @@ pub struct ContextStore {
 
 impl ContextStore {
     /// A store for `count` contexts of up to `cap_bytes` bytes each,
-    /// placed at `base_track` of an array with `num_disks` drives, with
-    /// a fully resident length table. See [`Self::new_with`] for the
-    /// paged variant.
+    /// placed at `base_track` of an array with `num_disks` drives.
     pub fn new(
         num_disks: usize,
         block_bytes: usize,
@@ -261,114 +38,43 @@ impl ContextStore {
         count: usize,
         cap_bytes: usize,
     ) -> Self {
-        Self::new_with(num_disks, block_bytes, base_track, count, cap_bytes, &CtxPaging::Resident)
-    }
-
-    /// [`Self::new`] with an explicit length-table residency policy.
-    /// Both policies are observationally identical (lengths, I/O,
-    /// [`Self::lens_rle`]); paging bounds the runner-held table memory
-    /// at large `v`.
-    pub fn new_with(
-        num_disks: usize,
-        block_bytes: usize,
-        base_track: u64,
-        count: usize,
-        cap_bytes: usize,
-        paging: &CtxPaging,
-    ) -> Self {
-        let slot_blocks = (cap_bytes as u64).div_ceil(block_bytes as u64).max(1);
-        let lens = match *paging {
-            CtxPaging::Resident => CtxLens::Resident(vec![0; count]),
-            CtxPaging::Paged { page_entries, resident_pages } => {
-                CtxLens::Paged(PagedLens::new(count, page_entries, resident_pages))
-            }
-        };
         Self {
             layout: Layout { num_disks, base_track },
-            slot_blocks,
+            slot_blocks: (cap_bytes as u64).div_ceil(block_bytes as u64).max(1),
             block_bytes,
             cap_bytes,
-            count,
-            lens,
+            lens: vec![0; count],
             addr_lists: FreeList::new(),
             len_lists: FreeList::new(),
         }
     }
 
-    /// Register this store's paging metrics (`cgmio_ctx_page_spills_total`,
-    /// `cgmio_ctx_page_loads_total`, `cgmio_ctx_resident_pages`) with an
-    /// observability pipeline, labelled by real processor. No-op for a
-    /// resident table.
-    pub fn attach_obs(&mut self, obs: &Obs, proc: usize) {
-        if let CtxLens::Paged(p) = &mut self.lens {
-            let labels = [("proc", proc.to_string())];
-            p.spills = obs.metrics().counter("cgmio_ctx_page_spills_total", &labels);
-            p.loads = obs.metrics().counter("cgmio_ctx_page_loads_total", &labels);
-            p.resident = obs.metrics().gauge("cgmio_ctx_resident_pages", &labels);
-        }
-    }
-
-    /// `(spills, loads)` of the paged length table so far, `None` for a
-    /// resident table. The same numbers flow to the `cgmio_ctx_*`
-    /// series when an [`Obs`] is attached.
-    pub fn paging_stats(&self) -> Option<(u64, u64)> {
-        match &self.lens {
-            CtxLens::Resident(_) => None,
-            CtxLens::Paged(p) => Some((p.spills.get(), p.loads.get())),
-        }
-    }
-
     /// Tracks this store occupies per drive.
     pub fn total_tracks(&self) -> u64 {
-        self.layout.tracks_for(self.count as u64 * self.slot_blocks) + 1
+        self.layout.tracks_for(self.lens.len() as u64 * self.slot_blocks) + 1
     }
 
     /// Current encoded length of context `slot` (0 when never written).
     pub fn len(&self, slot: usize) -> usize {
-        match &self.lens {
-            CtxLens::Resident(lens) => lens[slot],
-            CtxLens::Paged(p) => {
-                assert!(slot < self.count, "slot {slot} out of range ({})", self.count);
-                p.get(slot)
-            }
-        }
-    }
-
-    fn set_len(&mut self, slot: usize, len: usize) {
-        match &mut self.lens {
-            CtxLens::Resident(lens) => lens[slot] = len,
-            CtxLens::Paged(p) => {
-                assert!(slot < self.count, "slot {slot} out of range ({})", self.count);
-                p.set(slot, len);
-            }
-        }
+        self.lens[slot]
     }
 
     /// True if no context was ever written.
     pub fn is_empty(&self) -> bool {
-        match &self.lens {
-            CtxLens::Resident(lens) => lens.iter().all(|&l| l == 0),
-            CtxLens::Paged(p) => {
-                let mut empty = true;
-                p.for_each(|_, l| empty &= l == 0);
-                empty
-            }
-        }
+        self.lens.iter().all(|&l| l == 0)
     }
 
     /// The per-slot length table, run-length encoded as `(run, length)`
     /// pairs covering slots `0..count` in order — the compact form
-    /// checkpoint manifests persist. Identical for both residency
-    /// policies; a fresh store encodes to a single `(count, 0)` run.
+    /// checkpoint manifests persist. A fresh store encodes to a single
+    /// `(count, 0)` run.
     pub fn lens_rle(&self) -> Vec<(u64, u64)> {
         let mut out: Vec<(u64, u64)> = Vec::new();
-        let mut push = |l: usize| match out.last_mut() {
-            Some((run, v)) if *v == l as u64 => *run += 1,
-            _ => out.push((1, l as u64)),
-        };
-        match &self.lens {
-            CtxLens::Resident(lens) => lens.iter().for_each(|&l| push(l)),
-            CtxLens::Paged(p) => p.for_each(|_, l| push(l)),
+        for &l in &self.lens {
+            match out.last_mut() {
+                Some((run, v)) if *v == l as u64 => *run += 1,
+                _ => out.push((1, l as u64)),
+            }
         }
         out
     }
@@ -379,10 +85,10 @@ impl ContextStore {
     /// manifest describes).
     pub fn set_lens_rle(&mut self, rle: &[(u64, u64)]) -> Result<(), EmError> {
         let total: u64 = rle.iter().map(|&(run, _)| run).sum();
-        if total != self.count as u64 || rle.iter().any(|&(run, _)| run == 0) {
+        if total != self.lens.len() as u64 || rle.iter().any(|&(run, _)| run == 0) {
             return Err(EmError::BadConfig(format!(
                 "checkpoint context table covers {total} slots, store has {}",
-                self.count
+                self.lens.len()
             )));
         }
         if let Some(&(_, l)) = rle.iter().find(|&&(_, l)| l > self.cap_bytes as u64) {
@@ -391,12 +97,9 @@ impl ContextStore {
                 self.cap_bytes
             )));
         }
-        let mut slot = 0usize;
+        self.lens.clear();
         for &(run, l) in rle {
-            for _ in 0..run {
-                self.set_len(slot, l as usize);
-                slot += 1;
-            }
+            self.lens.extend(std::iter::repeat_n(l as usize, run as usize));
         }
         Ok(())
     }
@@ -432,8 +135,8 @@ impl ContextStore {
             let base = (first + i) as u64 * sb;
             c.as_ref().chunks(bb).enumerate().map(move |(q, b)| (layout.addr(base + q as u64), b))
         }))?;
-        for (i, c) in ctxs.iter().enumerate() {
-            self.set_len(first + i, c.as_ref().len());
+        for (len, c) in self.lens[first..first + ctxs.len()].iter_mut().zip(ctxs) {
+            *len = c.as_ref().len();
         }
         Ok(())
     }
@@ -647,92 +350,6 @@ mod tests {
         assert_eq!(store.read(&mut disks, 2).unwrap(), vec![3; 12]);
     }
 
-    /// The table's paging policy as it was first written — an LRU queue
-    /// of hot pages and a dirty set — reduced to what it counts.
-    #[derive(Default)]
-    struct LruModel {
-        lru: std::collections::VecDeque<usize>,
-        dirty: std::collections::HashSet<usize>,
-        spills: u64,
-        loads: u64,
-    }
-
-    impl LruModel {
-        fn touch(&mut self, page: usize, resident_pages: usize, write: bool) {
-            if self.lru.contains(&page) {
-                self.lru.retain(|&p| p != page);
-            } else {
-                if self.lru.len() >= resident_pages {
-                    let victim = self.lru.pop_front().unwrap();
-                    self.spills += u64::from(self.dirty.remove(&victim));
-                }
-                self.loads += 1;
-            }
-            self.lru.push_back(page);
-            if write {
-                self.dirty.insert(page);
-            }
-        }
-    }
-
-    #[test]
-    fn paged_table_matches_resident_exactly() {
-        let n = 23;
-        let (page_entries, resident_pages) = (4, 2);
-        let paging = CtxPaging::Paged { page_entries, resident_pages };
-        // Paging-hostile read orders through the 2-page window: a
-        // reverse scan, then a strided one that hops pages every read.
-        let scans: Vec<usize> = (0..n).rev().chain((0..n).map(|i| i * 5 % n)).collect();
-        let run = |p: &CtxPaging| {
-            let mut disks = DiskArray::new(DiskGeometry::new(3, 16));
-            let mut store = ContextStore::new_with(3, 16, 0, n, 64, p);
-            for slot in 0..n {
-                store.write(&mut disks, slot, &vec![slot as u8; (7 * slot) % 64]).unwrap();
-            }
-            let reads: Vec<Vec<u8>> =
-                scans.iter().map(|&slot| store.read(&mut disks, slot).unwrap()).collect();
-            // Rewrite on the strided order too: dirties pages mid-scan.
-            for &slot in &scans[n..] {
-                store.write(&mut disks, slot, &vec![1; slot % 9]).unwrap();
-            }
-            (reads, store.lens_rle(), disks.stats().clone(), store.paging_stats())
-        };
-        let (res_reads, res_rle, res_io, _) = run(&CtxPaging::Resident);
-        let (pag_reads, pag_rle, pag_io, pag_stats) = run(&paging);
-        assert_eq!(res_reads, pag_reads);
-        assert_eq!(res_rle, pag_rle);
-        assert_eq!(res_io, pag_io, "side-store spills must not leak into IoStats");
-
-        // Same evictions, in the same order, as the LRU queue it
-        // replaced: a write touches its slot's page once (the length),
-        // a read once (the length, at submit).
-        let mut model = LruModel::default();
-        (0..n).for_each(|slot| model.touch(slot / page_entries, resident_pages, true));
-        scans.iter().for_each(|&slot| model.touch(slot / page_entries, resident_pages, false));
-        scans[n..].iter().for_each(|&slot| model.touch(slot / page_entries, resident_pages, true));
-        assert!(model.spills > 6 && model.loads > 12, "the scans must really page");
-        assert_eq!(pag_stats, Some((model.spills, model.loads)));
-    }
-
-    #[test]
-    fn paged_table_spills_and_reloads() {
-        let mut disks = DiskArray::new(DiskGeometry::new(1, 8));
-        let paging = CtxPaging::Paged { page_entries: 2, resident_pages: 1 };
-        let mut store = ContextStore::new_with(1, 8, 0, 8, 8, &paging);
-        for slot in 0..8 {
-            store.write(&mut disks, slot, &[slot as u8; 5]).unwrap();
-        }
-        // 4 pages through a 1-page window: every page was evicted dirty.
-        let (spills, loads) = store.paging_stats().unwrap();
-        assert!(spills >= 3, "spills = {spills}");
-        assert!(loads >= 4, "loads = {loads}");
-        for slot in (0..8).rev() {
-            assert_eq!(store.len(slot), 5, "length survives spill/reload");
-        }
-        let (spills2, loads2) = store.paging_stats().unwrap();
-        assert!(spills2 > spills && loads2 > loads, "reverse scan faults again");
-    }
-
     #[test]
     fn lens_rle_roundtrip() {
         let mut disks = DiskArray::new(DiskGeometry::new(2, 8));
@@ -743,8 +360,7 @@ mod tests {
         store.write(&mut disks, 4, &[1; 3]).unwrap();
         let rle = store.lens_rle();
         assert_eq!(rle, vec![(2, 16), (2, 0), (1, 3), (1, 0)]);
-        let paging = CtxPaging::Paged { page_entries: 2, resident_pages: 1 };
-        let mut other = ContextStore::new_with(2, 8, 0, 6, 32, &paging);
+        let mut other = ContextStore::new(2, 8, 0, 6, 32);
         other.set_lens_rle(&rle).unwrap();
         assert_eq!(other.lens_rle(), rle);
         // Wrong slot count and over-capacity lengths are rejected.

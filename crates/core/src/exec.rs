@@ -26,7 +26,6 @@
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -35,7 +34,7 @@ use cgmio_io::TraceHandle;
 use cgmio_model::cost::{CommCosts, RoundCost};
 use cgmio_model::threaded::{block_range, owner_of};
 use cgmio_model::{CgmProgram, Incoming, ModelError, Outbox, ProcState, RoundCtx, Status};
-use cgmio_obs::{Counter, Obs, Phase, Snapshot, COORD_PROC};
+use cgmio_obs::{Counter, Phase, COORD_PROC};
 use cgmio_pdm::{DiskArray, IoError, IoStats, Item};
 
 use crate::checkpoint::{Checkpoint, CheckpointManifest, RunOutcome, WorkerCheckpoint};
@@ -109,16 +108,6 @@ pub(crate) fn drive<P: CgmProgram>(
     start: Start<P::State>,
 ) -> Result<RunOutcome<P::State>, EmError> {
     cfg.validate()?;
-    // The tuner reads stall/queue-wait histograms, which only register
-    // with an Obs attached — inject a private one if need be
-    // (instrumentation never changes accounting; property-tested).
-    let with_obs;
-    let cfg = if cfg.autotune.enabled && cfg.obs.is_none() {
-        with_obs = EmConfig { obs: Some(Obs::new()), ..cfg.clone() };
-        &with_obs
-    } else {
-        cfg
-    };
     let v = cfg.v;
 
     let (states, resumed, live) = match start {
@@ -482,12 +471,9 @@ struct Worker<'a, P: CgmProgram> {
     /// States of `Done` vps, kept at step (e) instead of written back
     /// (sized once: regrowing it in the last superstep fragments the heap).
     finals: Vec<P::State>,
-    /// Step (a)+(b) reads run this many groups ahead. Only the tuner
-    /// moves it, between rounds, where the window has drained.
+    /// Step (a)+(b) reads run this many groups ahead.
     depth: usize,
     inflight: InflightReads,
-    /// Feedback tuner and the baseline of its per-superstep window.
-    tuner: Option<(cgmio_tune::Controller, Snapshot)>,
 }
 
 impl<'a, P: CgmProgram> Worker<'a, P> {
@@ -513,7 +499,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
                 retries: Counter::detached(),
                 faults: None,
                 deferred_drops: Counter::detached(),
-                prefetch_cap: None,
+                hint_cache: false,
             },
             None => {
                 if let Some(wc) = &init.restore {
@@ -524,19 +510,8 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
         };
         let (base_retries, base_deferred_drops) = (h.retries.get(), h.deferred_drops.get());
 
-        // Sparse/paged length tables (auto-selected by v) keep
-        // worker-held state sublinear in v.
-        let mut ctx_store = ContextStore::new_with(
-            geom.num_disks,
-            geom.block_bytes,
-            0,
-            range.len(),
-            cfg.max_ctx_bytes,
-            &cfg.scale.ctx_paging(v),
-        );
-        if let Some(o) = &cfg.obs {
-            ctx_store.attach_obs(o, t);
-        }
+        let mut ctx_store =
+            ContextStore::new(geom.num_disks, geom.block_bytes, 0, range.len(), cfg.max_ctx_bytes);
         let k = cfg.vp_group.min(range.len()).max(1);
         // Both matrices follow the contexts (`EmConfig::tracks_per_worker`).
         let mk_mat = |base| {
@@ -559,13 +534,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
         }
 
         let depth = cfg.pipeline_depth.min(range.len().div_ceil(k));
-        let tuner = cfg.obs.as_ref().filter(|_| cfg.autotune.enabled).map(|o| {
-            let policy = &cfg.autotune.policy;
-            let prefetch0 = h.prefetch_cap.as_ref().map(|c| c.load(Ordering::Relaxed));
-            let prefetch0 = prefetch0.unwrap_or(policy.min_prefetch_blocks);
-            (cgmio_tune::Controller::new(policy.clone(), depth, prefetch0), o.snapshot())
-        });
-        let worker = Self {
+        Ok(Self {
             cfg,
             prog,
             t,
@@ -586,19 +555,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             input: init.states.into_iter(),
             depth,
             inflight: InflightReads::new(),
-            tuner,
-        };
-        worker.publish_knobs();
-        Ok(worker)
-    }
-
-    /// Export the tuner's current knobs as gauges.
-    fn publish_knobs(&self) {
-        if let (Some((ctl, _)), Some(o)) = (&self.tuner, &self.cfg.obs) {
-            let gauge = |name| o.metrics().gauge(name, &[("proc", self.t.to_string())]);
-            gauge("cgmio_tune_depth").set(self.depth as i64);
-            gauge("cgmio_tune_prefetch_blocks").set(ctl.prefetch_blocks() as i64);
-        }
+        })
     }
 
     /// One compound superstep: for each group of `k` local vps in turn
@@ -615,7 +572,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
     ) -> Result<RoundCtl, EmError> {
         let Self { cfg, t, range, h, ctx_store, mats, breakdown, inflight, input, .. } = self;
         let Self { ctxs, inboxes, sents, states, finals, depth, prog, peak_mem, .. } = self;
-        let (cfg, t, depth, hinted) = (*cfg, *t, *depth, h.prefetch_cap.is_some());
+        let (cfg, t, depth, hinted) = (*cfg, *t, *depth, h.hint_cache);
         let disks = &mut h.disks;
         let (v, first, n_local, k) = (cfg.v, range.start, range.len(), ctxs.len());
         let group = |g: usize| (g * k).min(n_local)..((g + 1) * k).min(n_local);
@@ -808,40 +765,6 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
         Ok(ctl)
     }
 
-    /// Between `round` and the next — window drained, writes flushed,
-    /// checkpoint decided, so that moving knobs cannot move I/O across
-    /// an accounting boundary: tune, then recycle the matrix just read.
-    fn advance(&mut self, round: usize) {
-        if let (Some((ctl, prev)), Some(o)) = (self.tuner.as_mut(), self.cfg.obs.as_ref()) {
-            let proc = self.t as u64;
-            let _g = o.span(proc, round as u64, Phase::Tune);
-            let now = o.snapshot();
-            let signals = cgmio_tune::WindowSignals::from_delta(&now.delta_since(prev), proc);
-            *prev = now;
-            let action = ctl.observe(&signals);
-            let prefetch_blocks = ctl.prefetch_blocks();
-            self.depth = ctl.depth().min(self.range.len().div_ceil(self.ctxs.len()));
-            if let Some(cap) = &self.h.prefetch_cap {
-                cap.store(prefetch_blocks, Ordering::Relaxed);
-            }
-            let labels = [("proc", proc.to_string()), ("action", action.name().into())];
-            o.metrics().counter("cgmio_tune_decisions_total", &labels).inc();
-            if let Some(log) = &self.cfg.autotune.log {
-                let (superstep, depth) = (round as u64, self.depth);
-                log.push(cgmio_tune::Decision {
-                    proc,
-                    superstep,
-                    signals,
-                    action,
-                    depth,
-                    prefetch_blocks,
-                });
-            }
-            self.publish_knobs();
-        }
-        self.mats[round % 2].clear();
-    }
-
     /// After the last barrier, `wall` into the loop: hand the live disks
     /// back if `halted`, else the finals the last superstep collected.
     fn finish(self, round: usize, halted: bool, wall: Duration) -> WorkerOut<P::State> {
@@ -902,8 +825,9 @@ fn run_worker<P: CgmProgram>(
         };
         match link.barrier(t, round, report) {
             Decision::Continue => {
+                // Recycle the matrix just read.
                 if let Ok(w) = &mut worker {
-                    w.advance(round);
+                    w.mats[round % 2].clear();
                 }
                 round += 1;
             }

@@ -52,8 +52,7 @@ pub mod report;
 pub mod seq;
 
 pub use checkpoint::{Checkpoint, CheckpointManifest, RunOutcome, WorkerCheckpoint};
-pub use config::{BackendSpec, DiskHandles, EmConfig, ParamCheck, ScaleTuning};
-pub use context::CtxPaging;
+pub use config::{BackendSpec, DiskHandles, EmConfig, ParamCheck};
 pub use measure::{measure_requirements, Requirements};
 pub use par::ParEmRunner;
 pub use report::{EmRunReport, IoBreakdown};

@@ -60,7 +60,7 @@ use std::io;
 use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -400,11 +400,6 @@ pub struct ConcurrentStorage {
     next_ticket: AtomicU64,
     /// Discard prefetch hints (see [`IoEngineOpts::ignore_hints`]).
     ignore_hints: bool,
-    /// Live prefetch-cache capacity in blocks, shared with every drive
-    /// worker so a tuner can resize the window between supersteps
-    /// without rebuilding the engine. Capacity only affects the hint
-    /// cache, never logical I/O accounting.
-    prefetch_cap: Arc<AtomicUsize>,
 }
 
 impl ConcurrentStorage {
@@ -454,7 +449,6 @@ impl ConcurrentStorage {
             .collect();
         let stall = (opts.obs.as_ref())
             .map(|o| o.metrics().histogram("cgmio_pipeline_stall_us", &proc_label));
-        let prefetch_cap = Arc::new(AtomicUsize::new(opts.prefetch_cache_blocks));
         let pool = BlockPool::default();
         let mut queues = Vec::with_capacity(num_disks);
         let mut workers = Vec::with_capacity(num_disks);
@@ -466,7 +460,7 @@ impl ConcurrentStorage {
                 device: device.clone(),
                 write_err: write_err.clone(),
                 trace: trace.clone(),
-                cache_cap: prefetch_cap.clone(),
+                cache_cap: opts.prefetch_cache_blocks,
                 retry: opts.retry,
                 verify: opts.verify_checksums,
                 obs: opts.obs.clone(),
@@ -503,7 +497,6 @@ impl ConcurrentStorage {
             pending_reads: Mutex::new(HashMap::new()),
             next_ticket: AtomicU64::new(1),
             ignore_hints: opts.ignore_hints,
-            prefetch_cap,
         }
     }
 
@@ -526,16 +519,6 @@ impl ConcurrentStorage {
     /// whether or not an observability handle is attached.
     pub fn deferred_drop_counter(&self) -> Counter {
         self.deferred_drops.clone()
-    }
-
-    /// Shared handle onto the live prefetch-cache capacity, in blocks
-    /// per drive worker. Clone it before moving the storage into a
-    /// `DiskArray` so a runtime tuner can keep adjusting the window; a
-    /// store takes effect on the next hint each worker services —
-    /// growing admits more blocks, shrinking evicts FIFO down to the new
-    /// bound, 0 disables caching of new hints.
-    pub fn prefetch_cap_handle(&self) -> Arc<AtomicUsize> {
-        self.prefetch_cap.clone()
     }
 
     /// Prefetch hints dropped per drive so far (full submission queue).
@@ -921,8 +904,8 @@ struct Worker {
     device: Arc<Device>,
     write_err: Arc<Mutex<DeferredErrors>>,
     trace: Option<TraceHandle>,
-    /// Live prefetch-cache capacity, shared with the owning engine.
-    cache_cap: Arc<AtomicUsize>,
+    /// Prefetch-cache capacity in blocks (0: hints cache nothing).
+    cache_cap: usize,
     retry: RetryPolicy,
     verify: bool,
     obs: Option<Obs>,
@@ -1127,19 +1110,16 @@ impl Worker {
     fn prefetch(&self, st: &mut DriveState, track: u64, stamp: Stamp) {
         let start_us = self.now_us();
         let hit = st.cache.contains_key(&track);
-        let cap = self.cache_cap.load(Ordering::Relaxed);
+        let cap = self.cache_cap;
         let mut bytes = 0;
         if !hit && cap > 0 {
             if let Ok(data) = self.device.read_track(self.drive, track) {
                 if st.checksum_ok(track, &data) {
                     bytes = data.len();
-                    // `while`, not `if`: after a runtime shrink the
-                    // cache may be over the new bound by several blocks.
-                    while st.order.len() >= cap {
-                        match st.order.pop_front() {
-                            Some(old) => st.cache.remove(&old),
-                            None => break,
-                        };
+                    if st.order.len() >= cap {
+                        if let Some(old) = st.order.pop_front() {
+                            st.cache.remove(&old);
+                        }
                     }
                     st.cache.insert(track, data);
                     st.order.push_back(track);
@@ -1315,25 +1295,15 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_cache_resizes_at_runtime() {
-        let s = hinted(1, 2, IoEngineOpts { trace: true, ..Default::default() });
-        let (t, cap) = (s.trace_handle().unwrap(), s.prefetch_cap_handle());
-        for track in 0..4 {
-            s.write_track(0, track, &[track as u8]).unwrap();
-        }
-        assert_eq!(cap.load(SeqCst), IoEngineOpts::default().prefetch_cache_blocks);
-        // Capacity 0 disables caching of new hints: the demand read
-        // that follows must miss.
-        cap.store(0, SeqCst);
+    fn prefetch_cache_of_zero_blocks_caches_no_hint() {
+        let opts = IoEngineOpts { trace: true, prefetch_cache_blocks: 0, ..Default::default() };
+        let s = hinted(1, 2, opts);
+        let t = s.trace_handle().unwrap();
+        s.write_track(0, 0, &[7]).unwrap();
         s.prefetch(&[TrackAddr::new(0, 0)]);
         s.flush(false).unwrap();
-        assert_eq!(s.read_track(0, 0).unwrap(), vec![0, 0]);
-        // Growing back re-enables it mid-flight.
-        cap.store(4, SeqCst);
-        s.prefetch(&[TrackAddr::new(0, 1)]);
-        s.flush(false).unwrap();
-        assert_eq!(s.read_track(0, 1).unwrap(), vec![1, 0]);
-        assert_eq!(read_hits(&t), vec![false, true], "cap 0 read misses, post-resize read hits");
+        assert_eq!(s.read_track(0, 0).unwrap(), vec![7, 0]);
+        assert_eq!(read_hits(&t), vec![false], "a zero-block cache keeps no hinted block");
     }
 
     #[test]

@@ -227,28 +227,6 @@ impl HistogramSnapshot {
         }
     }
 
-    /// The window of samples recorded between `earlier` and `self`
-    /// (both snapshots of the *same* live histogram, `earlier` taken
-    /// first): per-bucket counts, `count`, and `sum` subtract.
-    ///
-    /// `max` is special: the live histogram only tracks the running
-    /// maximum, which never resets, so the true maximum *within* the
-    /// window is not recoverable. The delta reports the tightest bound
-    /// available — the upper bound of the highest bucket that gained a
-    /// sample, clamped to the overall running max — which keeps
-    /// [`Self::quantile`]'s `p ≤ max` invariant intact for the window.
-    pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let buckets: [u64; HIST_BUCKETS] =
-            std::array::from_fn(|i| self.buckets[i].saturating_sub(earlier.buckets[i]));
-        let top = buckets.iter().rposition(|&c| c > 0);
-        HistogramSnapshot {
-            buckets,
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.wrapping_sub(earlier.sum),
-            max: top.map_or(0, |i| bucket_upper_bound(i).min(self.max)),
-        }
-    }
-
     /// Fold `other`'s buckets into `self` (for aggregating several
     /// series — e.g. per-drive queue-wait histograms — into one view).
     pub fn merge(&mut self, other: &HistogramSnapshot) {
@@ -460,42 +438,6 @@ impl Snapshot {
         self.samples.iter().find(|s| s.name == name && s.labels == want).map(|s| &s.value)
     }
 
-    /// The windowed delta between two snapshots of the *same* registry
-    /// (`earlier` taken first): counters subtract, histograms diff via
-    /// [`HistogramSnapshot::delta_since`], gauges pass through their
-    /// current value (a gauge is a level, not a flow). Series that
-    /// appeared after `earlier` diff against zero; series that vanished
-    /// (registries never remove series, but merged snapshots can) are
-    /// dropped. This is what the per-superstep tuner and dashboards use
-    /// instead of re-diffing raw buckets by hand.
-    pub fn delta_since(&self, earlier: &Snapshot) -> Snapshot {
-        let samples = self
-            .samples
-            .iter()
-            .map(|s| {
-                let prev = earlier
-                    .samples
-                    .iter()
-                    .find(|e| e.name == s.name && e.labels == s.labels)
-                    .map(|e| &e.value);
-                let value = match (&s.value, prev) {
-                    (SampleValue::Counter(now), Some(SampleValue::Counter(was))) => {
-                        SampleValue::Counter(now.saturating_sub(*was))
-                    }
-                    (SampleValue::Histogram(now), Some(SampleValue::Histogram(was))) => {
-                        SampleValue::Histogram(now.delta_since(was))
-                    }
-                    // Gauge, or a series with no earlier incarnation
-                    // (including the type-confusion case, which the
-                    // registry itself forbids): current value stands.
-                    (v, _) => v.clone(),
-                };
-                MetricSample { name: s.name.clone(), labels: s.labels.clone(), value }
-            })
-            .collect();
-        Snapshot { samples }
-    }
-
     /// Aggregate every histogram series named `name` whose labels
     /// include all of `required` into one merged
     /// [`HistogramSnapshot`] (e.g. a processor's queue-wait across all
@@ -644,31 +586,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_delta_isolates_the_window() {
-        let h = Histogram::detached();
-        h.observe(1000);
-        h.observe(2000);
-        let before = h.snapshot();
-        h.observe(10);
-        h.observe(12);
-        h.observe(14);
-        let d = h.snapshot().delta_since(&before);
-        assert_eq!(d.count, 3);
-        assert_eq!(d.sum, 36);
-        // Only the window's bucket is populated; quantiles describe the
-        // window, not the lifetime.
-        assert_eq!(d.buckets[bucket_index(10)], 3);
-        assert_eq!(d.buckets[bucket_index(1000)], 0);
-        assert_eq!(d.p50(), bucket_upper_bound(bucket_index(12)));
-        assert!(d.max <= before.max, "window max bound clamps to running max");
-        // An empty window is all zero.
-        let e = h.snapshot().delta_since(&h.snapshot());
-        assert_eq!(e.count, 0);
-        assert_eq!(e.max, 0);
-        assert_eq!(e.quantile(0.99), 0);
-    }
-
-    #[test]
     fn histogram_merge_accumulates() {
         let a = Histogram::detached();
         a.observe(5);
@@ -680,35 +597,6 @@ mod tests {
         assert_eq!(m.count, 3);
         assert_eq!(m.sum, 1205);
         assert_eq!(m.max, 700);
-    }
-
-    #[test]
-    fn snapshot_delta_windows_counters_and_histograms() {
-        let r = MetricsRegistry::new();
-        let c = r.counter("ops", &[]);
-        let g = r.gauge("depth", &[]);
-        let h = r.histogram("wait_us", &[("drive", "0".into())]);
-        c.add(10);
-        g.set(2);
-        h.observe(100);
-        let before = r.snapshot();
-        c.add(5);
-        g.set(4);
-        h.observe(200);
-        // A series born inside the window diffs against zero.
-        r.counter("late", &[]).add(7);
-        let d = r.snapshot().delta_since(&before);
-        assert_eq!(d.get("ops", &[]), Some(&SampleValue::Counter(5)));
-        assert_eq!(d.get("late", &[]), Some(&SampleValue::Counter(7)));
-        // Gauges are levels: the delta carries the current value.
-        assert_eq!(d.get("depth", &[]), Some(&SampleValue::Gauge(4)));
-        match d.get("wait_us", &[("drive", "0")]) {
-            Some(SampleValue::Histogram(hs)) => {
-                assert_eq!(hs.count, 1);
-                assert_eq!(hs.sum, 200);
-            }
-            other => panic!("expected histogram delta, got {other:?}"),
-        }
     }
 
     #[test]

@@ -39,14 +39,11 @@ pub enum Phase {
     Checkpoint = 8,
     /// Handing the final states and the report over.
     Readout = 9,
-    /// Auto-tuner decision at a barrier (reading windowed metric
-    /// deltas, choosing the next superstep's pipeline depth/prefetch).
-    Tune = 10,
 }
 
 impl Phase {
     /// All phases in declaration order.
-    pub const ALL: [Phase; 11] = [
+    pub const ALL: [Phase; 10] = [
         Phase::None,
         Phase::Setup,
         Phase::CtxLoad,
@@ -57,7 +54,6 @@ impl Phase {
         Phase::Barrier,
         Phase::Checkpoint,
         Phase::Readout,
-        Phase::Tune,
     ];
 
     /// Stable snake_case name used in exports and trace files.
@@ -73,7 +69,6 @@ impl Phase {
             Phase::Barrier => "barrier",
             Phase::Checkpoint => "checkpoint",
             Phase::Readout => "readout",
-            Phase::Tune => "tune",
         }
     }
 

@@ -395,9 +395,8 @@ impl Hasher for TrackHasher {
 /// One drive's tracks, allocated on demand (absent tracks read as
 /// zeros). Keyed by the full u64 track address — the map is as sparse
 /// as the data, so a run that touches a handful of tracks at a huge
-/// base offset (a paged context spill, a job window deep in a shared
-/// pool) costs memory proportional to the tracks *written*, not to the
-/// highest address. The dense `Vec<Option<...>>` this replaces made
+/// base offset (a job window deep in a shared pool) costs memory
+/// proportional to the tracks *written*, not to the highest address. The dense `Vec<Option<...>>` this replaces made
 /// `MemStorage` the scale blocker: addressing track `t` allocated `t`
 /// slots.
 type DriveTracks = HashMap<u64, Box<[u8]>, BuildHasherDefault<TrackHasher>>;

@@ -1,243 +1,21 @@
-//! cgmio-tune: self-tuning for the EM-CGM runtime.
+//! cgmio-tune: the static planner for the EM-CGM runtime.
 //!
-//! Two cooperating pieces close the loop from the paper's cost model
-//! and the runtime's observability back to the execution knobs:
-//!
-//! * A **static planner** ([`plan`]) that, before superstep 0, derives
-//!   initial values for block size `B`, `pipeline_depth`, and the
-//!   concurrent engine's prefetch window from Theorem 2's predicted
-//!   operation count ([`cgmio_model::theorem2_predicted_ops`]) plus the
-//!   measured per-workload `μ` (largest context) and a
-//!   [`DiskTimingModel`]. The planner only *proposes*: callers that are
-//!   pinned to a pool geometry (the job service — one engine has one
-//!   track size) keep their `B` and take the depth/prefetch proposal.
-//! * A **feedback controller** ([`Controller`]) consulted at every
-//!   superstep barrier with the *windowed* delta of two signals the
-//!   runtime already exports — `cgmio_pipeline_stall_us` (time the
-//!   executor waited on a pre-issued read) and `cgmio_io_queue_wait_us`
-//!   (time requests sat in drive queues before service). Stall-dominated
-//!   windows mean the pipeline is too shallow (deepen); queue-wait-
-//!   dominated windows mean requests pile up faster than drives serve
-//!   them (back off). Hysteresis — a dominance ratio plus a patience
-//!   streak — prevents oscillation on noisy or alternating windows.
-//!
-//! Every knob the tuner touches (`pipeline_depth`, the engine prefetch
-//! window) is excluded from `EmConfig::config_hash` and proven
-//! accounting-invariant by the pipeline-equivalence property tests:
-//! tuning changes wall-clock only, never finals, `IoStats`, checkpoint
-//! manifests, or fault/retry totals.
+//! [`plan`] derives, before superstep 0, initial values for block size
+//! `B`, `pipeline_depth` and the concurrent engine's prefetch window
+//! from Theorem 2's predicted operation count
+//! ([`cgmio_model::theorem2_predicted_ops`]), the measured per-workload
+//! `μ` (largest context) and a [`DiskTimingModel`]. The planner only
+//! *proposes*: callers pinned to a pool geometry (the job service — one
+//! engine has one track size) keep their `B` and take the depth and
+//! prefetch proposal. Both knobs are excluded from
+//! `EmConfig::config_hash` and change wall-clock only, never finals,
+//! `IoStats`, checkpoint manifests or fault/retry totals.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::sync::{Arc, Mutex};
-
 use cgmio_model::CommCosts;
-use cgmio_obs::Snapshot;
 use cgmio_pdm::DiskTimingModel;
-
-/// Bounds and hysteresis constants for the feedback controller.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TunePolicy {
-    /// Smallest pipeline depth the controller may choose (0 = demand
-    /// reads with prefetch hints).
-    pub min_depth: usize,
-    /// Largest pipeline depth the controller may choose.
-    pub max_depth: usize,
-    /// Smallest prefetch window (blocks per drive worker).
-    pub min_prefetch_blocks: usize,
-    /// Largest prefetch window (blocks per drive worker).
-    pub max_prefetch_blocks: usize,
-    /// A signal must exceed the opposing signal by this factor before a
-    /// window counts toward a move; windows inside the dead band reset
-    /// the streak.
-    pub dominance_ratio: f64,
-    /// Consecutive dominated windows required before the controller
-    /// acts (and again before it acts the next time).
-    pub patience: u32,
-}
-
-impl Default for TunePolicy {
-    fn default() -> Self {
-        Self {
-            min_depth: 0,
-            max_depth: 8,
-            min_prefetch_blocks: 4,
-            max_prefetch_blocks: 64,
-            dominance_ratio: 1.5,
-            patience: 2,
-        }
-    }
-}
-
-/// What the controller did with one window.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TuneAction {
-    /// Stall-dominated long enough: pipeline depth increased.
-    Deepen,
-    /// Queue-wait-dominated long enough: pipeline depth decreased.
-    BackOff,
-    /// Dead band, patience not yet met, or already at a bound.
-    Hold,
-}
-
-impl TuneAction {
-    /// Stable snake_case name used in metric labels and CSV exports.
-    pub fn name(self) -> &'static str {
-        match self {
-            TuneAction::Deepen => "deepen",
-            TuneAction::BackOff => "back_off",
-            TuneAction::Hold => "hold",
-        }
-    }
-}
-
-/// The two opposing signals of one barrier-to-barrier window, already
-/// aggregated over drives/kinds for one real processor.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WindowSignals {
-    /// Total microseconds the executor stalled waiting on pre-issued
-    /// reads (`cgmio_pipeline_stall_us{proc}` window sum).
-    pub stall_us: u64,
-    /// Stall events in the window.
-    pub stall_count: u64,
-    /// Total microseconds requests waited in drive queues before
-    /// service (`cgmio_io_queue_wait_us{proc,…}` window sum, all drives
-    /// and kinds).
-    pub queue_wait_us: u64,
-    /// Queued operations in the window.
-    pub queue_wait_count: u64,
-}
-
-impl WindowSignals {
-    /// Extract the signals for real processor `proc` from a windowed
-    /// metrics delta (see `Snapshot::delta_since` in `cgmio-obs`).
-    pub fn from_delta(delta: &Snapshot, proc: u64) -> Self {
-        let proc = proc.to_string();
-        let stall = delta.histogram_sum("cgmio_pipeline_stall_us", &[("proc", &proc)]);
-        let qwait = delta.histogram_sum("cgmio_io_queue_wait_us", &[("proc", &proc)]);
-        Self {
-            stall_us: stall.sum,
-            stall_count: stall.count,
-            queue_wait_us: qwait.sum,
-            queue_wait_count: qwait.count,
-        }
-    }
-}
-
-/// One audited controller decision (also a row of
-/// `autotune_decisions.csv`).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Decision {
-    /// Real processor the controller instance belongs to.
-    pub proc: u64,
-    /// Superstep whose window was just observed; the chosen knobs apply
-    /// from the next superstep on.
-    pub superstep: u64,
-    /// The observed window.
-    pub signals: WindowSignals,
-    /// What the controller did.
-    pub action: TuneAction,
-    /// Pipeline depth in effect for the next superstep.
-    pub depth: usize,
-    /// Prefetch window (blocks) in effect for the next superstep.
-    pub prefetch_blocks: usize,
-}
-
-/// Shared, clone-cheap log of controller decisions, threaded through
-/// `EmConfig` so benches and tests can audit every adjustment after the
-/// run without touching the accounting path.
-#[derive(Clone, Debug, Default)]
-pub struct DecisionLog(Arc<Mutex<Vec<Decision>>>);
-
-impl DecisionLog {
-    /// A fresh, empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append one decision.
-    pub fn push(&self, d: Decision) {
-        self.0.lock().unwrap().push(d);
-    }
-
-    /// All decisions recorded so far, in push order.
-    pub fn snapshot(&self) -> Vec<Decision> {
-        self.0.lock().unwrap().clone()
-    }
-}
-
-/// Barrier-time feedback controller for one real processor.
-///
-/// Feed it one [`WindowSignals`] per superstep via
-/// [`Controller::observe`]; read the knobs to apply to the *next*
-/// superstep from [`Controller::depth`] /
-/// [`Controller::prefetch_blocks`]. Hysteresis: a move requires
-/// `patience` consecutive windows dominated in the same direction, the
-/// streak resets on any dead-band or opposing window *and* after every
-/// move — so an alternating stall/queue-wait trace never oscillates.
-#[derive(Clone, Debug)]
-pub struct Controller {
-    policy: TunePolicy,
-    depth: usize,
-    prefetch_blocks: usize,
-    deepen_streak: u32,
-    backoff_streak: u32,
-}
-
-impl Controller {
-    /// A controller starting from `initial_depth`/`initial_prefetch`
-    /// (both clamped into the policy's bounds).
-    pub fn new(policy: TunePolicy, initial_depth: usize, initial_prefetch: usize) -> Self {
-        let depth = initial_depth.clamp(policy.min_depth, policy.max_depth);
-        let prefetch_blocks =
-            initial_prefetch.clamp(policy.min_prefetch_blocks, policy.max_prefetch_blocks);
-        Self { policy, depth, prefetch_blocks, deepen_streak: 0, backoff_streak: 0 }
-    }
-
-    /// Pipeline depth to use for the next superstep.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Prefetch window (blocks per drive worker) for the next superstep.
-    pub fn prefetch_blocks(&self) -> usize {
-        self.prefetch_blocks
-    }
-
-    /// Consume one window and maybe move the knobs one step.
-    pub fn observe(&mut self, w: &WindowSignals) -> TuneAction {
-        let r = self.policy.dominance_ratio;
-        let stall_dominated = w.stall_us > 0 && w.stall_us as f64 > r * w.queue_wait_us as f64;
-        let qwait_dominated = w.queue_wait_us > 0 && w.queue_wait_us as f64 > r * w.stall_us as f64;
-        if stall_dominated {
-            self.backoff_streak = 0;
-            self.deepen_streak += 1;
-            if self.deepen_streak >= self.policy.patience && self.depth < self.policy.max_depth {
-                self.deepen_streak = 0;
-                self.depth += 1;
-                self.prefetch_blocks =
-                    (self.prefetch_blocks * 2).min(self.policy.max_prefetch_blocks);
-                return TuneAction::Deepen;
-            }
-        } else if qwait_dominated {
-            self.deepen_streak = 0;
-            self.backoff_streak += 1;
-            if self.backoff_streak >= self.policy.patience && self.depth > self.policy.min_depth {
-                self.backoff_streak = 0;
-                self.depth -= 1;
-                self.prefetch_blocks =
-                    (self.prefetch_blocks / 2).max(self.policy.min_prefetch_blocks);
-                return TuneAction::BackOff;
-            }
-        } else {
-            // Dead band: neither signal dominates — a balanced pipeline.
-            self.deepen_streak = 0;
-            self.backoff_streak = 0;
-        }
-        TuneAction::Hold
-    }
-}
 
 /// The planner's proposal for one workload.
 #[derive(Clone, Debug, PartialEq)]
@@ -293,8 +71,7 @@ pub fn predicted_ops_ceil(
 ///   padded transfer time. Swept over `[512, 1 MiB]`.
 /// * **`pipeline_depth`**: one in-flight virtual processor per drive
 ///   worker (`min(D, v)`), the shallowest depth that can keep every
-///   drive busy while one vp computes; the feedback controller refines
-///   it from there.
+///   drive busy while one vp computes.
 /// * **`prefetch_blocks`**: enough window for the in-flight vps'
 ///   context blocks on each drive, at least the engine default of 16.
 pub fn plan(costs: &CommCosts, v: usize, num_disks: usize, model: &DiskTimingModel) -> Plan {
@@ -322,160 +99,9 @@ pub fn plan(costs: &CommCosts, v: usize, num_disks: usize, model: &DiskTimingMod
     }
 }
 
-/// Runtime tuning switch carried on the runners' config. Off by
-/// default; everything it controls is excluded from `config_hash` and
-/// accounting-invariant.
-#[derive(Clone, Debug, Default)]
-pub struct Autotune {
-    /// Master switch: when false the runners behave exactly as before.
-    pub enabled: bool,
-    /// Controller bounds and hysteresis.
-    pub policy: TunePolicy,
-    /// Optional audit log receiving every [`Decision`].
-    pub log: Option<DecisionLog>,
-}
-
-impl Autotune {
-    /// Tuning on, default policy, no log.
-    pub fn on() -> Self {
-        Self { enabled: true, ..Self::default() }
-    }
-
-    /// Tuning on with an audit log attached.
-    pub fn with_log(log: DecisionLog) -> Self {
-        Self { enabled: true, policy: TunePolicy::default(), log: Some(log) }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn w(stall_us: u64, queue_wait_us: u64) -> WindowSignals {
-        WindowSignals {
-            stall_us,
-            stall_count: u64::from(stall_us > 0),
-            queue_wait_us,
-            queue_wait_count: u64::from(queue_wait_us > 0),
-        }
-    }
-
-    fn ctl(depth: usize) -> Controller {
-        Controller::new(TunePolicy::default(), depth, 16)
-    }
-
-    #[test]
-    fn stall_domination_deepens_after_patience() {
-        let mut c = ctl(1);
-        assert_eq!(c.observe(&w(1000, 10)), TuneAction::Hold, "patience 2: first window holds");
-        assert_eq!(c.observe(&w(1000, 10)), TuneAction::Deepen);
-        assert_eq!(c.depth(), 2);
-        assert_eq!(c.prefetch_blocks(), 32, "prefetch window scales with depth");
-        // Patience must be re-earned after a move.
-        assert_eq!(c.observe(&w(1000, 10)), TuneAction::Hold);
-        assert_eq!(c.observe(&w(1000, 10)), TuneAction::Deepen);
-        assert_eq!(c.depth(), 3);
-    }
-
-    #[test]
-    fn queue_wait_domination_backs_off() {
-        let mut c = ctl(4);
-        assert_eq!(c.observe(&w(10, 1000)), TuneAction::Hold);
-        assert_eq!(c.observe(&w(10, 1000)), TuneAction::BackOff);
-        assert_eq!(c.depth(), 3);
-        assert_eq!(c.prefetch_blocks(), 8);
-    }
-
-    #[test]
-    fn bounds_are_hard() {
-        let p = TunePolicy { min_depth: 1, max_depth: 2, patience: 1, ..TunePolicy::default() };
-        let mut c = Controller::new(p.clone(), 2, 64);
-        assert_eq!(c.observe(&w(1000, 0)), TuneAction::Hold, "at max: deepen refused");
-        assert_eq!(c.depth(), 2);
-        let mut c = Controller::new(p, 1, 4);
-        assert_eq!(c.observe(&w(0, 1000)), TuneAction::Hold, "at min: back off refused");
-        assert_eq!(c.depth(), 1);
-        // Initial values clamp into bounds.
-        let p = TunePolicy { min_depth: 1, max_depth: 3, ..TunePolicy::default() };
-        assert_eq!(Controller::new(p, 9, 16).depth(), 3);
-    }
-
-    /// The satellite-3 anti-oscillation test: a synthetic trace that
-    /// alternates stall-dominated and queue-wait-dominated windows every
-    /// superstep must leave the knobs exactly where they started —
-    /// each reversal resets the opposing streak before patience is met.
-    #[test]
-    fn hysteresis_prevents_oscillation_on_alternating_trace() {
-        let mut c = ctl(2);
-        for i in 0..40 {
-            let win = if i % 2 == 0 { w(1000, 10) } else { w(10, 1000) };
-            assert_eq!(c.observe(&win), TuneAction::Hold, "window {i} must not move the knobs");
-        }
-        assert_eq!(c.depth(), 2);
-        assert_eq!(c.prefetch_blocks(), 16);
-    }
-
-    #[test]
-    fn dead_band_resets_streaks() {
-        let mut c = ctl(2);
-        assert_eq!(c.observe(&w(1000, 10)), TuneAction::Hold);
-        // Balanced window (within the dominance ratio) wipes progress.
-        assert_eq!(c.observe(&w(500, 400)), TuneAction::Hold);
-        assert_eq!(c.observe(&w(1000, 10)), TuneAction::Hold, "streak restarted");
-        assert_eq!(c.observe(&w(1000, 10)), TuneAction::Deepen);
-    }
-
-    #[test]
-    fn quiet_windows_hold() {
-        let mut c = ctl(3);
-        for _ in 0..10 {
-            assert_eq!(c.observe(&w(0, 0)), TuneAction::Hold);
-        }
-        assert_eq!(c.depth(), 3);
-    }
-
-    #[test]
-    fn signals_extract_from_windowed_delta() {
-        let obs = cgmio_obs::Obs::new();
-        let m = obs.metrics();
-        m.histogram("cgmio_pipeline_stall_us", &[("proc", "0".into())]).observe(500);
-        let before = obs.snapshot();
-        m.histogram("cgmio_pipeline_stall_us", &[("proc", "0".into())]).observe(100);
-        m.histogram(
-            "cgmio_io_queue_wait_us",
-            &[("proc", "0".into()), ("drive", "1".into()), ("kind", "read".into())],
-        )
-        .observe(40);
-        m.histogram(
-            "cgmio_io_queue_wait_us",
-            &[("proc", "0".into()), ("drive", "0".into()), ("kind", "write".into())],
-        )
-        .observe(2);
-        // Another proc's signals must not bleed in.
-        m.histogram("cgmio_pipeline_stall_us", &[("proc", "7".into())]).observe(9999);
-        let delta = obs.snapshot().delta_since(&before);
-        let s = WindowSignals::from_delta(&delta, 0);
-        assert_eq!(s.stall_us, 100, "window excludes pre-window samples");
-        assert_eq!(s.stall_count, 1);
-        assert_eq!(s.queue_wait_us, 42, "sums across drives and kinds");
-        assert_eq!(s.queue_wait_count, 2);
-    }
-
-    #[test]
-    fn decision_log_is_shared_across_clones() {
-        let log = DecisionLog::new();
-        let clone = log.clone();
-        clone.push(Decision {
-            proc: 0,
-            superstep: 1,
-            signals: w(10, 0),
-            action: TuneAction::Hold,
-            depth: 2,
-            prefetch_blocks: 16,
-        });
-        assert_eq!(log.snapshot().len(), 1);
-        assert_eq!(log.snapshot()[0].superstep, 1);
-    }
 
     #[test]
     fn ceil_ops_floor_at_one_block_per_context() {
@@ -521,12 +147,5 @@ mod tests {
         assert_eq!(j.get("pipeline_depth").unwrap().as_u64(), Some(4));
         let back = cgmio_obs::json::parse(&j.render()).unwrap();
         assert_eq!(back.get("prefetch_blocks").unwrap().as_u64(), Some(16));
-    }
-
-    #[test]
-    fn action_names_are_stable() {
-        assert_eq!(TuneAction::Deepen.name(), "deepen");
-        assert_eq!(TuneAction::BackOff.name(), "back_off");
-        assert_eq!(TuneAction::Hold.name(), "hold");
     }
 }

@@ -7,7 +7,7 @@ Checked, in every tracked ``*.md`` outside ``third_party/``:
 * markdown links ``[text](target)`` whose target is not a URL or an
   in-page anchor;
 * backticked path mentions like ``docs/OPERATIONS.md``,
-  ``tests/scale_equivalence.rs``, ``results/BENCH_scale.json``, or
+  ``tests/cross_runner.rs``, ``results/BENCH_scale.json``, or
   ``crates/core/src/seq.rs`` — the idiom the prose leans on. Only
   mentions that *look like* repo paths (a known top-level directory, or
   a ``*.md`` file at the root) are checked; type names, globs, and

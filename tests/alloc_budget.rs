@@ -12,7 +12,7 @@
 
 use cgmio_algos::CgmSort;
 use cgmio_bench::alloc::{self, CountingAlloc};
-use cgmio_core::{measure_requirements, EmConfig, ScaleTuning, SeqEmRunner};
+use cgmio_core::{measure_requirements, EmConfig, SeqEmRunner};
 use cgmio_data as data;
 use cgmio_model::demo::TokenRing;
 
@@ -42,9 +42,7 @@ const RING_RUN_BUDGET: f64 = 11.1;
 const SORT_BUDGET: u64 = 3_910;
 
 /// Allocations performed by `runner.run()` on a `v`-processor token
-/// ring of `rounds` rotations: `Mem`, D = 2, B = 64 (so `vp_group` = 2),
-/// the paged context table forced (small pages, so the directory really
-/// faults).
+/// ring of `rounds` rotations: `Mem`, D = 2, B = 64 (so `vp_group` = 2).
 fn ring_allocs(v: usize, rounds: usize, depth: usize) -> u64 {
     let prog = TokenRing { rounds };
     // Slot sizes of a ring do not depend on v; the dry run's dense
@@ -54,8 +52,6 @@ fn ring_allocs(v: usize, rounds: usize, depth: usize) -> u64 {
     let mut cfg = EmConfig::from_requirements(v, 1, 2, 64, &req);
     assert_eq!(cfg.vp_group, 2, "one-block ring contexts at D = 2 go two at a time");
     cfg.pipeline_depth = depth;
-    cfg.scale =
-        ScaleTuning { paged_ctx_lens: Some(true), ctx_page_entries: 256, ctx_resident_pages: 2 };
     let states: Vec<Vec<u64>> = (0..v as u64).map(|i| vec![i]).collect();
     let runner = SeqEmRunner::new(cfg);
     let before = alloc::snapshot();

@@ -237,8 +237,8 @@ fn async_file_fault_and_retry_totals_match_concurrent() {
 }
 
 /// One engine, one `wait`: a depth-2 run redeems pre-issued reads on
-/// every constructor, so an observed run records pipeline stalls — the
-/// tuner's signal — on each of them, and observing changes nothing.
+/// every constructor, so an observed run records pipeline stalls on
+/// each of them, and observing changes nothing.
 #[test]
 fn every_engine_constructor_records_pipeline_stalls() {
     let keys = data::uniform_u64(4000, 17);

@@ -7,11 +7,13 @@ use cgmio_algos::geometry::{CgmConvexHull, CgmDominance, CgmIntervalStab, CgmUni
 use cgmio_algos::graphs::{CgmConnectivity, CgmEulerTour, CgmListRank};
 use cgmio_algos::{CgmPermute, CgmSort, CgmTranspose};
 use cgmio_core::{
-    measure_requirements, BackendSpec, EmConfig, EmError, ParEmRunner, RunOutcome, SeqEmRunner,
+    measure_requirements, BackendSpec, CheckpointManifest, EmConfig, EmError, ParEmRunner,
+    RunOutcome, SeqEmRunner,
 };
 use cgmio_data as data;
 use cgmio_model::demo::{AllToOne, PrefixSum, TokenRing};
 use cgmio_model::{CgmProgram, DirectRunner, ModelError, RoundCtx, Status, ThreadedRunner};
+use proptest::prelude::*;
 
 /// Group sizes the EM runners are checked at (`vp_group`).
 const GROUPS: [usize; 3] = [1, 2, 3];
@@ -473,4 +475,169 @@ fn mailboxes_deliver_identically_for_every_p_depth_group_and_backend() {
         data::block_split(succ.clone(), 6).into_iter().map(|b| (vec![n], b, Vec::new())).collect()
     };
     assert_mailboxes_deliver(&CgmListRank, lists, "list ranking");
+}
+
+/// Runs `cfg` on the runner its `p` names.
+fn run_em<P: CgmProgram>(
+    cfg: EmConfig,
+    prog: &P,
+    init: Vec<P::State>,
+) -> (Vec<P::State>, cgmio_core::EmRunReport) {
+    if cfg.p == 1 {
+        SeqEmRunner::new(cfg).run(prog, init).unwrap()
+    } else {
+        ParEmRunner::new(cfg).run(prog, init).unwrap()
+    }
+}
+
+type SortState = (Vec<u64>, Vec<u64>);
+
+fn sort_states(keys: &[u64], v: usize) -> Vec<SortState> {
+    data::block_split(keys.to_vec(), v).into_iter().map(|b| (b, Vec::new())).collect()
+}
+
+/// Finals, `IoStats`, op breakdowns and round costs of a message-heavy
+/// sort agree across the Mem, SyncFile and Concurrent backends, on both
+/// runners and at every group size.
+#[test]
+fn sort_agrees_across_backends_for_every_p_and_group() {
+    let (keys, v) = (data::uniform_u64(3000, 29), 6);
+    let prog = CgmSort::<u64>::by_pivots();
+    let (_, _, req) = measure_requirements(&prog, sort_states(&keys, v)).unwrap();
+    let dir = cgmio_pdm::testutil::TempDir::new("cgmio-backend-eq");
+    for (p, k) in [1usize, 2].into_iter().flat_map(|p| GROUPS.map(|k| (p, k))) {
+        let mut want = None;
+        for backend in [
+            BackendSpec::Mem,
+            BackendSpec::SyncFile { dir: dir.path().join(format!("sync-{p}-{k}")) },
+            BackendSpec::Concurrent { dir: None, opts: Default::default() },
+        ] {
+            let at = format!("p={p} k={k} {backend:?}");
+            let mut cfg = EmConfig::from_requirements(v, p, 2, 64, &req);
+            (cfg.vp_group, cfg.backend) = (k, backend);
+            let (got, rep) = run_em(cfg, &prog, sort_states(&keys, v));
+            let key = (got, rep.io, rep.breakdown, rep.costs);
+            assert_eq!(want.get_or_insert_with(|| key.clone()), &key, "{at}");
+        }
+    }
+}
+
+/// A halted ring's manifest holds one token row per mailbox, the one
+/// saved to disk is the one handed back, and a run that "crashes" after
+/// superstep 2 on files resumes from it with bit-identical finals and
+/// cumulative I/O, on both runners and at every group size.
+#[test]
+fn ring_resumes_from_a_file_checkpoint_for_every_p_and_group() {
+    let (v, prog) = (4, TokenRing { rounds: 6 });
+    let init = || (0..v as u64).map(|i| vec![i]).collect::<Vec<_>>();
+    let (_, _, req) = measure_requirements(&prog, init()).unwrap();
+    for (p, k) in [1usize, 2].into_iter().flat_map(|p| GROUPS.map(|k| (p, k))) {
+        let dir = cgmio_pdm::testutil::TempDir::new(&format!("cgmio-ring-resume-{p}-{k}"));
+        let mut cfg = EmConfig::from_requirements(v, p, 2, 32, &req);
+        cfg.vp_group = k;
+        let (want, want_rep) = run_em(cfg.clone(), &prog, init());
+        let halt_at = |c: &EmConfig, halt: usize| {
+            let mut c = c.clone();
+            c.halt_after_superstep = Some(halt);
+            match ParEmRunner::new(c).run_until(&prog, init()).unwrap() {
+                RunOutcome::Interrupted(ck) => ck.manifest,
+                RunOutcome::Complete { .. } => panic!("expected halt at {halt}"),
+            }
+        };
+        let slots = |m: &CheckpointManifest| {
+            m.workers.iter().flat_map(|w| &w.inbox_lens).flat_map(|r| &r.0).count()
+        };
+        assert_eq!(slots(&halt_at(&cfg, 0)), v, "p={p} k={k}: one token per mailbox");
+
+        cfg.backend = BackendSpec::SyncFile { dir: dir.path().join("drives") };
+        cfg.checkpoint_dir = Some(dir.path().to_path_buf());
+        let handed_back = halt_at(&cfg, 2); // the "crash"
+        let manifest = CheckpointManifest::load(&CheckpointManifest::path_in(dir.path())).unwrap();
+        assert_eq!(manifest, handed_back, "p={p} k={k}: saved manifest differs");
+        assert_eq!(slots(&manifest), v, "p={p} k={k}: one token per mailbox");
+        let resumed = if p == 1 {
+            SeqEmRunner::new(cfg).resume_from(&prog, &manifest).unwrap()
+        } else {
+            ParEmRunner::new(cfg).resume_from(&prog, &manifest).unwrap()
+        };
+        let (finals, rep) = resumed.expect_complete();
+        assert_eq!(finals, want, "p={p} k={k}: resume diverged");
+        assert_eq!(rep.io, want_rep.io, "p={p} k={k}: cumulative I/O diverged");
+    }
+}
+
+/// Skewed traffic (everything to vp 0) fills one mailbox row and leaves
+/// the others empty: finals and round costs are the reference runner's,
+/// and `IoStats` do not move with the pipeline depth.
+#[test]
+fn skewed_traffic_agrees_for_every_p_and_group() {
+    let (v, prog) = (8, AllToOne { items_per_proc: 5 });
+    let init = || (0..v).map(|_| Vec::new()).collect::<Vec<Vec<u64>>>();
+    let (want, want_costs) = DirectRunner::default().run(&prog, init()).unwrap();
+    let (_, _, req) = measure_requirements(&prog, init()).unwrap();
+    for (p, k) in [1usize, 2, 4].into_iter().flat_map(|p| GROUPS.map(|k| (p, k))) {
+        let mut cfg = EmConfig::from_requirements(v, p, 2, 32, &req);
+        cfg.vp_group = k;
+        let (got, rep) = run_em(cfg.clone(), &prog, init());
+        assert_eq!(got, want, "p={p} k={k}: skewed finals differ");
+        assert_eq!(rep.costs.rounds, want_costs.rounds, "p={p} k={k}: skewed costs differ");
+        cfg.pipeline_depth = 2;
+        let (_, piped) = run_em(cfg, &prog, init());
+        assert_eq!(piped.io, rep.io, "p={p} k={k}: skewed IoStats moved with the depth");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Arbitrary sorts and machine shapes: the Concurrent backend ends
+    /// in the Mem backend's finals, `IoStats` and breakdown, and both
+    /// in the reference runner's finals.
+    #[test]
+    fn random_sorts_agree_across_backends(
+        seed in 0u64..1000,
+        n in 200usize..800,
+        v in 2usize..8,
+        p in 1usize..3,
+        k in 1usize..4,
+    ) {
+        let keys = data::uniform_u64(n, seed);
+        let prog = CgmSort::<u64>::by_pivots();
+        let (want, _) = DirectRunner::default().run(&prog, sort_states(&keys, v)).unwrap();
+        let (_, _, req) = measure_requirements(&prog, sort_states(&keys, v)).unwrap();
+        let mut cfg = EmConfig::from_requirements(v, p.min(v), 2, 64, &req);
+        cfg.vp_group = k;
+        let (mem, mem_rep) = run_em(cfg.clone(), &prog, sort_states(&keys, v));
+        cfg.backend = BackendSpec::Concurrent { dir: None, opts: Default::default() };
+        let (got, rep) = run_em(cfg, &prog, sort_states(&keys, v));
+        prop_assert_eq!(&mem, &want);
+        prop_assert_eq!(got, mem);
+        prop_assert_eq!(rep.io, mem_rep.io);
+        prop_assert_eq!(rep.breakdown, mem_rep.breakdown);
+    }
+}
+
+/// A machine with no drives or zero-byte blocks is refused as a bad
+/// config by both runners, before a worker is started.
+#[test]
+fn zero_geometry_is_a_bad_config_on_both_runners() {
+    let prog = TokenRing { rounds: 1 };
+    let init = || (0..4u64).map(|i| vec![i]).collect::<Vec<_>>();
+    let (_, _, req) = measure_requirements(&prog, init()).unwrap();
+    for p in [1usize, 2] {
+        for (d, bb, field) in [(0, 64, "num_disks"), (2, 0, "block_bytes")] {
+            let mut bad = EmConfig::from_requirements(4, p, 2, 64, &req);
+            (bad.num_disks, bad.block_bytes) = (d, bb);
+            let errs = [
+                SeqEmRunner::new(bad.clone()).run(&prog, init()).unwrap_err(),
+                ParEmRunner::new(bad).run(&prog, init()).unwrap_err(),
+            ];
+            for e in errs {
+                assert!(
+                    matches!(&e, EmError::BadConfig(m) if m.contains(field)),
+                    "p={p} {field} = 0: {e:?}"
+                );
+            }
+        }
+    }
 }

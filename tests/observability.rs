@@ -156,3 +156,55 @@ proptest! {
         prop_assert_eq!(manifest_with(Some(Obs::new())), manifest_with(None));
     }
 }
+
+/// Every string literal `"cgmio_…"` under `dir`, recursively.
+fn series_literals(dir: &std::path::Path, out: &mut std::collections::BTreeSet<String>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            series_literals(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let src = std::fs::read_to_string(&path).unwrap();
+            for lit in src.split('"').skip(1).step_by(2) {
+                let name_like = lit.bytes().all(|b| b.is_ascii_lowercase() || b == b'_');
+                if lit.starts_with("cgmio_") && name_like {
+                    out.insert(lit.to_string());
+                }
+            }
+        }
+    }
+}
+
+/// The first backticked cell of each row of the markdown table whose
+/// header row starts with `header`.
+fn table_keys(doc: &str, header: &str) -> std::collections::BTreeSet<String> {
+    let rows = doc.lines().skip_while(|l| !l.starts_with(header)).skip(2);
+    let rows = rows.take_while(|l| l.starts_with('|'));
+    rows.map(|l| l.split('`').nth(1).expect("a backticked first cell").to_string()).collect()
+}
+
+/// `docs/OBSERVABILITY.md`'s metric catalogue lists exactly the series
+/// the code registers, and its span table exactly the phases
+/// `Phase::ALL` names: a series or phase leaves the docs with the code.
+#[test]
+fn observability_catalogue_matches_the_code() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let doc = std::fs::read_to_string(root.join("docs/OBSERVABILITY.md")).unwrap();
+
+    let mut in_code = std::collections::BTreeSet::new();
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        let src = krate.unwrap().path().join("src");
+        if src.is_dir() {
+            series_literals(&src, &mut in_code);
+        }
+    }
+    assert!(in_code.len() > 10, "series found in the code: {in_code:?}");
+    let in_docs = table_keys(&doc, "| Metric |");
+    let undocumented: Vec<_> = in_code.difference(&in_docs).collect();
+    let stale: Vec<_> = in_docs.difference(&in_code).collect();
+    assert!(undocumented.is_empty() && stale.is_empty(), "{undocumented:?} / {stale:?}");
+
+    let phases: std::collections::BTreeSet<String> =
+        cgmio_obs::Phase::ALL.iter().map(|p| p.name().to_string()).collect();
+    assert_eq!(table_keys(&doc, "| Phase |"), phases);
+}
