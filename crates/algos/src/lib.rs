@@ -6,7 +6,8 @@
 //! simulation engines of `cgmio-core`:
 //!
 //! * **Group A** (O(1) rounds, `O(N/(pDB))` I/Os): [`sort::CgmSort`]
-//!   (deterministic sorting by regular sampling), [`permute::CgmPermute`]
+//!   (deterministic sorting by regular sampling; [`sort::BalancedSort`]
+//!   adds an exactly block-distributed output), [`permute::CgmPermute`]
 //!   (the paper's Algorithm 4), [`transpose::CgmTranspose`].
 //! * **Group B** (geometry / GIS): convex hull, 3D maxima, union of
 //!   rectangles, nearest neighbours, lower envelope, dominance counting,
@@ -26,5 +27,5 @@ pub mod sort;
 pub mod transpose;
 
 pub use permute::{CgmPermute, PermuteState};
-pub use sort::{CgmSort, SortKey, SortMsg, SortState};
+pub use sort::{BalancedSort, CgmSort, SortKey, SortMsg, SortState};
 pub use transpose::{CgmTranspose, TransposeState};

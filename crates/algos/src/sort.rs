@@ -8,15 +8,18 @@
 //! footnote). Simulated through `cgmio-core`, it yields the paper's
 //! Group A result: external sorting in `O(N/(pDB))` parallel I/Os.
 //!
-//! Rounds:
+//! Rounds of [`CgmSort`], whose messages are bare keys:
 //! 0. sort locally; broadcast `v` regular samples to everyone;
 //! 1. everyone identically derives `v−1` pivots from the `v²` samples,
 //!    partitions its sorted run and routes partition `j` to processor
-//!    `j`, alongside the partition-size row (for the optional
-//!    rebalancing round);
-//! 2. merge received runs — done if `rebalance` is off; otherwise route
-//!    items so the output is exactly block-distributed;
-//! 3. concatenate (runs arrive in ascending global order).
+//!    `j`;
+//! 2. merge received runs: the output is distributed by pivot ranges.
+//!
+//! [`BalancedSort`] runs rounds 0 and 1 with [`SortMsg`] frames, adding
+//! the partition-size row to round 1's route, and then:
+//! 2. merges received runs and routes items so the output is exactly
+//!    block-distributed;
+//! 3. concatenates (runs arrive in ascending global order).
 
 use cgmio_model::{CgmProgram, ProcState, RoundCtx, Status};
 use cgmio_pdm::Item;
@@ -25,7 +28,8 @@ use cgmio_pdm::Item;
 pub trait SortKey: Item + Ord {}
 impl<T: Item + Ord> SortKey for T {}
 
-/// Wire format: keys and bookkeeping counts share one fixed-size frame.
+/// [`BalancedSort`]'s wire format: keys and bookkeeping counts share one
+/// fixed-size frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SortMsg<K> {
     /// A sample or data key.
@@ -64,28 +68,21 @@ impl<K: Item> Item for SortMsg<K> {
 }
 
 /// Per-processor sort state: the local fragment (kept sorted from round
-/// 0 on) plus the partition-size matrix gathered for rebalancing.
+/// 0 on) plus the partition-size matrix [`BalancedSort`] gathers.
 pub type SortState<K> = (Vec<K>, Vec<u64>);
 
-/// Deterministic CGM sample sort over keys of type `K`.
+/// Deterministic CGM sample sort over keys of type `K`, leaving the
+/// output distributed by pivot ranges (sizes `O(N/v)`). Its messages
+/// are the keys themselves, so the route moves no frame bytes.
 #[derive(Debug, Clone, Copy)]
 pub struct CgmSort<K> {
-    /// When true, two extra rounds redistribute the output into the
-    /// exact block distribution (sizes differing by ≤ 1); when false the
-    /// output is distributed by pivot ranges (sizes `O(N/v)`).
-    pub rebalance: bool,
     _key: std::marker::PhantomData<fn() -> K>,
 }
 
 impl<K> CgmSort<K> {
     /// Sort leaving the output distributed by pivots.
     pub fn by_pivots() -> Self {
-        Self { rebalance: false, _key: std::marker::PhantomData }
-    }
-
-    /// Sort producing an exactly block-distributed output.
-    pub fn block_distributed() -> Self {
-        Self { rebalance: true, _key: std::marker::PhantomData }
+        Self { _key: std::marker::PhantomData }
     }
 }
 
@@ -95,12 +92,110 @@ impl<K> Default for CgmSort<K> {
     }
 }
 
-fn regular_samples<K: SortKey>(sorted: &[K], v: usize) -> impl Iterator<Item = K> + '_ {
-    // v samples at positions ⌊k·len/v⌋; duplicates are fine.
-    (0..v).filter_map(move |k| sorted.get(k * sorted.len() / v).copied())
+/// [`CgmSort`] plus one round that redistributes the output into the
+/// exact block distribution (sizes differing by ≤ 1). The partition
+/// sizes travel with the keys, so its frame is a [`SortMsg`].
+#[derive(Debug, Clone, Copy)]
+pub struct BalancedSort<K> {
+    _key: std::marker::PhantomData<fn() -> K>,
+}
+
+impl<K> BalancedSort<K> {
+    /// Sort producing an exactly block-distributed output.
+    pub fn new() -> Self {
+        Self { _key: std::marker::PhantomData }
+    }
+}
+
+impl<K> Default for BalancedSort<K> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Round 0 of both sorts: sort the local run and broadcast its `v`
+/// regular samples (positions `⌊k·len/v⌋`; duplicates are fine), each
+/// framed by `wrap`.
+fn send_samples<K: SortKey, M: Item>(
+    ctx: &mut RoundCtx<'_, M>,
+    run: &mut [K],
+    wrap: impl Fn(K) -> M + Copy,
+) {
+    run.sort_unstable();
+    let v = ctx.v;
+    for dst in 0..v {
+        ctx.send(dst, (0..v).filter_map(|k| run.get(k * run.len() / v).copied()).map(wrap));
+    }
+}
+
+/// Round 1 of both sorts: derive the `v−1` pivots from all `v²` samples
+/// (identically everywhere), route partition `j` of the sorted `run` to
+/// processor `j` framed by `wrap`, and return the partition sizes.
+fn route_partitions<K: SortKey, M: Item>(
+    ctx: &mut RoundCtx<'_, M>,
+    mut samples: Vec<K>,
+    run: &[K],
+    wrap: impl Fn(K) -> M + Copy,
+) -> Vec<u64> {
+    let v = ctx.v;
+    samples.sort_unstable();
+    let pivots: Vec<K> =
+        (1..v).filter_map(|k| samples.get(k * samples.len() / v).copied()).collect();
+
+    let mut start = 0usize;
+    (0..v)
+        .map(|dst| {
+            let end = match pivots.get(dst) {
+                Some(pivot) => start + run[start..].partition_point(|x| x <= pivot),
+                None => run.len(),
+            };
+            ctx.send(dst, run[start..end].iter().copied().map(wrap));
+            let size = end - start;
+            start = end;
+            size as u64
+        })
+        .collect()
 }
 
 impl<K: SortKey> CgmProgram for CgmSort<K>
+where
+    Vec<K>: ProcState,
+{
+    type Msg = K;
+    type State = SortState<K>;
+
+    fn round(&self, ctx: &mut RoundCtx<'_, K>, state: &mut SortState<K>) -> Status {
+        match ctx.round {
+            0 => {
+                send_samples(ctx, &mut state.0, |k| k);
+                Status::Continue
+            }
+            1 => {
+                let samples = ctx.incoming.flatten();
+                route_partitions(ctx, samples, &state.0, |k| k);
+                state.0.clear();
+                Status::Continue
+            }
+            _ => {
+                // Sized once: no regrowth copies, and no slack kept in
+                // the state (the EM runners hand it to the caller as is).
+                let mut mine: Vec<K> = Vec::with_capacity(ctx.incoming.total());
+                for (_src, items) in ctx.incoming.iter_nonempty() {
+                    mine.extend_from_slice(items);
+                }
+                mine.sort_unstable();
+                state.0 = mine;
+                Status::Done
+            }
+        }
+    }
+
+    fn rounds_hint(&self, _v: usize) -> Option<usize> {
+        Some(3)
+    }
+}
+
+impl<K: SortKey> CgmProgram for BalancedSort<K>
 where
     Vec<K>: ProcState,
 {
@@ -111,59 +206,34 @@ where
         let v = ctx.v;
         match ctx.round {
             0 => {
-                state.0.sort_unstable();
-                for dst in 0..v {
-                    ctx.send(dst, regular_samples(&state.0, v).map(SortMsg::Key));
-                }
+                send_samples(ctx, &mut state.0, SortMsg::Key);
                 Status::Continue
             }
             1 => {
-                // Derive pivots identically everywhere.
-                let mut samples: Vec<K> = ctx
+                let samples: Vec<K> = ctx
                     .incoming
-                    .flatten()
-                    .into_iter()
-                    .map(|m| match m {
+                    .iter_nonempty()
+                    .flat_map(|(_src, items)| items)
+                    .map(|m| match *m {
                         SortMsg::Key(k) => k,
                         SortMsg::Count(..) => unreachable!("round 1 carries only samples"),
                     })
                     .collect();
-                samples.sort_unstable();
-                let pivots: Vec<K> =
-                    (1..v).filter_map(|k| samples.get(k * samples.len() / v).copied()).collect();
-
-                // Partition the sorted local run and route.
-                let mut sizes = vec![0u64; v];
-                let mut start = 0usize;
-                for dst in 0..v {
-                    let end = if dst < pivots.len() {
-                        start + state.0[start..].partition_point(|x| *x <= pivots[dst])
-                    } else {
-                        state.0.len()
-                    };
-                    sizes[dst] = (end - start) as u64;
-                    ctx.send(dst, state.0[start..end].iter().copied().map(SortMsg::Key));
-                    start = end;
-                }
-                if self.rebalance {
-                    // Announce this row of the partition matrix to all.
-                    for t in 0..v {
-                        ctx.send(
-                            t,
-                            sizes.iter().enumerate().map(|(d, &s)| SortMsg::Count(d as u32, s)),
-                        );
-                    }
+                let sizes = route_partitions(ctx, samples, &state.0, SortMsg::Key);
+                // Announce this row of the partition matrix to all.
+                for t in 0..v {
+                    ctx.send(
+                        t,
+                        sizes.iter().enumerate().map(|(d, &s)| SortMsg::Count(d as u32, s)),
+                    );
                 }
                 state.0.clear();
                 Status::Continue
             }
             2 => {
                 let mut recv_counts = vec![0u64; v]; // items per destination, all rows summed
-
-                // Sized once: no regrowth copies, and no slack kept in
-                // the state (the EM runners hand it to the caller as is).
                 let mut mine: Vec<K> = Vec::with_capacity(ctx.incoming.total());
-                for (_src, items) in ctx.incoming.iter() {
+                for (_src, items) in ctx.incoming.iter_nonempty() {
                     for m in items {
                         match *m {
                             SortMsg::Key(k) => mine.push(k),
@@ -172,10 +242,6 @@ where
                     }
                 }
                 mine.sort_unstable();
-                state.0 = mine;
-                if !self.rebalance {
-                    return Status::Done;
-                }
 
                 // Global rank of my first item = Σ_{j<pid} recv_counts[j].
                 let my_start: u64 = recv_counts[..ctx.pid].iter().sum();
@@ -194,7 +260,7 @@ where
                         extra + (g - boundary) / base.max(1)
                     }
                 };
-                for (off, &k) in state.0.iter().enumerate() {
+                for (off, &k) in mine.iter().enumerate() {
                     ctx.push(owner(my_start + off as u64), SortMsg::Key(k));
                 }
                 state.0.clear();
@@ -204,7 +270,7 @@ where
                 // Runs arrive in ascending source order = ascending
                 // global rank, so concatenation is sorted.
                 let mut out = Vec::with_capacity(ctx.incoming.total());
-                for (_src, items) in ctx.incoming.iter() {
+                for (_src, items) in ctx.incoming.iter_nonempty() {
                     for m in items {
                         match *m {
                             SortMsg::Key(k) => out.push(k),
@@ -221,7 +287,7 @@ where
     }
 
     fn rounds_hint(&self, _v: usize) -> Option<usize> {
-        Some(if self.rebalance { 4 } else { 3 })
+        Some(4)
     }
 }
 
@@ -252,13 +318,36 @@ mod tests {
         assert_eq!(costs.lambda(), 2, "two communication rounds without rebalance");
     }
 
+    /// The model costs of a sort by pivots are exact: round 0 broadcasts
+    /// `v` samples from each of `v` processors to all `v`, round 1
+    /// routes every key once — nothing else travels.
+    #[test]
+    fn by_pivots_sends_samples_then_keys() {
+        let (n, v) = (4096, 8);
+        let keys = uniform_u64(n, 9);
+        let (_, costs) =
+            DirectRunner::default().run(&CgmSort::by_pivots(), init_states(&keys, v)).unwrap();
+        assert_eq!(costs.lambda(), 2);
+        let sent: Vec<usize> = costs.rounds.iter().map(|r| r.total_items).collect();
+        assert_eq!(sent, [v * v * v, n]);
+    }
+
+    /// `CgmSort` frames a key as the key; `BalancedSort`'s frame carries a
+    /// tag and room for a `Count`.
+    #[test]
+    fn frame_widths() {
+        assert_eq!(<CgmSort<u64> as CgmProgram>::Msg::SIZE, 8);
+        assert_eq!(<CgmSort<(u64, u64, u64)> as CgmProgram>::Msg::SIZE, 24);
+        assert_eq!(<BalancedSort<u64> as CgmProgram>::Msg::SIZE, 13);
+        assert_eq!(<BalancedSort<(u64, u64, u64)> as CgmProgram>::Msg::SIZE, 25);
+    }
+
     #[test]
     fn sorts_with_rebalance_into_blocks() {
         let keys = uniform_u64(4103, 7); // deliberately not divisible by v
         let v = 8;
-        let (fin, costs) = DirectRunner::default()
-            .run(&CgmSort::block_distributed(), init_states(&keys, v))
-            .unwrap();
+        let (fin, costs) =
+            DirectRunner::default().run(&BalancedSort::new(), init_states(&keys, v)).unwrap();
         check_sorted_output(&fin, &keys);
         assert_eq!(costs.lambda(), 3);
         // block distribution: sizes differ by at most one
@@ -279,9 +368,11 @@ mod tests {
             vec![],
             vec![9],
         ] {
-            let (fin, _) = DirectRunner::default()
-                .run(&CgmSort::block_distributed(), init_states(&keys, v))
-                .unwrap();
+            let (fin, _) =
+                DirectRunner::default().run(&CgmSort::by_pivots(), init_states(&keys, v)).unwrap();
+            check_sorted_output(&fin, &keys);
+            let (fin, _) =
+                DirectRunner::default().run(&BalancedSort::new(), init_states(&keys, v)).unwrap();
             check_sorted_output(&fin, &keys);
         }
     }
@@ -302,9 +393,8 @@ mod tests {
     fn works_on_threads() {
         let keys = uniform_u64(2000, 11);
         let v = 6;
-        let (fin, _) = ThreadedRunner::new(3)
-            .run(&CgmSort::block_distributed(), init_states(&keys, v))
-            .unwrap();
+        let (fin, _) =
+            ThreadedRunner::new(3).run(&BalancedSort::new(), init_states(&keys, v)).unwrap();
         check_sorted_output(&fin, &keys);
     }
 

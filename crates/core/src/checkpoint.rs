@@ -72,7 +72,8 @@ pub struct WorkerCheckpoint {
 /// data already sitting on the disks).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointManifest {
-    /// Hash of the layout-relevant [`crate::EmConfig`] fields; resume
+    /// Hash of the layout-relevant [`crate::EmConfig`] fields and the
+    /// program's message width ([`crate::EmConfig::run_hash`]); resume
     /// refuses a manifest written under a different configuration.
     pub config_hash: u64,
     /// Virtual processors of the run.

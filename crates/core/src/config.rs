@@ -143,6 +143,12 @@ pub struct DiskHandles {
 /// sizes (so `M` joined the hash).
 pub const LAYOUT_VERSION: u64 = 4;
 
+/// FNV-1a from state `h` over the little-endian bytes of `words`.
+fn fnv1a(h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    let bytes = words.into_iter().flat_map(u64::to_le_bytes);
+    bytes.fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
 /// Configuration of the simulated EM-CGM target machine.
 ///
 /// The paper's model parameters map as: `v` virtual processors, `p` real
@@ -291,29 +297,35 @@ impl EmConfig {
 
     /// Hash of the fields that determine the on-disk layout and the
     /// simulation semantics (`v`, `p`, `D`, `B`, slot sizes, group
-    /// size, `M`) and of [`LAYOUT_VERSION`]. Stored in checkpoint
+    /// size, `M`) and of [`LAYOUT_VERSION`]. Extended by the program's
+    /// message width ([`Self::run_hash`]) it is stored in checkpoint
     /// manifests; `resume_from` refuses a manifest whose hash differs —
     /// resuming under a different layout would silently read the wrong
     /// tracks.
     pub fn config_hash(&self) -> u64 {
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
-        for x in [
-            LAYOUT_VERSION,
-            self.vp_group as u64,
-            self.v as u64,
-            self.p as u64,
-            self.num_disks as u64,
-            self.block_bytes as u64,
-            self.msg_slot_items as u64,
-            self.max_ctx_bytes as u64,
-            self.mem_bytes as u64,
-        ] {
-            for b in x.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        h
+        fnv1a(
+            0xCBF2_9CE4_8422_2325,
+            [
+                LAYOUT_VERSION,
+                self.vp_group as u64,
+                self.v as u64,
+                self.p as u64,
+                self.num_disks as u64,
+                self.block_bytes as u64,
+                self.msg_slot_items as u64,
+                self.max_ctx_bytes as u64,
+                self.mem_bytes as u64,
+            ],
+        )
+    }
+
+    /// The hash a run of a program whose messages are `msg_bytes` wide
+    /// writes into its manifests and demands of one it resumes:
+    /// [`Self::config_hash`] continued over `msg_bytes`. Slot sizes
+    /// count items, so the mailbox bands and their decoding depend on
+    /// the frame width too.
+    pub fn run_hash(&self, msg_bytes: usize) -> u64 {
+        fnv1a(self.config_hash(), [msg_bytes as u64])
     }
 
     /// Build the disk array of real processor `worker_idx` according to

@@ -70,11 +70,18 @@ struct WorkerInit<S> {
 }
 
 /// Resume requires the manifest to describe this exact machine: same
-/// layout hash, same shape, workers in order.
-fn check_manifest(cfg: &EmConfig, p: usize, m: &CheckpointManifest) -> Result<(), EmError> {
-    if m.config_hash != cfg.config_hash() {
+/// layout hash (message width included), same shape, workers in order.
+fn check_manifest(
+    cfg: &EmConfig,
+    p: usize,
+    msg_bytes: usize,
+    m: &CheckpointManifest,
+) -> Result<(), EmError> {
+    let run_hash = cfg.run_hash(msg_bytes);
+    if m.config_hash != run_hash {
         return Err(EmError::BadConfig(format!(
-            "checkpoint config hash {:#x} does not match this config ({:#x})",
+            "checkpoint config hash {:#x} does not match this run's ({run_hash:#x}: config \
+             {:#x} with {msg_bytes}-byte messages)",
             m.config_hash,
             cfg.config_hash()
         )));
@@ -115,7 +122,7 @@ pub(crate) fn drive<P: CgmProgram>(
         Start::Resume(manifest, live) => (Vec::new(), Some(manifest), live),
     };
     match &resumed {
-        Some(m) => check_manifest(cfg, p, m)?,
+        Some(m) => check_manifest(cfg, p, P::Msg::SIZE, m)?,
         None if states.len() != v => {
             return Err(EmError::BadConfig(format!(
                 "config.v = {v} but {} initial states were given",
@@ -132,7 +139,7 @@ pub(crate) fn drive<P: CgmProgram>(
 
     let start_round = resumed.as_ref().map_or(0, |m| m.superstep + 1);
     let mut manifest = resumed.unwrap_or_else(|| CheckpointManifest {
-        config_hash: cfg.config_hash(),
+        config_hash: cfg.run_hash(P::Msg::SIZE),
         v,
         p,
         superstep: 0,

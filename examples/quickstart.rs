@@ -1,6 +1,6 @@
 //! Quickstart: write a CGM algorithm once, run it everywhere.
 //!
-//! This sorts 100k keys with the same unmodified `CgmSort` program on
+//! This sorts 100k keys with the same unmodified `BalancedSort` program on
 //! all four runners — in-memory sequential, multi-threaded, and the two
 //! external-memory simulation engines of the paper — and prints the
 //! exact parallel-I/O accounting the EM runs produce.
@@ -9,7 +9,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use cgmio_algos::CgmSort;
+use cgmio_algos::BalancedSort;
 use cgmio_core::{measure_requirements, EmConfig, ParEmRunner, SeqEmRunner};
 use cgmio_data::{block_split, uniform_u64};
 use cgmio_model::{DirectRunner, ThreadedRunner};
@@ -25,7 +25,7 @@ fn main() {
             .map(|block| (block, Vec::new()))
             .collect::<Vec<_>>()
     };
-    let prog = CgmSort::<u64>::block_distributed();
+    let prog = BalancedSort::<u64>::new();
 
     // 1. Reference run, in memory.
     let (reference, costs) = DirectRunner::default().run(&prog, mk_states()).unwrap();

@@ -34,12 +34,13 @@ const RING_BUDGET: f64 = 3.01;
 /// 85 before the scratch was recycled).
 const RING_RUN_BUDGET: f64 = 11.1;
 
-/// Allocations of the sort run below: 3 910 measured (4 449 before
-/// inbox decoders kept their carry buffers between reads, 4 649 with a
-/// set-up and a readout pass and the sorted runs grown by doubling,
-/// 7 763 before the scratch was recycled).
+/// Allocations of the sort run below: 3 359 measured (3 910 with
+/// 13-byte tagged frames instead of bare keys, 4 449 before inbox
+/// decoders kept their carry buffers between reads, 4 649 with a set-up
+/// and a readout pass and the sorted runs grown by doubling, 7 763
+/// before the scratch was recycled).
 /// The large-block path must not get worse.
-const SORT_BUDGET: u64 = 3_910;
+const SORT_BUDGET: u64 = 3_359;
 
 /// Allocations performed by `runner.run()` on a `v`-processor token
 /// ring of `rounds` rotations: `Mem`, D = 2, B = 64 (so `vp_group` = 2).

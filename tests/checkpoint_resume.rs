@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 
 use cgmio_algos::graphs::listrank::{CgmListRank, ListRankState};
-use cgmio_algos::{CgmSort, SortState};
+use cgmio_algos::{BalancedSort, CgmSort, SortState};
 use cgmio_core::{
     measure_requirements, BackendSpec, CheckpointManifest, EmConfig, EmError, EmRunReport,
     ParEmRunner, RunOutcome, SeqEmRunner,
@@ -299,8 +299,8 @@ fn fnv(fields: &[usize]) -> u64 {
 /// decoding moved blocks: one from before the block-major layout (five
 /// `io` values, and a hash that covered neither a layout version nor
 /// `vp_group`), one from before rotation copies (`LAYOUT_VERSION` 2),
-/// and one from before mailboxes (`LAYOUT_VERSION` 3, whose hash did
-/// not cover `M`).
+/// one from before mailboxes (`LAYOUT_VERSION` 3, whose hash did not
+/// cover `M`), and one whose hash did not cover the message width.
 #[test]
 fn manifest_with_the_parent_hash_is_refused() {
     let prog = TokenRing { rounds: 4 };
@@ -322,10 +322,15 @@ fn manifest_with_the_parent_hash_is_refused() {
     let unrotated = fnv(&[2, k, v, 1, 2, 64, slots[0], slots[1]]);
     let rotated = fnv(&[3, k, v, 1, 2, 64, slots[0], slots[1]]);
     let m = cfg.mem_bytes;
-    assert_eq!(fnv(&[4, k, v, 1, 2, 64, slots[0], slots[1], m]), cfg.config_hash());
+    let unframed = fnv(&[4, k, v, 1, 2, 64, slots[0], slots[1], m]);
+    assert_eq!(unframed, cfg.config_hash());
+    let framed = fnv(&[4, k, v, 1, 2, 64, slots[0], slots[1], m, u64::SIZE]);
+    assert_eq!(framed, cfg.run_hash(u64::SIZE));
     let text = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(CheckpointManifest::load(&path).unwrap().config_hash, framed);
     cfg.halt_after_superstep = None;
-    for (old_hash, io_values) in [(message_major, 5), (unrotated, 6), (rotated, 6)] {
+    let stale_layouts = [(message_major, 5), (unrotated, 6), (rotated, 6), (unframed, 6)];
+    for (old_hash, io_values) in stale_layouts {
         let stale: String = text
             .lines()
             .map(|l| match l.split_once(' ') {
@@ -347,6 +352,58 @@ fn manifest_with_the_parent_hash_is_refused() {
             assert!(msg.contains(&format!("{hash:#x}")), "{msg}");
         }
     }
+}
+
+/// The message width is part of the layout: mailbox bands hold slot
+/// sizes counted in items, so a checkpoint of the key-only sort (8-byte
+/// frames) resumed by the balanced sort (13-byte `SortMsg` frames) under
+/// the very same config — or the other way round — is a `BadConfig`,
+/// not a decode of the other program's bytes. The program that wrote
+/// the checkpoint resumes it.
+#[test]
+fn resume_refuses_a_program_of_another_frame_width() {
+    let keys = cgmio_data::uniform_u64(2000, 7);
+    let init = || -> Vec<SortState<u64>> {
+        let parts = cgmio_data::block_split(keys.clone(), 6);
+        parts.into_iter().map(|b| (b, Vec::new())).collect()
+    };
+    let (keyed, balanced) = (CgmSort::<u64>::by_pivots(), BalancedSort::<u64>::new());
+    // One config that fits both programs' contexts and messages.
+    let fit = |req| EmConfig::from_requirements(6, 1, 2, 128, &req);
+    let a = fit(measure_requirements(&keyed, init()).unwrap().2);
+    let mut cfg = fit(measure_requirements(&balanced, init()).unwrap().2);
+    cfg.max_ctx_bytes = cfg.max_ctx_bytes.max(a.max_ctx_bytes);
+    cfg.msg_slot_items = cfg.msg_slot_items.max(a.msg_slot_items);
+    cfg.mem_bytes = cfg.mem_bytes.max(a.mem_bytes);
+    let (want, _) = SeqEmRunner::new(cfg.clone()).run(&keyed, init()).unwrap();
+
+    let dir = TempDir::new("cgmio-ckpt-frame");
+    let mut fcfg = cfg.clone();
+    fcfg.backend = BackendSpec::SyncFile { dir: dir.path().join("drives") };
+    let mut hcfg = fcfg.clone();
+    hcfg.checkpoint_dir = Some(dir.path().to_path_buf());
+    hcfg.halt_after_superstep = Some(0);
+    drop(SeqEmRunner::new(hcfg.clone()).run_until(&keyed, init()).unwrap());
+    let saved = CheckpointManifest::load(&CheckpointManifest::path_in(dir.path())).unwrap();
+    assert_eq!(saved.config_hash, cfg.run_hash(8));
+    let e = SeqEmRunner::new(fcfg.clone()).resume_from(&balanced, &saved).unwrap_err();
+    let EmError::BadConfig(msg) = e else { panic!("expected BadConfig, got {e:?}") };
+    assert!(msg.contains("8-byte") || msg.contains("13-byte"), "{msg}");
+    let (finals, _) =
+        SeqEmRunner::new(fcfg.clone()).resume_from(&keyed, &saved).unwrap().expect_complete();
+    assert_eq!(finals, want);
+
+    // The other way round, from an in-process checkpoint at p = 2.
+    let mut pcfg = cfg.clone();
+    (pcfg.p, pcfg.halt_after_superstep) = (2, Some(1));
+    let RunOutcome::Interrupted(ckpt) =
+        ParEmRunner::new(pcfg.clone()).run_until(&balanced, init()).unwrap()
+    else {
+        panic!("no halt")
+    };
+    assert_eq!(ckpt.manifest.config_hash, pcfg.run_hash(13));
+    let e = ParEmRunner::new(pcfg).resume(&keyed, ckpt).unwrap_err();
+    assert!(matches!(e, EmError::BadConfig(_)), "expected BadConfig, got {e:?}");
 }
 
 /// The manifest parser trusts nothing it reads: a real manifest cut

@@ -5,7 +5,7 @@
 
 use cgmio_algos::geometry::{CgmConvexHull, CgmDominance, CgmIntervalStab, CgmUnionArea};
 use cgmio_algos::graphs::{CgmConnectivity, CgmEulerTour, CgmListRank};
-use cgmio_algos::{CgmPermute, CgmSort, CgmTranspose};
+use cgmio_algos::{BalancedSort, CgmPermute, CgmSort, CgmTranspose};
 use cgmio_core::{
     measure_requirements, BackendSpec, CheckpointManifest, EmConfig, EmError, ParEmRunner,
     RunOutcome, SeqEmRunner,
@@ -50,7 +50,7 @@ fn sort_agrees_everywhere() {
     let keys = data::uniform_u64(3000, 1);
     let v = 6;
     assert_all_runners_agree(
-        &CgmSort::<u64>::block_distributed(),
+        &BalancedSort::<u64>::new(),
         || data::block_split(keys.clone(), v).into_iter().map(|b| (b, Vec::new())).collect(),
         "sort",
     );
@@ -256,7 +256,7 @@ fn round_costs_match_direct_runner_for_every_p() {
         assert_eq!(rep.costs.rounds, want.rounds, "{label}: seq");
     }
     check(&AllToOne { items_per_proc: 7 }, || (0..6).map(|_| Vec::new()).collect(), "all-to-one");
-    check(&CgmSort::<u64>::block_distributed(), irregular_sort_input, "sort");
+    check(&BalancedSort::<u64>::new(), irregular_sort_input, "sort");
 }
 
 /// `ParEmRunner` at `p = 1` *is* `SeqEmRunner`: every count, every
@@ -271,7 +271,7 @@ fn p1_is_the_sequential_runner_exactly() {
 }
 
 fn p1_is_the_sequential_runner_at(k: usize) {
-    let (prog, mk) = (CgmSort::<u64>::block_distributed(), irregular_sort_input);
+    let (prog, mk) = (BalancedSort::<u64>::new(), irregular_sort_input);
     let (_, _, req) = measure_requirements(&prog, mk()).unwrap();
     let mut cfg = EmConfig::from_requirements(8, 1, 4, 64, &req);
     cfg.vp_group = k;
@@ -430,7 +430,8 @@ fn run_boundaries_move_no_blocks_for_every_p_and_depth() {
 /// at `p` ∈ {1, 2, 3} × pipeline depth {0, 2} × `vp_group` {1, 2} ×
 /// Mem/SyncFile, `prog` ends in the reference runner's finals, and
 /// neither the depth nor the backend moves an I/O count. 64-byte blocks
-/// make messages share blocks, and 13-byte sort messages straddle them.
+/// make messages share blocks; the balanced sort's 13-byte `SortMsg`
+/// frames straddle them, the sort by pivots' 8-byte keys tile them.
 fn assert_mailboxes_deliver<P>(prog: &P, mk: impl Fn() -> Vec<P::State>, label: &str)
 where
     P: CgmProgram,
@@ -466,7 +467,7 @@ fn mailboxes_deliver_identically_for_every_p_depth_group_and_backend() {
         data::block_split(keys.clone(), 6).into_iter().map(|b| (b, Vec::new())).collect()
     };
     assert_mailboxes_deliver(&CgmSort::<u64>::by_pivots(), sort_states, "sort by pivots");
-    assert_mailboxes_deliver(&CgmSort::<u64>::block_distributed(), sort_states, "sort");
+    assert_mailboxes_deliver(&BalancedSort::<u64>::new(), sort_states, "sort");
     let prefix = || (0..5u64).map(|i| ((0..=i * 7).collect(), Vec::new())).collect::<Vec<_>>();
     assert_mailboxes_deliver(&PrefixSum, prefix, "prefix sum");
     let (succ, _) = data::random_list(400, 5);

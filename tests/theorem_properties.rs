@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use cgmio_algos::CgmSort;
+use cgmio_algos::BalancedSort;
 use cgmio_core::{measure_requirements, EmConfig, SeqEmRunner};
 use cgmio_data as data;
 use cgmio_model::{CgmProgram, DirectRunner, RoundCtx, Status};
@@ -106,7 +106,7 @@ proptest! {
         keys in proptest::collection::vec(any::<u64>(), 0..600),
         v in 2usize..6,
     ) {
-        let prog = CgmSort::<u64>::block_distributed();
+        let prog = BalancedSort::<u64>::new();
         let mk = || {
             data::block_split(keys.clone(), v)
                 .into_iter()
