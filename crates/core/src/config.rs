@@ -255,8 +255,10 @@ pub struct EmConfig {
 }
 
 impl EmConfig {
-    /// A config sized from measured [`Requirements`] with headroom:
-    /// slots exactly fit the measured maxima.
+    /// A config sized from measured [`Requirements`]: slots exactly fit
+    /// the measured maxima, and `M` is what a sequential processor
+    /// holds — the working set `W` ([`Requirements::working_set`]) plus
+    /// the open-block pool's reserve `R` ([`Requirements::pool_reserve`]).
     pub fn from_requirements(
         v: usize,
         p: usize,
@@ -264,16 +266,14 @@ impl EmConfig {
         block_bytes: usize,
         req: &Requirements,
     ) -> Self {
-        // M must hold one context plus its in/out message traffic.
-        let mem_bytes = (req.max_ctx_bytes
-            + 2 * req.max_proc_recv_bytes.max(req.max_proc_sent_bytes))
-        .max(num_disks * block_bytes);
+        let working = req.working_set(num_disks, block_bytes);
+        let mem_bytes = working + req.pool_reserve(v, p, num_disks, block_bytes);
         let max_ctx_bytes = req.max_ctx_bytes.max(8);
         // The smallest group whose contexts fill one D-wide stripe,
-        // never more than M holds.
+        // never more than the working set holds.
         let per_vp = req.max_ctx_bytes + req.max_proc_recv_bytes + req.max_proc_sent_bytes;
         let vp_group =
-            (num_disks / max_ctx_bytes.div_ceil(block_bytes)).min(mem_bytes / per_vp.max(1)).max(1);
+            (num_disks / max_ctx_bytes.div_ceil(block_bytes)).min(working / per_vp.max(1)).max(1);
         Self {
             v,
             p,

@@ -463,6 +463,8 @@ struct Worker<'a, P: CgmProgram> {
     mats: [MessageMatrix<P::Msg>; 2],
     breakdown: IoBreakdown,
     peak_mem: usize,
+    /// Largest open-block pool held since this worker started.
+    peak_open: usize,
     /// Scratch of the group being simulated, one entry per slot: its
     /// context (read into, then encoded into), the `(src, items)` list
     /// of its inbox and the `(dst, items)` list of its outbox, emptied
@@ -554,6 +556,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             mats,
             breakdown,
             peak_mem,
+            peak_open: 0,
             ctxs: (0..k).map(|_| Vec::new()).collect(),
             inboxes: (0..k).map(|_| Vec::new()).collect(),
             sents: (0..k).map(|_| Vec::new()).collect(),
@@ -578,7 +581,8 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
         link: &mut Link<'_, '_, P::Msg>,
     ) -> Result<RoundCtl, EmError> {
         let Self { cfg, t, range, h, ctx_store, mats, breakdown, inflight, input, .. } = self;
-        let Self { ctxs, inboxes, sents, states, finals, depth, prog, peak_mem, .. } = self;
+        let Self { ctxs, inboxes, sents, states, finals, depth, prog, .. } = self;
+        let Self { peak_mem, peak_open, .. } = self;
         let (cfg, t, depth, hinted) = (*cfg, *t, *depth, h.hint_cache);
         let disks = &mut h.disks;
         let (v, first, n_local, k) = (cfg.v, range.start, range.len(), ctxs.len());
@@ -668,12 +672,15 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             }
             drop(gs);
 
-            // Memory audit: the group's contexts + inboxes + outboxes
-            // must fit in M; the open message blocks held after its
-            // write take only what is left beyond D blocks of I/O buffer.
-            if cfg.strict && mem > cfg.mem_bytes {
+            // Memory audit: the open message blocks carried from earlier
+            // groups are in RAM from the group's start, and its contexts
+            // + inboxes + outboxes join them; all must fit in M. The
+            // blocks held after its write take only what the working set
+            // leaves beyond D blocks of I/O buffer.
+            let live = mat_next.open_bytes() + mem;
+            if cfg.strict && live > cfg.mem_bytes {
                 let pid = first + slots.start;
-                return Err(EmError::MemoryExceeded { pid, need: mem, m: cfg.mem_bytes });
+                return Err(EmError::MemoryExceeded { pid, need: live, m: cfg.mem_bytes });
             }
 
             // (d) messages out — only destinations actually sent to
@@ -691,6 +698,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
                     let ops0 = disks.stats().total_ops();
                     mat_next.write_entries(disks, entries, hold)?;
                     breakdown.msg_ops += disks.stats().total_ops() - ops0;
+                    *peak_open = (*peak_open).max(mat_next.open_bytes());
                     mem += mat_next.open_bytes();
                     if slots.end == n_local {
                         disks.prefetch(&mat_next.read_addrs_for_dst(globally(group(0))));
@@ -703,7 +711,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
                     }
                 }
             }
-            *peak_mem = (*peak_mem).max(mem);
+            *peak_mem = (*peak_mem).max(live).max(mem);
             sents.iter_mut().for_each(Vec::clear);
 
             // (e) contexts out, each checked against its slot; a group of
@@ -793,6 +801,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             p: 1,
             v: cfg.v,
             peak_mem_bytes: self.peak_mem,
+            peak_open_bytes: self.peak_open,
             cross_thread_items: 0,
             wall,
             io_trace,
@@ -982,6 +991,46 @@ mod tests {
             assert_eq!(rep.faults, Some(stats.counts()), "p={p}");
             assert!(rep.retries > 0, "p={p}: transient faults must have been retried");
         }
+    }
+
+    /// One round in which every vp sends one item to every vp, so each
+    /// mailbox is left with an open block after every write.
+    struct EveryoneToEveryone;
+
+    impl CgmProgram for EveryoneToEveryone {
+        type Msg = u64;
+        type State = Vec<u64>;
+
+        fn round(&self, ctx: &mut RoundCtx<'_, u64>, _state: &mut Vec<u64>) -> Status {
+            if ctx.round == 1 {
+                return Status::Done;
+            }
+            for dst in 0..ctx.v {
+                ctx.push(dst, ctx.pid as u64);
+            }
+            Status::Continue
+        }
+    }
+
+    #[test]
+    fn carried_pool_is_charged_from_the_group_start() {
+        // vp 0's small working set lets the pool keep all four mailboxes'
+        // open blocks (hold 5); they are still in RAM while vp 2 works
+        // on a context 40 times larger, and only its write flushes them.
+        let init = || (0..4u64).map(|i| vec![i; if i == 2 { 40 } else { 1 }]).collect::<Vec<_>>();
+        let prog = EveryoneToEveryone;
+        let mut cfg = config_for(&prog, init(), 1, 2, 64);
+        (cfg.vp_group, cfg.mem_bytes) = (1, 512);
+        let (pool, working) = (4 * 64, init()[2].encoded_len() + 4 * u64::SIZE);
+        assert!(pool + working > cfg.mem_bytes && working <= cfg.mem_bytes - 2 * 64);
+        let (_, rep) = run(&cfg, 1, &prog, init()).unwrap();
+        assert_eq!(rep.peak_mem_bytes, pool + working);
+        cfg.strict = true;
+        let e = run(&cfg, 1, &prog, init()).unwrap_err();
+        assert!(
+            matches!(e, EmError::MemoryExceeded { pid: 2, need, m: 512 } if need == pool + working),
+            "{e:?}"
+        );
     }
 
     /// One round of a token ring in which vp `at` misbehaves: it panics,

@@ -26,6 +26,34 @@ pub struct Requirements {
     pub max_proc_sent_bytes: usize,
 }
 
+impl Requirements {
+    /// `μ + 2h`: one context plus its in and out traffic, bytes.
+    fn traffic_bytes(&self) -> usize {
+        self.max_ctx_bytes + 2 * self.max_proc_recv_bytes.max(self.max_proc_sent_bytes)
+    }
+
+    /// `W`, the working set a group computes in: `μ + 2h`, and at least
+    /// one `D`-wide stripe.
+    pub fn working_set(&self, num_disks: usize, block_bytes: usize) -> usize {
+        self.traffic_bytes().max(num_disks * block_bytes)
+    }
+
+    /// `R`, the room [`crate::EmConfig::from_requirements`] adds to `W`
+    /// for the open-block pool at `p = 1`: one block per local mailbox,
+    /// `n = min(v, ⌊(μ + 2h)/B⌋)`, plus the `D` blocks of write buffer
+    /// the hold rule sets aside — `(n + D)·B`, or 0 when `n = 0`. The
+    /// cap on `n` keeps `M ≤ 2·W + D·B`; inside the paper's range
+    /// (`v·B ≤ N/v`) it never binds. At `p ≥ 2` a round's arrivals are
+    /// written as one list that holds nothing open, so `R = 0`.
+    pub fn pool_reserve(&self, v: usize, p: usize, num_disks: usize, block_bytes: usize) -> usize {
+        let n = v.min(self.traffic_bytes() / block_bytes);
+        match p >= 2 || n == 0 {
+            true => 0,
+            false => (n + num_disks) * block_bytes,
+        }
+    }
+}
+
 /// Instrumented wrapper measuring context sizes after every round.
 struct Measured<'a, P> {
     inner: &'a P,

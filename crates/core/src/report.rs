@@ -48,8 +48,14 @@ pub struct EmRunReport {
     pub v: usize,
     /// Peak internal memory used to simulate any one group of
     /// `EmConfig::vp_group` virtual processors: their contexts, inboxes
-    /// and outboxes, in bytes.
+    /// and outboxes, and the open message blocks held beside them, in
+    /// bytes.
     pub peak_mem_bytes: usize,
+    /// Largest open-block pool a worker held between message writes
+    /// (`p = 1`; 0 at `p ≥ 2`), bytes — part of [`Self::peak_mem_bytes`].
+    /// Like [`Self::retries`], it covers only the portion of a run since
+    /// its last resume.
+    pub peak_open_bytes: usize,
     /// Items that crossed a real-processor boundary (0 for Algorithm 2).
     pub cross_thread_items: u64,
     /// Wall-clock time of the superstep loop.
@@ -92,6 +98,7 @@ impl EmRunReport {
         self.breakdown.msg_ops += other.breakdown.msg_ops;
         self.breakdown.readout_ops += other.breakdown.readout_ops;
         self.peak_mem_bytes = self.peak_mem_bytes.max(other.peak_mem_bytes);
+        self.peak_open_bytes = self.peak_open_bytes.max(other.peak_open_bytes);
         self.wall = self.wall.max(other.wall);
         self.io_trace.extend(other.io_trace);
         self.retries += other.retries;
@@ -142,6 +149,7 @@ mod tests {
             p: 2,
             v: 8,
             peak_mem_bytes: 1234,
+            peak_open_bytes: 0,
             cross_thread_items: 0,
             wall: Duration::ZERO,
             io_trace: Vec::new(),

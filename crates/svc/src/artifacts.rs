@@ -226,6 +226,7 @@ mod tests {
             p: 1,
             v: 4,
             peak_mem_bytes: 100,
+            peak_open_bytes: 0,
             cross_thread_items: 0,
             wall: std::time::Duration::from_micros(42),
             io_trace: Vec::new(),

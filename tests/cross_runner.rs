@@ -642,3 +642,53 @@ fn zero_geometry_is_a_bad_config_on_both_runners() {
         }
     }
 }
+
+/// More memory never costs an operation — with one known exception.
+/// At `p = 1`, `M` past the working set `W` only lets more message blocks
+/// stay open, so a program's ops at `from_requirements`' `M` are at most
+/// its ops at `M = W` set by hand. `excess` names the geometries where
+/// they are not, and by how many ops: a block held longer is written in a
+/// later list, and can land on that list's busiest drive (EXPERIMENTS.md,
+/// "The pool's reserve"). Each is pinned, so a new one or a changed one
+/// fails.
+fn assert_pool_reserve_cost<P: CgmProgram>(
+    prog: &P,
+    mk: impl Fn() -> Vec<P::State>,
+    label: &str,
+    excess: &[((usize, usize), u64)],
+) {
+    let v = mk().len();
+    let (_, _, req) = measure_requirements(prog, mk()).unwrap();
+    for (d, bb) in [(1usize, 32usize), (2, 64), (4, 64), (2, 512)] {
+        let cfg = EmConfig::from_requirements(v, 1, d, bb, &req);
+        let at_w = EmConfig { mem_bytes: req.working_set(d, bb), ..cfg.clone() };
+        let ops = |cfg| SeqEmRunner::new(cfg).run(prog, mk()).unwrap().1.io.total_ops();
+        let (with_pool, without) = (ops(cfg.clone()), ops(at_w));
+        let known = excess.iter().find(|e| e.0 == (d, bb)).map_or(0, |e| e.1);
+        assert_eq!(
+            with_pool.saturating_sub(without),
+            known,
+            "{label} (D={d}, B={bb}): {with_pool} ops at M = {} vs {without} at W",
+            cfg.mem_bytes
+        );
+    }
+}
+
+#[test]
+fn more_memory_costs_no_op_except_where_pinned() {
+    let ring = || (0..9u64).map(|i| vec![i]).collect::<Vec<_>>();
+    assert_pool_reserve_cost(&TokenRing { rounds: 4 }, ring, "ring", &[]);
+    let keys = data::uniform_u64(2000, 4);
+    let sorts = || -> Vec<SortState> { sort_states(&keys, 7) };
+    let by_pivots = CgmSort::<u64>::by_pivots();
+    assert_pool_reserve_cost(&by_pivots, sorts, "sort by pivots", &[]);
+    assert_pool_reserve_cost(&BalancedSort::<u64>::new(), sorts, "sort", &[((2, 512), 1)]);
+    let prefix = || (0..6u64).map(|i| ((0..=i * 5).collect(), Vec::new())).collect::<Vec<_>>();
+    assert_pool_reserve_cost(&PrefixSum, prefix, "prefix sum", &[]);
+    let (succ, _) = data::random_list(900, 6);
+    let n = succ.len() as u64;
+    let lists = || -> Vec<_> {
+        data::block_split(succ.clone(), 6).into_iter().map(|b| (vec![n], b, Vec::new())).collect()
+    };
+    assert_pool_reserve_cost(&CgmListRank, lists, "list ranking", &[]);
+}

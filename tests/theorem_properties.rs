@@ -3,8 +3,9 @@
 
 use proptest::prelude::*;
 
-use cgmio_algos::BalancedSort;
-use cgmio_core::{measure_requirements, EmConfig, SeqEmRunner};
+use cgmio_algos::graphs::CgmListRank;
+use cgmio_algos::{BalancedSort, CgmSort};
+use cgmio_core::{measure_requirements, EmConfig, EmRunReport, Requirements, SeqEmRunner};
 use cgmio_data as data;
 use cgmio_model::{CgmProgram, DirectRunner, RoundCtx, Status};
 use cgmio_routing::{bin_sizes, lemma1_feasible, superbin_sizes, Balanced};
@@ -118,15 +119,57 @@ proptest! {
         let cfg = EmConfig::from_requirements(v, 1, 2, 256, &req);
         let (got, rep) = SeqEmRunner::new(cfg.clone()).run(&prog, mk()).unwrap();
         prop_assert_eq!(got, want.clone());
-        // the automatic group's memory audit — k·(μ + r + s) — fits in M
-        prop_assert!(rep.peak_mem_bytes <= cfg.mem_bytes,
-            "peak {} > M {} at k = {}", rep.peak_mem_bytes, cfg.mem_bytes, cfg.vp_group);
-        // one vp at a time never exceeds what the measurement promised
-        let one = EmConfig { vp_group: 1, ..cfg };
+        // the automatic group's memory audit — k·(μ + r + s) and the
+        // open blocks carried past it — fits in M
+        assert_fits_in_m(&cfg, &req, &rep, cfg.vp_group);
+        // one vp at a time never exceeds what the measurement promised:
+        // the working set plus the pool's reserve
+        let one = EmConfig { vp_group: 1, ..cfg.clone() };
         let (got, rep) = SeqEmRunner::new(one).run(&prog, mk()).unwrap();
         prop_assert_eq!(got, want);
-        prop_assert!(rep.peak_mem_bytes <= req.max_ctx_bytes
-            + 2 * (req.max_proc_recv_bytes.max(req.max_proc_sent_bytes))
-            + 64);
+        assert_fits_in_m(&cfg, &req, &rep, 1);
     }
+
+    /// The same audit for the key-only sort, whose `M` is sized from
+    /// 8-byte frames.
+    #[test]
+    fn em_sort_by_pivots_fits_in_m(
+        keys in proptest::collection::vec(any::<u64>(), 0..600),
+        v in 2usize..6,
+    ) {
+        let prog = CgmSort::<u64>::by_pivots();
+        let mk = || data::block_split(keys.clone(), v).into_iter().map(|b| (b, Vec::new())).collect();
+        let (_, _, req) = measure_requirements(&prog, mk()).unwrap();
+        let cfg = EmConfig::from_requirements(v, 1, 2, 256, &req);
+        for k in [1, cfg.vp_group] {
+            let (_, rep) = SeqEmRunner::new(EmConfig { vp_group: k, ..cfg.clone() }).run(&prog, mk()).unwrap();
+            assert_fits_in_m(&cfg, &req, &rep, k);
+        }
+    }
+
+    /// And for list ranking, whose vps' traffic differs from round to
+    /// round and from vp to vp.
+    #[test]
+    fn em_list_ranking_fits_in_m(n in 1usize..400, seed in any::<u64>(), v in 2usize..6) {
+        let (succ, _) = data::random_list(n, seed);
+        let mk = || -> Vec<_> {
+            data::block_split(succ.clone(), v).into_iter().map(|b| (vec![n as u64], b, Vec::new())).collect()
+        };
+        let (_, _, req) = measure_requirements(&CgmListRank, mk()).unwrap();
+        let cfg = EmConfig::from_requirements(v, 1, 2, 64, &req);
+        for k in [1, cfg.vp_group] {
+            let (_, rep) = SeqEmRunner::new(EmConfig { vp_group: k, ..cfg.clone() }).run(&CgmListRank, mk()).unwrap();
+            assert_fits_in_m(&cfg, &req, &rep, k);
+        }
+    }
+}
+
+/// `M` is the working set `W` plus the pool's reserve `R`; a run's peak
+/// stays within it, and its open-block pool within `R`.
+fn assert_fits_in_m(cfg: &EmConfig, req: &Requirements, rep: &EmRunReport, k: usize) {
+    let (d, bb) = (cfg.num_disks, cfg.block_bytes);
+    let (w, r) = (req.working_set(d, bb), req.pool_reserve(cfg.v, cfg.p, d, bb));
+    assert_eq!(cfg.mem_bytes, w + r);
+    assert!(rep.peak_mem_bytes <= w + r, "peak {} > W {w} + R {r} at k = {k}", rep.peak_mem_bytes);
+    assert!(rep.peak_open_bytes <= r, "open pool {} > R {r}", rep.peak_open_bytes);
 }
