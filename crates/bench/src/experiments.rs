@@ -577,8 +577,8 @@ pub fn fig8() -> Table {
 }
 
 /// Theorem 2/3 audit with the operations ledger: per purpose (context
-/// swaps and message traffic) the operations a sort and a token ring
-/// cost, split into the payload's share of Theorem 2's `vμ/(DB)` per
+/// swaps and message traffic) the operations a sort, a token ring and
+/// list ranking cost, split into the payload's share of Theorem 2's `vμ/(DB)` per
 /// transfer, the padding of partial trailing blocks, the stripe floor
 /// (`Σ⌈blocks/D⌉` over the gather lists the runner submitted) and the
 /// narrow operations above it. The floors are rebuilt from the program's
@@ -587,7 +587,9 @@ pub fn fig8() -> Table {
 /// — the mailbox floor — and the ledger replays the runner's open-block
 /// pool to split the writes into lists. A group's contexts and inboxes
 /// are one read list: the contexts' floor is `⌈ctx blocks/D⌉`, the
-/// messages' the rest of the list's. The run's exact counters must then
+/// messages' the rest of the list's. A context write list holds only
+/// the blocks whose bytes the round changed, found by comparing the
+/// state's encodings before and after it. The run's exact counters must then
 /// add up — its blocks are the ledger's, and `floor + narrow =
 /// algorithm_ops`, with `narrow` from `IoStats::narrow_ops` — or the
 /// audit panics. It also panics if a set-up or readout pass moved a
@@ -629,20 +631,33 @@ pub fn audit() -> Table {
     let narrow =
         audit_rows(&mut t, "ring", 1000, &cgmio_model::demo::TokenRing { rounds: 2 }, ring, 2, 64);
     assert_eq!(narrow[1], 0, "ring: message operations above the stripe floor");
+    // `listrank-pipe`'s shape (v = 32, D = 4), whose reply rounds leave
+    // every context block as it was read.
+    let n = 1 << 14;
+    let (succ, _) = data::random_list(n, 42);
+    let lists = || {
+        let parts = data::block_split(succ.clone(), 32).into_iter();
+        parts.map(|b| (vec![n as u64], b, Vec::new())).collect()
+    };
+    audit_rows(&mut t, "listrank", n, &CgmListRank, lists, 4, 1024);
     t
 }
 
 /// A program wrapped to record what the runner moves for it, as its own
 /// state and outbox see it: per round and vp, the context bytes read
-/// (before the round) and written (after), and the bytes of each
+/// (before the round), the `B`-chunks of its encoding after the round
+/// that differ from the one before (all of them in round 0, which reads
+/// no image) — the blocks step (e) writes — and the bytes of each
 /// message sent.
 struct Ledger<'a, P> {
     inner: &'a P,
+    block_bytes: usize,
     log: std::sync::Mutex<Vec<LedgerEntry>>,
 }
 
-/// `(round, pid, ctx bytes read, ctx bytes written, [(dst, message bytes)])`.
-type LedgerEntry = (usize, usize, usize, usize, Vec<(usize, usize)>);
+/// `(round, pid, ctx bytes read, (ctx blocks, bytes) written,
+/// [(dst, message bytes)])`.
+type LedgerEntry = (usize, usize, usize, (usize, usize), Vec<(usize, usize)>);
 
 impl<P: cgmio_model::CgmProgram> cgmio_model::CgmProgram for Ledger<'_, P> {
     type Msg = P::Msg;
@@ -655,11 +670,19 @@ impl<P: cgmio_model::CgmProgram> cgmio_model::CgmProgram for Ledger<'_, P> {
     ) -> cgmio_model::Status {
         use cgmio_model::ProcState;
         use cgmio_pdm::Item;
-        let read = state.encoded_len();
+        let read = state.to_bytes();
         let status = self.inner.round(ctx, state);
+        // Superstep 0 takes its states from the input: it has no image.
+        let (bb, image) = (self.block_bytes, if ctx.round == 0 { &[][..] } else { &read[..] });
+        let changed = state.to_bytes().chunks(bb).enumerate().fold((0, 0), |(n, bytes), (q, c)| {
+            match image.get(q * bb..q * bb + c.len()) == Some(c) {
+                true => (n, bytes),
+                false => (n + 1, bytes + c.len()),
+            }
+        });
         let sent = (0..ctx.v).map(|dst| (dst, ctx.outbox.queued(dst) * P::Msg::SIZE));
         let sent = sent.filter(|&(_, bytes)| bytes > 0).collect();
-        let entry = (ctx.round, ctx.pid, read, state.encoded_len(), sent);
+        let entry = (ctx.round, ctx.pid, read.len(), changed, sent);
         self.log.lock().expect("ledger lock").push(entry);
         status
     }
@@ -682,7 +705,7 @@ fn audit_rows<P: cgmio_model::CgmProgram>(
     let (_, _, req) = measure_requirements(prog, mk()).expect("dry run");
     let cfg = EmConfig::from_requirements(v, 1, d, bb, &req);
     let (k, m) = (cfg.vp_group, cfg.mem_bytes);
-    let ledger = Ledger { inner: prog, log: Default::default() };
+    let ledger = Ledger { inner: prog, block_bytes: bb, log: Default::default() };
     let (_, rep) = SeqEmRunner::new(cfg).run(&ledger, mk()).expect("EM run");
     let mut log = ledger.log.into_inner().expect("ledger lock");
     log.sort_by_key(|e| (e.0, e.1));
@@ -761,7 +784,7 @@ fn audit_rows<P: cgmio_model::CgmProgram>(
             }
             list([0, written], [0, sent_bytes]);
             if r + 1 < rounds {
-                let out = sum(group.iter().map(|e| (b(e.3), e.3)));
+                let out = sum(group.iter().map(|e| e.3));
                 list([out.0, 0], [out.1, 0]);
             }
         }

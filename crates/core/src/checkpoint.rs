@@ -342,8 +342,8 @@ pub enum RunOutcome<S> {
     Complete {
         /// Final states of the `v` virtual processors.
         finals: Vec<S>,
-        /// The full run report.
-        report: EmRunReport,
+        /// The full run report (boxed: it is most of the enum's size).
+        report: Box<EmRunReport>,
     },
     /// The run halted at a superstep barrier; resume with
     /// `resume` (in-process, any backend) or `resume_from` (from the
@@ -356,7 +356,7 @@ impl<S> RunOutcome<S> {
     /// the runners' `run` returns.
     pub(crate) fn completed(self) -> Result<(Vec<S>, EmRunReport), EmError> {
         match self {
-            RunOutcome::Complete { finals, report } => Ok((finals, report)),
+            RunOutcome::Complete { finals, report } => Ok((finals, *report)),
             RunOutcome::Interrupted(c) => {
                 Err(EmError::Interrupted { superstep: c.manifest.superstep })
             }
@@ -367,7 +367,7 @@ impl<S> RunOutcome<S> {
     /// for tests and examples.
     pub fn expect_complete(self) -> (Vec<S>, EmRunReport) {
         match self {
-            RunOutcome::Complete { finals, report } => (finals, report),
+            RunOutcome::Complete { finals, report } => (finals, *report),
             RunOutcome::Interrupted(c) => {
                 panic!("run was interrupted after superstep {}", c.manifest.superstep)
             }

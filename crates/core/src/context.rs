@@ -104,41 +104,79 @@ impl ContextStore {
         Ok(())
     }
 
-    /// Write context `slot`: the one-slot case of [`Self::write_slots`].
+    /// Write context `slot`: the one-slot case of [`Self::write_slots`],
+    /// with no image.
     pub fn write(
         &mut self,
         disks: &mut DiskArray,
         slot: usize,
         bytes: &[u8],
     ) -> Result<(), EmError> {
-        self.write_slots(disks, slot, &[bytes])
+        self.write_slots(disks, slot, &[bytes], false).map(drop)
     }
 
     /// Write contexts `first..first + ctxs.len()` as one gather list.
     /// Each uses `⌈len/B⌉` blocks of its slot; consecutive slots continue
     /// the round-robin stream, so the list is fully parallel. Nothing is
     /// written if any context overflows its slot.
+    ///
+    /// With `imaged`, each buffer is the image read from the slot this
+    /// superstep — its current `len` bytes — followed by the new
+    /// encoding, and block `q` of the encoding is written only if its
+    /// bytes differ from the image's at the same offset (a block past the
+    /// image's end always is). A kept block already holds those bytes,
+    /// and reads stop at the new length, so a shrunk context reads back
+    /// exactly. One buffer holds both so that the swap path needs no
+    /// second buffer per slot. Returns the number of blocks kept.
+    ///
+    /// # Panics
+    ///
+    /// With `imaged`, if a buffer is shorter than its slot's image.
     pub fn write_slots<B: AsRef<[u8]>>(
         &mut self,
         disks: &mut DiskArray,
         first: usize,
         ctxs: &[B],
-    ) -> Result<(), EmError> {
-        let cap = self.cap_bytes;
-        if let Some((i, c)) = ctxs.iter().enumerate().find(|(_, c)| c.as_ref().len() > cap) {
-            return Err(EmError::CtxSlotOverflow { pid: first + i, len: c.as_ref().len(), cap });
+        imaged: bool,
+    ) -> Result<u64, EmError> {
+        let (layout, bb, sb, cap) =
+            (self.layout, self.block_bytes, self.slot_blocks, self.cap_bytes);
+        let lens = &mut self.lens[first..first + ctxs.len()];
+        // Each slot's image (empty without one) and new encoding.
+        let image_len = |len: usize| if imaged { len } else { 0 };
+        let parts =
+            || ctxs.iter().zip(lens.iter()).map(|(c, &len)| c.as_ref().split_at(image_len(len)));
+        if let Some((i, (_, new))) = parts().enumerate().find(|(_, (_, new))| new.len() > cap) {
+            return Err(EmError::CtxSlotOverflow { pid: first + i, len: new.len(), cap });
         }
-        let (layout, bb, sb) = (self.layout, self.block_bytes, self.slot_blocks);
-        // Gather write straight from the caller's encoded buffers — the
-        // chunks borrow them, so no per-block staging copies.
-        disks.write_gather_iter(ctxs.iter().enumerate().flat_map(|(i, c)| {
-            let base = (first + i) as u64 * sb;
-            c.as_ref().chunks(bb).enumerate().map(move |(q, b)| (layout.addr(base + q as u64), b))
-        }))?;
-        for (len, c) in self.lens[first..first + ctxs.len()].iter_mut().zip(ctxs) {
-            *len = c.as_ref().len();
+        // Each block of the new encodings, with the image's bytes at its
+        // offset (`None` past the image's end). The gather write reads
+        // straight from the caller's buffers: no per-block staging copies.
+        let list = || {
+            parts().enumerate().flat_map(move |(i, (image, new))| {
+                let base = (first + i) as u64 * sb;
+                new.chunks(bb).enumerate().map(move |(q, b)| {
+                    (layout.addr(base + q as u64), b, image.get(q * bb..q * bb + b.len()))
+                })
+            })
+        };
+        let mut kept = 0;
+        if imaged {
+            let changed = list().filter(|&(_, b, old)| {
+                let same = old == Some(b);
+                kept += u64::from(same);
+                !same
+            });
+            disks.write_gather_iter(changed.map(|(a, b, _)| (a, b)))?;
+        } else {
+            // Unfiltered, the list keeps its size hint, so the recycled
+            // write list grows in one step.
+            disks.write_gather_iter(list().map(|(a, b, _)| (a, b)))?;
         }
-        Ok(())
+        for (len, c) in lens.iter_mut().zip(ctxs) {
+            *len = c.as_ref().len() - image_len(*len);
+        }
+        Ok(kept)
     }
 
     /// First track address of `slot` (used to anchor error reports).
@@ -348,6 +386,49 @@ mod tests {
         assert_eq!(store.read(&mut disks, 0).unwrap(), vec![1; 12]);
         assert_eq!(store.read(&mut disks, 1).unwrap(), vec![2; 12]);
         assert_eq!(store.read(&mut disks, 2).unwrap(), vec![3; 12]);
+    }
+
+    /// Rewrite slots `0..` of a store holding `images` (B = 8) with
+    /// `news`, placed after the images as step (e) does when `imaged`.
+    /// Returns the blocks kept and written; each slot must read back as
+    /// its new encoding.
+    fn rewrite(images: &[Vec<u8>], news: &[Vec<u8>], imaged: bool) -> (u64, u64) {
+        let mut disks = DiskArray::new(DiskGeometry::new(2, 8));
+        let mut store = ContextStore::new(2, 8, 0, images.len(), 64);
+        store.write_slots(&mut disks, 0, images, false).unwrap();
+        let bufs: Vec<Vec<u8>> = match imaged {
+            true => images.iter().zip(news).map(|(i, n)| [&i[..], n].concat()).collect(),
+            false => news.to_vec(),
+        };
+        let before = disks.stats().blocks_written;
+        let kept = store.write_slots(&mut disks, 0, &bufs, imaged).unwrap();
+        let written = disks.stats().blocks_written - before;
+        for (slot, n) in news.iter().enumerate() {
+            assert_eq!(&store.read(&mut disks, slot).unwrap(), n, "slot {slot}");
+        }
+        (kept, written)
+    }
+
+    #[test]
+    fn rewrite_writes_only_the_blocks_that_differ() {
+        let image: Vec<u8> = (0..40).collect();
+        let mut one_byte = image.clone();
+        one_byte[17] = 99;
+        let one = |new: Vec<u8>, imaged| rewrite(std::slice::from_ref(&image), &[new], imaged);
+        // Identical: all five blocks kept.
+        assert_eq!(one(image.clone(), true), (5, 0));
+        // Shrunk to a prefix: its three blocks hold the right bytes.
+        assert_eq!(one(image[..20].to_vec(), true), (3, 0));
+        // Grown: the two blocks past the image's end are written.
+        assert_eq!(one((0..50).collect(), true), (5, 2));
+        // One changed byte: its block only.
+        assert_eq!(one(one_byte.clone(), true), (4, 1));
+        // No image: every block is written.
+        assert_eq!(one(image.clone(), false), (0, 5));
+        // A group: each slot is compared with its own image.
+        let images = [image.clone(), vec![7; 24], image.clone()];
+        let news = [image.clone(), vec![7; 30], one_byte];
+        assert_eq!(rewrite(&images, &news, true), (5 + 3 + 4, 1 + 1));
     }
 
     #[test]

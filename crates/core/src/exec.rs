@@ -155,7 +155,11 @@ pub(crate) fn drive<P: CgmProgram>(
     }
     let (mut states, mut live) = (states.into_iter(), live.map(Vec::into_iter));
     let mut inits = (0..p).map(|t| block_range(v, p, t)).map(|range| WorkerInit {
-        states: states.by_ref().take(range.len()).collect(),
+        // The last worker takes the rest in place (at p = 1: no copy).
+        states: match range.end == v {
+            true => std::mem::take(&mut states).collect(),
+            false => states.by_ref().take(range.len()).collect(),
+        },
         range,
         restore: restores.next(),
         disks: live.as_mut().and_then(Iterator::next),
@@ -246,7 +250,7 @@ pub(crate) fn drive<P: CgmProgram>(
     report.costs =
         CommCosts { rounds: manifest.rounds, max_context_bytes: manifest.max_ctx_bytes_seen };
     report.cross_thread_items = manifest.cross_items;
-    Ok(RunOutcome::Complete { finals, report })
+    Ok(RunOutcome::Complete { finals, report: Box::new(report) })
 }
 
 /// What one worker tells the coordinator at a superstep barrier.
@@ -465,8 +469,11 @@ struct Worker<'a, P: CgmProgram> {
     peak_mem: usize,
     /// Largest open-block pool held since this worker started.
     peak_open: usize,
+    /// Context blocks step (e) found unchanged and did not write.
+    ctx_kept: u64,
     /// Scratch of the group being simulated, one entry per slot: its
-    /// context (read into, then encoded into), the `(src, items)` list
+    /// context (read into, then encoded after the image read, or into
+    /// when there is none), the `(src, items)` list
     /// of its inbox and the `(dst, items)` list of its outbox, emptied
     /// between groups. Once grown to the largest group, the swap path
     /// stops allocating. `ctxs.len()` is the group size `k`.
@@ -557,6 +564,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             breakdown,
             peak_mem,
             peak_open: 0,
+            ctx_kept: 0,
             ctxs: (0..k).map(|_| Vec::new()).collect(),
             inboxes: (0..k).map(|_| Vec::new()).collect(),
             sents: (0..k).map(|_| Vec::new()).collect(),
@@ -582,7 +590,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
     ) -> Result<RoundCtl, EmError> {
         let Self { cfg, t, range, h, ctx_store, mats, breakdown, inflight, input, .. } = self;
         let Self { ctxs, inboxes, sents, states, finals, depth, prog, .. } = self;
-        let Self { peak_mem, peak_open, .. } = self;
+        let Self { peak_mem, peak_open, ctx_kept, .. } = self;
         let (cfg, t, depth, hinted) = (*cfg, *t, *depth, h.hint_cache);
         let disks = &mut h.disks;
         let (v, first, n_local, k) = (cfg.v, range.start, range.len(), ctxs.len());
@@ -600,7 +608,9 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             let n = slots.len();
             let (ctxs, inboxes, sents) = (&mut ctxs[..n], &mut inboxes[..n], &mut sents[..n]);
             // The M audit charges each context at its encoded length.
-            let mut mem = if input.len() > 0 {
+            // Without (a) `ctxs` holds an earlier group's bytes, no image.
+            let imaged = input.len() == 0;
+            let mut mem = if !imaged {
                 states.extend(input.by_ref().take(n));
                 states.iter().map(ProcState::encoded_len).sum()
             } else {
@@ -714,13 +724,19 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             *peak_mem = (*peak_mem).max(live).max(mem);
             sents.iter_mut().for_each(Vec::clear);
 
-            // (e) contexts out, each checked against its slot; a group of
-            // `Done` vps (never read again: see `decide`) keeps its finals.
+            // (e) contexts out, each checked against its slot: only the
+            // blocks that differ from the image read in (a), if there is
+            // one. A group of `Done` vps (never read again: see `decide`)
+            // keeps its finals.
             let _g = span(Phase::CtxLoad);
             let done = ctl.n_done - done0 == n;
             for (i, (state, buf)) in states.iter().zip(ctxs.iter_mut()).enumerate() {
                 let len = if done {
                     state.encoded_len()
+                } else if imaged {
+                    let image = buf.len();
+                    state.encode_append(buf);
+                    buf.len() - image
                 } else {
                     state.encode_to_vec(buf);
                     buf.len()
@@ -736,7 +752,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             } else {
                 states.clear();
                 let ops0 = disks.stats().total_ops();
-                ctx_store.write_slots(disks, slots.start, ctxs)?;
+                *ctx_kept += ctx_store.write_slots(disks, slots.start, ctxs, imaged)?;
                 breakdown.ctx_ops += disks.stats().total_ops() - ops0;
             }
         }
@@ -802,6 +818,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             v: cfg.v,
             peak_mem_bytes: self.peak_mem,
             peak_open_bytes: self.peak_open,
+            ctx_blocks_kept: self.ctx_kept,
             cross_thread_items: 0,
             wall,
             io_trace,
@@ -1031,6 +1048,38 @@ mod tests {
             matches!(e, EmError::MemoryExceeded { pid: 2, need, m: 512 } if need == pool + working),
             "{e:?}"
         );
+    }
+
+    /// Two rounds that change nothing, then done.
+    struct Idle;
+
+    impl CgmProgram for Idle {
+        type Msg = u64;
+        type State = Vec<u64>;
+
+        fn round(&self, ctx: &mut RoundCtx<'_, u64>, _state: &mut Vec<u64>) -> Status {
+            if ctx.round == 2 {
+                return Status::Done;
+            }
+            Status::Continue
+        }
+    }
+
+    #[test]
+    fn superstep_0_writes_identical_states_in_full() {
+        // Four identical 3-block contexts. Superstep 0 has no image: the
+        // scratch holds the previous group's bytes — the same bytes — and
+        // comparing with them would leave slots unwritten. Superstep 1
+        // reads each image back and keeps all of it.
+        let init = || vec![vec![7u64; 20]; 4];
+        for k in [1usize, 2] {
+            let mut cfg = config_for(&Idle, init(), 1, 2, 64);
+            cfg.vp_group = k;
+            let (finals, rep) = run(&cfg, 1, &Idle, init()).unwrap();
+            assert_eq!(finals, init(), "k={k}");
+            assert_eq!(rep.ctx_blocks_kept, 12, "k={k}");
+            assert_eq!((rep.io.blocks_written, rep.io.blocks_read), (12, 24), "k={k}");
+        }
     }
 
     /// One round of a token ring in which vp `at` misbehaves: it panics,

@@ -56,6 +56,10 @@ pub struct EmRunReport {
     /// Like [`Self::retries`], it covers only the portion of a run since
     /// its last resume.
     pub peak_open_bytes: usize,
+    /// Context blocks step (e) did not write because their bytes were
+    /// those read in step (a). Like [`Self::peak_open_bytes`], it covers
+    /// only the portion of a run since its last resume.
+    pub ctx_blocks_kept: u64,
     /// Items that crossed a real-processor boundary (0 for Algorithm 2).
     pub cross_thread_items: u64,
     /// Wall-clock time of the superstep loop.
@@ -99,6 +103,7 @@ impl EmRunReport {
         self.breakdown.readout_ops += other.breakdown.readout_ops;
         self.peak_mem_bytes = self.peak_mem_bytes.max(other.peak_mem_bytes);
         self.peak_open_bytes = self.peak_open_bytes.max(other.peak_open_bytes);
+        self.ctx_blocks_kept += other.ctx_blocks_kept;
         self.wall = self.wall.max(other.wall);
         self.io_trace.extend(other.io_trace);
         self.retries += other.retries;
@@ -150,6 +155,7 @@ mod tests {
             v: 8,
             peak_mem_bytes: 1234,
             peak_open_bytes: 0,
+            ctx_blocks_kept: 0,
             cross_thread_items: 0,
             wall: Duration::ZERO,
             io_trace: Vec::new(),

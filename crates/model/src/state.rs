@@ -19,14 +19,6 @@ impl Encoder {
         Self { buf: Vec::new() }
     }
 
-    /// Encoder reusing `buf`'s capacity (the buffer is cleared). The hot
-    /// path re-encodes every context each superstep; reusing one scratch
-    /// buffer removes that per-context allocation.
-    pub fn with_buffer(mut buf: Vec<u8>) -> Self {
-        buf.clear();
-        Self { buf }
-    }
-
     /// Append a length-prefixed slice of items.
     pub fn items<T: Item>(&mut self, xs: &[T]) -> &mut Self {
         self.u64(xs.len() as u64);
@@ -193,7 +185,15 @@ pub trait ProcState: Sized {
     /// path so swapping a context out doesn't allocate once the scratch
     /// buffer has grown to the largest context size.
     fn encode_to_vec(&self, buf: &mut Vec<u8>) {
-        let mut e = Encoder::with_buffer(std::mem::take(buf));
+        buf.clear();
+        self.encode_append(buf);
+    }
+
+    /// Encode after `buf`'s current contents, keeping them: the runners
+    /// encode a context after the image read from its slot, so that the
+    /// write-back can compare the two without a second buffer.
+    fn encode_append(&self, buf: &mut Vec<u8>) {
+        let mut e = Encoder { buf: std::mem::take(buf) };
         self.encode(&mut e);
         *buf = e.finish();
     }

@@ -227,6 +227,7 @@ mod tests {
             v: 4,
             peak_mem_bytes: 100,
             peak_open_bytes: 0,
+            ctx_blocks_kept: 0,
             cross_thread_items: 0,
             wall: std::time::Duration::from_micros(42),
             io_trace: Vec::new(),

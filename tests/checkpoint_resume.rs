@@ -175,6 +175,8 @@ fn every_barrier_resumes_exactly_at_every_group_size() {
 /// The sort and list ranking, whose small messages share mailbox
 /// blocks, crash at every barrier on `SyncFile` and resume from the
 /// manifest alone to bit-identical finals and I/O, at `p` ∈ {1, 2}.
+/// List ranking's reply rounds leave context blocks unwritten, and the
+/// resumed runs read them back from the files.
 #[test]
 fn packed_mailboxes_resume_from_every_barrier_on_files() {
     let keys = cgmio_data::uniform_u64(2000, 7);
@@ -188,24 +190,34 @@ fn packed_mailboxes_resume_from_every_barrier_on_files() {
         let parts = cgmio_data::block_split(succ.clone(), 6);
         parts.into_iter().map(|b| (vec![n], b, Vec::new())).collect()
     };
-    let shared = resume_everywhere(&CgmSort::<u64>::by_pivots(), sort_init, 128)
-        + resume_everywhere(&CgmListRank, rank_init, 64);
-    assert!(shared > 0, "no manifest held a message sharing a block");
+    let (sort_shared, _) = resume_everywhere(&CgmSort::<u64>::by_pivots(), sort_init, 128);
+    let (rank_shared, rank_kept) = resume_everywhere(&CgmListRank, rank_init, 64);
+    assert!(sort_shared + rank_shared > 0, "no manifest held a message sharing a block");
+    assert!(rank_kept > 0, "list ranking: no context block kept");
 }
 
 /// Crash `prog` at every barrier at `p` ∈ {1, 2} on files, resume from
 /// the manifest, compare with the uninterrupted run, and count the
-/// manifests' messages that share a block.
-fn resume_everywhere<P: CgmProgram>(prog: &P, init: impl Fn() -> Vec<P::State>, bb: usize) -> usize
+/// manifests' messages that share a block. Also returns the context
+/// blocks the uninterrupted run kept, the same at both `p`; a resumed
+/// run counts only its own supersteps' (in-process, like retries).
+fn resume_everywhere<P: CgmProgram>(
+    prog: &P,
+    init: impl Fn() -> Vec<P::State>,
+    bb: usize,
+) -> (usize, u64)
 where
     P::State: PartialEq + std::fmt::Debug,
 {
     let v = init().len();
     let (_, _, req) = measure_requirements(prog, init()).unwrap();
-    let mut shared = 0;
+    let (mut shared, mut kept) = (0, None);
     for p in [1usize, 2] {
         let cfg = EmConfig::from_requirements(v, p, 2, bb, &req);
         let (want, want_rep) = ParEmRunner::new(cfg.clone()).run(prog, init()).unwrap();
+        let want_kept = *kept.get_or_insert(want_rep.ctx_blocks_kept);
+        assert_eq!(want_rep.ctx_blocks_kept, want_kept, "p={p}: kept context blocks differ");
+        let mut resumed_kept = want_kept;
         for halt in 0..want_rep.costs.lambda() - 1 {
             let tag = format!("p={p} halt={halt}");
             let dir = TempDir::new("cgmio-ckpt-packed");
@@ -227,9 +239,11 @@ where
             assert_eq!(finals, want, "{tag}: finals differ");
             assert_eq!(rep.io, want_rep.io, "{tag}: IoStats differ");
             assert_eq!(rep.breakdown, want_rep.breakdown, "{tag}: breakdown differs");
+            assert!(rep.ctx_blocks_kept <= resumed_kept, "{tag}: a later resume kept more");
+            resumed_kept = rep.ctx_blocks_kept;
         }
     }
-    shared
+    (shared, kept.unwrap_or(0))
 }
 
 /// A token ring over `[token, count]` states whose final round adds one

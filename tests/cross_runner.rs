@@ -18,9 +18,10 @@ use proptest::prelude::*;
 /// Group sizes the EM runners are checked at (`vp_group`).
 const GROUPS: [usize; 3] = [1, 2, 3];
 
-/// Run `prog` on all four runners — the EM ones at every group size —
-/// and demand identical final states.
-fn assert_all_runners_agree<P>(prog: &P, mk: impl Fn() -> Vec<P::State>, label: &str)
+/// Run `prog` on all four runners — the EM ones at every group size,
+/// the parallel one at pipeline depth `k − 1` — and demand identical
+/// final states and context blocks kept by step (e); returns the latter.
+fn assert_all_runners_agree<P>(prog: &P, mk: impl Fn() -> Vec<P::State>, label: &str) -> u64
 where
     P: CgmProgram,
     P::State: PartialEq + std::fmt::Debug + Clone,
@@ -32,17 +33,22 @@ where
     assert_eq!(threaded, want, "{label}: threaded != direct");
 
     let (_, _, req) = measure_requirements(prog, mk()).unwrap();
+    let mut kept = None;
     for (d, k) in [1usize, 3].into_iter().flat_map(|d| GROUPS.map(|k| (d, k))) {
         let mut cfg = EmConfig::from_requirements(v, 1, d, 512, &req);
         cfg.vp_group = k;
         let (seq_em, rep) = SeqEmRunner::new(cfg.clone()).run(prog, mk()).unwrap();
         assert_eq!(seq_em, want, "{label}: seq EM (D={d}, k={k}) != direct");
         assert!(rep.breakdown.algorithm_ops() > 0 || rep.costs.total_items() == 0);
+        let kept = *kept.get_or_insert(rep.ctx_blocks_kept);
+        assert_eq!(rep.ctx_blocks_kept, kept, "{label}: seq EM (D={d}, k={k}) kept blocks");
 
-        cfg.p = (v / 2).max(2).min(v);
-        let (par_em, _) = ParEmRunner::new(cfg).run(prog, mk()).unwrap();
+        (cfg.p, cfg.pipeline_depth) = ((v / 2).max(2).min(v), k - 1);
+        let (par_em, rep) = ParEmRunner::new(cfg).run(prog, mk()).unwrap();
         assert_eq!(par_em, want, "{label}: par EM (D={d}, k={k}) != direct");
+        assert_eq!(rep.ctx_blocks_kept, kept, "{label}: par EM (D={d}, k={k}) kept blocks");
     }
+    kept.unwrap_or(0)
 }
 
 #[test]
@@ -156,7 +162,7 @@ fn dominance_agrees_everywhere() {
 fn list_ranking_agrees_everywhere() {
     let (succ, _) = data::random_list(1500, 9);
     let v = 6;
-    assert_all_runners_agree(
+    let kept = assert_all_runners_agree(
         &CgmListRank,
         || {
             data::block_split(succ.clone(), v)
@@ -166,6 +172,8 @@ fn list_ranking_agrees_everywhere() {
         },
         "list_ranking",
     );
+    // The reply rounds only read their states: step (e) keeps them.
+    assert!(kept > 0, "list ranking: no context block kept");
 }
 
 #[test]
@@ -432,7 +440,9 @@ fn run_boundaries_move_no_blocks_for_every_p_and_depth() {
 /// neither the depth nor the backend moves an I/O count. 64-byte blocks
 /// make messages share blocks; the balanced sort's 13-byte `SortMsg`
 /// frames straddle them, the sort by pivots' 8-byte keys tile them.
-fn assert_mailboxes_deliver<P>(prog: &P, mk: impl Fn() -> Vec<P::State>, label: &str)
+/// The context blocks step (e) keeps are the same in every cell; returns
+/// their number.
+fn assert_mailboxes_deliver<P>(prog: &P, mk: impl Fn() -> Vec<P::State>, label: &str) -> u64
 where
     P: CgmProgram,
     P::State: PartialEq + std::fmt::Debug,
@@ -441,6 +451,7 @@ where
     let (want, _) = DirectRunner::default().run(prog, mk()).unwrap();
     let (_, _, req) = measure_requirements(prog, mk()).unwrap();
     let dir = cgmio_pdm::testutil::TempDir::new("cgmio-mailbox-eq");
+    let mut kept = None;
     for (p, k) in [1usize, 2, 3].into_iter().flat_map(|p| [1usize, 2].map(|k| (p, k))) {
         let mut io = None;
         for (depth, file) in [0usize, 2].into_iter().flat_map(|d| [false, true].map(|f| (d, f))) {
@@ -454,8 +465,11 @@ where
             let (got, rep) = ParEmRunner::new(cfg).run(prog, mk()).unwrap();
             assert_eq!(got, want, "{tag}: finals differ from the reference");
             assert_eq!(io.get_or_insert_with(|| rep.io.clone()), &rep.io, "{tag}: IoStats moved");
+            let want_kept = *kept.get_or_insert(rep.ctx_blocks_kept);
+            assert_eq!(rep.ctx_blocks_kept, want_kept, "{tag}: kept context blocks moved");
         }
     }
+    kept.unwrap_or(0)
 }
 
 #[test]
@@ -475,7 +489,8 @@ fn mailboxes_deliver_identically_for_every_p_depth_group_and_backend() {
     let lists = || -> Vec<_> {
         data::block_split(succ.clone(), 6).into_iter().map(|b| (vec![n], b, Vec::new())).collect()
     };
-    assert_mailboxes_deliver(&CgmListRank, lists, "list ranking");
+    let kept = assert_mailboxes_deliver(&CgmListRank, lists, "list ranking");
+    assert!(kept > 0, "list ranking: no context block kept");
 }
 
 /// Runs `cfg` on the runner its `p` names.
@@ -517,7 +532,7 @@ fn sort_agrees_across_backends_for_every_p_and_group() {
             let mut cfg = EmConfig::from_requirements(v, p, 2, 64, &req);
             (cfg.vp_group, cfg.backend) = (k, backend);
             let (got, rep) = run_em(cfg, &prog, sort_states(&keys, v));
-            let key = (got, rep.io, rep.breakdown, rep.costs);
+            let key = (got, rep.io, rep.breakdown, rep.costs, rep.ctx_blocks_kept);
             assert_eq!(want.get_or_insert_with(|| key.clone()), &key, "{at}");
         }
     }
