@@ -10,6 +10,13 @@
 //! requesting (its rank is final), and any *other* node is the
 //! `2^k`-successor of at most one node, so no processor ever receives
 //! more than one request per owned node per round.
+//!
+//! Frames are single words. A request is the bare target id; a reply is
+//! `rank, succ` sent back to the requesting processor in the order its
+//! requests arrived. The requester pairs replies with its nodes by
+//! position: it walks them in the order it sent the requests, taking the
+//! next two words from the target owner's message (`Incoming` keeps send
+//! order per source).
 
 use cgmio_model::{CgmProgram, RoundCtx, Status};
 
@@ -25,13 +32,14 @@ pub type ListRankState = (Vec<u64>, Vec<u64>, Vec<u64>);
 pub struct CgmListRank;
 
 impl CgmProgram for CgmListRank {
-    /// Round 0: `(tail_id, 0, 0)` broadcast.
-    /// Odd rounds: `(target_node, asker, 0)` requests.
-    /// Even rounds ≥ 2: `(asker, rank_of_target, succ_of_target)` replies.
-    type Msg = (u64, u64, u64);
+    /// Round 0: the tail id, broadcast.
+    /// Odd rounds: a target node id (the request).
+    /// Even rounds ≥ 2: `rank_of_target, succ_of_target` (two words, the
+    /// reply), in the order the requests arrived.
+    type Msg = u64;
     type State = ListRankState;
 
-    fn round(&self, ctx: &mut RoundCtx<'_, (u64, u64, u64)>, state: &mut ListRankState) -> Status {
+    fn round(&self, ctx: &mut RoundCtx<'_, u64>, state: &mut ListRankState) -> Status {
         let v = ctx.v;
         let n = state.0[0] as usize;
         let my_range = block_split_ranges(n, v, ctx.pid);
@@ -49,7 +57,7 @@ impl CgmProgram for CgmListRank {
                 let g = (my_range.start + i) as u64;
                 if s == g {
                     for dst in 0..v {
-                        ctx.push(dst, (g, 0, 0));
+                        ctx.push(dst, g);
                     }
                 }
             }
@@ -57,16 +65,16 @@ impl CgmProgram for CgmListRank {
         }
 
         if ctx.round.is_multiple_of(2) {
-            // Reply phase: answer with current (rank, succ).
-            let mut replies: Vec<(usize, (u64, u64, u64))> = Vec::new();
-            for (_src, items) in ctx.incoming.iter() {
-                for &(node, asker, _) in items {
-                    let li = node as usize - my_range.start;
-                    replies.push((owner(n, v, asker as usize), (asker, state.2[li], state.1[li])));
-                }
-            }
-            for (dst, msg) in replies {
-                ctx.push(dst, msg);
+            // Reply phase: answer each source with the current (rank, succ)
+            // of its targets, in request order.
+            for (src, targets) in ctx.incoming.iter_nonempty() {
+                ctx.outbox.send(
+                    src,
+                    targets.iter().flat_map(|&node| {
+                        let li = node as usize - my_range.start;
+                        [state.2[li], state.1[li]]
+                    }),
+                );
             }
             return Status::Continue;
         }
@@ -77,10 +85,8 @@ impl CgmProgram for CgmListRank {
         if k == 0 {
             let tail = ctx
                 .incoming
-                .iter()
-                .flat_map(|(_, items)| items.iter())
-                .map(|&(t, _, _)| t)
-                .next()
+                .iter_nonempty()
+                .find_map(|(_, items)| items.first().copied())
                 .expect("list must have a tail");
             if state.0.len() < 2 {
                 state.0.push(tail);
@@ -88,13 +94,30 @@ impl CgmProgram for CgmListRank {
                 state.0[1] = tail;
             }
         } else {
-            for (_src, items) in ctx.incoming.iter() {
-                for &(asker, add, new_succ) in items {
-                    let li = asker as usize - my_range.start;
-                    state.2[li] += add;
-                    state.1[li] = new_succ;
+            // The reply round left the state alone, so the nodes that
+            // requested are exactly those the send loop below picked last
+            // time, and walking them in the same order meets each owner's
+            // replies in send order.
+            let tail = state.0[1];
+            let mut inbox: Vec<&[u64]> = vec![&[]; v];
+            for (src, items) in ctx.incoming.iter_nonempty() {
+                inbox[src] = items;
+            }
+            for (i, s) in state.1.iter_mut().enumerate() {
+                let g = (my_range.start + i) as u64;
+                if *s != g && *s != tail {
+                    let o = owner(n, v, *s as usize);
+                    let (reply, rest) =
+                        inbox[o].split_at_checked(2).expect("a reply is missing from its owner");
+                    inbox[o] = rest;
+                    state.2[i] += reply[0];
+                    *s = reply[1];
                 }
             }
+            debug_assert!(
+                inbox.iter().all(|r| r.is_empty()),
+                "more replies arrived than were requested"
+            );
         }
         if k == iters {
             return Status::Done;
@@ -103,7 +126,7 @@ impl CgmProgram for CgmListRank {
         for (i, &s) in state.1.iter().enumerate() {
             let g = (my_range.start + i) as u64;
             if s != g && s != tail {
-                ctx.push(owner(n, v, s as usize), (s, g, 0));
+                ctx.push(owner(n, v, s as usize), s);
             }
         }
         Status::Continue
@@ -116,6 +139,7 @@ mod tests {
     use cgmio_data::{block_split, random_list};
     use cgmio_graph::list_ranks;
     use cgmio_model::{DirectRunner, ThreadedRunner};
+    use cgmio_pdm::Item;
 
     fn init(succ: &[u64], v: usize) -> Vec<ListRankState> {
         block_split(succ.to_vec(), v)
@@ -169,14 +193,23 @@ mod tests {
     #[test]
     fn h_relation_is_bounded_by_block_size() {
         // The tail-broadcast optimisation keeps every round an
-        // O(n/v)-relation: requests to any non-tail node are unique.
+        // O(n/v)-relation: requests to any non-tail node are unique. In
+        // bytes: a reply round moves two words per owned node, round 0
+        // broadcasts one word to each of the v processors.
         let (succ, _) = random_list(800, 7);
         let v = 8;
         let (_, costs) = DirectRunner::default().run(&CgmListRank, init(&succ, v)).unwrap();
+        let bytes = costs.max_h() * <CgmListRank as CgmProgram>::Msg::SIZE;
         assert!(
-            costs.max_h() <= 800usize.div_ceil(v) + v + 2,
-            "h = {} exceeds the coarse-grained bound",
+            bytes <= 16 * 800usize.div_ceil(v) + 8 * (v + 2),
+            "h = {} items ({bytes} B) exceeds the coarse-grained bound",
             costs.max_h()
         );
+    }
+
+    /// Requests and replies are bare words: no tag, no correlation id.
+    #[test]
+    fn frame_width() {
+        assert_eq!(<CgmListRank as CgmProgram>::Msg::SIZE, 8);
     }
 }

@@ -493,6 +493,98 @@ fn mailboxes_deliver_identically_for_every_p_depth_group_and_backend() {
     assert!(kept > 0, "list ranking: no context block kept");
 }
 
+/// Every vp sends `fanout` destinations a numbered run of words each
+/// round; a receiver counts the words that arrive in the numbered
+/// sequence (state `.0`) and those that do not (`.1`, plus any missing
+/// or extra words).
+struct Numbered {
+    rounds: usize,
+    fanout: usize,
+}
+
+impl Numbered {
+    /// Words `src` sends `dst` in round `round`: 6 to 32 at `v = 6`.
+    fn count(src: usize, dst: usize, round: usize) -> usize {
+        5 + 3 * src + 2 * dst + round
+    }
+
+    /// The `j`-th word `src` sends `dst` in round `round`.
+    fn word(src: usize, dst: usize, round: usize, j: usize) -> u64 {
+        ((src as u64) << 48) | ((dst as u64) << 32) | ((round as u64) << 24) | j as u64
+    }
+
+    /// Whether `src` sends to `dst` (the next `fanout` vps, cyclically).
+    fn sends(&self, src: usize, dst: usize, v: usize) -> bool {
+        (1..=self.fanout).contains(&((dst + v - src) % v))
+    }
+}
+
+impl CgmProgram for Numbered {
+    type Msg = u64;
+    type State = (u64, u64);
+
+    fn round(&self, ctx: &mut RoundCtx<'_, u64>, state: &mut (u64, u64)) -> Status {
+        let (me, v, round) = (ctx.pid, ctx.v, ctx.round);
+        if round > 0 {
+            for (src, got) in ctx.incoming.iter() {
+                let sent = |j| Self::word(src, me, round - 1, j);
+                let want = if self.sends(src, me, v) { Self::count(src, me, round - 1) } else { 0 };
+                let in_seq = got.iter().enumerate().filter(|&(j, &w)| w == sent(j)).count();
+                state.0 += in_seq as u64;
+                state.1 += (got.len().max(want) - in_seq) as u64;
+            }
+        }
+        if round == self.rounds {
+            return Status::Done;
+        }
+        for dst in (0..v).filter(|&dst| self.sends(me, dst, v)) {
+            ctx.send(dst, (0..Self::count(me, dst, round)).map(|j| Self::word(me, dst, round, j)));
+        }
+        Status::Continue
+    }
+}
+
+/// Every runner hands a receiver each source's items in send order —
+/// the guarantee list ranking pairs its replies by. Messages of 6 to 32
+/// words in 60-byte blocks straddle block boundaries and share mailbox
+/// blocks with other sources' messages; the EM runners are checked at
+/// p ∈ {1, 2}, k ∈ {1, 2}, depth ∈ {0, 2} on every backend.
+#[test]
+fn send_order_is_kept_everywhere() {
+    let (v, prog) = (6, Numbered { rounds: 3, fanout: 3 });
+    let init = || vec![(0u64, 0u64); v];
+    let want: Vec<(u64, u64)> = (0..v)
+        .map(|dst| {
+            let heard = (0..v).filter(|&src| prog.sends(src, dst, v));
+            let words =
+                heard.flat_map(|src| (0..prog.rounds).map(move |r| Numbered::count(src, dst, r)));
+            (words.sum::<usize>() as u64, 0)
+        })
+        .collect();
+    let (direct, _) = DirectRunner::default().run(&prog, init()).unwrap();
+    assert_eq!(direct, want, "direct runner");
+    let (threaded, _) = ThreadedRunner::new(3).run(&prog, init()).unwrap();
+    assert_eq!(threaded, want, "threaded runner");
+
+    let (_, _, req) = measure_requirements(&prog, init()).unwrap();
+    let dir = cgmio_pdm::testutil::TempDir::new("cgmio-send-order");
+    for (p, k, depth) in [1usize, 2].into_iter().flat_map(|p| {
+        [1usize, 2].into_iter().flat_map(move |k| [0usize, 2].map(|depth| (p, k, depth)))
+    }) {
+        for backend in [
+            BackendSpec::Mem,
+            BackendSpec::SyncFile { dir: dir.path().join(format!("sync-{p}-{k}-{depth}")) },
+            BackendSpec::Concurrent { dir: None, opts: Default::default() },
+        ] {
+            let at = format!("p={p} k={k} depth={depth} {backend:?}");
+            let mut cfg = EmConfig::from_requirements(v, p, 2, 60, &req);
+            (cfg.vp_group, cfg.pipeline_depth, cfg.backend) = (k, depth, backend);
+            let (got, _) = run_em(cfg, &prog, init());
+            assert_eq!(got, want, "{at}: items out of send order");
+        }
+    }
+}
+
 /// Runs `cfg` on the runner its `p` names.
 fn run_em<P: CgmProgram>(
     cfg: EmConfig,
