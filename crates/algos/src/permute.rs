@@ -9,51 +9,49 @@
 
 use cgmio_model::{CgmProgram, RoundCtx, Status};
 
+use crate::graphs::owner;
 use cgmio_data::block_split_ranges;
 
 /// State: `(values, dest_indices, n_total)` before the exchange; the
 /// permuted local block afterwards (with `dest_indices` emptied).
 pub type PermuteState = (Vec<u64>, Vec<u64>, u64);
 
-/// The CGM permutation program (messages are `(global_dst_pos, value)`).
+/// The CGM permutation program. A message is `(offset, value)`, 12
+/// bytes: `offset` is the destination position minus the start of the
+/// receiving processor's block, so no block may hold more than
+/// `u32::MAX` items (round 0 asserts `⌈n/v⌉ ≤ u32::MAX`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CgmPermute;
 
-fn owner(n: usize, v: usize, g: usize) -> usize {
-    let base = n / v;
-    let extra = n % v;
-    let boundary = extra * (base + 1);
-    if g < boundary {
-        g / (base + 1)
-    } else {
-        extra + (g - boundary) / base.max(1)
-    }
-}
-
 impl CgmProgram for CgmPermute {
-    type Msg = (u64, u64);
+    type Msg = (u32, u64);
     type State = PermuteState;
 
-    fn round(&self, ctx: &mut RoundCtx<'_, (u64, u64)>, state: &mut PermuteState) -> Status {
+    fn round(&self, ctx: &mut RoundCtx<'_, (u32, u64)>, state: &mut PermuteState) -> Status {
         let v = ctx.v;
+        let n = state.2 as usize;
         match ctx.round {
             0 => {
-                let n = state.2 as usize;
+                assert!(
+                    n.div_ceil(v) <= u32::MAX as usize,
+                    "CgmPermute: a block of {} items cannot be addressed by a u32 offset",
+                    n.div_ceil(v)
+                );
                 debug_assert_eq!(state.0.len(), state.1.len());
                 for (&val, &dst) in state.0.iter().zip(&state.1) {
-                    ctx.push(owner(n, v, dst as usize), (dst, val));
+                    let o = owner(n, v, dst as usize);
+                    let off = dst as usize - block_split_ranges(n, v, o).start;
+                    ctx.push(o, (off as u32, val));
                 }
                 state.0.clear();
                 state.1.clear();
                 Status::Continue
             }
             _ => {
-                let n = state.2 as usize;
-                let my_range = block_split_ranges(n, v, ctx.pid);
-                let mut out = vec![0u64; my_range.len()];
-                for (_src, items) in ctx.incoming.iter() {
-                    for &(dst, val) in items {
-                        out[dst as usize - my_range.start] = val;
+                let mut out = vec![0u64; block_split_ranges(n, v, ctx.pid).len()];
+                for (_src, items) in ctx.incoming.iter_nonempty() {
+                    for &(off, val) in items {
+                        out[off as usize] = val;
                     }
                 }
                 state.0 = out;
@@ -72,6 +70,7 @@ mod tests {
     use super::*;
     use cgmio_data::{block_split, random_permutation, uniform_u64};
     use cgmio_model::{DirectRunner, ThreadedRunner};
+    use cgmio_pdm::Item;
 
     fn init(vals: &[u64], perm: &[u64], v: usize) -> Vec<PermuteState> {
         let n = vals.len() as u64;
@@ -136,5 +135,27 @@ mod tests {
         check(&fin, &vals, &perm);
         assert_eq!(fin[0].0.len(), 3);
         assert_eq!(fin[3].0.len(), 2);
+    }
+
+    /// A message is a 4-byte block offset and the 8-byte value.
+    #[test]
+    fn frame_width() {
+        assert_eq!(<CgmPermute as CgmProgram>::Msg::SIZE, 12);
+    }
+
+    /// Uneven blocks: an offset is taken against the *destination's*
+    /// block start, which differs from the sender's whenever `v ∤ n`.
+    #[test]
+    fn uneven_sweep() {
+        for n in [1, 5, 10, 31, 97, 1000] {
+            let vals = uniform_u64(n, n as u64);
+            for (i, v) in [2, 3, 5, 7, 16, 40].into_iter().enumerate() {
+                let perm = random_permutation(n, (n + i) as u64);
+                let (fin, costs) =
+                    DirectRunner::default().run(&CgmPermute, init(&vals, &perm, v)).unwrap();
+                check(&fin, &vals, &perm);
+                assert_eq!(costs.lambda(), 1, "n={n} v={v}");
+            }
+        }
     }
 }

@@ -114,6 +114,16 @@ impl JobSpec {
         if self.workload == WorkloadKind::Transpose && !self.n.is_multiple_of(self.v) {
             return Err(format!("transpose needs v | n, got n={} v={}", self.n, self.v));
         }
+        // `CgmPermute` addresses an item by its u32 offset in the
+        // receiving block; refuse here, before the dry run would panic.
+        if self.workload == WorkloadKind::Permute && self.n.div_ceil(self.v) > u32::MAX as usize {
+            return Err(format!(
+                "permute blocks hold at most {} items, got n={} v={}",
+                u32::MAX,
+                self.n,
+                self.v
+            ));
+        }
         Ok(())
     }
 
@@ -187,6 +197,21 @@ mod tests {
         s.workload = WorkloadKind::Transpose;
         s.n = 4097;
         assert!(s.validate().is_err(), "transpose needs v | n");
+    }
+
+    /// Built and validated only: running it would allocate the input.
+    #[test]
+    fn unaddressable_permute_blocks_rejected() {
+        let mut s = spec();
+        s.workload = WorkloadKind::Permute;
+        s.v = 2;
+        s.n = 2 * u32::MAX as usize;
+        s.validate().unwrap();
+        s.n += 1;
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("permute blocks"), "{err}");
+        s.workload = WorkloadKind::Sort;
+        s.validate().unwrap();
     }
 
     #[test]
