@@ -592,7 +592,13 @@ pub fn fig8() -> Table {
 /// are one read list: the contexts' floor is `⌈ctx blocks/D⌉`, the
 /// messages' the rest of the list's. A context write list holds only
 /// the blocks whose bytes the round changed, found by comparing the
-/// state's encodings before and after it. The run's exact counters must then
+/// state's encodings before and after it. The ledger replays the two
+/// context carries from the blocks' drives: a write list holds back the
+/// last block on each drive at its busiest count when fewer than `D`
+/// drives reach it, for the next group's list to write, and a read list
+/// takes the next group's blocks that fit under its busiest count; at
+/// `from_requirements`' `M` the carries never need to give way. The
+/// run's exact counters must then
 /// add up — its blocks are the ledger's, and `floor + narrow =
 /// algorithm_ops`, with `narrow` from `IoStats::narrow_ops` — or the
 /// audit panics. It also panics if a set-up or readout pass moved a
@@ -658,9 +664,9 @@ struct Ledger<'a, P> {
     log: std::sync::Mutex<Vec<LedgerEntry>>,
 }
 
-/// `(round, pid, ctx bytes read, (ctx blocks, bytes) written,
+/// `(round, pid, ctx bytes read, [(chunk, bytes)] written,
 /// [(dst, message bytes)])`.
-type LedgerEntry = (usize, usize, usize, (usize, usize), Vec<(usize, usize)>);
+type LedgerEntry = (usize, usize, usize, Vec<(usize, usize)>, Vec<(usize, usize)>);
 
 impl<P: cgmio_model::CgmProgram> cgmio_model::CgmProgram for Ledger<'_, P> {
     type Msg = P::Msg;
@@ -677,12 +683,10 @@ impl<P: cgmio_model::CgmProgram> cgmio_model::CgmProgram for Ledger<'_, P> {
         let status = self.inner.round(ctx, state);
         // Superstep 0 takes its states from the input: it has no image.
         let (bb, image) = (self.block_bytes, if ctx.round == 0 { &[][..] } else { &read[..] });
-        let changed = state.to_bytes().chunks(bb).enumerate().fold((0, 0), |(n, bytes), (q, c)| {
-            match image.get(q * bb..q * bb + c.len()) == Some(c) {
-                true => (n, bytes),
-                false => (n + 1, bytes + c.len()),
-            }
-        });
+        let new = state.to_bytes();
+        let changed = new.chunks(bb).enumerate();
+        let changed = changed.filter(|&(q, c)| image.get(q * bb..q * bb + c.len()) != Some(c));
+        let changed = changed.map(|(q, c)| (q, c.len())).collect();
         let sent = (0..ctx.v).map(|dst| (dst, ctx.outbox.queued(dst) * P::Msg::SIZE));
         let sent = sent.filter(|&(_, bytes)| bytes > 0).collect();
         let entry = (ctx.round, ctx.pid, read.len(), changed, sent);
@@ -708,6 +712,11 @@ fn audit_rows<P: cgmio_model::CgmProgram>(
     let (_, _, req) = measure_requirements(prog, mk()).expect("dry run");
     let cfg = EmConfig::from_requirements(v, 1, d, bb, &req);
     let (k, m) = (cfg.vp_group, cfg.mem_bytes);
+    // Each context slot spans `sb` blocks of one round-robin stream, and
+    // a carry holds at most `c` blocks: `D − 1`, or what `M` leaves
+    // beyond `max(k·μ, D·B)`, in two halves.
+    let sb = cfg.max_ctx_bytes.div_ceil(bb).max(1);
+    let c = (m.saturating_sub((k * cfg.max_ctx_bytes).max(d * bb)) / (2 * bb)).min(d - 1);
     let ledger = Ledger { inner: prog, block_bytes: bb, log: Default::default() };
     let (_, rep) = SeqEmRunner::new(cfg).run(&ledger, mk()).expect("EM run");
     let mut log = ledger.log.into_inner().expect("ledger lock");
@@ -729,6 +738,17 @@ fn audit_rows<P: cgmio_model::CgmProgram>(
     fn sum(it: impl Iterator<Item = (usize, usize)>) -> (usize, usize) {
         it.fold((0, 0), |a, x| (a.0 + x.0, a.1 + x.1))
     }
+    // Context block `q` of vp `j`, and block `q` of mailbox `j`, are on
+    // these drives.
+    let ctx_drive = |j: usize, q: usize| (j * sb + q) % d;
+    let mbox_drive = |j: usize, q: usize| (j + 1 + q) % d;
+    // Blocks per drive of a list of drives, and its busiest count.
+    let count = |drives: &mut dyn Iterator<Item = usize>| {
+        let mut per = vec![0usize; d];
+        drives.for_each(|x| per[x] += 1);
+        let most = per.iter().copied().max().unwrap_or(0);
+        (per, most)
+    };
     // Each mailbox in items: its end and whether its last block is open.
     let mut mailbox = vec![(0usize, false); v];
     let mut inbox = vec![0usize; v];
@@ -740,23 +760,44 @@ fn audit_rows<P: cgmio_model::CgmProgram>(
     for (r, round) in log.chunk_by(|a, b| a.0 == b.0).enumerate() {
         let read = std::mem::replace(&mut mailbox, vec![(0, false); v]);
         let received = std::mem::replace(&mut inbox, vec![0; v]);
-        for (g, group) in round.chunks(k).enumerate() {
+        let groups: Vec<&[LedgerEntry]> = round.chunks(k).collect();
+        // Context blocks `(vp, q)` an earlier list read or holds back.
+        let (mut fetched, mut held) = (Vec::<(usize, usize)>::new(), Vec::<(usize, usize)>::new());
+        for (g, group) in groups.iter().enumerate() {
             let pids = group[0].1..group[0].1 + group.len();
+            let last = g + 1 == groups.len();
             if r > 0 {
-                let ctx = group.iter().map(|e| (b(e.2), e.2));
-                let msgs = pids.map(|j| (b(read[j].0 * s), received[j]));
-                let (ctx, msgs) = (sum(ctx), sum(msgs));
-                list([ctx.0, msgs.0], [ctx.1, msgs.1]);
+                let own: Vec<(usize, usize)> = (group.iter())
+                    .flat_map(|e| (0..b(e.2)).map(move |q| (e.1, q)))
+                    .filter(|x| !fetched.contains(x))
+                    .collect();
+                let mboxes = pids.clone().flat_map(|j| (0..b(read[j].0 * s)).map(move |q| (j, q)));
+                let drives = own.iter().map(|&(j, q)| ctx_drive(j, q));
+                let (mut per, most) =
+                    count(&mut drives.chain(mboxes.map(|(j, q)| mbox_drive(j, q))));
+                // The read fill: the next group's blocks, in slot order,
+                // on a drive below the busiest count, at most `c`.
+                fetched.clear();
+                let next = groups.get(g + 1).into_iter().flat_map(|n| n.iter());
+                for x in next.flat_map(|e| (0..b(e.2)).map(move |q| (e.1, q))) {
+                    if fetched.len() < c && per[ctx_drive(x.0, x.1)] < most {
+                        per[ctx_drive(x.0, x.1)] += 1;
+                        fetched.push(x);
+                    }
+                }
+                let ctx_bytes = group.iter().map(|e| e.2).sum();
+                let msgs = sum(pids.clone().map(|j| (b(read[j].0 * s), received[j])));
+                list([own.len() + fetched.len(), msgs.0], [ctx_bytes, msgs.1]);
             }
             // The runner's write list: each mailbox continues its open
             // block or, if it has a written partial one, resumes at the
             // next block; then the `hold` lowest mailboxes with an open
-            // block keep it, and the others' are written.
+            // block keep it, and the others' are written. `hold` is what
+            // `M` leaves beyond the group, `D` blocks and the carries.
             let sent: Vec<(usize, usize)> = group.iter().flat_map(|e| e.4.clone()).collect();
             let sent_bytes: usize = sent.iter().map(|x| x.1).sum();
             let mem = group.iter().map(|e| e.2 + received[e.1]).sum::<usize>() + sent_bytes;
-            let last = (g + 1) * k >= round.len();
-            let hold = if last { 0 } else { m.saturating_sub(mem + d * bb) / bb };
+            let hold = if last { 0 } else { m.saturating_sub(mem + (d + 2 * c) * bb) / bb };
             let mut runs: Vec<(usize, usize)> = Vec::new(); // (mailbox, first block)
             for &(dst, bytes) in &sent {
                 let (end, open) = mailbox[dst];
@@ -787,10 +828,22 @@ fn audit_rows<P: cgmio_model::CgmProgram>(
             }
             list([0, written], [0, sent_bytes]);
             if r + 1 < rounds {
-                let out = sum(group.iter().map(|e| e.3));
-                list([out.0, 0], [out.1, 0]);
+                // The write carry: the blocks held back go first; if fewer
+                // than `D` drives reach the busiest count, the last block on
+                // each that does is held back for the next group's list.
+                let own = group.iter().flat_map(|e| e.3.iter().map(move |&(q, _)| (e.1, q)));
+                let blocks: Vec<(usize, usize)> = held.drain(..).chain(own).collect();
+                let (per, most) = count(&mut blocks.iter().map(|&(j, q)| ctx_drive(j, q)));
+                if !last && per.iter().filter(|&&x| x == most).count() <= c {
+                    for x in (0..d).filter(|&x| per[x] == most) {
+                        held.extend(blocks.iter().rfind(|&&(j, q)| ctx_drive(j, q) == x));
+                    }
+                }
+                let bytes = group.iter().flat_map(|e| e.3.iter().map(|x| x.1)).sum();
+                list([blocks.len() - held.len(), 0], [bytes, 0]);
             }
         }
+        assert!(held.is_empty() && fetched.is_empty(), "{case}: a carry outlived round {r}");
     }
     let b = rep.breakdown;
     assert_eq!((b.setup_ops, b.readout_ops), (0, 0), "{case}: a set-up or readout pass ran");

@@ -258,7 +258,8 @@ impl EmConfig {
     /// A config sized from measured [`Requirements`]: slots exactly fit
     /// the measured maxima, and `M` is what a sequential processor
     /// holds — the working set `W` ([`Requirements::working_set`]) plus
-    /// the open-block pool's reserve `R` ([`Requirements::pool_reserve`]).
+    /// the reserve `R` of the context carries and the open-block pool
+    /// ([`Requirements::pool_reserve`]).
     pub fn from_requirements(
         v: usize,
         p: usize,
@@ -293,6 +294,22 @@ impl EmConfig {
             obs: None,
             pipeline_depth: 0,
         }
+    }
+
+    /// Most blocks one context carry holds (`crate::context`): `D − 1`,
+    /// or fewer when `M` leaves less room beyond one group's contexts at
+    /// their slot size and one `D`-wide stripe, `max(k·μ, D·B)` —
+    /// `⌊(M − max(k·μ, D·B)) / 2B⌋`, for the write carry and the read
+    /// fill together. Fixed for the run by the config alone, so a
+    /// machine from [`Self::from_requirements`], whose `M` holds their
+    /// room `S = 2·(D − 1)·B` beyond `W ≥ max(k·μ, D·B)`, carries
+    /// `D − 1`; a hand-set `M` too small for `S` carries less, down to
+    /// nothing.
+    pub fn carry_blocks(&self) -> usize {
+        let floor = (self.vp_group.saturating_mul(self.max_ctx_bytes))
+            .max(self.num_disks * self.block_bytes);
+        let room = self.mem_bytes.saturating_sub(floor) / (2 * self.block_bytes).max(1);
+        room.min(self.num_disks.saturating_sub(1))
     }
 
     /// Hash of the fields that determine the on-disk layout and the

@@ -35,7 +35,7 @@ use cgmio_model::cost::{CommCosts, RoundCost};
 use cgmio_model::threaded::{block_range, owner_of};
 use cgmio_model::{CgmProgram, Incoming, ModelError, Outbox, ProcState, RoundCtx, Status};
 use cgmio_obs::{Counter, Phase, COORD_PROC};
-use cgmio_pdm::{DiskArray, IoError, IoStats, Item};
+use cgmio_pdm::{DiskArray, IoError, IoStats, Item, TrackAddr};
 
 use crate::checkpoint::{Checkpoint, CheckpointManifest, RunOutcome, WorkerCheckpoint};
 use crate::config::{DiskHandles, EmConfig};
@@ -487,6 +487,8 @@ struct Worker<'a, P: CgmProgram> {
     /// States of `Done` vps, kept at step (e) instead of written back
     /// (sized once: regrowing it in the last superstep fragments the heap).
     finals: Vec<P::State>,
+    /// Address list of the read-ahead hints, refilled for each.
+    hints: Vec<TrackAddr>,
     /// Step (a)+(b) reads run this many groups ahead.
     depth: usize,
     inflight: InflightReads,
@@ -527,7 +529,8 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
         let (base_retries, base_deferred_drops) = (h.retries.get(), h.deferred_drops.get());
 
         let mut ctx_store =
-            ContextStore::new(geom.num_disks, geom.block_bytes, 0, range.len(), cfg.max_ctx_bytes);
+            ContextStore::new(geom.num_disks, geom.block_bytes, 0, range.len(), cfg.max_ctx_bytes)
+                .with_carry(cfg.carry_blocks());
         let k = cfg.vp_group.min(range.len()).max(1);
         // Both matrices follow the contexts (`EmConfig::tracks_per_worker`).
         let mk_mat = |base| {
@@ -571,6 +574,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             states: Vec::with_capacity(k),
             finals: Vec::with_capacity(init.states.len()),
             input: init.states.into_iter(),
+            hints: Vec::new(),
             depth,
             inflight: InflightReads::new(),
         })
@@ -590,7 +594,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
     ) -> Result<RoundCtl, EmError> {
         let Self { cfg, t, range, h, ctx_store, mats, breakdown, inflight, input, .. } = self;
         let Self { ctxs, inboxes, sents, states, finals, depth, prog, .. } = self;
-        let Self { peak_mem, peak_open, ctx_kept, .. } = self;
+        let Self { peak_mem, peak_open, ctx_kept, hints, .. } = self;
         let (cfg, t, depth, hinted) = (*cfg, *t, *depth, h.hint_cache);
         let disks = &mut h.disks;
         let (v, first, n_local, k) = (cfg.v, range.start, range.len(), ctxs.len());
@@ -625,6 +629,7 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
                         mat_cur,
                         breakdown,
                         group(submitted),
+                        group(submitted + 1),
                         first,
                     )?);
                     submitted += 1;
@@ -632,7 +637,10 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
                 let (ctx_t, inbox_t) = inflight.pop_front().expect("group g is in flight");
                 let gs = span(Phase::CtxLoad);
                 let mut mem = inbox_t.items() * P::Msg::SIZE;
+                // (A stash that gave way is read again here.)
+                let ops0 = disks.stats().total_ops();
                 ctx_store.read_finish(disks, ctx_t, ctxs)?;
+                breakdown.ctx_ops += disks.stats().total_ops() - ops0;
                 for (slot, bytes) in slots.clone().zip(ctxs.iter()) {
                     mem += bytes.len();
                     let state = P::State::try_from_bytes(bytes);
@@ -650,14 +658,17 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             if slots.end == n_local {
                 // Boundary: the first local group's next contexts are on
                 // disk already; its inboxes are hinted once they are, below.
-                disks.prefetch(&ctx_store.read_addrs(group(0)));
+                hints.clear();
+                ctx_store.read_addrs(group(0), hints);
+                disks.prefetch(hints);
             } else if depth == 0 && hinted {
                 // (The pipelined path pre-issues real reads instead, and
                 // only a backend with a prefetch cache keeps a hint: the
                 // others would have the two lists built to drop them.)
-                let mut hints = ctx_store.read_addrs(group(g + 1));
-                hints.extend(mat_cur.read_addrs_for_dst(globally(group(g + 1))));
-                disks.prefetch(&hints);
+                hints.clear();
+                ctx_store.read_addrs(group(g + 1), hints);
+                mat_cur.read_addrs_for_dst(globally(group(g + 1)), hints);
+                disks.prefetch(hints);
             }
             let done0 = ctl.n_done;
             for (i, state) in states.iter_mut().enumerate() {
@@ -684,10 +695,18 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
 
             // Memory audit: the open message blocks carried from earlier
             // groups are in RAM from the group's start, and its contexts
-            // + inboxes + outboxes join them; all must fit in M. The
+            // + inboxes + outboxes join them, with the context carries;
+            // all must fit in M. The carries give way first, so a strict
+            // run fails only on what it would hold without them. The
             // blocks held after its write take only what the working set
-            // leaves beyond D blocks of I/O buffer.
-            let live = mat_next.open_bytes() + mem;
+            // leaves beyond D blocks of I/O buffer and the carries' room.
+            let mut live = mat_next.open_bytes() + mem;
+            if live + ctx_store.carried_bytes() > cfg.mem_bytes {
+                let ops0 = disks.stats().total_ops();
+                ctx_store.give_way(disks)?;
+                breakdown.ctx_ops += disks.stats().total_ops() - ops0;
+            }
+            live += ctx_store.carried_bytes();
             if cfg.strict && live > cfg.mem_bytes {
                 let pid = first + slots.start;
                 return Err(EmError::MemoryExceeded { pid, need: live, m: cfg.mem_bytes });
@@ -703,7 +722,8 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
                         globally(slots.clone()).zip(sents.iter()).flat_map(|(pid, sent)| {
                             sent.iter().map(move |(dst, msg)| (pid, *dst, msg.as_slice()))
                         });
-                    let free = cfg.mem_bytes.saturating_sub(mem + cfg.num_disks * cfg.block_bytes);
+                    let reserved = (cfg.num_disks + 2 * ctx_store.carry()) * cfg.block_bytes;
+                    let free = cfg.mem_bytes.saturating_sub(mem + reserved);
                     let hold = if slots.end == n_local { 0 } else { free / cfg.block_bytes };
                     let ops0 = disks.stats().total_ops();
                     mat_next.write_entries(disks, entries, hold)?;
@@ -711,7 +731,9 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
                     *peak_open = (*peak_open).max(mat_next.open_bytes());
                     mem += mat_next.open_bytes();
                     if slots.end == n_local {
-                        disks.prefetch(&mat_next.read_addrs_for_dst(globally(group(0))));
+                        hints.clear();
+                        mat_next.read_addrs_for_dst(globally(group(0)), hints);
+                        disks.prefetch(hints);
                     }
                 }
                 // Algorithm 3: to the owner, who writes it at the round end.
@@ -721,13 +743,16 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
                     }
                 }
             }
-            *peak_mem = (*peak_mem).max(live).max(mem);
+            *peak_mem = (*peak_mem).max(live).max(mem + ctx_store.carried_bytes());
             sents.iter_mut().for_each(Vec::clear);
 
             // (e) contexts out, each checked against its slot: only the
             // blocks that differ from the image read in (a), if there is
-            // one. A group of `Done` vps (never read again: see `decide`)
-            // keeps its finals.
+            // one, behind the blocks earlier lists held back. It holds
+            // blocks back only in what M leaves beside the group and the
+            // stash, and the superstep's last list holds none. A group of
+            // `Done` vps (never read again: see `decide`) keeps its
+            // finals.
             let _g = span(Phase::CtxLoad);
             let done = ctl.n_done - done0 == n;
             for (i, (state, buf)) in states.iter().zip(ctxs.iter_mut()).enumerate() {
@@ -752,10 +777,19 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             } else {
                 states.clear();
                 let ops0 = disks.stats().total_ops();
-                *ctx_kept += ctx_store.write_slots(disks, slots.start, ctxs, imaged)?;
+                let room = match slots.end < n_local {
+                    true => cfg.mem_bytes.saturating_sub(mem + ctx_store.stash_bytes()),
+                    false => 0,
+                };
+                *ctx_kept += ctx_store.write_slots(disks, slots.start, ctxs, imaged, room)?;
                 breakdown.ctx_ops += disks.stats().total_ops() - ops0;
+                *peak_mem = (*peak_mem).max(mem + ctx_store.carried_bytes());
             }
         }
+        // What a trailing group that wrote nothing left held back.
+        let ops0 = disks.stats().total_ops();
+        ctx_store.write_held(disks)?;
+        breakdown.ctx_ops += disks.stats().total_ops() - ops0;
 
         if let Link::Wire(w) = link {
             // Receiving half of step (d): write the round's arrivals to
@@ -769,7 +803,9 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             let ops0 = disks.stats().total_ops();
             mat_next.write_entries(disks, entries, 0)?;
             breakdown.msg_ops += disks.stats().total_ops() - ops0;
-            disks.prefetch(&mat_next.read_addrs_for_dst(globally(group(0))));
+            hints.clear();
+            mat_next.read_addrs_for_dst(globally(group(0)), hints);
+            disks.prefetch(hints);
         }
 
         // Barrier: drain write-behind, surface deferred write errors
@@ -819,6 +855,8 @@ impl<'a, P: CgmProgram> Worker<'a, P> {
             peak_mem_bytes: self.peak_mem,
             peak_open_bytes: self.peak_open,
             ctx_blocks_kept: self.ctx_kept,
+            ctx_blocks_carried: self.ctx_store.carry_counts().0,
+            ctx_blocks_preread: self.ctx_store.carry_counts().1,
             cross_thread_items: 0,
             wall,
             io_trace,
@@ -1032,22 +1070,34 @@ mod tests {
     #[test]
     fn carried_pool_is_charged_from_the_group_start() {
         // vp 0's small working set lets the pool keep all four mailboxes'
-        // open blocks (hold 5); they are still in RAM while vp 2 works
-        // on a context 40 times larger, and only its write flushes them.
+        // open blocks (hold 4, beside the D-block buffer and the room of
+        // one carried block each way); they are still in RAM while vp 2
+        // works on a context 40 times larger, and only its write flushes
+        // them. The block of vp 1's context its write held back gives way
+        // to vp 2: written before vp 2's messages, it is in no peak.
         let init = || (0..4u64).map(|i| vec![i; if i == 2 { 40 } else { 1 }]).collect::<Vec<_>>();
         let prog = EveryoneToEveryone;
         let mut cfg = config_for(&prog, init(), 1, 2, 64);
-        (cfg.vp_group, cfg.mem_bytes) = (1, 512);
+        (cfg.vp_group, cfg.mem_bytes) = (1, 576);
+        assert_eq!(cfg.carry_blocks(), 1);
         let (pool, working) = (4 * 64, init()[2].encoded_len() + 4 * u64::SIZE);
         assert!(pool + working > cfg.mem_bytes && working <= cfg.mem_bytes - 2 * 64);
         let (_, rep) = run(&cfg, 1, &prog, init()).unwrap();
         assert_eq!(rep.peak_mem_bytes, pool + working);
+        assert!(rep.ctx_blocks_carried > 0);
         cfg.strict = true;
         let e = run(&cfg, 1, &prog, init()).unwrap_err();
         assert!(
-            matches!(e, EmError::MemoryExceeded { pid: 2, need, m: 512 } if need == pool + working),
+            matches!(e, EmError::MemoryExceeded { pid: 2, need, m: 576 } if need == pool + working),
             "{e:?}"
         );
+        // With room for the pool and vp 2 but not for the carried block
+        // too, a strict run passes: the block gives way, and the peak is M.
+        cfg.mem_bytes = pool + working;
+        assert_eq!(cfg.carry_blocks(), 1);
+        let (_, rep) = run(&cfg, 1, &prog, init()).unwrap();
+        assert_eq!(rep.peak_mem_bytes, cfg.mem_bytes);
+        assert!(rep.ctx_blocks_carried > 0);
     }
 
     /// Two rounds that change nothing, then done.

@@ -38,18 +38,21 @@ impl Requirements {
         self.traffic_bytes().max(num_disks * block_bytes)
     }
 
-    /// `R`, the room [`crate::EmConfig::from_requirements`] adds to `W`
-    /// for the open-block pool at `p = 1`: one block per local mailbox,
+    /// `R`, the room [`crate::EmConfig::from_requirements`] adds to `W`:
+    /// the context carries' `S = 2·(D − 1)·B` (`D − 1` blocks each for
+    /// the write carry and the read fill, `crate::context`), and at
+    /// `p = 1` the open-block pool's — one block per local mailbox,
     /// `n = min(v, ⌊(μ + 2h)/B⌋)`, plus the `D` blocks of write buffer
-    /// the hold rule sets aside — `(n + D)·B`, or 0 when `n = 0`. The
-    /// cap on `n` keeps `M ≤ 2·W + D·B`; inside the paper's range
-    /// (`v·B ≤ N/v`) it never binds. At `p ≥ 2` a round's arrivals are
-    /// written as one list that holds nothing open, so `R = 0`.
+    /// the hold rule sets aside: `(n + D)·B`, or 0 when `n = 0`. The cap
+    /// on `n` keeps the pool's part at most `W + D·B`; inside the paper's
+    /// range (`v·B ≤ N/v`) it never binds. At `p ≥ 2` a round's arrivals
+    /// are written as one list that holds nothing open, so `R = S`.
     pub fn pool_reserve(&self, v: usize, p: usize, num_disks: usize, block_bytes: usize) -> usize {
         let n = v.min(self.traffic_bytes() / block_bytes);
+        let carries = 2 * num_disks.saturating_sub(1) * block_bytes;
         match p >= 2 || n == 0 {
-            true => 0,
-            false => (n + num_disks) * block_bytes,
+            true => carries,
+            false => carries + (n + num_disks) * block_bytes,
         }
     }
 }

@@ -435,13 +435,14 @@ impl<M: Item> MessageMatrix<M> {
         }
     }
 
-    /// Track addresses a read of the inboxes of `dsts` would touch right
-    /// now — used as a prefetch hint for asynchronous backends (never
-    /// counted).
-    pub fn read_addrs_for_dst(&self, dsts: Range<usize>) -> Vec<TrackAddr> {
-        let mut addrs = Vec::new();
-        self.list(dsts, &mut Vec::new(), &mut Vec::new(), &mut addrs);
-        addrs
+    /// Append the track addresses a read of the inboxes of `dsts` would
+    /// touch right now to `addrs` — a prefetch hint for asynchronous
+    /// backends (never counted). Its span and block lists are recycled.
+    pub fn read_addrs_for_dst(&self, dsts: Range<usize>, addrs: &mut Vec<TrackAddr>) {
+        let (mut spans, mut blocks) = (self.span_lists.take(), self.block_lists.take());
+        self.list(dsts, &mut spans, &mut blocks, addrs);
+        self.span_lists.give(spans);
+        self.block_lists.give(blocks);
     }
 
     /// Read the full inbox of global destination `dst`: `(src, items)`

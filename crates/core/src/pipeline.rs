@@ -66,30 +66,36 @@ impl<T> FreeList<T> {
 
 /// Submit one group's step (a) context read and step (b) inbox read,
 /// charged as one gather list: `ctx_ops` gets what the contexts alone
-/// would cost, `msg_ops` the rest.
+/// would cost — the group's own blocks and the read fill's of the next
+/// group — and `msg_ops` the rest.
 ///
-/// `slots` are the group's local context slots; `first` is the global
-/// pid of local slot 0 (workers address the context store locally and
-/// the message matrix globally). `span` opens a phase span of the
-/// calling worker's current superstep.
+/// `slots` are the group's local context slots and `next` the next
+/// group's (empty for the superstep's last); `first` is the global pid
+/// of local slot 0 (workers address the context store locally and the
+/// message matrix globally). `span` opens a phase span of the calling
+/// worker's current superstep.
 ///
 /// Charges the cost model *now* and returns the completion tickets to
 /// redeem when that group is next to compute. Redemption charges nothing.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn submit_group_reads<M: Item>(
     span: impl Fn(Phase) -> Option<SpanScope>,
     disks: &mut DiskArray,
-    ctx_store: &ContextStore,
+    ctx_store: &mut ContextStore,
     mat_cur: &MessageMatrix<M>,
     breakdown: &mut IoBreakdown,
     slots: Range<usize>,
+    next: Range<usize>,
     first: usize,
 ) -> Result<(CtxReadTicket, InboxTicket), EmError> {
+    let g = span(Phase::MatrixRead);
+    let mut inbox_t = mat_cur.read_plan(first + slots.start..first + slots.end);
+    drop(g);
     let g = span(Phase::CtxLoad);
-    let mut ctx_t = ctx_store.read_plan(slots.clone());
+    let mut ctx_t = ctx_store.read_plan(slots, next, &inbox_t.addrs);
     drop(g);
 
     let _g = span(Phase::MatrixRead);
-    let mut inbox_t = mat_cur.read_plan(first + slots.start..first + slots.end);
     let ops0 = disks.stats().total_ops();
     let ([c, i], ctx_ops) = disks.read_gather_submit_pair(&ctx_t.addrs, &inbox_t.addrs)?;
     (ctx_t.ticket, inbox_t.ticket) = (c, i);

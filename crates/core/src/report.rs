@@ -48,8 +48,8 @@ pub struct EmRunReport {
     pub v: usize,
     /// Peak internal memory used to simulate any one group of
     /// `EmConfig::vp_group` virtual processors: their contexts, inboxes
-    /// and outboxes, and the open message blocks held beside them, in
-    /// bytes.
+    /// and outboxes, and the open message blocks and context carries
+    /// held beside them, in bytes.
     pub peak_mem_bytes: usize,
     /// Largest open-block pool a worker held between message writes
     /// (`p = 1`; 0 at `p ≥ 2`), bytes — part of [`Self::peak_mem_bytes`].
@@ -60,6 +60,13 @@ pub struct EmRunReport {
     /// those read in step (a). Like [`Self::peak_open_bytes`], it covers
     /// only the portion of a run since its last resume.
     pub ctx_blocks_kept: u64,
+    /// Context blocks step (e) held back for a later group's write list
+    /// (the write carry, `crate::context`). Covered like
+    /// [`Self::ctx_blocks_kept`].
+    pub ctx_blocks_carried: u64,
+    /// Context blocks step (a) read in the previous group's list (the
+    /// read fill). Covered like [`Self::ctx_blocks_kept`].
+    pub ctx_blocks_preread: u64,
     /// Items that crossed a real-processor boundary (0 for Algorithm 2).
     pub cross_thread_items: u64,
     /// Wall-clock time of the superstep loop.
@@ -104,6 +111,8 @@ impl EmRunReport {
         self.peak_mem_bytes = self.peak_mem_bytes.max(other.peak_mem_bytes);
         self.peak_open_bytes = self.peak_open_bytes.max(other.peak_open_bytes);
         self.ctx_blocks_kept += other.ctx_blocks_kept;
+        self.ctx_blocks_carried += other.ctx_blocks_carried;
+        self.ctx_blocks_preread += other.ctx_blocks_preread;
         self.wall = self.wall.max(other.wall);
         self.io_trace.extend(other.io_trace);
         self.retries += other.retries;
@@ -156,6 +165,8 @@ mod tests {
             peak_mem_bytes: 1234,
             peak_open_bytes: 0,
             ctx_blocks_kept: 0,
+            ctx_blocks_carried: 0,
+            ctx_blocks_preread: 0,
             cross_thread_items: 0,
             wall: Duration::ZERO,
             io_trace: Vec::new(),

@@ -48,6 +48,11 @@ impl Layout {
         consecutive_addr(self.num_disks, self.base_track, 0, q)
     }
 
+    /// The block of the stream at `a`: the inverse of [`Self::addr`].
+    pub fn position(&self, a: TrackAddr) -> u64 {
+        (a.track - self.base_track) * self.num_disks as u64 + a.disk as u64
+    }
+
     /// Tracks consumed per drive by an `nblocks`-block stream.
     pub fn tracks_for(&self, nblocks: u64) -> u64 {
         nblocks.div_ceil(self.num_disks as u64)

@@ -228,6 +228,8 @@ mod tests {
             peak_mem_bytes: 100,
             peak_open_bytes: 0,
             ctx_blocks_kept: 0,
+            ctx_blocks_carried: 0,
+            ctx_blocks_preread: 0,
             cross_thread_items: 0,
             wall: std::time::Duration::from_micros(42),
             io_trace: Vec::new(),

@@ -391,11 +391,18 @@ fn last_superstep_errors_are_unchanged_for_every_p_and_depth() {
 
 /// Superstep 0 takes its contexts from the input and the last superstep
 /// hands them to the finals, so neither end of a run moves a block: no
-/// set-up or readout operations, and the context operations are those
-/// of an executor with both passes minus the passes — pinned per
-/// program as that executor's `(ctx_ops, setup_ops, readout_ops)` on
-/// the same layout. Finals agree in every cell, and `IoStats` across
-/// pipeline depths.
+/// set-up or readout operations. Without the context carries, the
+/// context operations were those of an executor with both passes minus
+/// the passes at every `p` — that executor's `(ctx_ops, setup_ops,
+/// readout_ops)` on the same layout — and its message operations were
+/// `msg[p − 1]`. The carries let a block travel in a neighbour's list,
+/// which moves read operations between the two purposes and lets the
+/// count depend on `p` (a carry stops at a real processor's range), so
+/// the two together are held to at most that executor's — at the `M`
+/// of `from_requirements` and at that executor's `M`, set by hand: the
+/// same less the carries' room `S = 2·(D − 1)·B`, where the open-block
+/// pool makes room for them. Finals agree in every cell, and `IoStats`
+/// and the breakdown across pipeline depths.
 #[test]
 fn run_boundaries_move_no_blocks_for_every_p_and_depth() {
     fn check<P: CgmProgram>(
@@ -404,34 +411,37 @@ fn run_boundaries_move_no_blocks_for_every_p_and_depth() {
         mk: impl Fn() -> Vec<P::State>,
         (d, bb): (usize, usize),
         (ctx, setup, readout): (u64, u64, u64),
+        msg: [u64; 3],
     ) where
         P::State: PartialEq + std::fmt::Debug,
     {
         let v = mk().len();
         let (want, _) = DirectRunner::default().run(prog, mk()).unwrap();
         let (_, _, req) = measure_requirements(prog, mk()).unwrap();
-        let mut io_at_depth0 = Vec::new();
-        for (p, depth) in CELLS {
-            let tag = format!("{label} p={p} depth={depth}");
+        let mut at_depth0 = std::collections::HashMap::new();
+        let cells = CELLS.into_iter().flat_map(|c| [(c, false), (c, true)]);
+        for ((p, depth), by_hand) in cells {
+            let tag = format!("{label} p={p} depth={depth} by_hand={by_hand}");
             let mut cfg = EmConfig::from_requirements(v, p, d, bb, &req);
             cfg.pipeline_depth = depth;
+            if by_hand {
+                cfg.mem_bytes -= 2 * (d - 1) * bb;
+            }
             let (finals, rep) = ParEmRunner::new(cfg).run(prog, mk()).unwrap();
             assert_eq!(finals, want, "{tag}");
             let b = rep.breakdown;
             assert_eq!((b.setup_ops, b.readout_ops), (0, 0), "{tag}");
-            assert_eq!(b.ctx_ops, ctx - setup - readout, "{tag}");
-            if depth == 0 {
-                io_at_depth0.push(rep.io);
-            } else {
-                assert_eq!(Some(&rep.io), io_at_depth0.last(), "{tag}");
-            }
+            let bound = ctx - setup - readout + msg[p - 1];
+            assert!(b.ctx_ops + b.msg_ops <= bound, "{tag}: {b:?} over {bound}");
+            let at0 = at_depth0.entry((p, by_hand)).or_insert_with(|| (rep.io.clone(), b));
+            assert_eq!(at0, &(rep.io, b), "{tag}");
         }
     }
     let keys = data::uniform_u64(3000, 1);
     let sort = || data::block_split(keys.clone(), 6).into_iter().map(|b| (b, Vec::new())).collect();
-    check("sort", &CgmSort::<u64>::by_pivots(), sort, (4, 128), (205, 48, 49));
+    check("sort", &CgmSort::<u64>::by_pivots(), sort, (4, 128), (205, 48, 49), [112, 108, 106]);
     let ring = || (0..7u64).map(|i| vec![i]).collect();
-    check("ring", &TokenRing { rounds: 3 }, ring, (2, 16), (56, 7, 7));
+    check("ring", &TokenRing { rounds: 3 }, ring, (2, 16), (56, 7, 7), [18, 12, 12]);
 }
 
 /// Packed mailboxes move where messages sit, never what is delivered:
@@ -628,6 +638,51 @@ fn sort_agrees_across_backends_for_every_p_and_group() {
             assert_eq!(want.get_or_insert_with(|| key.clone()), &key, "{at}");
         }
     }
+}
+
+/// Both context carries fire on the sort and on list ranking at D = 4:
+/// step (e) holds blocks back for the next group's write list, and step
+/// (a) reads blocks of the next group. Like every other count, theirs
+/// are the same at every pipeline depth and on every backend, and the
+/// finals are the reference runner's.
+#[test]
+fn context_carries_fire_on_the_sort_and_list_ranking() {
+    fn check<P: CgmProgram>(label: &str, prog: &P, mk: impl Fn() -> Vec<P::State>, bb: usize)
+    where
+        P::State: PartialEq + std::fmt::Debug,
+    {
+        let v = mk().len();
+        let (want, _) = DirectRunner::default().run(prog, mk()).unwrap();
+        let (_, _, req) = measure_requirements(prog, mk()).unwrap();
+        let dir = cgmio_pdm::testutil::TempDir::new("cgmio-carries");
+        for p in [1usize, 2] {
+            let mut first = None;
+            for (depth, file) in [(0usize, false), (2, false), (0, true), (2, true)] {
+                let tag = format!("{label} p={p} depth={depth} file={file}");
+                let mut cfg = EmConfig::from_requirements(v, p, 4, bb, &req);
+                assert_eq!(cfg.carry_blocks(), 3, "{tag}: M has room for D − 1 each way");
+                cfg.pipeline_depth = depth;
+                if file {
+                    cfg.backend =
+                        BackendSpec::SyncFile { dir: dir.path().join(format!("{p}-{depth}")) };
+                }
+                let (got, rep) = run_em(cfg, prog, mk());
+                assert_eq!(got, want, "{tag}: finals differ from the reference");
+                let carries = (rep.ctx_blocks_carried, rep.ctx_blocks_preread);
+                assert!(carries.0 > 0 && carries.1 > 0, "{tag}: a carry never fired: {carries:?}");
+                let key = (rep.io, rep.breakdown, carries);
+                assert_eq!(first.get_or_insert_with(|| key.clone()), &key, "{tag}");
+            }
+        }
+    }
+    let keys = data::uniform_u64(3000, 5);
+    check("sort", &CgmSort::<u64>::by_pivots(), || sort_states(&keys, 6), 128);
+    let (succ, _) = data::random_list(600, 3);
+    let n = succ.len() as u64;
+    let lists = || -> Vec<_> {
+        data::block_split(succ.clone(), 6).into_iter().map(|b| (vec![n], b, Vec::new())).collect()
+    };
+    check("list ranking", &CgmListRank, lists, 64);
 }
 
 /// A halted ring's manifest holds one token row per mailbox, the one
