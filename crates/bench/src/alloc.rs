@@ -1,14 +1,14 @@
-//! A counting global allocator for the bench binary.
+//! A counting global allocator for allocation budgets.
 //!
 //! The data-path work of this workspace is judged by *allocator traffic*:
 //! how many heap allocations (and how many bytes) one EM run performs.
 //! [`CountingAlloc`] wraps the system allocator and counts every
-//! allocation; the `reproduce` binary installs it as the
-//! `#[global_allocator]`, and the `perf` experiment resets/samples the
-//! counters around the measured region.
+//! allocation; `tests/alloc_budget.rs` installs it as the
+//! `#[global_allocator]` and samples the counters around each measured
+//! run.
 //!
 //! The counters are process-global statics, so they read zero in any
-//! binary that did not install the allocator (e.g. the test harness) —
+//! binary that did not install the allocator (e.g. `reproduce`) —
 //! callers must treat zero counts as "not measured", not "no traffic".
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -13,11 +13,6 @@
 use cgmio_bench::experiments as ex;
 use cgmio_bench::Table;
 
-/// Count every heap allocation so the `perf` experiment can report the
-/// data path's allocator traffic (see `BENCH_sort.json`).
-#[global_allocator]
-static ALLOC: cgmio_bench::alloc::CountingAlloc = cgmio_bench::alloc::CountingAlloc;
-
 /// Experiments take the output directory: most ignore it (the CSV is
 /// archived by this binary), but some write extra artifacts there.
 type Exp = Box<dyn Fn(&std::path::Path) -> Table>;
@@ -54,26 +49,10 @@ fn menu() -> Vec<(&'static str, &'static str, Exp)> {
             "transient-fault injection sweep with kill-and-resume check",
             Box::new(ex::faults),
         ),
-        ("perf", "data-path baseline: wall/io/alloc vs seed (BENCH_sort.json)", Box::new(ex::perf)),
-        (
-            "pipeline",
-            "superstep pipeline depth sweep, all backends (BENCH_pipeline.json)",
-            Box::new(ex::pipeline),
-        ),
         (
             "observe",
             "sort with the observability stack on (report JSON + prom)",
             Box::new(cgmio_bench::observe::observe),
-        ),
-        (
-            "service",
-            "multi-tenant job service burst: fairness + latency (BENCH_service.json)",
-            Box::new(ex::service),
-        ),
-        (
-            "scale",
-            "per-processor state at large v: v up to 10^6 (BENCH_scale.json)",
-            Box::new(ex::scale),
         ),
         (
             "disk",

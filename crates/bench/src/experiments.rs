@@ -1,6 +1,5 @@
 //! One function per paper artefact. See DESIGN.md §4 for the index.
 
-use crate::results::{obj, percentile_us, BenchReport, Value};
 use crate::{
     disk_model, em_permute_report, em_sort_report, em_sort_run, em_transpose_report,
     layout_ablation_ops, run_seq_em, sweep_sizes, Table,
@@ -20,6 +19,7 @@ use cgmio_baselines::{
 };
 use cgmio_core::{measure_requirements, params, EmConfig, EmRunReport, ParamCheck, SeqEmRunner};
 use cgmio_data as data;
+use cgmio_obs::json::Value;
 use cgmio_pdm::DiskGeometry;
 use cgmio_routing::{bin_sizes, theorem1_bounds, Balanced};
 
@@ -1156,648 +1156,6 @@ pub fn cache() -> Table {
     t
 }
 
-/// Allocator traffic of the Fig 3/Fig 4 sort hot path measured **at the
-/// seed of this PR** (commit `3e6ab79`, the pre-zero-copy data path),
-/// with the same counting allocator and the same probe as [`perf`].
-/// Keyed by `(n, D)`; values are `(allocs, alloc_bytes)`. `perf` embeds
-/// these next to the current measurements in `BENCH_sort.json` so the
-/// reduction is computed against a fixed, honest baseline rather than a
-/// re-measurement of code that no longer exists.
-const SEED_DATAPATH: &[(usize, usize, u64, u64)] = &[
-    (8192, 1, 8243, 10_152_624),
-    (8192, 2, 7359, 10_131_952),
-    (8192, 4, 6981, 10_133_920),
-    (16384, 1, 8548, 12_799_584),
-    (16384, 2, 7641, 12_778_208),
-    (16384, 4, 7145, 12_776_176),
-    (32768, 1, 9173, 18_059_894),
-    (32768, 2, 8123, 18_033_908),
-    (32768, 4, 7605, 18_031_232),
-    (65536, 1, 10411, 28_556_108),
-    (65536, 2, 9830, 28_545_008),
-    (65536, 4, 8784, 28_516_168),
-    (131072, 1, 14364, 53_030_752),
-    (131072, 2, 12448, 52_959_036),
-    (131072, 4, 11117, 52_927_416),
-];
-
-/// One measured point of the `perf` experiment.
-struct PerfPoint {
-    n: usize,
-    d: usize,
-    wall_ms: f64,
-    io_ops: u64,
-    disk_bytes: u64,
-    allocs: u64,
-    alloc_bytes: u64,
-}
-
-/// Run the Fig 3 sort once at `(n, v, d, bb)` and measure wall-clock,
-/// I/O stats, and allocator traffic around the EM run only (input
-/// generation and the dry-run config measurement are excluded).
-fn perf_probe(n: usize, v: usize, d: usize, bb: usize) -> PerfPoint {
-    let keys = data::uniform_u64(n, 42);
-    let mk = || {
-        data::block_split(keys.clone(), v).into_iter().map(|b| (b, Vec::new())).collect::<Vec<_>>()
-    };
-    let prog = CgmSort::<u64>::by_pivots();
-    let cfg = crate::config_for(&prog, mk(), v, 1, d, bb);
-    let states = mk();
-
-    let before = crate::alloc::snapshot();
-    let t0 = std::time::Instant::now();
-    let (fin, rep) = SeqEmRunner::new(cfg).run(&prog, states).expect("perf sort run");
-    let wall = t0.elapsed();
-    let delta = crate::alloc::snapshot().since(before);
-
-    let flat: Vec<u64> = fin.iter().flat_map(|(b, _)| b.iter().copied()).collect();
-    assert_eq!(flat.len(), n);
-    assert!(flat.windows(2).all(|w| w[0] <= w[1]), "perf probe output not sorted");
-
-    let blocks = rep.io.blocks_read + rep.io.blocks_written;
-    PerfPoint {
-        n,
-        d,
-        wall_ms: wall.as_secs_f64() * 1e3,
-        io_ops: rep.io.total_ops(),
-        disk_bytes: blocks * bb as u64,
-        allocs: delta.allocs,
-        alloc_bytes: delta.bytes,
-    }
-}
-
-/// `perf`: the data-path baseline. Runs the Fig 3 sort sweep (D = 1)
-/// and the Fig 4 multi-disk variants (D = 2, 4) under the counting
-/// allocator and writes `BENCH_sort.json` into the output directory
-/// (`results/` by default) — the perf trajectory point every later PR
-/// is compared against. Set
-/// `CGMIO_PERF_SMOKE=1` for a single small size (CI bench-smoke).
-///
-/// Allocation counts are only meaningful from the `reproduce` binary,
-/// which installs [`crate::alloc::CountingAlloc`]; elsewhere they read
-/// zero and the JSON marks `allocator_counted: false`.
-pub fn perf(out_dir: &std::path::Path) -> Table {
-    let mut t = Table::new(
-        "perf_datapath",
-        &["n", "D", "wall_ms", "io_ops", "disk_bytes", "allocs", "alloc_bytes", "vs_seed_pct"],
-    );
-    let (v, bb) = (16usize, 4096usize);
-    let smoke = std::env::var_os("CGMIO_PERF_SMOKE").is_some();
-    let (sizes, disks) =
-        if smoke { (vec![1usize << 12], vec![1usize, 2]) } else { (sweep_sizes(), vec![1, 2, 4]) };
-
-    let seed_for = |n: usize, d: usize| {
-        SEED_DATAPATH.iter().find(|&&(sn, sd, _, _)| sn == n && sd == d).map(|&(_, _, a, b)| (a, b))
-    };
-
-    let mut points = Vec::new();
-    for &n in &sizes {
-        for &d in &disks {
-            points.push(perf_probe(n, v, d, bb));
-        }
-    }
-
-    let counted = crate::alloc::counting_installed();
-    let mut report = BenchReport::new(
-        "em_cgm_sort_datapath",
-        "CgmSort<u64> by_pivots, v=16, B=4096 bytes (Fig 3: D=1 size sweep; Fig 4: D=2,4)",
-        smoke,
-    )
-    .extra("seed_commit", Value::str("3e6ab79"))
-    .extra("allocator_counted", Value::Bool(counted));
-    let mut headline: Option<(usize, f64)> = None;
-    for p in &points {
-        let seed = seed_for(p.n, p.d);
-        let vs_seed = match seed {
-            Some((_, sb)) if sb > 0 && counted => {
-                let pct = 100.0 * (1.0 - p.alloc_bytes as f64 / sb as f64);
-                if p.d == 1 && headline.is_none_or(|(hn, _)| p.n > hn) {
-                    headline = Some((p.n, pct));
-                }
-                format!("{pct:.1}")
-            }
-            _ => "n/a".to_string(),
-        };
-        report.point(obj(vec![
-            ("n", Value::num(p.n)),
-            ("d", Value::num(p.d)),
-            ("wall_ms", Value::num(format!("{:.2}", p.wall_ms))),
-            ("io_ops", Value::num(p.io_ops)),
-            ("disk_bytes", Value::num(p.disk_bytes)),
-            ("allocs", Value::num(p.allocs)),
-            ("alloc_bytes", Value::num(p.alloc_bytes)),
-            ("seed_allocs", seed.map_or(Value::Null, |(a, _)| Value::num(a))),
-            ("seed_alloc_bytes", seed.map_or(Value::Null, |(_, b)| Value::num(b))),
-            (
-                "alloc_bytes_vs_seed_pct",
-                if vs_seed == "n/a" { Value::Null } else { Value::num(vs_seed.clone()) },
-            ),
-        ]));
-        t.row(vec![
-            p.n.to_string(),
-            p.d.to_string(),
-            format!("{:.2}", p.wall_ms),
-            p.io_ops.to_string(),
-            p.disk_bytes.to_string(),
-            p.allocs.to_string(),
-            p.alloc_bytes.to_string(),
-            vs_seed,
-        ]);
-    }
-    if let Some((n, pct)) = headline {
-        report.set_headline(obj(vec![
-            ("n", Value::num(n)),
-            ("d", Value::num(1)),
-            ("alloc_bytes_reduction_pct", Value::num(format!("{pct:.1}"))),
-        ]));
-    }
-    report.save(out_dir, "BENCH_sort.json");
-    t
-}
-
-/// One measured point of the `pipeline` experiment.
-struct PipelinePoint {
-    backend: &'static str,
-    depth: usize,
-    wall_ms: f64,
-    io_ops: u64,
-    stalls: Option<usize>,
-    q_wait_us: Option<u64>,
-    improvement_pct: f64,
-}
-
-/// `pipeline`: wall-clock effect of the software-pipelined superstep
-/// executor. The Fig 3 sort runs at pipeline depths {0, 1, 2, 4} on all
-/// three backends while a seeded [`cgmio_pdm::FaultPlan`] latency spike
-/// models a device with a fixed per-track access latency (`spike_us`,
-/// probability 1.0 — every physical transfer sleeps, deterministically).
-/// On the synchronous backends that latency is paid inline, so depth
-/// cannot help; on the concurrent engine, depth ≥ 1 pre-issues the next
-/// vps' context/inbox reads so the drive workers absorb the latency
-/// while the current vp computes. Each point is the best of `reps` runs
-/// (min wall-clock); finals are asserted identical across every cell.
-/// Writes `BENCH_pipeline.json` into the output directory. Set
-/// `CGMIO_PERF_SMOKE=1` for a small size (CI bench-smoke).
-pub fn pipeline(out_dir: &std::path::Path) -> Table {
-    use cgmio_core::BackendSpec;
-    use cgmio_io::IoEngineOpts;
-    use cgmio_pdm::FaultPlan;
-
-    let mut t = Table::new(
-        "pipeline_overlap",
-        &["backend", "depth", "wall_ms", "io_ops", "stalls", "mean_q_wait_us", "improvement_pct"],
-    );
-    let smoke = std::env::var_os("CGMIO_PERF_SMOKE").is_some();
-    // Geometry note: the per-track latency (spike_us plus the OS sleep
-    // granularity, identical for every op) times the transfer count,
-    // divided across the D drive workers, is sized to roughly balance
-    // the total compute — the regime where overlap has the most to
-    // hide. Overlap cannot beat max(total I/O, total compute), so a
-    // grossly I/O-bound geometry would cap the visible win at a few
-    // percent no matter how deep the pipeline runs.
-    let (n, bb, reps) = if smoke { (1usize << 16, 8192usize, 3usize) } else { (1 << 20, 32768, 5) };
-    let (v, d, spike_us) = (16usize, 4usize, 30u64);
-    let depths = [0usize, 1, 2, 4];
-
-    let keys = data::uniform_u64(n, 42);
-    let mk = || {
-        data::block_split(keys.clone(), v).into_iter().map(|b| (b, Vec::new())).collect::<Vec<_>>()
-    };
-    let prog = CgmSort::<u64>::by_pivots();
-    let base_cfg = crate::config_for(&prog, mk(), v, 1, d, bb);
-
-    let mut want: Option<Vec<u64>> = None;
-    let mut points: Vec<PipelinePoint> = Vec::new();
-    for backend in ["mem", "sync_file", "concurrent"] {
-        let mut d0_wall = 0.0f64;
-        for depth in depths {
-            let mut best: Option<(f64, cgmio_core::EmRunReport)> = None;
-            for _ in 0..reps {
-                let mut cfg = base_cfg.clone();
-                cfg.pipeline_depth = depth;
-                cfg.fault = Some(FaultPlan {
-                    seed: 7,
-                    latency_spike: 1.0,
-                    spike_us,
-                    ..FaultPlan::default()
-                });
-                let _tmp; // keeps the SyncFile drive dir alive across the run
-                cfg.backend = match backend {
-                    "mem" => BackendSpec::Mem,
-                    "sync_file" => {
-                        let tmp = cgmio_pdm::testutil::TempDir::new("cgmio-pipe-bench");
-                        let dir = tmp.path().join("drives");
-                        _tmp = tmp;
-                        BackendSpec::SyncFile { dir }
-                    }
-                    _ => BackendSpec::Concurrent {
-                        dir: None,
-                        opts: IoEngineOpts { trace: true, ..Default::default() },
-                    },
-                };
-                let (fin, rep) =
-                    SeqEmRunner::new(cfg).run(&prog, mk()).expect("pipeline bench run");
-                let flat: Vec<u64> = fin.iter().flat_map(|(b, _)| b.iter().copied()).collect();
-                assert!(flat.windows(2).all(|w| w[0] <= w[1]), "pipeline bench output not sorted");
-                match &want {
-                    None => want = Some(flat),
-                    Some(w) => {
-                        assert_eq!(&flat, w, "{backend} depth={depth}: finals differ")
-                    }
-                }
-                let wall = rep.wall.as_secs_f64() * 1e3;
-                if best.as_ref().is_none_or(|(bw, _)| wall < *bw) {
-                    best = Some((wall, rep));
-                }
-            }
-            let (wall_ms, rep) = best.expect("reps >= 1");
-            if depth == 0 {
-                d0_wall = wall_ms;
-            }
-            let (stalls, q_wait_us) = if backend == "concurrent" {
-                let s = cgmio_io::summarize(&rep.io_trace);
-                (Some(s.stalls), Some(s.mean_read_queue_wait_us))
-            } else {
-                (None, None)
-            };
-            points.push(PipelinePoint {
-                backend,
-                depth,
-                wall_ms,
-                io_ops: rep.io.total_ops(),
-                stalls,
-                q_wait_us,
-                improvement_pct: 100.0 * (1.0 - wall_ms / d0_wall.max(1e-9)),
-            });
-        }
-    }
-
-    // The headline: best concurrent depth ≥ 2 improvement over depth 0.
-    let headline = points
-        .iter()
-        .filter(|p| p.backend == "concurrent" && p.depth >= 2)
-        .max_by(|a, b| a.improvement_pct.total_cmp(&b.improvement_pct));
-
-    let mut report = BenchReport::new(
-        "em_cgm_sort_pipeline",
-        format!(
-            "CgmSort<u64> by_pivots, n={n}, v={v}, D={d}, B={bb} bytes; \
-             simulated device latency {spike_us} us per track op (FaultPlan latency spike, \
-             probability 1.0)"
-        ),
-        smoke,
-    )
-    .extra("reps", Value::num(reps));
-    for p in &points {
-        report.point(obj(vec![
-            ("backend", Value::str(p.backend)),
-            ("depth", Value::num(p.depth)),
-            ("wall_ms", Value::num(format!("{:.2}", p.wall_ms))),
-            ("io_ops", Value::num(p.io_ops)),
-            ("stalls", p.stalls.map_or(Value::Null, Value::num)),
-            ("mean_read_queue_wait_us", p.q_wait_us.map_or(Value::Null, Value::num)),
-            ("improvement_vs_depth0_pct", Value::num(format!("{:.1}", p.improvement_pct))),
-        ]));
-    }
-    if let Some(h) = headline {
-        report.set_headline(obj(vec![
-            ("backend", Value::str("concurrent")),
-            ("depth", Value::num(h.depth)),
-            ("improvement_pct", Value::num(format!("{:.1}", h.improvement_pct))),
-        ]));
-    }
-    report.save(out_dir, "BENCH_pipeline.json");
-
-    for p in points {
-        t.row(vec![
-            p.backend.to_string(),
-            p.depth.to_string(),
-            format!("{:.2}", p.wall_ms),
-            p.io_ops.to_string(),
-            p.stalls.map_or("-".into(), |s| s.to_string()),
-            p.q_wait_us.map_or("-".into(), |q| q.to_string()),
-            format!("{:.1}", p.improvement_pct),
-        ]);
-    }
-    t
-}
-
-/// `service`: the multi-tenant job service under a seeded open-loop
-/// workload. Hundreds of mixed jobs (sort/permute/transpose, two
-/// problem sizes, all three priorities) from three tenants are
-/// submitted in one burst to a [`cgmio_svc::JobService`] over a shared
-/// concurrent in-memory pool; the deficit round-robin scheduler and
-/// admission budget arbitrate, and every job runs in its own track
-/// window. Writes `BENCH_service.json` (aggregate throughput headline,
-/// per-tenant p50/p99 latency points) into the output directory; the
-/// returned table archives as `service_tenants.csv`. Set
-/// `CGMIO_SERVICE_SMOKE=1` for a small job count (CI service-smoke).
-pub fn service(out_dir: &std::path::Path) -> Table {
-    use cgmio_svc::{JobService, JobSpec, Priority, ServiceConfig, WorkloadKind};
-
-    fn splitmix64(mut x: u64) -> u64 {
-        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
-    }
-
-    let smoke = std::env::var_os("CGMIO_SERVICE_SMOKE").is_some();
-    let (jobs, n_small, n_large) =
-        if smoke { (24usize, 1usize << 9, 1usize << 10) } else { (240, 1 << 11, 1 << 12) };
-    let tenants = ["acme", "globex", "initech"];
-    let workloads = [WorkloadKind::Sort, WorkloadKind::Permute, WorkloadKind::Transpose];
-    let priorities = [Priority::Batch, Priority::Normal, Priority::Interactive];
-    let (d, bb, v, workers, budget_ops) = (4usize, 1024usize, 8usize, 3usize, 4096.0f64);
-
-    let svc = JobService::new(ServiceConfig {
-        num_disks: d,
-        block_bytes: bb,
-        workers,
-        budget_ops,
-        quantum_ops: 64.0,
-        ..ServiceConfig::default()
-    })
-    .expect("in-memory service needs no I/O to start");
-
-    let start = std::time::Instant::now();
-    let mut submitted = 0usize;
-    let mut rejected = 0usize;
-    let mut spec_of: std::collections::BTreeMap<cgmio_svc::JobId, (&str, usize, u64)> =
-        std::collections::BTreeMap::new();
-    for i in 0..jobs {
-        let r = splitmix64(0xC61A + i as u64);
-        let spec = JobSpec {
-            tenant: tenants[(r % 3) as usize].into(),
-            workload: workloads[((r >> 8) % 3) as usize],
-            n: if (r >> 16).is_multiple_of(2) { n_small } else { n_large },
-            v,
-            block_bytes: bb,
-            priority: priorities[((r >> 24) % 3) as usize],
-            deadline_hint_ms: ((r >> 32).is_multiple_of(4)).then_some(2_000),
-            // A small seed pool, so some jobs repeat a spec exactly —
-            // their finals hashes must agree (cross-job isolation).
-            seed: (r >> 40) % 4,
-        };
-        let key = (spec.workload.name(), spec.n, spec.seed);
-        match svc.submit(spec) {
-            Ok(id) => {
-                submitted += 1;
-                spec_of.insert(id, key);
-            }
-            Err(e) => {
-                rejected += 1;
-                eprintln!("  admission reject: {e}");
-            }
-        }
-    }
-    let records = svc.drain();
-    let wall = start.elapsed();
-    assert_eq!(records.len(), submitted, "every admitted job must finish");
-    assert!(records.iter().all(|r| r.ok), "service jobs must not fail");
-
-    // Identical specs (same workload/n/seed) must have identical finals
-    // regardless of tenant, priority, scheduling order, or which pool
-    // window each landed in — the burst reuses a 4-seed pool precisely
-    // so these collisions happen often.
-    let mut by_spec: std::collections::BTreeMap<(&str, usize, u64), u64> =
-        std::collections::BTreeMap::new();
-    for r in &records {
-        let key = spec_of[&r.id];
-        match by_spec.get(&key) {
-            Some(&h) => assert_eq!(h, r.finals_hash, "cross-job interference on {key:?}"),
-            None => {
-                by_spec.insert(key, r.finals_hash);
-            }
-        }
-    }
-
-    let mut t = Table::new(
-        "service_tenants",
-        &[
-            "tenant",
-            "jobs",
-            "p50_queue_wait_us",
-            "p99_queue_wait_us",
-            "p50_latency_us",
-            "p99_latency_us",
-            "mean_measured_ops",
-        ],
-    );
-    let mut report = BenchReport::new(
-        "em_cgm_job_service",
-        format!(
-            "{jobs} mixed jobs (sort/permute/transpose, n∈{{{n_small},{n_large}}}, v={v}, \
-             B={bb} bytes) from {} tenants over one shared {d}-disk concurrent pool; \
-             {workers} workers, admission budget {budget_ops} predicted ops, DRR quantum 64",
-            tenants.len()
-        ),
-        smoke,
-    )
-    .extra("jobs_submitted", Value::num(submitted))
-    .extra("jobs_rejected", Value::num(rejected))
-    .extra("workers", Value::num(workers))
-    .extra("budget_ops", Value::num(budget_ops));
-
-    let mut max_p99 = 0u64;
-    for tenant in tenants {
-        let recs: Vec<_> = records.iter().filter(|r| r.tenant == tenant).collect();
-        let lat: Vec<u64> = recs.iter().map(|r| r.latency_us).collect();
-        let wait: Vec<u64> = recs.iter().map(|r| r.queue_wait_us).collect();
-        let mean_ops = if recs.is_empty() {
-            0
-        } else {
-            recs.iter().map(|r| r.measured_ops).sum::<u64>() / recs.len() as u64
-        };
-        let (p50w, p99w) = (percentile_us(&wait, 50.0), percentile_us(&wait, 99.0));
-        let (p50l, p99l) = (percentile_us(&lat, 50.0), percentile_us(&lat, 99.0));
-        max_p99 = max_p99.max(p99l);
-        report.point(obj(vec![
-            ("tenant", Value::str(tenant)),
-            ("jobs", Value::num(recs.len())),
-            ("p50_queue_wait_us", Value::num(p50w)),
-            ("p99_queue_wait_us", Value::num(p99w)),
-            ("p50_latency_us", Value::num(p50l)),
-            ("p99_latency_us", Value::num(p99l)),
-            ("mean_measured_ops", Value::num(mean_ops)),
-        ]));
-        t.row(vec![
-            tenant.to_string(),
-            recs.len().to_string(),
-            p50w.to_string(),
-            p99w.to_string(),
-            p50l.to_string(),
-            p99l.to_string(),
-            mean_ops.to_string(),
-        ]);
-    }
-
-    let wall_ms = wall.as_secs_f64() * 1e3;
-    let throughput = records.len() as f64 / wall.as_secs_f64().max(1e-9);
-    report.set_headline(obj(vec![
-        ("jobs_completed", Value::num(records.len())),
-        ("tenants", Value::num(tenants.len())),
-        ("wall_ms", Value::num(format!("{wall_ms:.1}"))),
-        ("throughput_jobs_per_s", Value::num(format!("{throughput:.1}"))),
-        ("max_tenant_p99_latency_us", Value::num(max_p99)),
-    ]));
-    report.save(out_dir, "BENCH_service.json");
-    t
-}
-
-/// One measured cell of the `scale` sweep.
-struct ScaleCell {
-    backend: &'static str,
-    v: usize,
-    wall_ms: f64,
-    io_ops: u64,
-    peak_mem_bytes: usize,
-    alloc_bytes: u64,
-    finals_hash: u64,
-}
-
-/// What the dense per-processor state tables *would* hold resident at
-/// `v` virtual processors: two ping-pong `v × v` `u32` message-length
-/// grids plus the `v`-entry context-length vector. This is the scale
-/// blocker the mailbox rows and the run-length manifests remove
-/// (≈ 8 TB at `v = 10^6`).
-fn dense_lens_bytes(v: usize) -> u64 {
-    2 * (v as u64) * (v as u64) * 4 + (v as u64) * 8
-}
-
-/// `scale`: per-processor state at large `v`. Runs a 2-round
-/// [`cgmio_model::demo::TokenRing`] — a balanced O(v)-message workload
-/// whose slot sizes are independent of `v` — across
-/// `v ∈ {16, 10³, 10⁵, 10⁶}` on the `Mem` and `Concurrent` backends.
-/// For `v ≥ 10⁵` the sweep asserts the run's entire allocator traffic
-/// stays under what the dense tables alone would hold resident. Writes
-/// `BENCH_scale.json`. Set `CGMIO_PERF_SMOKE=1` for the small-`v`
-/// subset (CI scale-smoke). The `Concurrent` backend is capped at
-/// `v = 10⁵` (per-op channel round-trips dominate far above that) —
-/// the cap is recorded in the JSON, not silent.
-pub fn scale(out_dir: &std::path::Path) -> Table {
-    use cgmio_core::BackendSpec;
-    use cgmio_model::demo::TokenRing;
-
-    let smoke = std::env::var_os("CGMIO_PERF_SMOKE").is_some();
-    let vs: Vec<usize> = if smoke { vec![16, 1_000] } else { vec![16, 1_000, 100_000, 1_000_000] };
-    const CONCURRENT_V_CAP: usize = 100_000;
-    let (d, bb) = (2usize, 64usize);
-    let prog = TokenRing { rounds: 2 };
-    let mk = |v: usize| (0..v as u64).map(|i| vec![i]).collect::<Vec<Vec<u64>>>();
-    // Slot sizes are v-independent for a ring (1-item messages, 1-token
-    // contexts): measure once at v=16 and size every machine from it.
-    // measure_requirements dry-runs through DirectRunner's dense O(v²)
-    // matrix, which is exactly what large v cannot afford.
-    let (_, _, req) = measure_requirements(&prog, mk(16)).expect("token ring dry run");
-
-    let fnv = |tokens: &[u64]| {
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
-        for t in tokens {
-            for b in t.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        h
-    };
-
-    let run_cell = |backend: &'static str, v: usize| -> ScaleCell {
-        let mut cfg = EmConfig::from_requirements(v, 1, d, bb, &req);
-        cfg.backend = match backend {
-            "mem" => BackendSpec::Mem,
-            _ => BackendSpec::Concurrent { dir: None, opts: Default::default() },
-        };
-        let before = crate::alloc::snapshot();
-        let t0 = std::time::Instant::now();
-        let (fin, rep) = SeqEmRunner::new(cfg).run(&prog, mk(v)).expect("scale cell run");
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let alloc = crate::alloc::snapshot().since(before);
-        // After 2 rotations every token sits 2 places past its origin.
-        let tokens: Vec<u64> = fin.iter().map(|s| s[0]).collect();
-        assert!(
-            tokens.iter().enumerate().all(|(pid, &t)| t == ((pid + v - 2) % v) as u64),
-            "{backend} v={v}: ring rotation wrong"
-        );
-        ScaleCell {
-            backend,
-            v,
-            wall_ms,
-            io_ops: rep.io.total_ops(),
-            peak_mem_bytes: rep.peak_mem_bytes,
-            alloc_bytes: alloc.bytes,
-            finals_hash: fnv(&tokens),
-        }
-    };
-
-    let counted = crate::alloc::counting_installed();
-    let mut cells: Vec<ScaleCell> = Vec::new();
-    let mut skipped: Vec<String> = Vec::new();
-    for backend in ["mem", "concurrent"] {
-        for &v in &vs {
-            if backend == "concurrent" && v > CONCURRENT_V_CAP {
-                let note =
-                    format!("concurrent backend capped at v={CONCURRENT_V_CAP}: v={v} skipped");
-                eprintln!("  {note}");
-                skipped.push(note);
-                continue;
-            }
-            let cell = run_cell(backend, v);
-            if v >= 100_000 && counted {
-                assert!(
-                    cell.alloc_bytes < dense_lens_bytes(v),
-                    "{backend} v={v}: allocated {} bytes, dense tables alone would be {}",
-                    cell.alloc_bytes,
-                    dense_lens_bytes(v)
-                );
-            }
-            cells.push(cell);
-        }
-    }
-
-    let mut t =
-        Table::new("scale_state", &["backend", "v", "wall_ms", "io_ops", "peak_mem_B", "alloc_MB"]);
-    let mut report = BenchReport::new(
-        "em_cgm_state_scale",
-        format!("TokenRing rounds=2, D={d}, B={bb} bytes, seq runner"),
-        smoke,
-    )
-    .extra("allocator_counted", Value::Bool(counted))
-    .extra("skipped", Value::Arr(skipped.iter().map(|s| Value::str(s.clone())).collect()));
-    for c in &cells {
-        report.point(obj(vec![
-            ("backend", Value::str(c.backend)),
-            ("v", Value::num(c.v)),
-            ("wall_ms", Value::num(format!("{:.2}", c.wall_ms))),
-            ("io_ops", Value::num(c.io_ops)),
-            ("peak_mem_bytes", Value::num(c.peak_mem_bytes)),
-            ("alloc_bytes", Value::num(c.alloc_bytes)),
-            ("dense_lens_bytes_would_be", Value::num(dense_lens_bytes(c.v))),
-            ("finals_hash", Value::str(format!("{:016x}", c.finals_hash))),
-        ]));
-        t.row(vec![
-            c.backend.to_string(),
-            c.v.to_string(),
-            format!("{:.2}", c.wall_ms),
-            c.io_ops.to_string(),
-            c.peak_mem_bytes.to_string(),
-            format!("{:.1}", c.alloc_bytes as f64 / 1e6),
-        ]);
-    }
-    if let Some(h) = cells.iter().max_by_key(|c| c.v) {
-        report.set_headline(obj(vec![
-            ("backend", Value::str(h.backend)),
-            ("v", Value::num(h.v)),
-            ("wall_ms", Value::num(format!("{:.2}", h.wall_ms))),
-            ("io_ops", Value::num(h.io_ops)),
-            ("alloc_bytes", Value::num(h.alloc_bytes)),
-            ("dense_lens_bytes_would_be", Value::num(dense_lens_bytes(h.v))),
-        ]));
-    }
-    report.save(out_dir, "BENCH_scale.json");
-    t
-}
-
 /// One cell of the `disk` experiment: every timed run of one backend at
 /// one D.
 struct DiskCell {
@@ -1812,10 +1170,13 @@ struct DiskCell {
 }
 
 impl DiskCell {
-    /// Nearest-rank quantile of the timed runs, in milliseconds.
+    /// Nearest-rank quantile (`p` in 0–100) of the timed runs, in
+    /// milliseconds.
     fn q(&self, p: f64) -> f64 {
-        let us: Vec<u64> = self.walls_ms.iter().map(|ms| (ms * 1e3) as u64).collect();
-        percentile_us(&us, p) as f64 / 1e3
+        let mut sorted = self.walls_ms.clone();
+        sorted.sort_by(f64::total_cmp);
+        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+        sorted[rank.clamp(1, sorted.len()) - 1]
     }
 }
 
@@ -1903,6 +1264,9 @@ pub fn disk(out_dir: &std::path::Path) -> Table {
             let obs = Obs::new();
             run(backend, Some(obs.clone()));
             let batches = obs.snapshot().histogram_sum("cgmio_io_submit_batch_blocks", &[]);
+            // Both backends drain their queues through one worker loop,
+            // so both must report batches of at least one block.
+            assert!(batches.mean() >= 1.0, "D={d} {backend}: no submission batches recorded");
             cells.push(DiskCell {
                 d,
                 backend,
@@ -1930,22 +1294,12 @@ pub fn disk(out_dir: &std::path::Path) -> Table {
         (pct, won, verdict)
     };
 
-    let mut report = BenchReport::new(
-        "em_cgm_sort_disk_backends",
-        format!(
-            "CgmSort<u64> by_pivots, n={n}, v={v}, B={bb} bytes, D in {{4,8,16}}; real per-drive \
-             files (disk{{d}}.dat layout): the queued drive engine layered over FileStorage \
-             (threads) vs owning the files and coalescing (async); {reps} alternating pairs per D, \
-             median and quartiles"
-        ),
-        smoke,
-    )
-    .extra("reps", Value::num(reps));
     let ms = |x: f64| format!("{x:.2}");
+    let mut points = Vec::new();
     for c in &cells {
         let (pct, won, verdict) = compare(c.d);
         let vs = (c.backend == "async").then_some((pct, won, verdict));
-        report.point(obj(vec![
+        points.push(obj(vec![
             ("d", Value::num(c.d)),
             ("backend", Value::str(c.backend)),
             ("wall_ms_median", Value::num(ms(c.q(50.0)))),
@@ -1979,13 +1333,62 @@ pub fn disk(out_dir: &std::path::Path) -> Table {
     let (d, (pct, _, verdict)) = (ds.iter().map(|&d| (d, compare(d))))
         .max_by(|a, b| a.1 .0.abs().total_cmp(&b.1 .0.abs()))
         .expect("three geometries");
-    report.set_headline(obj(vec![
-        ("d", Value::num(d)),
-        ("async_vs_threads_pct", Value::num(format!("{pct:.1}"))),
-        ("verdict", Value::str(verdict)),
-    ]));
-    report.save(out_dir, "BENCH_disk.json");
+    let doc = obj(vec![
+        ("schema", Value::num(1)),
+        ("bench", Value::str("em_cgm_sort_disk_backends")),
+        (
+            "workload",
+            Value::str(format!(
+                "CgmSort<u64> by_pivots, n={n}, v={v}, B={bb} bytes, D in {{4,8,16}}; real \
+                 per-drive files (disk{{d}}.dat layout): the queued drive engine layered over \
+                 FileStorage (threads) vs owning the files and coalescing (async); {reps} \
+                 alternating pairs per D, median and quartiles"
+            )),
+        ),
+        ("reps", Value::num(reps)),
+        ("smoke", Value::Bool(smoke)),
+        ("points", Value::Arr(points)),
+        (
+            "headline",
+            obj(vec![
+                ("d", Value::num(d)),
+                ("async_vs_threads_pct", Value::num(format!("{pct:.1}"))),
+                ("verdict", Value::str(verdict)),
+            ]),
+        ),
+    ]);
+    let path = out_dir.join("BENCH_disk.json");
+    // Best-effort like the CSVs: a failed save is reported, not fatal.
+    match std::fs::create_dir_all(out_dir).and_then(|()| std::fs::write(&path, pretty(&doc))) {
+        Ok(()) => eprintln!("  saved {}", path.display()),
+        Err(e) => eprintln!("  BENCH_disk.json save failed: {e}"),
+    }
     t
+}
+
+/// An object value from key/value pairs, in order.
+fn obj(fields: Vec<(&str, Value)>) -> Value {
+    Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// Render a top-level object one field per line and an array field
+/// one element per line, leaf values compact, so a regenerated
+/// `results/` file diffs line by line.
+fn pretty(doc: &Value) -> String {
+    let lines: Vec<String> = (doc.as_object().expect("a JSON object").iter())
+        .map(|(k, val)| {
+            let key = Value::str(k.as_str()).render();
+            match val {
+                Value::Arr(items) if !items.is_empty() => {
+                    let items: Vec<String> =
+                        items.iter().map(|i| format!("    {}", i.render())).collect();
+                    format!("  {key}: [\n{}\n  ]", items.join(",\n"))
+                }
+                other => format!("  {key}: {}", other.render()),
+            }
+        })
+        .collect();
+    format!("{{\n{}\n}}\n", lines.join(",\n"))
 }
 
 #[cfg(test)]
@@ -2030,6 +1433,77 @@ mod tests {
             assert!(injected > 0, "rate {} injected nothing", row[0]);
             assert!(retries > 0, "rate {} recorded no retries", row[0]);
         }
+    }
+
+    #[test]
+    fn disk_json_renders_one_field_and_one_point_per_line() {
+        let doc = obj(vec![
+            ("reps", Value::num(2)),
+            ("points", Value::Arr(vec![obj(vec![("d", Value::num(4))]); 2])),
+            ("headline", Value::Null),
+        ]);
+        let text = pretty(&doc);
+        assert_eq!(
+            text,
+            "{\n  \"reps\": 2,\n  \"points\": [\n    {\"d\":4},\n    {\"d\":4}\n  ],\n  \
+             \"headline\": null\n}\n"
+        );
+        assert_eq!(cgmio_obs::json::parse(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn disk_quantiles_are_nearest_rank() {
+        let cell = |walls_ms: Vec<f64>| DiskCell {
+            d: 4,
+            backend: "threads",
+            walls_ms,
+            io_ops: 0,
+            io_blocks: 0,
+            mean_batch_blocks: 1.0,
+        };
+        assert_eq!(cell(vec![7.0]).q(50.0), 7.0);
+        let c = cell((1..=100).map(f64::from).collect());
+        assert_eq!([c.q(25.0), c.q(50.0), c.q(99.0), c.q(100.0)], [25.0, 50.0, 99.0, 100.0]);
+        // Unsorted input is fine.
+        assert_eq!(cell(vec![30.0, 10.0, 20.0]).q(50.0), 20.0);
+    }
+
+    /// The committed `results/BENCH_disk.json` is a full-size sweep:
+    /// both backends at every D with equal counts, ten or more
+    /// alternating pairs, and a verdict. Its timings are the machine's,
+    /// so only their structure is checked.
+    #[test]
+    fn committed_disk_sweep_is_full_size_with_verdicts() {
+        fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
+            v.get(key).unwrap_or_else(|| panic!("no field {key} in {}", v.render()))
+        }
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_disk.json");
+        let doc = cgmio_obs::json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let keys: Vec<&str> = doc.as_object().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["schema", "bench", "workload", "reps", "smoke", "points", "headline"]);
+        assert_eq!(field(&doc, "schema").as_u64(), Some(1));
+        assert_eq!(field(&doc, "bench").as_str(), Some("em_cgm_sort_disk_backends"));
+        assert_eq!(field(&doc, "smoke"), &Value::Bool(false), "committed results are full-size");
+        let reps = field(&doc, "reps").as_u64().unwrap();
+        assert!(reps >= 10, "committed results need >= 10 alternating pairs, got {reps}");
+        let verdicts = [Some("async faster"), Some("threads faster"), Some("within noise")];
+        let points = field(&doc, "points").as_array().unwrap();
+        for d in [4, 8, 16] {
+            let cells: Vec<&Value> =
+                points.iter().filter(|p| field(p, "d").as_u64() == Some(d)).collect();
+            let backends: Vec<_> = cells.iter().map(|p| field(p, "backend").as_str()).collect();
+            assert_eq!(backends, [Some("threads"), Some("async")], "D={d}");
+            assert_eq!(
+                field(cells[0], "io_ops"),
+                field(cells[1], "io_ops"),
+                "D={d}: io_ops differ"
+            );
+            for p in &cells {
+                assert_eq!(field(p, "runs").as_u64(), Some(reps), "D={d}");
+            }
+            assert!(verdicts.contains(&field(cells[1], "verdict").as_str()), "D={d}");
+        }
+        assert!(verdicts.contains(&field(field(&doc, "headline"), "verdict").as_str()));
     }
 
     #[test]

@@ -14,13 +14,12 @@ use cgmio_core::{
     measure_requirements, BackendSpec, EmConfig, EmRunReport, ParamCheck, SeqEmRunner,
 };
 use cgmio_io::IoEngineOpts;
-use cgmio_model::{CgmProgram, DirectRunner};
+use cgmio_model::CgmProgram;
 use cgmio_pdm::{DiskGeometry, DiskTimingModel, IoRequest, MessageMatrixLayout};
 
 pub mod alloc;
 pub mod experiments;
 pub mod observe;
-pub mod results;
 
 /// A printable/archivable result table.
 #[derive(Debug, Clone)]
@@ -115,7 +114,7 @@ pub fn run_seq_em<P: CgmProgram>(
 }
 
 /// [`run_seq_em`], also returning the measured config.
-pub fn run_seq_em_cfg<P: CgmProgram>(
+fn run_seq_em_cfg<P: CgmProgram>(
     prog: &P,
     mk_states: impl Fn() -> Vec<P::State>,
     v: usize,
@@ -135,16 +134,6 @@ pub fn disk_model() -> DiskTimingModel {
 /// Standard sweep problem sizes (items).
 pub fn sweep_sizes() -> Vec<usize> {
     vec![1 << 13, 1 << 14, 1 << 15, 1 << 16, 1 << 17]
-}
-
-/// Convenience re-exports for the binary and benches.
-pub mod prelude {
-    pub use super::{config_for, disk_model, run_seq_em, sweep_sizes, Table};
-    pub use cgmio_algos::*;
-    pub use cgmio_core::*;
-    pub use cgmio_data::*;
-    pub use cgmio_model::*;
-    pub use cgmio_pdm::*;
 }
 
 /// Measure how many parallel write operations a `v × v` message matrix
@@ -267,15 +256,6 @@ pub fn em_transpose_report(
     };
     let (cfg, _, rep) = run_seq_em_cfg(&CgmTranspose, mk, v, d, block_bytes);
     (cfg.check_params((k * l) as u64, 8), rep)
-}
-
-/// Reference in-memory run used by benches to compare against.
-pub fn direct_sort(n: usize, v: usize) -> Vec<(Vec<u64>, Vec<u64>)> {
-    let keys = cgmio_data::uniform_u64(n, 42);
-    let states: Vec<(Vec<u64>, Vec<u64>)> =
-        cgmio_data::block_split(keys, v).into_iter().map(|b| (b, Vec::new())).collect();
-    let (fin, _) = DirectRunner::default().run(&CgmSort::<u64>::by_pivots(), states).unwrap();
-    fin
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ Checked, in every tracked ``*.md`` outside ``third_party/``:
 * markdown links ``[text](target)`` whose target is not a URL or an
   in-page anchor;
 * backticked path mentions like ``docs/OPERATIONS.md``,
-  ``tests/cross_runner.rs``, ``results/BENCH_scale.json``, or
+  ``tests/cross_runner.rs``, ``results/BENCH_disk.json``, or
   ``crates/core/src/seq.rs`` — the idiom the prose leans on. Only
   mentions that *look like* repo paths (a known top-level directory, or
   a ``*.md`` file at the root) are checked; type names, globs, and
@@ -35,7 +35,17 @@ def tracked_markdown():
     out = subprocess.run(
         # PAPERS.md / SNIPPETS.md are retrieved reference material, not
         # repo docs — their links point at their original sources.
-        ["git", "ls-files", "*.md", ":!:third_party/*", ":!:PAPERS.md", ":!:SNIPPETS.md"],
+        # CHANGES.md is a history: each entry names files as they were
+        # when it was written, including files a later change deleted.
+        [
+            "git",
+            "ls-files",
+            "*.md",
+            ":!:third_party/*",
+            ":!:PAPERS.md",
+            ":!:SNIPPETS.md",
+            ":!:CHANGES.md",
+        ],
         cwd=ROOT,
         check=True,
         capture_output=True,

@@ -42,9 +42,16 @@ const RING_RUN_BUDGET: f64 = 11.1;
 /// The large-block path must not get worse.
 const SORT_BUDGET: u64 = 3_359;
 
-/// Allocations performed by `runner.run()` on a `v`-processor token
-/// ring of `rounds` rotations: `Mem`, D = 2, B = 64 (so `vp_group` = 2).
-fn ring_allocs(v: usize, rounds: usize, depth: usize) -> u64 {
+/// Heap bytes a whole two-rotation ring run may request per virtual
+/// processor, at any `v`: the per-processor state is sparse. 784.5
+/// (v = 2 000) and 781.3 (v = 16 000) are measured, 780.9 at
+/// v = 128 000. Dense `v × v` `u32` message-length tables would be
+/// 32 MB at v = 2 000 and 2 GB at v = 16 000 on their own.
+const RING_BYTES_PER_VP: f64 = 800.0;
+
+/// Allocator traffic of `runner.run()` on a `v`-processor token ring of
+/// `rounds` rotations: `Mem`, D = 2, B = 64 (so `vp_group` = 2).
+fn ring_allocs(v: usize, rounds: usize, depth: usize) -> alloc::AllocStats {
     let prog = TokenRing { rounds };
     // Slot sizes of a ring do not depend on v; the dry run's dense
     // v × v matrix does, so measure on 16 processors.
@@ -57,21 +64,21 @@ fn ring_allocs(v: usize, rounds: usize, depth: usize) -> u64 {
     let runner = SeqEmRunner::new(cfg);
     let before = alloc::snapshot();
     let (finals, _) = runner.run(&prog, states).unwrap();
-    let allocs = alloc::snapshot().since(before).allocs;
+    let traffic = alloc::snapshot().since(before);
     assert_eq!(finals[0], vec![((v - rounds % v) % v) as u64], "ring rotated {rounds} places");
-    allocs
+    traffic
 }
 
 #[test]
 fn per_operation_path_stays_within_its_allocation_budget() {
-    assert!(ring_allocs(16, 1, 0) > 0 && alloc::counting_installed());
+    assert!(ring_allocs(16, 1, 0).allocs > 0 && alloc::counting_installed());
 
     let v = 2_000;
     for depth in [0usize, 2] {
         // First-touch track allocations are the same in both runs; the
         // difference is four steady supersteps.
-        let short = ring_allocs(v, 2, depth);
-        let per_vp_superstep = (ring_allocs(v, 6, depth) - short) as f64 / (4 * v) as f64;
+        let short = ring_allocs(v, 2, depth).allocs;
+        let per_vp_superstep = (ring_allocs(v, 6, depth).allocs - short) as f64 / (4 * v) as f64;
         let per_vp = short as f64 / v as f64;
         println!(
             "ring depth {depth}: {per_vp_superstep:.4} allocations per vp-superstep, \
@@ -84,6 +91,16 @@ fn per_operation_path_stays_within_its_allocation_budget() {
         assert!(
             per_vp <= RING_RUN_BUDGET,
             "depth {depth}: {per_vp:.2} allocations per vp and run, budget {RING_RUN_BUDGET}"
+        );
+    }
+
+    // The per-processor state: bytes per vp stay flat as v grows 8×.
+    for v in [2_000, 16_000] {
+        let per_vp = ring_allocs(v, 2, 0).bytes as f64 / v as f64;
+        println!("ring v {v}: {per_vp:.1} bytes allocated per vp over a two-rotation run");
+        assert!(
+            per_vp <= RING_BYTES_PER_VP,
+            "v {v}: {per_vp:.1} bytes per vp, budget {RING_BYTES_PER_VP}"
         );
     }
 
