@@ -14,6 +14,12 @@
 //! and are `rename`d into place, so a reader never observes a torn
 //! JSON document (each job directory has exactly one writer — the
 //! worker running the job — so the fixed temp name cannot race).
+//!
+//! A root outlives the service that wrote it. Opening it again adopts
+//! it: ids continue after the highest existing `job-*` directory, so a
+//! restarted service never overwrites an earlier job's files, and a job
+//! the previous service left `pending` or `running` is marked `failed`
+//! with the error [`INTERRUPTED`].
 
 use std::fs;
 use std::io;
@@ -97,18 +103,60 @@ pub fn report_to_json(rep: &EmRunReport, finals_hash: u64) -> Value {
     ])
 }
 
+/// The error recorded for a job an earlier service left unfinished.
+pub const INTERRUPTED: &str = "interrupted: service restarted";
+
 /// The on-disk artifact root and its write helpers.
 #[derive(Debug)]
 pub struct ArtifactStore {
     root: PathBuf,
+    next_id: JobId,
 }
 
 impl ArtifactStore {
-    /// Open (creating if needed) an artifact root directory.
+    /// Open (creating if needed) an artifact root directory, adopting
+    /// the jobs an earlier service recorded there (see the module docs).
     pub fn new(root: impl Into<PathBuf>) -> io::Result<Self> {
         let root = root.into();
         fs::create_dir_all(&root)?;
-        Ok(Self { root })
+        let mut store = Self { root, next_id: JobId(0) };
+        for entry in fs::read_dir(&store.root)? {
+            let name = entry?.file_name();
+            let Some(id) = name.to_str().and_then(|n| n.strip_prefix("job-")?.parse::<u64>().ok())
+            else {
+                continue;
+            };
+            store.next_id.0 = store.next_id.0.max(id.saturating_add(1));
+            store.reconcile(JobId(id))?;
+        }
+        Ok(store)
+    }
+
+    /// The first id past every job directory found at [`Self::new`].
+    pub fn next_id(&self) -> JobId {
+        self.next_id
+    }
+
+    /// Rewrite a `pending` or `running` status as `failed`: its
+    /// service is gone, so nothing will ever finish the job.
+    fn reconcile(&self, id: JobId) -> io::Result<()> {
+        let Ok(Value::Obj(mut fields)) = self.read_json(id, "status.json") else {
+            return Ok(());
+        };
+        let unfinished = |(k, v): &(String, Value)| {
+            k == "state" && matches!(v.as_str(), Some("pending" | "running"))
+        };
+        if !fields.iter().any(unfinished) {
+            return Ok(());
+        }
+        for (k, v) in &mut fields {
+            match k.as_str() {
+                "state" => *v = Value::str(JobState::Failed.name()),
+                "error" => *v = Value::str(INTERRUPTED),
+                _ => {}
+            }
+        }
+        self.write_json(id, "status.json", &Value::Obj(fields))
     }
 
     /// The artifact directory of one job (not necessarily created yet).
@@ -212,6 +260,36 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty(), "{leftovers:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reopening_fails_unfinished_jobs_and_continues_ids() {
+        let dir = cgmio_pdm::testutil::TempDir::new("cgmio-artifacts-reopen");
+        let store = ArtifactStore::new(dir.path()).unwrap();
+        assert_eq!(store.next_id(), JobId(0));
+        let status = |state| JobStatus {
+            state,
+            tenant: "acme".into(),
+            predicted_ops: 12.5,
+            queue_wait_us: Some(10),
+            latency_us: None,
+            error: None,
+        };
+        store.write_status(JobId(3), &status(JobState::Running)).unwrap();
+        store.write_status(JobId(9), &status(JobState::Pending)).unwrap();
+        store.write_status(JobId(4), &status(JobState::Done)).unwrap();
+        let done = std::fs::read(store.job_dir(JobId(4)).join("status.json")).unwrap();
+
+        let store = ArtifactStore::new(dir.path()).unwrap();
+        assert_eq!(store.next_id(), JobId(10));
+        for id in [JobId(3), JobId(9)] {
+            let v = store.read_json(id, "status.json").unwrap();
+            assert_eq!(v.get("state").unwrap().as_str(), Some("failed"), "{id}");
+            assert_eq!(v.get("error").unwrap().as_str(), Some(INTERRUPTED), "{id}");
+            assert_eq!(v.get("tenant").unwrap().as_str(), Some("acme"), "{id}");
+        }
+        let after = std::fs::read(store.job_dir(JobId(4)).join("status.json")).unwrap();
+        assert_eq!(after, done, "a finished job is left as it was");
     }
 
     #[test]

@@ -23,13 +23,15 @@
 //!    per-tenant FIFOs, quantum scaled by priority — a flooding tenant
 //!    cannot starve a quiet one.
 //! 5. **Dispatch** ([`JobService`]): a worker carves a private track
-//!    window out of the shared [`cgmio_io::ConcurrentStorage`] pool
-//!    ([`cgmio_core::BackendSpec::Shared`]) and runs the job; windows
-//!    are never reused, so every job sees the moral equivalent of a
-//!    fresh disk array and its results are bit-identical to a solo run.
+//!    window out of the shared pool, used as given
+//!    ([`cgmio_core::BackendSpec::Shared`]), and runs the job; a
+//!    finished job's window is discarded before reuse, so every job
+//!    sees the moral equivalent of a fresh disk array and its results
+//!    are bit-identical to a solo run.
 //! 6. **Artifacts** ([`ArtifactStore`]): `spec.json`, `status.json`
 //!    (`pending` → `running` → `done`/`failed`), and `report.json`
-//!    written atomically under a per-job directory.
+//!    written atomically under a per-job directory; a restarted service
+//!    continues the ids and fails the jobs its predecessor left open.
 //!
 //! Per-tenant observability (job counters, queue-wait and latency
 //! histograms, admission-reject counters, queue/in-flight gauges)

@@ -1,13 +1,21 @@
 //! The job service: admission → queue → dispatch → artifacts.
 //!
-//! One [`JobService`] owns one shared [`ConcurrentStorage`] engine over
-//! a disk-array pool and a bounded pool of worker threads. Submission
-//! prices the job (dry run + Theorem 2), screens it against the I/O
-//! budget, records its artifacts, and enqueues it with the
-//! [`DrrScheduler`]; workers pull fairly from the queue, gate each
-//! dispatch through the [`AdmissionController`]'s headroom, carve a
-//! private track window out of the pool ([`BackendSpec::Shared`]), run
-//! the job, and write its report.
+//! One [`JobService`] owns one shared disk-array pool and a bounded
+//! pool of worker threads. Submission prices the job (dry run +
+//! Theorem 2), screens it against the I/O budget, records its
+//! artifacts, and enqueues it with the [`DrrScheduler`]; workers pull
+//! fairly from the queue, gate each dispatch through the
+//! [`AdmissionController`]'s headroom, carve a private track window
+//! out of the pool ([`BackendSpec::Shared`]), run the job, and write
+//! its report.
+//!
+//! **The pool is used as given.** [`JobService::new`] builds a
+//! [`MemStorage`] pool: one lock per drive, so a worker moves its
+//! job's blocks itself and never hands an operation to another thread.
+//! [`JobService::with_pool`] runs jobs on the caller's storage as it
+//! is; a caller that wants per-drive worker threads (file-backed
+//! drives, say) passes its own `cgmio_io::ConcurrentStorage`, with
+//! `obs` set in its options if it wants the `cgmio_io_*` series.
 //!
 //! **Isolation.** Track windows come from a [`TrackPool`]: live jobs
 //! never share a track, and when a job completes its window is
@@ -19,16 +27,15 @@
 //! If the backend cannot reclaim (`discard` returns `Ok(false)` or
 //! errors) the window is leaked and allocation falls back to the
 //! monotonic bump — correctness is kept either way, only pool
-//! high-water suffers. The engine's sticky write-error is the one
-//! engine-global piece of state: the service runs the pool fault-free
-//! (no fault plan is ever attached), so it stays clear.
+//! high-water suffers. The service attaches no fault plan to the pool,
+//! so pool-global error state (an engine's sticky write error) stays
+//! clear.
 //!
-//! **No per-job runner observability.** The shared engine publishes its
-//! drive metrics through the service's [`Obs`]; per-job runner spans
-//! would all publish `(superstep, phase)` for "processor 0" into the
-//! same cell and clobber each other, so job configs keep `obs: None`
-//! and the service reports job-level metrics itself (queue wait,
-//! latency, outcome counters — all labelled by tenant).
+//! **No per-job runner observability.** Per-job runner spans would all
+//! publish `(superstep, phase)` for "processor 0" into the same cell
+//! and clobber each other, so job configs keep `obs: None` and the
+//! service reports job-level metrics itself (queue wait, latency,
+//! outcome counters — all labelled by tenant).
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -38,7 +45,6 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use cgmio_core::{BackendSpec, EmConfig};
-use cgmio_io::{ConcurrentStorage, IoEngineOpts};
 use cgmio_obs::json::Value;
 use cgmio_obs::Obs;
 use cgmio_pdm::{DiskGeometry, MemStorage, TrackStorage};
@@ -64,10 +70,7 @@ pub struct ServiceConfig {
     pub quantum_ops: f64,
     /// Root for per-job artifact directories; `None` disables artifacts.
     pub artifacts_dir: Option<PathBuf>,
-    /// Tuning for the shared engine (its `obs` field is overwritten
-    /// with [`Self::obs`]).
-    pub engine: IoEngineOpts,
-    /// Observability handle for service and engine metrics.
+    /// Observability handle for the service's metrics.
     pub obs: Option<Obs>,
 }
 
@@ -80,7 +83,6 @@ impl Default for ServiceConfig {
             budget_ops: 1e6,
             quantum_ops: 256.0,
             artifacts_dir: None,
-            engine: IoEngineOpts::default(),
             obs: None,
         }
     }
@@ -203,7 +205,7 @@ impl TrackPool {
 struct Shared {
     num_disks: usize,
     block_bytes: usize,
-    pool: Arc<ConcurrentStorage>,
+    pool: Arc<dyn TrackStorage>,
     tracks: TrackPool,
     admission: AdmissionController,
     state: Mutex<SchedState>,
@@ -283,16 +285,18 @@ impl Shared {
 
         let mut cfg: EmConfig = prepared.config.clone();
         cfg.backend = BackendSpec::Shared {
-            storage: Arc::clone(&self.pool) as Arc<dyn TrackStorage>,
+            storage: Arc::clone(&self.pool),
             base_track: base,
             worker_span_tracks: span,
         };
         let result = prepared.run(cfg);
         // Reclaim the window (failed runs included — their writes are
-        // garbage either way). The engine queues the discard behind the
-        // job's in-flight writes and drops its caches for the range, so
-        // recycling is race-free. Any drive that cannot reclaim leaks
-        // the whole window back to the bump allocator.
+        // garbage either way). A synchronous pool applied every write
+        // before the runner returned; a queued one orders the discard
+        // behind the job's in-flight writes and drops its caches for
+        // the range. Either way recycling is race-free. Any drive that
+        // cannot reclaim leaks the whole window back to the bump
+        // allocator.
         let mut reclaimed = true;
         for disk in 0..self.num_disks {
             if !matches!(self.pool.discard(disk, base..base + span), Ok(true)) {
@@ -304,46 +308,36 @@ impl Shared {
         }
         let latency_us = self.now_us().saturating_sub(submitted_us);
         let deadline_missed = spec.deadline_hint_ms.map(|ms| latency_us > ms.saturating_mul(1000));
-        let rec = match result {
+        let mut rec = JobRecord {
+            id,
+            tenant: spec.tenant,
+            workload: spec.workload.name(),
+            priority: spec.priority.name(),
+            ok: false,
+            error: None,
+            predicted_ops,
+            measured_ops: 0,
+            queue_wait_us,
+            latency_us,
+            finals_hash: 0,
+            deadline_missed,
+        };
+        match result {
             Ok(outcome) => {
                 if let Some(store) = &self.artifacts {
                     let _ = store.write_report(id, &outcome.report, outcome.finals_hash);
                 }
                 status.state = JobState::Done;
-                JobRecord {
-                    id,
-                    tenant: spec.tenant.clone(),
-                    workload: spec.workload.name(),
-                    priority: spec.priority.name(),
-                    ok: true,
-                    error: None,
-                    predicted_ops,
-                    measured_ops: outcome.report.breakdown.algorithm_ops(),
-                    queue_wait_us,
-                    latency_us,
-                    finals_hash: outcome.finals_hash,
-                    deadline_missed,
-                }
+                rec.ok = true;
+                rec.measured_ops = outcome.report.breakdown.algorithm_ops();
+                rec.finals_hash = outcome.finals_hash;
             }
             Err(e) => {
                 status.state = JobState::Failed;
                 status.error = Some(e.to_string());
-                JobRecord {
-                    id,
-                    tenant: spec.tenant.clone(),
-                    workload: spec.workload.name(),
-                    priority: spec.priority.name(),
-                    ok: false,
-                    error: Some(e.to_string()),
-                    predicted_ops,
-                    measured_ops: 0,
-                    queue_wait_us,
-                    latency_us,
-                    finals_hash: 0,
-                    deadline_missed,
-                }
+                rec.error = status.error.clone();
             }
-        };
+        }
         status.latency_us = Some(latency_us);
         self.write_status(id, &status);
         self.note_outcome(&rec);
@@ -395,17 +389,15 @@ impl JobService {
     /// A service over a fresh in-memory pool.
     pub fn new(cfg: ServiceConfig) -> std::io::Result<Self> {
         let geom = DiskGeometry::new(cfg.num_disks, cfg.block_bytes);
-        let backing: Arc<dyn TrackStorage> = Arc::new(MemStorage::new(geom));
-        Self::with_pool(cfg, backing)
+        Self::with_pool(cfg, Arc::new(MemStorage::new(geom)))
     }
 
-    /// A service over caller-provided backing storage (e.g. file-backed
-    /// drives). `backing` must match `cfg.num_disks`/`cfg.block_bytes`.
-    pub fn with_pool(cfg: ServiceConfig, backing: Arc<dyn TrackStorage>) -> std::io::Result<Self> {
+    /// A service whose jobs run on `pool` as given (e.g. a
+    /// `ConcurrentStorage` engine over file-backed drives). `pool` must
+    /// match `cfg.num_disks`/`cfg.block_bytes`.
+    pub fn with_pool(cfg: ServiceConfig, pool: Arc<dyn TrackStorage>) -> std::io::Result<Self> {
         let artifacts = cfg.artifacts_dir.clone().map(ArtifactStore::new).transpose()?;
-        let mut engine_opts = cfg.engine.clone();
-        engine_opts.obs = cfg.obs.clone();
-        let pool = Arc::new(ConcurrentStorage::new(backing, cfg.num_disks, engine_opts));
+        let first_id = artifacts.as_ref().map_or(0, |a| a.next_id().0);
         let shared = Arc::new(Shared {
             num_disks: cfg.num_disks,
             block_bytes: cfg.block_bytes,
@@ -422,7 +414,7 @@ impl JobService {
             artifacts,
             obs: cfg.obs.clone(),
             epoch: Instant::now(),
-            next_id: AtomicU64::new(0),
+            next_id: AtomicU64::new(first_id),
         });
         let workers = (0..cfg.workers.max(1))
             .map(|i| {
@@ -711,6 +703,47 @@ mod tests {
             "executed depth is the planned depth clamped to v"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every file of a directory, by name, with its bytes.
+    fn files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+        let mut out: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name().into_string().unwrap(), std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn restarted_service_keeps_earlier_jobs_artifacts() {
+        let root = cgmio_pdm::testutil::TempDir::new("cgmio-svc-restart");
+        let mut c = cfg();
+        c.artifacts_dir = Some(root.path().to_path_buf());
+        let first = JobService::new(c.clone()).unwrap();
+        let ids = [first.submit(spec("acme", 1)).unwrap(), first.submit(spec("acme", 2)).unwrap()];
+        let earlier: Vec<_> = ids.iter().map(|&id| first.job_dir(id).unwrap()).collect();
+        assert_eq!(first.drain().len(), 2);
+        let before: Vec<_> = earlier.iter().map(|d| files(d)).collect();
+
+        // A new service on the same root continues the ids instead of
+        // rewriting job-000000.
+        let second = JobService::new(c).unwrap();
+        let id = second.submit(spec("acme", 3)).unwrap();
+        assert_eq!(id, JobId(2));
+        assert!(second.drain()[0].ok);
+        let mut dirs: Vec<_> = std::fs::read_dir(root.path())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        dirs.sort();
+        assert_eq!(dirs, ["job-000000", "job-000001", "job-000002"]);
+        for (dir, want) in earlier.iter().zip(&before) {
+            assert_eq!(&files(dir), want, "{} changed", dir.display());
+        }
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub struct JobSpec {
     pub v: usize,
     /// Block size in bytes; must match the shared pool's geometry
     /// (jobs with a different `B` are rejected at admission — one
-    /// engine has one track size).
+    /// pool has one track size).
     pub block_bytes: usize,
     /// Dispatch urgency.
     pub priority: Priority,

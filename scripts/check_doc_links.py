@@ -13,8 +13,9 @@ Checked, in every tracked ``*.md`` outside ``third_party/``:
   a ``*.md`` file at the root) are checked; type names, globs, and
   shell fragments are not paths and are skipped.
 
-Exits non-zero listing every dangling reference, so CI catches docs
-drift the moment a file is renamed without its mentions.
+Exits non-zero listing every dangling reference, and every tracked
+markdown file missing from the worktree, so CI catches docs drift the
+moment a file is renamed without its mentions.
 """
 
 import re
@@ -73,6 +74,9 @@ def candidate_paths(text):
 def main():
     bad = []
     for md in tracked_markdown():
+        if not md.is_file():
+            bad.append(f"{md.relative_to(ROOT)}: tracked but missing from the worktree")
+            continue
         text = md.read_text(encoding="utf-8")
         for rel in sorted(set(candidate_paths(text))):
             if not rel or (ROOT / rel).exists():
@@ -80,7 +84,7 @@ def main():
             bad.append(f"{md.relative_to(ROOT)}: dangling reference `{rel}`")
     if bad:
         print("\n".join(bad))
-        print(f"\n{len(bad)} dangling doc reference(s)", file=sys.stderr)
+        print(f"\n{len(bad)} doc reference problem(s)", file=sys.stderr)
         return 1
     print(f"ok: all repo-local references in {len(tracked_markdown())} markdown files resolve")
     return 0

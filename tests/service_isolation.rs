@@ -1,16 +1,17 @@
 //! Multi-tenant isolation on the shared disk-array pool.
 //!
 //! The service's whole safety argument is that a job running in its
-//! own [`BackendSpec::Shared`] track window of one shared
-//! [`ConcurrentStorage`] engine is *observably identical* to the same
-//! job running alone on a dedicated engine: same finals, same
-//! [`IoStats`], same op breakdown. These tests run pairs of jobs
-//! concurrently on one pool — under both EM runners, over random
-//! inputs — and compare bit-for-bit against solo runs, then regress
-//! the deficit round-robin scheduler's starvation guarantee through
-//! the full [`JobService`].
+//! own [`BackendSpec::Shared`] track window of one shared pool is
+//! *observably identical* to the same job running alone: same finals,
+//! same [`IoStats`], same op breakdown. These tests run pairs of jobs
+//! concurrently on one [`ConcurrentStorage`] engine — the pool with the
+//! most shared state — under both EM runners, over random inputs, and
+//! compare bit-for-bit against solo runs; check that the service runs
+//! the same jobs alike on its default in-memory pool and on an engine
+//! its caller built; then regress the deficit round-robin scheduler's
+//! starvation guarantee through the full [`JobService`].
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 
 use cgmio_algos::CgmSort;
 use cgmio_core::{
@@ -19,7 +20,10 @@ use cgmio_core::{
 use cgmio_data as data;
 use cgmio_io::{ConcurrentStorage, IoEngineOpts};
 use cgmio_model::CgmProgram;
-use cgmio_pdm::{DiskGeometry, Item, MemStorage, TrackStorage};
+use cgmio_obs::json::{self, Value};
+use cgmio_obs::Obs;
+use cgmio_pdm::testutil::TempDir;
+use cgmio_pdm::{DiskGeometry, Item, MemStorage, TrackAddr, TrackStorage};
 use cgmio_svc::{JobService, JobSpec, Priority, ServiceConfig, WorkloadKind};
 use proptest::prelude::*;
 
@@ -234,19 +238,140 @@ fn service_jobs_match_solo_runs() {
     }
 }
 
+/// `report.json` with its one wall-clock field (`wall_us`) taken out.
+fn report_without_wall(dir: &std::path::Path) -> Value {
+    let text = std::fs::read_to_string(dir.join("report.json")).unwrap();
+    match json::parse(&text).unwrap() {
+        Value::Obj(fields) => {
+            Value::Obj(fields.into_iter().filter(|(k, _)| k != "wall_us").collect())
+        }
+        other => panic!("report.json is not an object: {other:?}"),
+    }
+}
+
+/// The pool is the caller's choice: the same specs run through
+/// `with_pool` over a caller-built drive-thread engine and through the
+/// default in-memory pool give equal records and reports.
+#[test]
+fn caller_built_engine_runs_jobs_like_the_default_pool() {
+    let run = |engine: bool| {
+        let root = TempDir::new("cgmio-svc-pool");
+        let cfg = ServiceConfig {
+            num_disks: 2,
+            block_bytes: 512,
+            workers: 2,
+            artifacts_dir: Some(root.path().to_path_buf()),
+            ..ServiceConfig::default()
+        };
+        let svc = if engine {
+            let backing = Arc::new(MemStorage::new(DiskGeometry::new(2, 512)));
+            let pool = Arc::new(ConcurrentStorage::new(backing, 2, IoEngineOpts::default()));
+            JobService::with_pool(cfg, pool).unwrap()
+        } else {
+            JobService::new(cfg).unwrap()
+        };
+        let specs = [WorkloadKind::Sort, WorkloadKind::Permute, WorkloadKind::Transpose];
+        for (i, workload) in specs.into_iter().enumerate() {
+            svc.submit(JobSpec { workload, ..svc_spec(["alpha", "beta"][i % 2], i as u64) })
+                .unwrap();
+        }
+        let dirs: Vec<_> = (0..3).map(|i| svc.job_dir(cgmio_svc::JobId(i)).unwrap()).collect();
+        let mut records = svc.drain();
+        records.sort_by_key(|r| r.id);
+        let out: Vec<_> = records
+            .iter()
+            .zip(&dirs)
+            .map(|(r, dir)| {
+                assert!(r.ok, "{}: {:?}", r.id, r.error);
+                (r.finals_hash, r.measured_ops, report_without_wall(dir))
+            })
+            .collect();
+        out
+    };
+    assert_eq!(run(true), run(false));
+}
+
+/// The default service wraps its pool in nothing: with `obs` set, jobs
+/// report the service's own series and no drive-engine (`cgmio_io_*`)
+/// series appears.
+#[test]
+fn default_service_runs_no_drive_engine() {
+    let obs = Obs::new();
+    let svc = JobService::new(ServiceConfig {
+        num_disks: 2,
+        block_bytes: 512,
+        obs: Some(obs.clone()),
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    for seed in 0..3 {
+        svc.submit(svc_spec("alpha", seed)).unwrap();
+    }
+    let records = svc.drain();
+    assert!(records.len() == 3 && records.iter().all(|r| r.ok), "{records:?}");
+    let names: Vec<_> = obs.snapshot().samples.into_iter().map(|s| s.name).collect();
+    assert!(names.iter().any(|n| n == "cgmio_svc_jobs_total"), "{names:?}");
+    let io: Vec<_> = names.iter().filter(|n| n.starts_with("cgmio_io_")).collect();
+    assert!(io.is_empty(), "engine series on the default pool: {io:?}");
+}
+
+/// An in-memory pool whose first write waits until the test drops the
+/// gate's sender: a one-worker service then holds its first job while
+/// every other job queues, however fast jobs run.
+struct GatedPool {
+    inner: MemStorage,
+    gate: Mutex<Option<mpsc::Receiver<()>>>,
+}
+
+impl GatedPool {
+    fn pass(&self) {
+        if let Some(gate) = self.gate.lock().unwrap().take() {
+            let _ = gate.recv();
+        }
+    }
+}
+
+impl TrackStorage for GatedPool {
+    fn read_track(&self, disk: usize, track: u64) -> std::io::Result<Vec<u8>> {
+        self.inner.read_track(disk, track)
+    }
+    fn write_track(&self, disk: usize, track: u64, data: &[u8]) -> std::io::Result<()> {
+        self.pass();
+        self.inner.write_track(disk, track, data)
+    }
+    fn write_scatter(&self, writes: &[(TrackAddr, &[u8])]) -> std::io::Result<()> {
+        self.pass();
+        self.inner.write_scatter(writes)
+    }
+    fn discard(&self, disk: usize, tracks: std::ops::Range<u64>) -> std::io::Result<bool> {
+        self.inner.discard(disk, tracks)
+    }
+    fn tracks_used(&self) -> Vec<u64> {
+        self.inner.tracks_used()
+    }
+}
+
 /// DRR starvation regression through the service: one worker, a tenant
 /// flooding 20 equal-cost jobs before a quiet tenant submits 3. Global
 /// FIFO would finish the quiet tenant dead last (indices 20..22);
 /// deficit round-robin must interleave it near the front.
 #[test]
 fn drr_prevents_tenant_starvation() {
-    let svc = JobService::new(ServiceConfig {
-        num_disks: 2,
-        block_bytes: 512,
-        workers: 1,
-        quantum_ops: 64.0,
-        ..ServiceConfig::default()
-    })
+    let (open, gate) = mpsc::channel();
+    let pool = GatedPool {
+        inner: MemStorage::new(DiskGeometry::new(2, 512)),
+        gate: Mutex::new(Some(gate)),
+    };
+    let svc = JobService::with_pool(
+        ServiceConfig {
+            num_disks: 2,
+            block_bytes: 512,
+            workers: 1,
+            quantum_ops: 64.0,
+            ..ServiceConfig::default()
+        },
+        Arc::new(pool),
+    )
     .unwrap();
     let mut quiet_ids = Vec::new();
     for i in 0..20u64 {
@@ -255,11 +380,12 @@ fn drr_prevents_tenant_starvation() {
     for i in 0..3u64 {
         quiet_ids.push(svc.submit(svc_spec("quiet", 100 + i)).unwrap());
     }
+    drop(open);
     let records = svc.drain();
     assert_eq!(records.len(), 23);
-    // Records are in completion order; the single worker makes the
-    // order deterministic up to where the first dispatch happened
-    // relative to the quiet submissions — hence the generous bound.
+    // Records are in completion order. The worker was held on its
+    // first job until all 23 were queued, so every later dispatch is
+    // the scheduler's choice among both tenants.
     let quiet_last = records
         .iter()
         .enumerate()
