@@ -148,13 +148,15 @@ impl ThreadedRunner {
                 let my_ctrl = ctrl_tx.clone();
                 let my_dec = dec_rx[t].clone();
                 handles.push(scope.spawn(move || {
-                    worker::<P>(prog, t, v, p, block, my_tx, my_rx, my_ctrl, my_dec, round_limit)
+                    worker::<P>(prog, t, v, p, block, my_tx, my_rx, my_ctrl, my_dec)
                 }));
             }
             drop(ctrl_tx);
 
-            // Coordinator loop.
-            for round in 0..=round_limit {
+            // Coordinator loop. Rounds `0..round_limit` may run, as in
+            // `DirectRunner`; the workers compute round 0 before any
+            // decision, so a zero limit still sees one report.
+            for round in 0..round_limit.max(1) {
                 let mut ctl = RoundCtl {
                     n_done: 0,
                     n_procs: 0,
@@ -193,7 +195,9 @@ impl ThreadedRunner {
                         },
                     });
                 }
-                let decision = if ctl.n_done == v {
+                let decision = if round >= round_limit {
+                    Decision::Fail(ModelError::RoundLimit(round_limit))
+                } else if ctl.n_done == v {
                     if sent_any {
                         Decision::Fail(ModelError::MessagesAfterDone)
                     } else {
@@ -201,7 +205,7 @@ impl ThreadedRunner {
                     }
                 } else if ctl.n_done != 0 {
                     Decision::Fail(ModelError::StatusDisagreement { round })
-                } else if round == round_limit {
+                } else if round + 1 == round_limit {
                     Decision::Fail(ModelError::RoundLimit(round_limit))
                 } else {
                     Decision::Continue
@@ -257,7 +261,6 @@ fn worker<P: CgmProgram>(
     data_rx: Receiver<Packet<P::Msg>>,
     ctrl: Sender<(usize, RoundCtl)>,
     dec: Receiver<Decision>,
-    _round_limit: usize,
 ) -> Vec<P::State> {
     let my_range = block_range(v, p, t);
     let n_local = my_range.len();
@@ -422,5 +425,21 @@ mod tests {
         }
         let e = ThreadedRunner::new(2).run(&Half, vec![0, 0]).unwrap_err();
         assert_eq!(e, ModelError::StatusDisagreement { round: 0 });
+    }
+
+    #[test]
+    fn round_limit_agrees_with_direct_runner_at_the_boundary() {
+        let prog = TokenRing { rounds: 3 };
+        let init = || (0..5u64).map(|i| vec![i]).collect::<Vec<_>>();
+        let direct = |round_limit| DirectRunner { round_limit }.run(&prog, init()).map(|r| r.0);
+        let needed = (0..10).find(|&l| direct(l).is_ok()).expect("the ring finishes");
+        assert_eq!(needed, 4, "three rotations, then the round that sees them all done");
+        for round_limit in [0, needed - 1, needed, needed + 1] {
+            for p in [1, 2] {
+                let threaded = ThreadedRunner { p, round_limit }.run(&prog, init()).map(|r| r.0);
+                assert_eq!(threaded, direct(round_limit), "limit {round_limit}, p {p}");
+            }
+        }
+        assert_eq!(direct(needed - 1), Err(ModelError::RoundLimit(needed - 1)));
     }
 }

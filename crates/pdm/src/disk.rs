@@ -475,8 +475,8 @@ impl DiskArray {
     /// Returns the number of parallel operations used. With a staggered
     /// layout this is `ceil(len/D)`; with a naive layout, which piles
     /// blocks onto few drives, it degrades — the difference is what the
-    /// paper's Figure 2 illustrates, and what the `ablation` benches
-    /// measure.
+    /// paper's Figure 2 illustrates, and what `reproduce fig2` measures
+    /// (`cgmio_bench::layout_ablation_ops`).
     ///
     /// This is [`Self::write_gather`] over owned per-request buffers; the
     /// hot path stages into one pooled buffer and calls `write_gather`

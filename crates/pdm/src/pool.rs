@@ -11,8 +11,8 @@
 //!
 //! The pool is deliberately dumb: one free list for all sizes (buffers
 //! grow to the largest length ever requested and stay), a bounded free
-//! list so a burst cannot pin unbounded memory, and two counters so the
-//! perf harness can report the reuse rate.
+//! list so a burst cannot pin unbounded memory, and two counters
+//! ([`BlockPool::stats`]) so tests can check the reuse rate.
 //!
 //! ```
 //! use cgmio_pdm::BlockPool;

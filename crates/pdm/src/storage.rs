@@ -21,6 +21,7 @@
 //! All methods take `&self` so a storage can be driven from per-drive
 //! worker threads; backends provide their own interior mutability.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
@@ -392,24 +393,37 @@ impl Hasher for TrackHasher {
     }
 }
 
-/// One drive's tracks, allocated on demand (absent tracks read as
-/// zeros). Keyed by the full u64 track address — the map is as sparse
-/// as the data, so a run that touches a handful of tracks at a huge
-/// base offset (a job window deep in a shared pool) costs memory
-/// proportional to the tracks *written*, not to the highest address. The dense `Vec<Option<...>>` this replaces made
-/// `MemStorage` the scale blocker: addressing track `t` allocated `t`
-/// slots.
-type DriveTracks = HashMap<u64, Box<[u8]>, BuildHasherDefault<TrackHasher>>;
+/// Bytes per slab of an in-memory drive: smaller blocks share
+/// zero-initialised slabs of `SLAB_BYTES / B`, so one first write in that
+/// many allocates; a block at least this large is a slab of its own (one
+/// allocation per block, as for `B` = 128 KiB sorts). One page measured
+/// best; see `docs/ARCHITECTURE.md`, "Allocation and lock budget".
+const SLAB_BYTES: usize = 4096;
 
-/// In-memory [`TrackStorage`]: tracks allocated on demand, absent
+/// One drive's blocks: `index` maps each live track to a slot (block
+/// `s % per_slab` of `slabs[s / per_slab]`); a discarded track's slot
+/// waits in `free` for the next first write, so slabs stay at the
+/// drive's high water. The index is as sparse as the data: tracks deep
+/// in a shared pool cost what they hold, not what their address is.
+#[derive(Default)]
+struct Drive {
+    index: HashMap<u64, u32, BuildHasherDefault<TrackHasher>>,
+    slabs: Vec<Box<[u8]>>,
+    free: Vec<u32>,
+    /// Slots handed out so far, live or free.
+    slots: usize,
+}
+
+/// In-memory [`TrackStorage`]: blocks kept in per-drive slabs, absent
 /// tracks read as zeros. Per-disk locks keep it `Sync` without
 /// serialising disks against each other. A write longer than a block is
 /// refused with [`io::ErrorKind::InvalidInput`] (callers that bypass
 /// `DiskArray`'s own check — track windows, private side stores — get
 /// a typed error, not a panic).
 pub struct MemStorage {
-    disks: Vec<Mutex<DriveTracks>>,
+    disks: Vec<Mutex<Drive>>,
     block_bytes: usize,
+    per_slab: usize,
     /// What a never-written track reads as.
     zeros: Box<[u8]>,
 }
@@ -418,16 +432,31 @@ impl MemStorage {
     /// Empty storage for `geom.num_disks` drives.
     pub fn new(geom: DiskGeometry) -> Self {
         Self {
-            disks: (0..geom.num_disks).map(|_| Mutex::new(DriveTracks::default())).collect(),
+            disks: (0..geom.num_disks).map(|_| Mutex::new(Drive::default())).collect(),
             block_bytes: geom.block_bytes,
+            per_slab: (SLAB_BYTES / geom.block_bytes.max(1)).max(1),
             zeros: vec![0u8; geom.block_bytes].into_boxed_slice(),
         }
     }
 
-    fn drive(&self, disk: usize) -> MutexGuard<'_, DriveTracks> {
-        // Every update leaves the map valid, so a panic elsewhere while
+    fn drive(&self, disk: usize) -> MutexGuard<'_, Drive> {
+        // Every update leaves the drive valid, so a panic elsewhere while
         // the lock was held does not make the tracks unusable.
         self.disks[disk].lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Byte range of `slot` within its slab.
+    fn place(&self, slot: u32) -> (usize, Range<usize>) {
+        let (slab, at) = (slot as usize / self.per_slab, slot as usize % self.per_slab);
+        (slab, at * self.block_bytes..(at + 1) * self.block_bytes)
+    }
+
+    /// The stored block of `track`, or zeros when it has none.
+    fn block<'a>(&'a self, drive: &'a Drive, track: u64) -> &'a [u8] {
+        drive.index.get(&track).map_or(&self.zeros, |&slot| {
+            let (slab, bytes) = self.place(slot);
+            &drive.slabs[slab][bytes]
+        })
     }
 
     /// Run `f` over `items` with the lock of each item's drive held,
@@ -438,9 +467,9 @@ impl MemStorage {
         &self,
         items: &[T],
         disk_of: impl Fn(&T) -> usize,
-        mut f: impl FnMut(usize, &T, &mut DriveTracks) -> io::Result<()>,
+        mut f: impl FnMut(usize, &T, &mut Drive) -> io::Result<()>,
     ) -> io::Result<()> {
-        let mut held: Option<(usize, MutexGuard<'_, DriveTracks>)> = None;
+        let mut held: Option<(usize, MutexGuard<'_, Drive>)> = None;
         for (i, item) in items.iter().enumerate() {
             let disk = disk_of(item);
             if held.as_ref().is_none_or(|(d, _)| *d != disk) {
@@ -448,35 +477,44 @@ impl MemStorage {
                 drop(held.take());
                 held = Some((disk, self.drive(disk)));
             }
-            let (_, tracks) = held.as_mut().expect("locked above");
-            f(i, item, tracks)?;
+            let (_, drive) = held.as_mut().expect("locked above");
+            f(i, item, drive)?;
         }
         Ok(())
     }
 
     /// Store `data` (zero-padded) as `track`, overwriting an existing
-    /// track in place — only a track's first write allocates.
-    fn store(
-        &self,
-        tracks: &mut DriveTracks,
-        disk: usize,
-        track: u64,
-        data: &[u8],
-    ) -> io::Result<()> {
-        if data.len() > self.block_bytes {
-            return Err(io::Error::new(
+    /// track in place. A first write takes a free slot, else the next
+    /// one, and allocates only when that opens a new slab.
+    fn store(&self, drive: &mut Drive, disk: usize, track: u64, data: &[u8]) -> io::Result<()> {
+        let refuse = |what: String| {
+            Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!(
-                    "write of {} bytes to drive {disk} track {track} exceeds the block size {}",
-                    data.len(),
-                    self.block_bytes
-                ),
-            ));
+                format!("write of {} bytes to drive {disk} track {track} {what}", data.len()),
+            ))
+        };
+        if data.len() > self.block_bytes {
+            return refuse(format!("exceeds the block size {}", self.block_bytes));
         }
-        // First write: zeroed by the allocator, so the tail of a short
-        // block in a large one is not even made resident.
-        let block =
-            (tracks.entry(track)).or_insert_with(|| vec![0u8; self.block_bytes].into_boxed_slice());
+        let Drive { index, slabs, free, slots } = drive;
+        let slot = match index.entry(track) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => *e.insert(match free.pop() {
+                Some(slot) => slot,
+                None => {
+                    let Ok(slot) = u32::try_from(*slots) else {
+                        return refuse(format!("exceeds the drive's {} slots", *slots));
+                    };
+                    if *slots == slabs.len() * self.per_slab {
+                        slabs.push(vec![0u8; self.per_slab * self.block_bytes].into_boxed_slice());
+                    }
+                    *slots += 1;
+                    slot
+                }
+            }),
+        };
+        let (slab, bytes) = self.place(slot);
+        let block = &mut slabs[slab][bytes];
         block[..data.len()].copy_from_slice(data);
         block[data.len()..].fill(0);
         Ok(())
@@ -485,7 +523,7 @@ impl MemStorage {
 
 impl TrackStorage for MemStorage {
     fn read_track(&self, disk: usize, track: u64) -> io::Result<Vec<u8>> {
-        Ok(self.drive(disk).get(&track).unwrap_or(&self.zeros).to_vec())
+        Ok(self.block(&self.drive(disk), track).to_vec())
     }
 
     fn write_track(&self, disk: usize, track: u64, data: &[u8]) -> io::Result<()> {
@@ -502,8 +540,8 @@ impl TrackStorage for MemStorage {
         self.for_each_locked(
             addrs,
             |a| a.disk,
-            |i, a, tracks| {
-                f(i, tracks.get(&a.track).unwrap_or(&self.zeros));
+            |i, a, drive| {
+                f(i, self.block(drive, a.track));
                 Ok(())
             },
         )
@@ -513,24 +551,31 @@ impl TrackStorage for MemStorage {
         self.for_each_locked(
             writes,
             |(a, _)| a.disk,
-            |_, (a, data), tracks| self.store(tracks, a.disk, a.track, data),
+            |_, (a, data), drive| self.store(drive, a.disk, a.track, data),
         )
     }
 
     fn discard(&self, disk: usize, tracks: Range<u64>) -> io::Result<bool> {
-        self.drive(disk).retain(|t, _| !tracks.contains(t));
+        let Drive { index, free, .. } = &mut *self.drive(disk);
+        free.extend(index.extract_if(|t, _| tracks.contains(t)).map(|(_, slot)| slot));
         Ok(true)
     }
 
     fn tracks_used(&self) -> Vec<u64> {
         // High-water mark: one past the highest *live* track, so a full
         // discard of the tail really lowers the mark.
-        (0..self.disks.len()).map(|d| self.drive(d).keys().max().map_or(0, |&t| t + 1)).collect()
+        let used = |d: &Drive| d.index.keys().max().map_or(0, |&t| t + 1);
+        (0..self.disks.len()).map(|d| used(&self.drive(d))).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
 
     #[test]
@@ -688,6 +733,152 @@ mod tests {
         s.write_track(0, u64::from(u32::MAX) * 16, &[9]).unwrap();
         assert_eq!(s.read_track(0, u64::from(u32::MAX) * 16).unwrap(), vec![9, 0, 0, 0]);
         assert_eq!(s.tracks_used(), vec![u64::from(u32::MAX) * 16 + 1]);
+    }
+
+    #[test]
+    fn slot_overflow_is_a_typed_error_not_a_panic() {
+        let s = MemStorage::new(DiskGeometry::new(1, 4));
+        s.write_track(0, 3, &[1]).unwrap();
+        s.drive(0).slots = u32::MAX as usize + 1;
+        let e = s.write_track(0, 9, &[2]).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+        assert!(e.to_string().contains("slots"), "{e}");
+        s.write_track(0, 3, &[5]).unwrap(); // a live track keeps its slot
+        assert_eq!(s.read_track(0, 3).unwrap(), vec![5, 0, 0, 0]);
+        assert_eq!(s.read_track(0, 9).unwrap(), vec![0; 4], "a refused write changes nothing");
+    }
+
+    /// The reference of the model-based test below: the bytes every
+    /// live track must hold. `step` applies one random call to it and to
+    /// the storage under test, and checks what the storage returns.
+    struct Model {
+        d: usize,
+        b: usize,
+        /// Track addresses the steps draw from: low, clustered and up to 2^40.
+        tracks: Vec<u64>,
+        want: BTreeMap<(usize, u64), Vec<u8>>,
+        /// Most tracks live at once, per drive.
+        peak: Vec<usize>,
+    }
+
+    impl Model {
+        fn addr(&self, rng: &mut StdRng) -> TrackAddr {
+            TrackAddr::new(
+                rng.gen_range(0..self.d),
+                self.tracks[rng.gen_range(0..self.tracks.len())],
+            )
+        }
+
+        fn read(&self, a: TrackAddr) -> Vec<u8> {
+            self.want.get(&(a.disk, a.track)).cloned().unwrap_or_else(|| vec![0; self.b])
+        }
+
+        fn step(&mut self, s: &dyn TrackStorage, rng: &mut StdRng) {
+            match rng.gen_range(0..6u32) {
+                0 => {
+                    // A scatter write, short overwrites included; bytes
+                    // are never 0, so a stale tail cannot pass for zeros.
+                    let writes: Vec<(TrackAddr, Vec<u8>)> = (0..rng.gen_range(1..5usize))
+                        .map(|_| {
+                            let len = rng.gen_range(0..=self.b);
+                            (self.addr(rng), (0..len).map(|_| rng.gen_range(1..=255u8)).collect())
+                        })
+                        .collect();
+                    let list: Vec<(TrackAddr, &[u8])> =
+                        writes.iter().map(|(a, v)| (*a, v.as_slice())).collect();
+                    s.write_scatter(&list).unwrap();
+                    for (a, mut v) in writes {
+                        v.resize(self.b, 0);
+                        self.want.insert((a.disk, a.track), v);
+                        let live = self.want.keys().filter(|k| k.0 == a.disk).count();
+                        self.peak[a.disk] = self.peak[a.disk].max(live);
+                    }
+                }
+                1 => {
+                    let addrs: Vec<TrackAddr> =
+                        (0..rng.gen_range(0..6usize)).map(|_| self.addr(rng)).collect();
+                    let mut seen = 0;
+                    s.read_scatter_with(&addrs, &mut |i, got| {
+                        assert_eq!((i, got), (seen, &self.read(addrs[i])[..]), "{:?}", addrs[i]);
+                        seen += 1;
+                    })
+                    .unwrap();
+                    assert_eq!(seen, addrs.len());
+                }
+                2 => {
+                    let a = self.addr(rng);
+                    assert_eq!(s.read_track(a.disk, a.track).unwrap(), self.read(a), "{a:?}");
+                }
+                3 => {
+                    // Discard a few tracks from a drawn address, or all.
+                    let a = self.addr(rng);
+                    let range = if rng.gen_range(0..8u32) == 0 {
+                        0..1 << 41
+                    } else {
+                        a.track..a.track + rng.gen_range(0..4u64)
+                    };
+                    assert!(s.discard(a.disk, range.clone()).unwrap());
+                    self.want.retain(|&(d, t), _| d != a.disk || !range.contains(&t));
+                }
+                4 => {
+                    let a = self.addr(rng);
+                    let long = vec![9u8; self.b + rng.gen_range(1..9usize)];
+                    let e = if rng.gen_range(0..2u32) == 0 {
+                        s.write_track(a.disk, a.track, &long)
+                    } else {
+                        s.write_scatter(&[(a, &long[..])])
+                    };
+                    assert_eq!(e.unwrap_err().kind(), io::ErrorKind::InvalidInput);
+                }
+                _ => {
+                    let used: Vec<u64> = (0..self.d)
+                        .map(|d| {
+                            self.want.range((d, 0)..(d + 1, 0)).last().map_or(0, |(k, _)| k.1 + 1)
+                        })
+                        .collect();
+                    assert_eq!(s.tracks_used(), used);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// `MemStorage`, bare and behind a `TrackRange` window deep in
+        /// the pool, agrees byte for byte with a map of live tracks, at
+        /// blocks below, equal to and above a slab.
+        #[test]
+        fn mem_storage_matches_a_model(
+            seed in proptest::any::<u64>(),
+            d in 1usize..=3,
+            b_pick in 0usize..3,
+            windowed in proptest::any::<bool>(),
+        ) {
+            let b = [48, SLAB_BYTES, SLAB_BYTES + 8][b_pick];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pool = Arc::new(MemStorage::new(DiskGeometry::new(d, b)));
+            let base = if windowed { rng.gen_range(0..1u64 << 40) } else { 0 };
+            let s: Box<dyn TrackStorage> = if windowed {
+                Box::new(TrackRange::new(Arc::clone(&pool), base, 1 << 41))
+            } else {
+                Box::new(Arc::clone(&pool))
+            };
+            let mut tracks: Vec<u64> = (0..8).collect();
+            tracks.extend((0..8).map(|_| rng.gen_range(0..1u64 << 40)));
+            let far = rng.gen_range(0..1u64 << 40);
+            tracks.extend(far..far + 8);
+            let mut m = Model { d, b, tracks, want: BTreeMap::new(), peak: vec![0; d] };
+            for _ in 0..300 {
+                m.step(&*s, &mut rng);
+            }
+            for (&(disk, track), bytes) in &m.want {
+                proptest::prop_assert_eq!(&pool.read_track(disk, base + track).unwrap(), bytes);
+            }
+            // Discarded slots were reused: a drive never holds more
+            // slots than it once had live tracks.
+            for disk in 0..d {
+                proptest::prop_assert_eq!(pool.drive(disk).slots, m.peak[disk]);
+            }
+        }
     }
 
     #[test]

@@ -37,7 +37,9 @@
 //! service reports job-level metrics itself (queue wait, latency,
 //! outcome counters — all labelled by tenant).
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -289,22 +291,34 @@ impl Shared {
             base_track: base,
             worker_span_tracks: span,
         };
-        let result = prepared.run(cfg);
+        // A panic in the run or in the pool's discard becomes a failed
+        // record like any other error: unwinding through the worker
+        // would leave `running` and the admission reservation held, and
+        // its peers waiting for ever.
+        let caught = |p: Box<dyn Any + Send>| format!("job panicked: {}", panic_message(&*p));
+        let mut result = panic::catch_unwind(AssertUnwindSafe(|| prepared.run(cfg)))
+            .map_err(caught)
+            .and_then(|r| r.map_err(|e| e.to_string()));
         // Reclaim the window (failed runs included — their writes are
         // garbage either way). A synchronous pool applied every write
         // before the runner returned; a queued one orders the discard
         // behind the job's in-flight writes and drops its caches for
         // the range. Either way recycling is race-free. Any drive that
-        // cannot reclaim leaks the whole window back to the bump
-        // allocator.
-        let mut reclaimed = true;
-        for disk in 0..self.num_disks {
-            if !matches!(self.pool.discard(disk, base..base + span), Ok(true)) {
-                reclaimed = false;
+        // cannot reclaim (or panics) leaks the whole window back to the
+        // bump allocator.
+        let reclaim = || {
+            let mut reclaimed = true;
+            for disk in 0..self.num_disks {
+                if !matches!(self.pool.discard(disk, base..base + span), Ok(true)) {
+                    reclaimed = false;
+                }
             }
-        }
-        if reclaimed {
-            self.tracks.release(base, span);
+            reclaimed
+        };
+        match panic::catch_unwind(AssertUnwindSafe(reclaim)) {
+            Ok(true) => self.tracks.release(base, span),
+            Ok(false) => {}
+            Err(p) => result = result.and(Err(caught(p))),
         }
         let latency_us = self.now_us().saturating_sub(submitted_us);
         let deadline_missed = spec.deadline_hint_ms.map(|ms| latency_us > ms.saturating_mul(1000));
@@ -334,7 +348,7 @@ impl Shared {
             }
             Err(e) => {
                 status.state = JobState::Failed;
-                status.error = Some(e.to_string());
+                status.error = Some(e);
                 rec.error = status.error.clone();
             }
         }
@@ -342,6 +356,14 @@ impl Shared {
         self.write_status(id, &status);
         self.note_outcome(&rec);
         rec
+    }
+}
+
+/// The message a panic was raised with, if it was a string.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => s,
+        None => payload.downcast_ref::<String>().map_or("non-string payload", String::as_str),
     }
 }
 
@@ -394,8 +416,19 @@ impl JobService {
 
     /// A service whose jobs run on `pool` as given (e.g. a
     /// `ConcurrentStorage` engine over file-backed drives). `pool` must
-    /// match `cfg.num_disks`/`cfg.block_bytes`.
+    /// match `cfg.num_disks`/`cfg.block_bytes`; a pool with another
+    /// drive count is refused with [`std::io::ErrorKind::InvalidInput`].
     pub fn with_pool(cfg: ServiceConfig, pool: Arc<dyn TrackStorage>) -> std::io::Result<Self> {
+        let pool_disks = pool.tracks_used().len();
+        if pool_disks != cfg.num_disks {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "pool has {pool_disks} drives, the service is configured for {}",
+                    cfg.num_disks
+                ),
+            ));
+        }
         let artifacts = cfg.artifacts_dir.clone().map(ArtifactStore::new).transpose()?;
         let first_id = artifacts.as_ref().map_or(0, |a| a.next_id().0);
         let shared = Arc::new(Shared {
@@ -645,6 +678,84 @@ mod tests {
         again.submit(spec("t", 7)).unwrap();
         let rs = again.drain();
         assert_eq!(rs[0].finals_hash, rs[1].finals_hash);
+    }
+
+    #[test]
+    fn a_pool_of_another_drive_count_is_refused() {
+        let pool = Arc::new(MemStorage::new(DiskGeometry::new(3, 512)));
+        let e = JobService::with_pool(cfg(), pool).err().expect("3 drives for a 2-drive service");
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(e.to_string().contains("3 drives"), "{e}");
+    }
+
+    /// A pool that panics once, on its first write or its first
+    /// discard, as a buggy backend might.
+    struct PanicsOnce {
+        mem: MemStorage,
+        on_discard: bool,
+        armed: std::sync::atomic::AtomicBool,
+    }
+
+    impl PanicsOnce {
+        fn trip(&self, discard: bool) {
+            if discard == self.on_discard && self.armed.swap(false, Ordering::SeqCst) {
+                panic!("injected backend panic");
+            }
+        }
+    }
+
+    impl TrackStorage for PanicsOnce {
+        fn read_track(&self, disk: usize, track: u64) -> std::io::Result<Vec<u8>> {
+            self.mem.read_track(disk, track)
+        }
+        fn write_track(&self, disk: usize, track: u64, data: &[u8]) -> std::io::Result<()> {
+            self.trip(false);
+            self.mem.write_track(disk, track, data)
+        }
+        fn write_scatter(&self, writes: &[(cgmio_pdm::TrackAddr, &[u8])]) -> std::io::Result<()> {
+            self.trip(false);
+            self.mem.write_scatter(writes)
+        }
+        fn discard(&self, disk: usize, tracks: std::ops::Range<u64>) -> std::io::Result<bool> {
+            self.trip(true);
+            self.mem.discard(disk, tracks)
+        }
+        fn tracks_used(&self) -> Vec<u64> {
+            self.mem.tracks_used()
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_fails_alone_and_the_service_keeps_running() {
+        // A panic in a write is caught by the runner's own guard; one in
+        // the window's discard happens in the service itself.
+        for (on_discard, prefix) in
+            [(false, "real processor 0 panicked in superstep 0: "), (true, "job panicked: ")]
+        {
+            for workers in [1, 2] {
+                let c = ServiceConfig { workers, ..cfg() };
+                let pool = Arc::new(PanicsOnce {
+                    mem: MemStorage::new(DiskGeometry::new(c.num_disks, c.block_bytes)),
+                    on_discard,
+                    armed: true.into(),
+                });
+                let svc = JobService::with_pool(c, pool).unwrap();
+                let sh = Arc::clone(&svc.shared);
+                for _ in 0..3 {
+                    svc.submit(spec("t", 0)).unwrap();
+                }
+                let records = svc.drain();
+                assert_eq!(records.len(), 3, "drain returns every job");
+                let failed: Vec<&JobRecord> = records.iter().filter(|r| !r.ok).collect();
+                assert_eq!(failed.len(), 1, "{records:?}");
+                let err = failed[0].error.as_deref().unwrap();
+                assert_eq!(err, format!("{prefix}injected backend panic"));
+                assert!(records.iter().filter(|r| r.ok).all(|r| r.measured_ops > 0));
+                // The failed job let go of its reservation.
+                assert_eq!(sh.admission.in_flight_ops(), 0.0);
+                assert_eq!(sh.state.lock().unwrap().running, 0);
+            }
+        }
     }
 
     #[test]

@@ -28,26 +28,29 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const RING_BUDGET: f64 = 3.01;
 
 /// Allocations a whole ring run (`rounds + 1` supersteps) may perform
-/// per virtual processor at two rotations. 11.07 is measured: superstep
-/// 0 takes the caller's states and the last one hands them back, so
-/// neither decodes a context (13.06 with a set-up and a readout pass,
-/// 85 before the scratch was recycled).
-const RING_RUN_BUDGET: f64 = 11.1;
+/// per virtual processor at two rotations. 8.10 (depth 0) and 8.11
+/// (depth 2) are measured: superstep 0 takes the caller's states and the
+/// last one hands them back, so neither decodes a context, and a track's
+/// first write lands in a shared `MemStorage` slab (11.07 with one
+/// allocation per track, 13.06 with a set-up and a readout pass, 85
+/// before the scratch was recycled).
+const RING_RUN_BUDGET: f64 = 8.15;
 
-/// Allocations of the sort run below: 3 359 measured (3 910 with
+/// Allocations of the sort run below: 2 044 measured (3 348 with one
+/// `MemStorage` allocation per track, 3 910 with
 /// 13-byte tagged frames instead of bare keys, 4 449 before inbox
 /// decoders kept their carry buffers between reads, 4 649 with a set-up
 /// and a readout pass and the sorted runs grown by doubling, 7 763
 /// before the scratch was recycled).
 /// The large-block path must not get worse.
-const SORT_BUDGET: u64 = 3_359;
+const SORT_BUDGET: u64 = 2_055;
 
 /// Heap bytes a whole two-rotation ring run may request per virtual
-/// processor, at any `v`: the per-processor state is sparse. 784.5
-/// (v = 2 000) and 781.3 (v = 16 000) are measured, 780.9 at
-/// v = 128 000. Dense `v × v` `u32` message-length tables would be
+/// processor, at any `v`: the per-processor state is sparse. 721.6
+/// (v = 2 000) and 717.8 (v = 16 000) are measured (784.5 and 781.3
+/// with one `MemStorage` allocation per track). Dense `v × v` `u32` message-length tables would be
 /// 32 MB at v = 2 000 and 2 GB at v = 16 000 on their own.
-const RING_BYTES_PER_VP: f64 = 800.0;
+const RING_BYTES_PER_VP: f64 = 735.0;
 
 /// Allocator traffic of `runner.run()` on a `v`-processor token ring of
 /// `rounds` rotations: `Mem`, D = 2, B = 64 (so `vp_group` = 2).
