@@ -486,20 +486,6 @@ impl DiskArray {
             queue.iter().map(|r| (r.addr, r.data.as_slice())).collect();
         self.write_gather(&writes)
     }
-
-    /// Read the blocks produced by `addrs` as one gather list (mirror of
-    /// [`Self::write_fifo`]), returning an owned copy of each
-    /// block. The hot path uses [`Self::read_gather_with`] to decode
-    /// straight from the storage-owned bytes instead.
-    pub fn read_fifo(
-        &mut self,
-        addrs: impl Iterator<Item = TrackAddr>,
-    ) -> Result<Vec<Vec<u8>>, IoError> {
-        let addrs: Vec<TrackAddr> = addrs.collect();
-        let mut out: Vec<Vec<u8>> = Vec::with_capacity(addrs.len());
-        self.read_gather_with(&addrs, &mut |_, b| out.push(b.to_vec()))?;
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -758,11 +744,14 @@ mod tests {
         for (i, &ad) in addrs.iter().enumerate() {
             a.parallel_write(&[(ad, &[i as u8, 0][..])]).unwrap();
         }
-        let blocks = a.read_fifo(addrs.iter().copied()).unwrap();
-        for (i, b) in blocks.iter().enumerate() {
-            assert_eq!(b[0], i as u8);
-        }
+        let mut seen = 0;
+        let ops = a.read_gather_with(&addrs, &mut |i, b| {
+            assert_eq!((i, b[0]), (seen, i as u8));
+            seen += 1;
+        });
         // 7 blocks over 3 disks, round-robin -> 3 ops
+        assert_eq!(ops.unwrap(), 3);
+        assert_eq!(seen, 7);
         assert_eq!(a.stats().read_ops, 3);
     }
 
@@ -777,8 +766,9 @@ mod tests {
 
     #[test]
     fn gather_counts_like_fifo() {
-        // 7 blocks round-robin over 3 disks: the FIFO scheduler and the
-        // gather path must charge the identical 3 read + 3 write ops.
+        // 7 blocks round-robin over 3 disks: written by the FIFO
+        // scheduler or the gather path, then read back as one gather
+        // list, both must charge the identical 3 write + 3 read ops.
         let addrs: Vec<TrackAddr> = (0..7).map(|i| TrackAddr::new(i % 3, (i / 3) as u64)).collect();
         let payloads: Vec<Vec<u8>> = (0..7).map(|i| vec![i as u8, 7]).collect();
 
@@ -789,7 +779,8 @@ mod tests {
             .map(|(&addr, data)| IoRequest { addr, data: data.clone() })
             .collect();
         fifo.write_fifo(&q).unwrap();
-        let fifo_blocks = fifo.read_fifo(addrs.iter().copied()).unwrap();
+        let ops = fifo.read_gather_with(&addrs, &mut |i, b| assert_eq!(b, payloads[i]));
+        assert_eq!(ops.unwrap(), 3);
 
         let mut gather = arr(3, 2);
         let writes: Vec<(TrackAddr, &[u8])> =
@@ -802,7 +793,7 @@ mod tests {
         });
         assert_eq!(ops.unwrap(), 3);
 
-        assert_eq!(got, fifo_blocks);
+        assert_eq!(got, payloads);
         assert_eq!(gather.stats(), fifo.stats(), "gather and FIFO accounting must be identical");
     }
 
